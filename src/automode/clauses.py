@@ -3,12 +3,12 @@
 A clause is one head literal plus an ordered body of literals over
 variables and string constants. Coverage of an example relative to a
 database is an existential substitution check: the body splits into
-subgoals that share no unbound variable, each solved by backtracking over
-indexed candidate rows (arc-consistent domain filtering first on wide
-subgoals), with example-independent subgoal results memoized on the
-database instance. Whole clauses can also be evaluated against a set of
-examples in one joined pass. Clause-to-clause subsumption backs the deep
-reduction used to keep generalized clauses small.
+subgoals that share no unbound variable, each solved by fail-first
+backtracking over indexed candidate rows, with example-independent subgoal
+results memoized on the database instance. Whole clauses can also be
+evaluated against a set of examples in one joined pass. Clause-to-clause
+subsumption backs the deep reduction used to keep generalized clauses
+small.
 """
 
 from __future__ import annotations
@@ -208,13 +208,7 @@ def covers(clause: Clause, example: tuple[str, ...], db: "DatabaseInstance") -> 
                 return False
         elif term.symbol != value:
             return False
-    return _satisfiable(list(clause.body), binding, db)
-
-
-def _satisfiable(
-    body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance"
-) -> bool:
-    return find_witness(body, binding, db) is not None
+    return find_witness(clause.body, binding, db) is not None
 
 
 def find_witness(
@@ -283,24 +277,19 @@ def _component_key(lit: Literal, binding: dict[Term, str]) -> tuple:
 def _solve_component(
     body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance"
 ) -> dict[Term, str] | None:
-    # arc consistency pays for itself on wide components; small ones are
-    # cheaper to refute by plain search (and usually come from the memo)
-    if len(body) >= 8:
-        candidates = _consistent_candidates(body, binding, db)
-    else:
-        candidates = []
-        for lit in body:
-            bound = {
-                pos: (binding[a] if a.is_var else a.symbol)
-                for pos, a in enumerate(lit.args)
-                if not a.is_var or a in binding
-            }
-            rows = db.matching_rows(lit.relation, bound)
-            if not rows:
-                return None
-            candidates.append(rows)
-    if candidates is None:
-        return None
+    # fail first: branch on the literal with the fewest matching rows, then
+    # solve what remains under each row's extension of the binding
+    candidates = []
+    for lit in body:
+        bound = {
+            pos: (binding[a] if a.is_var else a.symbol)
+            for pos, a in enumerate(lit.args)
+            if not a.is_var or a in binding
+        }
+        rows = db.matching_rows(lit.relation, bound)
+        if not rows:
+            return None
+        candidates.append(rows)
     best_index = min(range(len(body)), key=lambda i: len(candidates[i]))
     lit = body[best_index]
     rest = body[:best_index] + body[best_index + 1 :]
@@ -314,73 +303,6 @@ def _solve_component(
         if solved is not None:
             return solved
     return None
-
-
-def _consistent_candidates(
-    body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance"
-) -> list | None:
-    """Per-literal candidate rows after arc-consistent domain filtering.
-
-    Every variable's domain shrinks to the values some candidate row of
-    each of its literals supports; literals re-filter only when one of
-    their variables narrowed. An emptied domain (or literal) refutes the
-    component without search.
-    """
-    candidates: list[list[tuple[str, ...]]] = []
-    open_positions: list[list[tuple[int, Term]]] = []
-    literals_of: dict[Term, list[int]] = {}
-    for i, lit in enumerate(body):
-        bound = {
-            pos: (binding[a] if a.is_var else a.symbol)
-            for pos, a in enumerate(lit.args)
-            if not a.is_var or a in binding
-        }
-        rows = db.matching_rows(lit.relation, bound)
-        if not rows:
-            return None
-        candidates.append(list(rows))
-        opens = [
-            (pos, a)
-            for pos, a in enumerate(lit.args)
-            if a.is_var and a not in binding
-        ]
-        open_positions.append(opens)
-        for _, a in opens:
-            literals_of.setdefault(a, []).append(i)
-    if len(body) == 1:
-        return candidates
-    domains: dict[Term, set[str]] = {}
-    queue = list(range(len(body)))
-    queued = set(queue)
-    while queue:
-        i = queue.pop()
-        queued.discard(i)
-        opens = open_positions[i]
-        checks = [
-            (pos, domains[a]) for pos, a in opens if a in domains
-        ]
-        if checks:
-            filtered = [
-                row
-                for row in candidates[i]
-                if all(row[pos] in domain for pos, domain in checks)
-            ]
-        else:
-            filtered = candidates[i]
-        if not filtered:
-            return None
-        candidates[i] = filtered
-        for pos, a in opens:
-            supported = {row[pos] for row in filtered}
-            current = domains.get(a)
-            if current is not None and len(supported) >= len(current):
-                continue  # filtered rows only draw from the current domain
-            domains[a] = supported
-            for j in literals_of[a]:
-                if j != i and j not in queued:
-                    queue.append(j)
-                    queued.add(j)
-    return candidates
 
 
 def _sat_memo(db: "DatabaseInstance") -> dict:

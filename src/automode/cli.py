@@ -43,9 +43,6 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.handler(args)
     except AutomodeError as exc:
@@ -72,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="error tolerance for approximate INDs (default 0.5)",
     )
     p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
-    _common_flags(p)
     p.set_defaults(handler=_cmd_discover_inds)
 
     p = sub.add_parser("induce-bias", help="generate predicate and mode definitions")
@@ -85,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="attributes with fewer distinct values may appear as constants (default 5)",
     )
     p.add_argument("--out", type=Path, required=True)
-    _common_flags(p)
     p.set_defaults(handler=_cmd_induce_bias)
 
     p = sub.add_parser("learn", help="learn a Horn definition of the target")
@@ -93,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=Path, required=True, help="bias file (generated or hand-written)")
     p.add_argument("--out", type=Path, required=True, help="model output file")
     _learn_flags(p)
-    _common_flags(p)
     p.set_defaults(handler=_cmd_learn)
 
     p = sub.add_parser("evaluate", help="k-fold cross validation")
@@ -105,12 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg-ratio", type=int, default=2, help="negatives per positive when generating")
     p.add_argument("--report", type=Path, required=True, help="JSON report output")
     _learn_flags(p)
-    _common_flags(p)
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("demo", help="run the packaged fixture end to end")
     p.add_argument("--out-dir", type=Path, default=Path("automode-demo"))
-    _common_flags(p)
     p.set_defaults(handler=_cmd_demo)
     return parser
 
@@ -131,17 +123,8 @@ def _learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-relation-cap", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--generalizer", choices=("armg", "lgg"), default="armg")
-    p.add_argument(
-        "--predicates-only",
-        action="store_true",
-        help="use only predicate declarations from the bias (implied by --generalizer lgg)",
-    )
     p.add_argument("--deep-reduce", action="store_true", help="deep-reduce learned clauses")
     p.add_argument("--lgg-guard", type=int, default=10_000)
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (runs are sequential)")
 
 
 # -- command implementations -------------------------------------------------
@@ -271,7 +254,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             constant_threshold=5,
             out=args.out_dir / "bias.txt",
             command="induce-bias",
-            jobs=1,
         )
     )
     if rc != 0:
@@ -291,11 +273,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         per_relation_cap=100,
         seed=1,
         generalizer="armg",
-        predicates_only=False,
         deep_reduce=False,
         lgg_guard=10_000,
         command="learn",
-        jobs=1,
     )
     rc = _cmd_learn(ns)
     if rc != 0:

@@ -408,9 +408,17 @@ def score(
 ) -> int:
     """Covered positives minus covered negatives."""
     cache = cache or CoverageCache(db, positives + negatives)
+    tp, fp = _coverage_counts(clause, positives, negatives, cache)
+    return tp - fp
+
+
+def _coverage_counts(
+    clause: Clause, positives, negatives, cache: CoverageCache
+) -> tuple[int, int]:
+    """How many positives and how many negatives the clause covers."""
     tp = sum(1 for e in positives if cache.covers(clause, e))
     fp = sum(1 for e in negatives if cache.covers(clause, e))
-    return tp - fp
+    return tp, fp
 
 
 def generalize_clause(
@@ -525,8 +533,9 @@ def _cover_set(
     while uncovered:
         seed = uncovered[0]
         clause = learn_one(uncovered, rng, cache)
-        tp = sum(1 for e in examples.positives if cache.covers(clause, e))
-        fp = sum(1 for e in examples.negatives if cache.covers(clause, e))
+        tp, fp = _coverage_counts(
+            clause, examples.positives, examples.negatives, cache
+        )
         precision = tp / (tp + fp) if tp + fp else 0.0
         if precision >= cfg.min_precision and tp >= min_positives:
             learned.append(clause)

@@ -21,6 +21,7 @@ from .learner import (
     LearnConfig,
     _cover_set,
     ground_bottom_clause,
+    score,
 )
 from .relstore import DatabaseInstance, ExampleSet
 
@@ -124,11 +125,11 @@ def lgg_learn(
         clause = minimize(
             ground_bottom_clause(seed, db, target, predicates, cfg), deep=True
         )
-        best = _fold_score(clause, uncovered, examples.negatives, cache)
+        best = score(clause, uncovered, examples.negatives, db, cache)
         for example in fold[1:]:
             bottom = ground_bottom_clause(example, db, target, predicates, cfg)
             candidate = lgg_clauses(clause, bottom)
-            cand_score = _fold_score(candidate, uncovered, examples.negatives, cache)
+            cand_score = score(candidate, uncovered, examples.negatives, db, cache)
             if cand_score > best:
                 clause, best = candidate, cand_score
             else:
@@ -136,9 +137,3 @@ def lgg_learn(
         return clause
 
     return _cover_set(db, examples, cfg, learn_one)
-
-
-def _fold_score(clause, positives, negatives, cache: CoverageCache) -> int:
-    tp = sum(1 for e in positives if cache.covers(clause, e))
-    fp = sum(1 for e in negatives if cache.covers(clause, e))
-    return tp - fp

@@ -62,16 +62,16 @@ class AttributeStats:
 
 @dataclass(frozen=True)
 class DatabaseInstance:
-    """An immutable, indexed set of relations.
+    """An immutable set of relations.
 
     `rows` maps each relation name to its deduplicated tuples in sorted
-    order; `value_index` maps each constant to every (attribute, row)
-    occurrence. Instances are safe for concurrent reads.
+    order. The per-position row index behind `matching_rows` and the
+    membership sets behind `fact_set` are built on first use. Instances
+    are safe for concurrent reads.
     """
 
     schemas: tuple[RelationSchema, ...]
     rows: dict[str, tuple[tuple[str, ...], ...]]
-    value_index: dict[str, frozenset[tuple[AttributeRef, tuple[str, ...]]]]
 
     @staticmethod
     def build(
@@ -99,7 +99,7 @@ class DatabaseInstance:
         unknown = set(tuples_by_relation) - set(names)
         if unknown:
             raise ValidationError(f"tuples for undeclared relations: {sorted(unknown)}")
-        return DatabaseInstance(tuple(schemas), rows, _build_value_index(schemas, rows))
+        return DatabaseInstance(tuple(schemas), rows)
 
     # -- lookups --------------------------------------------------------
 
@@ -120,9 +120,6 @@ class DatabaseInstance:
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    def column_values(self, attr: AttributeRef) -> frozenset[str]:
-        return attribute_stats(self, attr).distinct_values
-
     def fact_set(self, relation: str) -> frozenset[tuple[str, ...]]:
         """Rows of `relation` as a set, for O(1) membership tests."""
         cache = self.__dict__.get("_fact_sets")
@@ -132,10 +129,6 @@ class DatabaseInstance:
         if relation not in cache:
             cache[relation] = frozenset(self.relation_rows(relation))
         return cache[relation]
-
-    def index_count(self, relation: str, position: int, value: str) -> int:
-        """How many rows of `relation` hold `value` at `position`."""
-        return len(_pos_index(self).get((relation, position, value), ()))
 
     def matching_rows(
         self, relation: str, bound: dict[int, str]
@@ -347,26 +340,6 @@ def dump_examples(examples: ExampleSet, out_file: Path | str) -> None:
 
 
 # -- internal indexes ----------------------------------------------------
-
-
-def _build_value_index(
-    schemas: tuple[RelationSchema, ...],
-    rows: dict[str, tuple[tuple[str, ...], ...]],
-) -> dict[str, frozenset[tuple[AttributeRef, tuple[str, ...]]]]:
-    acc: dict[str, set[tuple[AttributeRef, tuple[str, ...]]]] = {}
-    for schema in schemas:
-        refs = schema.attribute_refs()
-        for row in rows[schema.name]:
-            for ref, value in zip(refs, row):
-                acc.setdefault(value, set()).add((ref, row))
-    return {v: frozenset(occ) for v, occ in acc.items()}
-
-
-def rebuild_value_index(
-    db: DatabaseInstance,
-) -> dict[str, frozenset[tuple[AttributeRef, tuple[str, ...]]]]:
-    """Recompute the value index from the tuple sets (consistency check)."""
-    return _build_value_index(db.schemas, db.rows)
 
 
 def _pos_index(

@@ -193,7 +193,6 @@ class TestLearn:
                 str(bias_file),
                 "--generalizer",
                 "lgg",
-                "--predicates-only",
                 "--out",
                 str(model),
             ]

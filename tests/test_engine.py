@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from automode import clauses
 from automode.clauses import covered_examples, covers, find_witness
 from automode.clauses import fold_singleton_literals
 from automode.learner import LearnConfig, learn_definition
@@ -47,7 +48,7 @@ class TestFindWitness:
                 assert image in db.fact_set(lit.relation)
         assert found >= 30
 
-    def test_agrees_with_substitution_oracle(self):
+    def test_agrees_with_substitution_oracle(self, monkeypatch):
         rng = random.Random(223)
         refuted = 0
         for _ in range(150):
@@ -58,6 +59,31 @@ class TestFindWitness:
             assert covers(clause, example, db) == want
             refuted += not want
         assert refuted >= 50  # the generator produces plenty of failures
+        # wide bodies over a dense database, so components of 8 or more
+        # literals reach the search (a small pool keeps the oracle cheap)
+        widths: list[int] = []
+        solve = clauses._solve_component
+
+        def recording(body, binding, db):
+            widths.append(len(body))
+            return solve(body, binding, db)
+
+        monkeypatch.setattr(clauses, "_solve_component", recording)
+        wide = wide_covered = 0
+        for _ in range(400):
+            db = random_db(rng, max_relations=3, max_arity=3, max_tuples=100, pool=4)
+            clause = random_clause(
+                rng, db, max_body=14, max_free_vars=6, allow_constants=False
+            )
+            example = random_example(rng, len(clause.head.args), pool=4)
+            want = covers_oracle(clause, example, db)
+            widths.clear()
+            assert covers(clause, example, db) == want
+            if max(widths, default=0) >= 8:
+                wide += 1
+                wide_covered += want
+        assert wide >= 25
+        assert wide_covered >= 10 and wide - wide_covered >= 10
 
 
 class TestCoveredExamples:

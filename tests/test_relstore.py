@@ -18,7 +18,6 @@ from automode.relstore import (
     load_database,
     load_examples,
     load_schema,
-    rebuild_value_index,
     register_target,
 )
 
@@ -188,12 +187,6 @@ class TestStats:
 
 
 class TestIndexAndRoundTrip:
-    def test_value_index_matches_rebuild(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            db = random_db(rng)
-            assert rebuild_value_index(db) == db.value_index
-
     def test_dump_then_load_is_identity(self, tmp_path):
         rng = random.Random(13)
         for i in range(10):

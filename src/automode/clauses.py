@@ -6,16 +6,19 @@ database is an existential substitution check: the body splits into
 subgoals that share no unbound variable, each solved by fail-first
 backtracking over indexed candidate rows, with example-independent subgoal
 results memoized on the database instance. Whole clauses can also be
-evaluated against a set of examples in one joined pass. Clause-to-clause
-subsumption backs the deep reduction used to keep generalized clauses
-small.
+evaluated against a set of examples in one joined pass: each body literal
+becomes a factor read from the database's stored row sets and position
+index (never by scanning a relation), a worklist semi-join reduction
+shrinks the factors, and variable elimination joins what is left.
+Clause-to-clause subsumption backs the deep reduction used to keep
+generalized clauses small.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, TYPE_CHECKING
+from typing import AbstractSet, Iterable, TYPE_CHECKING
 
 from .errors import ValidationError
 
@@ -382,7 +385,12 @@ def covered_examples(
 
     The example tuples join the body as one more relation over the head
     variables, so every intermediate stays anchored to examples actually
-    asked about; non-head variables are then eliminated cheapest-first.
+    asked about. Each body literal is a factor over its distinct variables,
+    read without a relation scan: a literal of distinct variables shares
+    the stored row set (`db.fact_set`), one with constants starts from the
+    position index (`db.matching_rows`), and only a repeated variable needs
+    a row filter. `_reduce_domains` shrinks the factors to their semi-join
+    fixpoint; non-head variables are then eliminated cheapest-first.
     Returns None when an intermediate join exceeds `cap` rows (callers fall
     back to per-example tests).
     """
@@ -400,34 +408,28 @@ def covered_examples(
                 ok = term.symbol == value
         if ok:
             example_rows[tuple(assignment[v] for v in head_vars)] = tuple(example)
-    factors: list[tuple[tuple[Term, ...], set[tuple[str, ...]]]] = [
+    factors: list[tuple[tuple[Term, ...], AbstractSet[tuple[str, ...]]]] = [
         (head_vars, set(example_rows))
     ]
     for lit in clause.body:
         if not db.has_relation(lit.relation):
             raise ValidationError(f"clause relation missing from database: {lit.relation}")
         factor_vars = tuple(dict.fromkeys(lit.variables()))
-        rows: set[tuple[str, ...]] = set()
-        for row in db.relation_rows(lit.relation):
-            seen: dict[Term, str] = {}
-            ok = True
-            for term, value in zip(lit.args, row):
-                if not term.is_var:
-                    if term.symbol != value:
-                        ok = False
-                        break
-                elif seen.setdefault(term, value) != value:
-                    ok = False
-                    break
-            if ok:
-                rows.add(tuple(seen[v] for v in factor_vars))
-        if not factor_vars:
-            if not rows:
-                return frozenset()  # ground literal absent: covers nothing
-            continue
+        if len(factor_vars) == len(lit.args):
+            # distinct variables only: the stored row set is the factor
+            rows = db.fact_set(lit.relation)
+        else:
+            bound = {pos: a.symbol for pos, a in enumerate(lit.args) if not a.is_var}
+            stored = (
+                db.matching_rows(lit.relation, bound)
+                if bound
+                else db.relation_rows(lit.relation)
+            )
+            rows = _literal_rows(lit, factor_vars, stored)
         if not rows:
-            return frozenset()
-        factors.append((factor_vars, rows))
+            return frozenset()  # no stored tuple matches: covers nothing
+        if factor_vars:
+            factors.append((factor_vars, rows))
     _reduce_domains(factors)
     while len(factors) > 1 or (factors and set(factors[0][0]) - set(head_vars)):
         v = _cheapest_variable(factors, set(head_vars))
@@ -465,30 +467,77 @@ def covered_examples(
     return covered
 
 
+def _literal_rows(
+    lit: Literal, factor_vars: tuple[Term, ...], rows: Iterable[tuple[str, ...]]
+) -> frozenset[tuple[str, ...]]:
+    # `rows` already agree with the literal's constants; keep those that
+    # bind each repeated variable consistently, projected onto factor_vars
+    first = {v: lit.args.index(v) for v in factor_vars}
+    repeats = [
+        (pos, first[a]) for pos, a in enumerate(lit.args) if a.is_var and first[a] != pos
+    ]
+    picks = tuple(first.values())
+    return frozenset(
+        tuple(row[i] for i in picks)
+        for row in rows
+        if all(row[pos] == row[i] for pos, i in repeats)
+    )
+
+
 def _reduce_domains(factors) -> None:
-    """Shrink every factor to rows whose values all appear in every other
-    factor sharing the variable (cheap semi-join reduction)."""
-    domains: dict[Term, set[str]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for factor_vars, rows in factors:
-            for i, v in enumerate(factor_vars):
-                values = {row[i] for row in rows}
-                current = domains.get(v)
-                narrowed = values if current is None else current & values
-                if current is None or len(narrowed) < len(current):
-                    domains[v] = narrowed
-                    changed = True
-        for k, (factor_vars, rows) in enumerate(factors):
-            kept = {
-                row
-                for row in rows
-                if all(row[i] in domains[v] for i, v in enumerate(factor_vars))
-            }
-            if len(kept) < len(rows):
-                factors[k] = (factor_vars, kept)
-                changed = True
+    """Semi-join reduction in place, to its unique fixpoint: every factor
+    keeps only rows whose value for each variable appears in every other
+    factor holding that variable.
+
+    A variable held by several factors gets a domain, the intersection of
+    their column values. A worklist (AC-3) refilters a factor only after one
+    of its variables' domains narrowed, and a factor that loses rows narrows
+    the domains of its variables in turn. Stored row sets are replaced, never
+    mutated, so factors may share them with the database.
+    """
+    holders: dict[Term, list[int]] = {}
+    for k, (factor_vars, _) in enumerate(factors):
+        for v in factor_vars:
+            holders.setdefault(v, []).append(k)
+    shared = [
+        [(i, v) for i, v in enumerate(factor_vars) if len(holders[v]) > 1]
+        for factor_vars, _ in factors
+    ]
+    columns = [
+        {v: {row[i] for row in rows} for i, v in positions}
+        for positions, (_, rows) in zip(shared, factors)
+    ]
+    domains: dict[Term, set[str]] = {
+        v: set.intersection(*(columns[k][v] for k in ks))
+        for v, ks in holders.items()
+        if len(ks) > 1
+    }
+    pending = [
+        k
+        for k, values_by_var in enumerate(columns)
+        if any(len(values) > len(domains[v]) for v, values in values_by_var.items())
+    ]
+    queued = set(pending)
+    while pending:
+        k = pending.pop()
+        queued.discard(k)
+        factor_vars, rows = factors[k]
+        kept = rows
+        for i, v in shared[k]:
+            domain = domains[v]
+            kept = [row for row in kept if row[i] in domain]
+        kept = frozenset(kept)
+        if len(kept) == len(rows):
+            continue
+        factors[k] = (factor_vars, kept)
+        for i, v in shared[k]:
+            values = {row[i] for row in kept}
+            if len(values) < len(domains[v]):
+                domains[v] = values
+                for j in holders[v]:
+                    if j != k and j not in queued:
+                        queued.add(j)
+                        pending.append(j)
 
 
 def _cheapest_variable(factors, keep: set[Term]) -> Term | None:
@@ -522,14 +571,17 @@ def _join_factors(f1, f2, cap: int):
     idx1 = [vars1.index(v) for v in shared]
     idx2 = [vars2.index(v) for v in shared]
     carry = [i for i, v in enumerate(vars2) if v not in vars1]
+    # rows2 are distinct, so each shared key lists distinct carried values
     table: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
     for row in rows2:
-        table.setdefault(tuple(row[i] for i in idx2), []).append(row)
+        table.setdefault(tuple(row[i] for i in idx2), []).append(
+            tuple(row[i] for i in carry)
+        )
     out: set[tuple[str, ...]] = set()
     for row in rows1:
         key = tuple(row[i] for i in idx1)
-        for other in table.get(key, ()):
-            out.add(row + tuple(other[i] for i in carry))
+        for carried in table.get(key, ()):
+            out.add(row + carried)
             if len(out) > cap:
                 return None
     return out_vars, out

@@ -435,7 +435,8 @@ def generalize_clause(
     Each round samples positives, generalizes every beam clause toward the
     sampled examples it misses, and keeps the top clauses by score (ties:
     shorter body, then clause text). Search stops when no candidate beats
-    the best score seen so far.
+    the best score seen so far. The winner is returned folded
+    (`fold_singleton_literals`) even when it is the bottom clause itself.
     """
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
     cache = cache or CoverageCache(db, positives + negatives)
@@ -473,7 +474,7 @@ def generalize_clause(
             break
         best, best_score = ranked[0], top_score
         beam = ranked[: cfg.beam_width]
-    return minimize(best)
+    return minimize(fold_singleton_literals(best))
 
 
 # -- cover-set loop --------------------------------------------------------------

@@ -48,6 +48,30 @@ def covers_oracle(clause: Clause, example: tuple[str, ...], db: DatabaseInstance
     return False
 
 
+def semijoin_fixpoint_oracle(factors) -> list:
+    """Repeat full passes until nothing changes: drop every row holding a
+    value for some variable that another factor with that variable lacks."""
+    out = [(vars_, set(rows)) for vars_, rows in factors]
+    changed = True
+    while changed:
+        changed = False
+        for k, (vars_, rows) in enumerate(out):
+            kept = {
+                row
+                for row in rows
+                if all(
+                    any(other[vars2.index(v)] == row[i] for other in rows2)
+                    for i, v in enumerate(vars_)
+                    for vars2, rows2 in out
+                    if v in vars2
+                )
+            }
+            if kept != rows:
+                out[k] = (vars_, kept)
+                changed = True
+    return out
+
+
 def inds_oracle(db: DatabaseInstance, alpha: float) -> set[tuple]:
     """Double loop over all attribute pairs, literally from the definition."""
     attrs = [

@@ -8,15 +8,21 @@ from __future__ import annotations
 
 import random
 
-from automode import clauses
-from automode.clauses import covered_examples, covers, find_witness
+from automode import clauses, fixtures, learner
+from automode.clauses import covered_examples, covers, find_witness, parse_clause
 from automode.clauses import fold_singleton_literals
 from automode.learner import LearnConfig, learn_definition
 from automode.biasgen import induce_bias
 from automode.evaluation import generate_negatives, precision_recall
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, register_target
 
-from oracles import covers_oracle, random_clause, random_db, random_example
+from oracles import (
+    covers_oracle,
+    random_clause,
+    random_db,
+    random_example,
+    semijoin_fixpoint_oracle,
+)
 
 
 class TestFindWitness:
@@ -89,18 +95,36 @@ class TestFindWitness:
 class TestCoveredExamples:
     def test_matches_per_example_coverage(self):
         rng = random.Random(227)
-        checked = 0
         for _ in range(150):
             db = random_db(rng)
             clause = random_clause(rng, db)
             universe = list({random_example(rng, len(clause.head.args)) for _ in range(10)})
             joined = covered_examples(clause, universe, db)
-            if joined is None:
-                continue
             direct = frozenset(e for e in universe if covers(clause, e, db))
-            assert joined == direct
-            checked += 1
-        assert checked >= 100
+            assert joined == direct  # None (an overflow) fails: no join nears the cap
+
+    def test_wide_bodies_match_substitution_oracle(self):
+        # wide bodies with constants and head variables repeated inside
+        # literals, over dense relations of arity up to 3, so the semi-join
+        # reduction and variable elimination both have real work to do
+        rng = random.Random(239)
+        overflows = nonempty = 0
+        for _ in range(450):
+            db = random_db(rng, max_relations=3, max_arity=3, max_tuples=60, pool=5)
+            clause = random_clause(rng, db, max_body=12)
+            universe = list(
+                {random_example(rng, len(clause.head.args), pool=5) for _ in range(6)}
+            )
+            joined = covered_examples(clause, universe, db)
+            if joined is None:
+                overflows += 1
+                continue
+            want = frozenset(e for e in universe if covers_oracle(clause, e, db))
+            assert joined == want, str(clause)
+            nonempty += bool(joined)
+        # at most 6 variables over 5 values: no join can reach the cap
+        assert overflows == 0
+        assert nonempty >= 100
 
     def test_head_only_clause_covers_unifiable_examples(self):
         db = random_db(random.Random(229))
@@ -109,6 +133,61 @@ class TestCoveredExamples:
         clause = Clause(Literal("t", (var("x"), var("x"))), ())
         universe = [("c1", "c1"), ("c1", "c2")]
         assert covered_examples(clause, universe, db) == frozenset({("c1", "c1")})
+
+    def test_reduction_reaches_the_semi_join_fixpoint(self, monkeypatch):
+        rng = random.Random(241)
+        reduce = clauses._reduce_domains
+        narrowed = 0
+
+        def checked(factors):
+            nonlocal narrowed
+            want = semijoin_fixpoint_oracle(factors)
+            sizes = [len(rows) for _, rows in factors]
+            reduce(factors)
+            assert [(v, set(rows)) for v, rows in factors] == want
+            narrowed += any(len(rows) < n for (_, rows), n in zip(factors, sizes))
+
+        monkeypatch.setattr(clauses, "_reduce_domains", checked)
+        for _ in range(300):
+            db = random_db(rng, max_relations=3, max_arity=3, max_tuples=40, pool=5)
+            clause = random_clause(rng, db, max_body=8)
+            universe = {random_example(rng, len(clause.head.args), pool=5) for _ in range(6)}
+            covered_examples(clause, list(universe), db)
+        assert narrowed >= 75
+
+    def test_join_above_cap_returns_none(self):
+        db = fixtures.small_database()
+        clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
+        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        # eliminating z joins two 2-row factors into 2 rows
+        assert covered_examples(clause, universe, db, cap=1) is None
+        assert covered_examples(clause, universe, db, cap=2) == frozenset(
+            {("alice", "bob"), ("john", "mary")}
+        )
+
+
+class TestCoverageCache:
+    def test_overflow_falls_back_to_per_example_tests(self, monkeypatch):
+        db = fixtures.small_database()
+        overflowed = []
+
+        def overflowing(clause, examples, db, cap=500_000):
+            overflowed.append(clause)
+            return None
+
+        monkeypatch.setattr(learner, "covered_examples", overflowing)
+        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        outside = [("alice", "alice"), ("bob", "mary"), ("john", "p2")]
+        cache = learner.CoverageCache(db, universe)
+        for text in (
+            "advisedBy(x,y) :- publication(z,x), publication(z,y).",
+            'advisedBy(x,y) :- inPhase(x,"post_quals"), hasPosition(y,v).',
+            "advisedBy(x,y) :- publication(z,x), publication(z,w).",
+        ):
+            clause = parse_clause(text)
+            for example in universe + outside:
+                assert cache.covers(clause, example) == covers(clause, example, db)
+        assert len(overflowed) == 3  # one joined attempt per clause
 
 
 class TestSingletonFold:

@@ -199,6 +199,14 @@ class TestLearnDefinition:
         assert all(covers(clause, p, small_db) for p in ex.positives)
         assert not any(covers(clause, n, small_db) for n in ex.negatives)
 
+    def test_fixture_learns_the_worked_clause(self, small_db, auto_bias, worked_clause):
+        # the bottom clause wins here, and its inPhase variant sharing only
+        # the phase is folded away
+        ex = fixtures.small_examples()
+        definition = learn_definition(small_db, ex, auto_bias, LearnConfig())
+        assert len(definition.clauses) == 1
+        assert isomorphic(definition.clauses[0], worked_clause)
+
     def test_empty_positives_give_empty_definition(self, small_db, auto_bias):
         ex = ExampleSet(small_db.schema("advisedBy"), (), ())
         assert learn_definition(small_db, ex, auto_bias, LearnConfig()).clauses == ()

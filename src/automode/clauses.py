@@ -600,13 +600,37 @@ def _project_out(factor, v: Term):
 def subsumes(general: Clause, specific: Clause) -> bool:
     """True iff some substitution maps `general`'s head onto `specific`'s
     head and every body literal of `general` into `specific`'s body."""
+    return subsumption_witness(general, specific) is not None
+
+
+def subsumption_witness(
+    general: Clause, specific: Clause
+) -> dict[Term, Term] | None:
+    """A substitution of `general`'s variables that maps its head onto
+    `specific`'s head and every body literal into `specific`'s body, or
+    None when there is none."""
     theta = _unify_literal(general.head, specific.head, {})
     if theta is None:
-        return False
-    targets: dict[str, list[Literal]] = {}
-    for lit in specific.body:
-        targets.setdefault(lit.relation, []).append(lit)
-    return _embed(list(general.body), targets, theta)
+        return None
+    candidates = _consistent_targets(general.body, specific.body, theta)
+    return _embed(general.body, candidates, theta)
+
+
+def _consistent_targets(
+    literals: Iterable[Literal], targets: Iterable[Literal], theta: dict[Term, Term]
+) -> list[list[Literal]]:
+    """For each literal, the targets it unifies with under `theta`."""
+    by_relation: dict[str, list[Literal]] = {}
+    for t in targets:
+        by_relation.setdefault(t.relation, []).append(t)
+    return [
+        [
+            t
+            for t in by_relation.get(lit.relation, ())
+            if _unify_literal(lit, t, theta) is not None
+        ]
+        for lit in literals
+    ]
 
 
 def _unify_literal(
@@ -634,34 +658,71 @@ def _unify_literal(
 
 def _embed(
     literals: list[Literal],
-    targets: dict[str, list[Literal]],
+    candidates: list[list[Literal]],
     theta: dict[Term, Term],
-) -> bool:
-    if not literals:
-        return True
-    # fail first: branch on the literal with the fewest consistent targets
-    best_index = 0
-    best_matches: list[dict[Term, Term]] | None = None
-    for i, lit in enumerate(literals):
-        matches = []
-        for candidate in targets.get(lit.relation, ()):
-            extended = _unify_literal(lit, candidate, theta)
-            if extended is not None:
-                matches.append(extended)
-                if best_matches is not None and len(matches) >= len(best_matches):
-                    break
-        if best_matches is None or len(matches) < len(best_matches):
-            best_index, best_matches = i, matches
-            if not matches:
-                return False
-            if len(matches) == 1:
+) -> dict[Term, Term] | None:
+    """An extension of `theta` mapping each literal onto one of its
+    candidates, all of them consistent with `theta`, or None.
+
+    Forward checking (Maloberti & Sebag's θ-subsumption as a CSP): binding
+    a literal re-filters only the pending literals that share one of its
+    newly bound variables, and the search branches on the literal with the
+    fewest candidates left.
+    """
+    if not all(candidates):
+        return None
+    occurs: dict[Term, list[int]] = {}
+    for k, lit in enumerate(literals):
+        for a in lit.args:
+            if a.is_var and a not in theta:
+                occurs.setdefault(a, []).append(k)
+    return _forward_check(literals, list(range(len(literals))), candidates, occurs, theta)
+
+
+def _forward_check(
+    literals: list[Literal],
+    pending: list[int],
+    candidates: list[list[Literal]],
+    occurs: dict[Term, list[int]],
+    theta: dict[Term, Term],
+) -> dict[Term, Term] | None:
+    if not pending:
+        return theta
+    best = min(pending, key=lambda k: len(candidates[k]))
+    rest = [k for k in pending if k != best]
+    lit = literals[best]
+    for target in candidates[best]:
+        new = {
+            a: b for a, b in zip(lit.args, target.args) if a.is_var and a not in theta
+        }
+        if not new:
+            # every target leaves the same subproblem: try it once
+            return _forward_check(literals, rest, candidates, occurs, theta)
+        narrowed = candidates
+        affected = {k for a in new for k in occurs[a]}
+        for k in rest:
+            if k not in affected:
+                continue
+            checks = [
+                (pos, new[a]) for pos, a in enumerate(literals[k].args) if a in new
+            ]
+            kept = [
+                t for t in narrowed[k] if all(t.args[pos] == b for pos, b in checks)
+            ]
+            if not kept:
                 break
-    assert best_matches is not None
-    rest = literals[:best_index] + literals[best_index + 1 :]
-    for extended in best_matches:
-        if _embed(rest, targets, extended):
-            return True
-    return False
+            if len(kept) == len(narrowed[k]):
+                continue
+            if narrowed is candidates:
+                narrowed = list(candidates)
+            narrowed[k] = kept
+        else:
+            extended = dict(theta)
+            extended.update(new)
+            solved = _forward_check(literals, rest, narrowed, occurs, extended)
+            if solved is not None:
+                return solved
+    return None
 
 
 # -- minimization -----------------------------------------------------------
@@ -720,20 +781,70 @@ def fold_singleton_literals(clause: Clause) -> Clause:
 
 
 def _deep_reduce(clause: Clause) -> Clause:
+    """The clause's core in one forward pass (Gottlob & Fermüller, 1993).
+
+    Literal i goes when a substitution θ fixing the head maps the whole
+    body into the body without it. A literal that stays cannot go later
+    either: the body only shrinks to equivalent subsets, and one of those
+    losing the literal would map the current body onto a subset without it
+    too. So the pass never revisits a literal, and it keeps and drops
+    exactly what restarting from the first literal after each removal
+    would. θ is reused: it maps every later body into its image θ(body),
+    so each later literal outside the image goes without a search while
+    the image stays inside the body.
+    """
     # the singleton fold performs a cheap subset of the same removals;
     # reduction is confluent, so pre-folding changes nothing but speed
     clause = fold_singleton_literals(clause)
+    head_theta = _unify_literal(clause.head, clause.head, {})
+    assert head_theta is not None
     body = list(clause.body)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(body)):
-            shorter = body[:i] + body[i + 1 :]
-            if subsumes(clause_with(clause.head, body), clause_with(clause.head, shorter)):
-                body = shorter
-                changed = True
-                break
+    # consistency under the fixed head never changes: compute it once
+    consistent = dict(zip(body, _consistent_targets(body, body, head_theta)))
+    free = {k: {a for a in k.args if a.is_var and a not in head_theta} for k in body}
+    alive = set(body)
+    image: set[Literal] | None = None
+    i = 0
+    while i < len(body):
+        lit = body[i]
+        alive.discard(lit)
+        if image is not None and lit not in image:
+            del body[i]
+            continue
+        theta = None
+        # without another target for the literal itself, no search can succeed
+        if any(t in alive for t in consistent[lit]):
+            linked = _linked_literals(lit, body, free)
+            candidates = [[t for t in consistent[k] if t in alive] for k in linked]
+            theta = _embed(linked, candidates, head_theta)
+        if theta is None:
+            alive.add(lit)
+            i += 1
+            continue
+        del body[i]
+        image = {
+            Literal(k.relation, tuple(theta.get(a, a) for a in k.args)) for k in body
+        }
     return clause_with(clause.head, body)
+
+
+def _linked_literals(
+    start: Literal, body: list[Literal], free: dict[Literal, set[Term]]
+) -> list[Literal]:
+    """`start` and the literals of `body` joined to it through variables
+    outside the head, in body order. θ can map every other literal onto
+    itself, so a search for `start`'s removal only needs these."""
+    group = {start}
+    reached = set(free[start])
+    grown = True
+    while grown:
+        grown = False
+        for k in body:
+            if k not in group and not reached.isdisjoint(free[k]):
+                group.add(k)
+                reached |= free[k]
+                grown = True
+    return [k for k in body if k in group]
 
 
 def clause_with(head: Literal, body: Iterable[Literal]) -> Clause:

@@ -96,6 +96,13 @@ class CoverageCache:
             self._memo[key] = covers(clause, example, self.db)
         return self._memo[key]
 
+    def share_coverage(self, clause: Clause, equivalent: Clause) -> None:
+        """Let `equivalent`, a clause subsumption-equivalent to `clause`,
+        reuse the joined coverage already computed for `clause`."""
+        covered = self._covered.get(clause, self._PENDING)
+        if covered is not self._PENDING:
+            self._covered.setdefault(equivalent, covered)
+
 
 # -- bottom-clause construction ----------------------------------------------
 
@@ -436,7 +443,8 @@ def generalize_clause(
     sampled examples it misses, and keeps the top clauses by score (ties:
     shorter body, then clause text). Search stops when no candidate beats
     the best score seen so far. The winner is returned folded
-    (`fold_singleton_literals`) even when it is the bottom clause itself.
+    (`fold_singleton_literals`) even when it is the bottom clause itself;
+    the folded clause reuses the winner's cached coverage.
     """
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
     cache = cache or CoverageCache(db, positives + negatives)
@@ -474,7 +482,9 @@ def generalize_clause(
             break
         best, best_score = ranked[0], top_score
         beam = ranked[: cfg.beam_width]
-    return minimize(fold_singleton_literals(best))
+    folded = minimize(fold_singleton_literals(best))
+    cache.share_coverage(best, folded)
+    return folded
 
 
 # -- cover-set loop --------------------------------------------------------------
@@ -511,7 +521,9 @@ def learn_definition(
             cache=cache,
         )
         if deep_reduce_clauses:
-            clause = minimize(clause, deep=True)
+            reduced = minimize(clause, deep=True)
+            cache.share_coverage(clause, reduced)
+            clause = reduced
         return clause
 
     return _cover_set(db, examples, cfg, learn_one)

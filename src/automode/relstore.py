@@ -319,7 +319,13 @@ def all_attributes(db: DatabaseInstance) -> tuple[AttributeRef, ...]:
 
 
 def dump_database(db: DatabaseInstance, out_dir: Path | str) -> None:
-    """Write schema.txt plus facts/<relation>.csv in canonical sorted order."""
+    """Write schema.txt plus facts/<relation>.csv in canonical sorted order.
+
+    Raises ValidationError, before writing anything, on a value that
+    `load_database` would reject or read back changed."""
+    for schema in db.schemas:
+        for row in db.rows[schema.name]:
+            _check_dumpable(row, ",", f"relation {schema.name}")
     out = Path(out_dir)
     (out / "facts").mkdir(parents=True, exist_ok=True)
     schema_lines = [f"{s.name}({','.join(s.attributes)})" for s in db.schemas]
@@ -333,10 +339,31 @@ def dump_database(db: DatabaseInstance, out_dir: Path | str) -> None:
 
 
 def dump_examples(examples: ExampleSet, out_file: Path | str) -> None:
+    """Write `+ rel(a,b)` / `- rel(a,b)` lines.
+
+    Raises ValidationError, before writing anything, on a value that
+    `load_examples` would reject or read back changed."""
     name = examples.target.name
+    for example in examples.positives + examples.negatives:
+        _check_dumpable(example, ",()", f"example {name}")
     lines = [f"+ {name}({','.join(e)})" for e in examples.positives]
     lines += [f"- {name}({','.join(e)})" for e in examples.negatives]
     Path(out_file).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _check_dumpable(values: tuple[str, ...], separators: str, where: str) -> None:
+    # the readers split lines (on every str.splitlines boundary), split
+    # cells on the separators, strip whitespace and reject empty cells
+    for value in values:
+        if (
+            not value
+            or value != value.strip()
+            or any(c in value for c in separators)
+            or len(value.splitlines()) > 1
+        ):
+            raise ValidationError(
+                f"{where}: value {value!r} cannot be written and read back"
+            )
 
 
 # -- internal indexes ----------------------------------------------------

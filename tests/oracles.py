@@ -12,7 +12,7 @@ import random
 from itertools import product
 
 from automode.clauses import Clause, Literal, Term, const, var
-from automode.relstore import DatabaseInstance, RelationSchema
+from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 
 
 def active_domain(db: DatabaseInstance, extra=()) -> list[str]:
@@ -98,25 +98,54 @@ def inds_oracle(db: DatabaseInstance, alpha: float) -> set[tuple]:
 
 def subsumes_oracle(general: Clause, specific: Clause) -> bool:
     """Try every assignment of the general clause's variables to terms of
-    the specific clause."""
-    gvars = list(general.variables())
+    the specific clause. The head must map onto the head, which fixes the
+    head variables; only the others are enumerated."""
+    if general.head.relation != specific.head.relation or len(
+        general.head.args
+    ) != len(specific.head.args):
+        return False
+    fixed: dict[Term, Term] = {}
+    for a, b in zip(general.head.args, specific.head.args):
+        if a.is_var:
+            if fixed.setdefault(a, b) != b:
+                return False
+        elif a != b:
+            return False
+    gvars = [v for v in general.variables() if v not in fixed]
     terms: list[Term] = []
     for lit in (specific.head, *specific.body):
         for t in lit.args:
             if t not in terms:
                 terms.append(t)
-    targets = set(specific.body)
+    targets = {(lit.relation, lit.args) for lit in specific.body}
     for combo in product(terms, repeat=len(gvars)):
-        theta = dict(zip(gvars, combo))
-
-        def image(lit: Literal) -> Literal:
-            return Literal(lit.relation, tuple(theta.get(a, a) for a in lit.args))
-
-        if image(general.head) == specific.head and all(
-            image(lit) in targets for lit in general.body
+        theta = dict(fixed)
+        theta.update(zip(gvars, combo))
+        if all(
+            (lit.relation, tuple(theta.get(a, a) for a in lit.args)) in targets
+            for lit in general.body
         ):
             return True
     return False
+
+
+def reduction_oracle(clause: Clause) -> Clause:
+    """Deep reduction as first written: drop duplicate literals, then
+    remove the first literal whose deletion leaves a clause the current one
+    subsumes, and start again from the first literal, until none goes."""
+    body = list(dict.fromkeys(clause.body))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(body)):
+            shorter = body[:i] + body[i + 1 :]
+            if subsumes_oracle(
+                Clause(clause.head, tuple(body)), Clause(clause.head, tuple(shorter))
+            ):
+                body = shorter
+                changed = True
+                break
+    return Clause(clause.head, tuple(body))
 
 
 def isomorphic(c1: Clause, c2: Clause) -> bool:
@@ -246,3 +275,96 @@ def random_clause(
 
 def random_example(rng: random.Random, arity: int, pool: int = 8) -> tuple[str, ...]:
     return tuple(f"c{rng.randint(0, pool - 1)}" for _ in range(arity))
+
+
+_CLAUSE_RELATIONS = {"p": 2, "q": 1, "r": 3}
+
+
+def random_clause_over(
+    rng: random.Random,
+    head_vars: list[Term],
+    pool: list[Term],
+    max_body: int,
+    relations: str = "pppqr",
+) -> Clause:
+    """A database-free clause whose arguments are head variables (30%) or
+    terms of `pool`; listing a relation several times in `relations`
+    repeats it in the body."""
+    body = []
+    for _ in range(rng.randint(1, max_body)):
+        relation = rng.choice(relations)
+        args = tuple(
+            rng.choice(head_vars) if rng.random() < 0.3 else rng.choice(pool)
+            for _ in range(_CLAUSE_RELATIONS[relation])
+        )
+        body.append(Literal(relation, args))
+    return Clause(Literal("t", tuple(head_vars)), tuple(body))
+
+
+def random_generalization(rng: random.Random, specific: Clause, pool: list[Term]) -> Clause:
+    """A clause that subsumes `specific`: up to 10 of its body literals,
+    drawn with repeats, each non-head term replaced by a variable of `pool`
+    that one fixed map sends to that term. A term stays as it is when the
+    pool runs out, and a constant stays half the time."""
+    head_vars = set(specific.head.args)
+    theta: dict[Term, Term] = {}
+    body = []
+    for _ in range(rng.randint(1, 10)):
+        lit = rng.choice(specific.body)
+        args = []
+        for a in lit.args:
+            if a in head_vars or (not a.is_var and rng.random() < 0.5):
+                args.append(a)
+                continue
+            choices = [v for v, t in theta.items() if t == a]
+            free = [v for v in pool if v not in theta]
+            if free and (not choices or rng.random() < 0.3):
+                theta[free[0]] = a
+                choices = [free[0]]
+            args.append(rng.choice(choices) if choices else a)
+        body.append(Literal(lit.relation, tuple(args)))
+    return Clause(specific.head, tuple(body))
+
+
+_VALUE_CHARS = 'ab1é#"\\'
+_VALUE_HAZARDS = (",", "(", ")", "\n", "\r", " ", " ", "\t")
+
+
+def random_value(rng: random.Random, hazard_rate: float = 0.1) -> str:
+    """A short string, inner blanks allowed; at `hazard_rate` one separator,
+    line break or blank lands at a random position, ends included."""
+    inner = "".join(rng.choice(_VALUE_CHARS + " \t") for _ in range(rng.randint(0, 3)))
+    value = rng.choice(_VALUE_CHARS) + inner + rng.choice(_VALUE_CHARS)
+    if rng.random() < hazard_rate:
+        k = rng.randint(0, len(value))
+        value = value[:k] + rng.choice(_VALUE_HAZARDS) + value[k:]
+    return value
+
+
+def random_string_db(rng: random.Random) -> DatabaseInstance:
+    schemas = tuple(
+        RelationSchema(f"r{i}", tuple(f"a{j}" for j in range(rng.randint(1, 2))))
+        for i in range(rng.randint(1, 3))
+    )
+    return DatabaseInstance.build(
+        schemas,
+        {
+            s.name: [
+                tuple(random_value(rng) for _ in range(s.arity))
+                for _ in range(rng.randint(0, 4))
+            ]
+            for s in schemas
+        },
+    )
+
+
+def random_string_examples(rng: random.Random) -> ExampleSet:
+    target = RelationSchema("t", tuple(f"a{j}" for j in range(rng.randint(1, 2))))
+    drawn = list(
+        dict.fromkeys(
+            tuple(random_value(rng) for _ in range(target.arity))
+            for _ in range(rng.randint(1, 8))
+        )
+    )
+    split = rng.randint(0, len(drawn))
+    return ExampleSet(target, tuple(drawn[:split]), tuple(drawn[split:]))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from automode import fixtures
+from automode import clauses, fixtures
 from automode.clauses import (
     Clause,
     HornDefinition,
@@ -20,11 +20,21 @@ from automode.clauses import (
     parse_clause,
     render_clause,
     subsumes,
+    subsumption_witness,
     var,
 )
 from automode.errors import ValidationError
 
-from oracles import covers_oracle, random_clause, random_db, random_example, subsumes_oracle
+from oracles import (
+    covers_oracle,
+    random_clause,
+    random_clause_over,
+    random_db,
+    random_example,
+    random_generalization,
+    reduction_oracle,
+    subsumes_oracle,
+)
 
 
 class TestTextFormat:
@@ -220,6 +230,48 @@ class TestMinimize:
         clause = parse_clause("t(x,y) :- publication(p,x), publication(p,y).")
         assert minimize(clause, deep=True) == clause
 
+    def test_deep_reduce_matches_restart_oracle(self, monkeypatch):
+        searched = []
+        embed = clauses._embed
+
+        def recording(literals, candidates, theta):
+            # the literal under test is the one not offered as its own target
+            (tested,) = [l for l, c in zip(literals, candidates) if l not in c]
+            searched.append(tested)
+            return embed(literals, candidates, theta)
+
+        monkeypatch.setattr(clauses, "_embed", recording)
+        rng = random.Random(59)
+        pool = [var(f"y{i}") for i in range(3)] + [const("a"), const("b")]
+        shrunk = 0
+        for _ in range(200):
+            head_vars = [var(f"x{i}") for i in range(rng.randint(1, 2))]
+            clause = random_clause_over(rng, head_vars, pool, 8)
+            searched.clear()
+            reduced = minimize(clause, deep=True)
+            # one forward pass: no literal is searched twice
+            assert len(searched) == len(set(searched)) <= len(set(clause.body))
+            assert reduced == reduction_oracle(clause)
+            shrunk += len(reduced.body) < len(set(clause.body))
+            for i in range(len(reduced.body)):
+                shorter = Clause(reduced.head, reduced.body[:i] + reduced.body[i + 1 :])
+                assert not subsumes_oracle(reduced, shorter)
+        assert shrunk >= 50
+        # wider bodies, too costly for the oracle: still no literal is
+        # searched twice
+        pool = [var(f"y{i}") for i in range(5)] + [const("a"), const("b")]
+        pairs = []
+        for _ in range(400):
+            head_vars = [var(f"x{i}") for i in range(rng.randint(1, 2))]
+            clause = random_clause_over(rng, head_vars, pool, 16)
+            searched.clear()
+            pairs.append((clause, minimize(clause, deep=True)))
+            assert len(searched) == len(set(searched))
+        monkeypatch.undo()
+        for clause, reduced in pairs:
+            assert set(reduced.body) <= set(clause.body)
+            assert subsumes(reduced, clause) and subsumes(clause, reduced)
+
 
 class TestSubsumes:
     def test_more_general_subsumes(self, worked_clause):
@@ -239,3 +291,39 @@ class TestSubsumes:
             assert subsumes(c1, c2) == subsumes_oracle(c1, c2)
             checked += 1
         assert checked >= 40
+        # wide bodies: up to 10 literals, repeated relations and constants,
+        # so forward checking prunes and backtracks
+        answers = {True: 0, False: 0}
+        pool = [var(f"z{i}") for i in range(3)]
+        constants = [const("a"), const("b")]
+        for _ in range(300):
+            head_vars = [var(f"x{i}") for i in range(rng.randint(1, 2))]
+            specific = random_clause_over(
+                rng, head_vars, [var(f"y{i}") for i in range(3)] + constants, 10
+            )
+            if rng.random() < 0.7:
+                general = random_generalization(rng, specific, pool)
+                if rng.random() < 0.5:
+                    # one changed argument usually breaks the embedding
+                    body = list(general.body)
+                    k = rng.randrange(len(body))
+                    args = list(body[k].args)
+                    args[rng.randrange(len(args))] = rng.choice(head_vars + pool + constants)
+                    body[k] = Literal(body[k].relation, tuple(args))
+                    general = Clause(general.head, tuple(body))
+            else:
+                general = random_clause_over(rng, head_vars, pool + constants, 10)
+            expected = subsumes_oracle(general, specific)
+            theta = subsumption_witness(general, specific)
+            assert (theta is not None) == expected
+            assert subsumes(general, specific) == expected
+            answers[expected] += 1
+            if theta is None:
+                continue
+
+            def image(lit):
+                return Literal(lit.relation, tuple(theta.get(a, a) for a in lit.args))
+
+            assert image(general.head) == specific.head
+            assert all(image(lit) in specific.body for lit in general.body)
+        assert answers[True] >= 50 and answers[False] >= 50

@@ -189,6 +189,33 @@ class TestCoverageCache:
                 assert cache.covers(clause, example) == covers(clause, example, db)
         assert len(overflowed) == 3  # one joined attempt per clause
 
+    def test_equivalent_clause_reuses_joined_coverage(self, monkeypatch):
+        db = fixtures.small_database()
+        joined = []
+        evaluate = learner.covered_examples
+
+        def recording(clause, examples, db, cap=500_000):
+            joined.append(clause)
+            return evaluate(clause, examples, db, cap)
+
+        monkeypatch.setattr(learner, "covered_examples", recording)
+        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        cache = learner.CoverageCache(db, universe)
+        clause = parse_clause(
+            "advisedBy(x,y) :- publication(z,x), publication(z,y), publication(z,w)."
+        )
+        folded = fold_singleton_literals(clause)
+        assert folded != clause
+        cache.share_coverage(clause, folded)  # nothing cached yet: no-op
+        assert [cache.covers(clause, e) for e in universe] == [
+            covers(clause, e, db) for e in universe
+        ]
+        cache.share_coverage(clause, folded)
+        assert [cache.covers(folded, e) for e in universe] == [
+            covers(folded, e, db) for e in universe
+        ]
+        assert joined == [clause]
+
 
 class TestSingletonFold:
     def test_fold_preserves_coverage(self):

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from automode import fixtures
+from automode import fixtures, relstore
 from automode.errors import LoadError, ValidationError
 from automode.relstore import (
     AttributeRef,
     DatabaseInstance,
+    ExampleSet,
     RelationSchema,
     attribute_stats,
     dump_database,
@@ -21,7 +22,7 @@ from automode.relstore import (
     register_target,
 )
 
-from oracles import random_db
+from oracles import random_db, random_string_db, random_string_examples
 
 
 @pytest.fixture
@@ -195,6 +196,60 @@ class TestIndexAndRoundTrip:
             dump_database(db, out)
             again = load_database(out / "schema.txt", out / "facts")
             assert again == db
+
+    def test_writers_emit_only_what_the_readers_return_unchanged(
+        self, tmp_path, monkeypatch
+    ):
+        def round_trip(value, dump, load, path) -> bool:
+            try:
+                dump(value, path)
+            except ValidationError:
+                # written unchecked, the readers refuse it or change it
+                with monkeypatch.context() as m:
+                    m.setattr(relstore, "_check_dumpable", lambda *args: None)
+                    dump(value, path)
+                try:
+                    assert load(path) != value
+                except (LoadError, ValidationError):
+                    pass
+                return False
+            assert load(path) == value
+            return True
+
+        rng = random.Random(71)
+        kept = {"database": 0, "examples": 0}
+        for i in range(200):
+            db = random_string_db(rng)
+            kept["database"] += round_trip(
+                db,
+                dump_database,
+                lambda out: load_database(out / "schema.txt", out / "facts"),
+                tmp_path / f"db{i}",
+            )
+            ex = random_string_examples(rng)
+            kept["examples"] += round_trip(
+                ex,
+                dump_examples,
+                lambda f: load_examples(f, ex.target),
+                tmp_path / f"ex{i}.txt",
+            )
+        # both outcomes occur often for both writers
+        assert all(40 <= count <= 160 for count in kept.values())
+
+    def test_writers_reject_values_named_in_the_format(self, tmp_path):
+        schema = RelationSchema("r", ("a", "b"))
+        for bad in ("x,y", " p", "p ", "p\nq", "p\r", ""):
+            db = DatabaseInstance((schema,), {"r": (("ok", bad),)})
+            with pytest.raises(ValidationError):
+                dump_database(db, tmp_path / "db")
+        target = RelationSchema("t", ("a",))
+        for bad in ("f(x)", "(", "x)", "x,y", " p", "p\n"):
+            with pytest.raises(ValidationError):
+                dump_examples(ExampleSet(target, ((bad,),), ()), tmp_path / "ex.txt")
+        # parentheses and inner blanks are fine in facts
+        db = DatabaseInstance((schema,), {"r": (("f(x)", "a b"),)})
+        dump_database(db, tmp_path / "db")
+        assert load_database(tmp_path / "db" / "schema.txt", tmp_path / "db" / "facts") == db
 
     def test_register_target_backs_relation_with_positives(self):
         db = fixtures.small_database()

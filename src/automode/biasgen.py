@@ -79,6 +79,12 @@ class BiasSpec:
         for mode in self.modes:
             if "+" not in mode.symbols:
                 raise ValidationError(f"body mode {mode} needs at least one '+'")
+            # definitions are non-recursive: a body literal on the target
+            # would read the positives registered as its facts
+            if mode.relation == self.head_mode.relation:
+                raise ValidationError(
+                    f"body mode {mode} is on the target relation"
+                )
         if len(set(self.predicates)) != len(self.predicates):
             raise ValidationError("duplicate predicate declaration")
         if len(set(self.modes)) != len(self.modes):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import AbstractSet, Iterable, TYPE_CHECKING
 
 from .errors import ValidationError
@@ -748,35 +749,46 @@ def fold_singleton_literals(clause: Clause) -> Clause:
     produce whole families of such literals.
     """
     body = list(clause.body)
-    changed = True
-    while changed:
-        changed = False
-        counts: dict[Term, int] = {}
-        for lit in (clause.head, *body):
-            for arg in lit.args:
-                if arg.is_var:
-                    counts[arg] = counts.get(arg, 0) + 1
-        for i, lit in enumerate(body):
-            fixed = [
-                (pos, arg)
-                for pos, arg in enumerate(lit.args)
-                if not (arg.is_var and counts[arg] == 1)
-            ]
-            if len(fixed) == len(lit.args):
-                continue
-            for j, other in enumerate(body):
-                if (
-                    j == i
-                    or other.relation != lit.relation
-                    or len(other.args) != len(lit.args)
-                ):
-                    continue
-                if all(other.args[pos] == arg for pos, arg in fixed):
-                    del body[i]
-                    changed = True
-                    break
-            if changed:
-                break
+    counts: dict[Term, int] = {}
+    for lit in (clause.head, *body):
+        for arg in lit.args:
+            if arg.is_var:
+                counts[arg] = counts.get(arg, 0) + 1
+    groups: dict[tuple[str, int], list[Literal]] = {}
+    for lit in body:
+        groups.setdefault((lit.relation, len(lit.args)), []).append(lit)
+    # drop the first literal that has a partner, as restarting from the
+    # first literal after each removal would: a literal before the dropped
+    # one gains a partner only if one of its variables became a singleton
+    i = 0
+    while i < len(body):
+        lit = body[i]
+        fixed = [
+            (pos, arg)
+            for pos, arg in enumerate(lit.args)
+            if not (arg.is_var and counts[arg] == 1)
+        ]
+        group = groups[lit.relation, len(lit.args)]
+        matching = (
+            other
+            for other in group
+            if all(other.args[pos] == arg for pos, arg in fixed)
+        )
+        # lit matches itself, so a partner is a second match
+        if len(fixed) == len(lit.args) or len(list(islice(matching, 2))) < 2:
+            i += 1
+            continue
+        del body[i]
+        group.remove(lit)
+        singles = set()
+        for arg in lit.args:
+            if arg.is_var:
+                counts[arg] -= 1
+                if counts[arg] == 1:
+                    singles.add(arg)
+        i = next(
+            (k for k in range(i) if not singles.isdisjoint(body[k].args)), i
+        )
     return clause_with(clause.head, body)
 
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import product
+from math import prod
 
 from .biasgen import BiasSpec
 from .clauses import HornDefinition
@@ -45,6 +48,11 @@ class EvalReport:
         }
 
 
+# a closed-world pool of at most this many times the draw is built and
+# sampled; decoding each drawn position costs more below it
+_BUILT_POOL_FACTOR = 4
+
+
 def generate_negatives(
     db: DatabaseInstance,
     positives: tuple[tuple[str, ...], ...],
@@ -55,31 +63,64 @@ def generate_negatives(
     """Closed-world negatives: sample from the per-position active domains.
 
     Position i draws from the values the positives place there, plus the
-    target column's stored values when the relation is registered. Tuples
-    that are positives are excluded; up to ratio * |positives| are sampled
-    without replacement.
+    target column's stored values when the relation is registered. The
+    pool is every tuple of the domains' product that is not a positive, in
+    sorted order; all of it is returned when it holds at most
+    wanted = ratio * |positives| tuples, else `wanted` are sampled without
+    replacement.
+
+    A pool larger than `_BUILT_POOL_FACTOR` * wanted is never built.
+    `random.Random.sample` reads a population only through its length and
+    integer indices, so sampling pool positions from a range picks the same
+    tuples. A position becomes a rank in the product by skipping the
+    positives' ranks below it, and the rank is decoded digit by digit over
+    the sorted domains. Either way the cost is
+    O((|positives| + wanted) * (arity + log |positives|)).
     """
     if not positives:
         raise ValidationError("cannot generate negatives without positives")
     if ratio < 1:
         raise ConfigError("negative ratio must be >= 1")
-    domains: list[set[str]] = []
-    for pos in range(target.arity):
-        domain = {p[pos] for p in positives}
-        if db.has_relation(target.name):
-            domain |= {row[pos] for row in db.relation_rows(target.name)}
-        domains.append(domain)
+    rows = db.relation_rows(target.name) if db.has_relation(target.name) else ()
     positive_set = set(positives)
-    pool = sorted(t for t in product(*domains) if t not in positive_set)
-    if not pool:
+    domains = [sorted(set(column)) for column in zip(*positive_set.union(rows))]
+    size = prod(map(len, domains)) - len(positive_set)
+    if not size:
         raise ValidationError(
             "closed-world pool is empty; provide explicit negative examples"
         )
     wanted = ratio * len(positives)
-    if len(pool) <= wanted:
-        return tuple(pool)
-    rng = random.Random(seed)
-    return tuple(rng.sample(pool, wanted))
+    if size <= _BUILT_POOL_FACTOR * wanted:
+        # the product of sorted domains comes out sorted
+        pool = [t for t in product(*domains) if t not in positive_set]
+        if size <= wanted:
+            return tuple(pool)
+        return tuple(random.Random(seed).sample(pool, wanted))
+    if size > sys.maxsize:
+        raise ValidationError(
+            f"closed-world pool of {size} tuples is too large to sample; "
+            "provide explicit negative examples"
+        )
+    digit_of = [{value: i for i, value in enumerate(d)} for d in domains]
+    ranks = []
+    for p in positive_set:
+        rank = 0
+        for value, digits, domain in zip(p, digit_of, domains):
+            rank = rank * len(domain) + digits[value]
+        ranks.append(rank)
+    # pool position k holds rank k + (number of positive ranks r_j with
+    # r_j - j <= k), where r_0 < r_1 < ... and r_j - j never decreases
+    skips = [rank - j for j, rank in enumerate(sorted(ranks))]
+
+    def tuple_at(k: int) -> tuple[str, ...]:
+        rank = k + bisect_right(skips, k)
+        values = []
+        for domain in reversed(domains):
+            rank, digit = divmod(rank, len(domain))
+            values.append(domain[digit])
+        return tuple(reversed(values))
+
+    return tuple(map(tuple_at, random.Random(seed).sample(range(size), wanted)))
 
 
 def precision_recall(

@@ -132,7 +132,7 @@ def build_bottom_clause(
     for pos, value in enumerate(example):
         head_args.append(state.bind(value, target, pos))
     head = Literal(target, tuple(head_args))
-    body = _saturate(example, db, cfg, state, head_relation=target, ground=False)
+    body = _saturate(example, db, cfg, state, ground=False)
     return BottomClause(Clause(head, body), tuple(example), state.var_map)
 
 
@@ -155,7 +155,7 @@ def ground_bottom_clause(
     for pos, value in enumerate(example):
         state.bind(value, target, pos)
     head = Literal(target, tuple(Term(v, False) for v in example))
-    body = _saturate(example, db, cfg, state, head_relation=target, ground=True)
+    body = _saturate(example, db, cfg, state, ground=True)
     return Clause(head, body)
 
 
@@ -236,13 +236,11 @@ def _saturate(
     db: DatabaseInstance,
     cfg: LearnConfig,
     state: _SaturationState,
-    head_relation: str,
     ground: bool,
 ) -> tuple[Literal, ...]:
     body: list[Literal] = []
     emitted: set[Literal] = set()
     frontier = list(dict.fromkeys(example))
-    seed = tuple(example)
     for _ in range(cfg.iterations):
         if not frontier:
             break
@@ -256,8 +254,6 @@ def _saturate(
             for row in db.relation_rows(schema.name):
                 if produced >= cfg.per_relation_cap:
                     break
-                if schema.name == head_relation and row == seed:
-                    continue  # the example must not justify itself
                 if not frontier_set.intersection(row):
                     continue
                 for mode in modes:

@@ -12,6 +12,7 @@ import random
 from itertools import product
 
 from automode.clauses import Clause, Literal, Term, const, var
+from automode.errors import ValidationError
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 
 
@@ -146,6 +147,71 @@ def reduction_oracle(clause: Clause) -> Clause:
                 changed = True
                 break
     return Clause(clause.head, tuple(body))
+
+
+def fold_oracle(clause: Clause) -> Clause:
+    """The singleton fold as first written: recount every variable, then
+    drop the first literal that another literal of its relation matches at
+    every position not holding a variable used nowhere else, and start
+    again from the first literal, until none goes."""
+    body = list(clause.body)
+    changed = True
+    while changed:
+        changed = False
+        counts: dict[Term, int] = {}
+        for lit in (clause.head, *body):
+            for arg in lit.args:
+                if arg.is_var:
+                    counts[arg] = counts.get(arg, 0) + 1
+        for i, lit in enumerate(body):
+            fixed = [
+                (pos, arg)
+                for pos, arg in enumerate(lit.args)
+                if not (arg.is_var and counts[arg] == 1)
+            ]
+            if len(fixed) == len(lit.args):
+                continue
+            for j, other in enumerate(body):
+                if (
+                    j == i
+                    or other.relation != lit.relation
+                    or len(other.args) != len(lit.args)
+                ):
+                    continue
+                if all(other.args[pos] == arg for pos, arg in fixed):
+                    del body[i]
+                    changed = True
+                    break
+            if changed:
+                break
+    return Clause(clause.head, tuple(body))
+
+
+def negatives_oracle(
+    db: DatabaseInstance,
+    positives: tuple[tuple[str, ...], ...],
+    target: RelationSchema,
+    ratio: int,
+    seed: int,
+) -> tuple[tuple[str, ...], ...]:
+    """Closed-world negatives as first written: build and sort the whole
+    product of the per-position domains without the positives, return it
+    when it holds at most ratio * |positives| tuples, else sample that many
+    from it."""
+    domains: list[set[str]] = []
+    for pos in range(target.arity):
+        domain = {p[pos] for p in positives}
+        if db.has_relation(target.name):
+            domain |= {row[pos] for row in db.relation_rows(target.name)}
+        domains.append(domain)
+    positive_set = set(positives)
+    pool = sorted(t for t in product(*domains) if t not in positive_set)
+    if not pool:
+        raise ValidationError("closed-world pool is empty")
+    wanted = ratio * len(positives)
+    if len(pool) <= wanted:
+        return tuple(pool)
+    return tuple(random.Random(seed).sample(pool, wanted))
 
 
 def isomorphic(c1: Clause, c2: Clause) -> bool:

@@ -22,6 +22,7 @@ from automode.errors import ConfigError, ValidationError
 from automode.profiler import dedupe_bidirectional, discover_inds
 from automode.relstore import DatabaseInstance, RelationSchema
 
+from conftest import MANUAL_BIAS_TEXT
 from oracles import random_db, type_reachability_oracle
 
 
@@ -264,6 +265,10 @@ class TestBiasSpec:
                 ModeDecl("student", ("+",)),
                 5,
             )
+
+    def test_body_mode_on_target_rejected(self):
+        with pytest.raises(ValidationError, match="target relation"):
+            read_bias(MANUAL_BIAS_TEXT + "advisedBy(+,-)\n")
 
     def test_unregistered_target_rejected(self):
         db = fixtures.small_database()  # advisedBy present but empty is fine

@@ -179,6 +179,24 @@ class TestLearn:
         )
         assert rc == 0
 
+    def test_body_mode_on_target_is_validation_error(self, fixture_dir, tmp_path, capsys):
+        bias_file = tmp_path / "leaky.txt"
+        bias_file.write_text(MANUAL_BIAS_TEXT + "advisedBy(+,-)\n")
+        rc = dispatch(
+            [
+                "learn",
+                *_data_args(fixture_dir),
+                "--bias",
+                str(bias_file),
+                "--out",
+                str(tmp_path / "model.dl"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "target relation" in err and "Traceback" not in err
+        assert not (tmp_path / "model.dl").exists()
+
     def test_lgg_generalizer_warns_about_modes(self, fixture_dir, tmp_path, capsys):
         bias_file = tmp_path / "bias.txt"
         assert dispatch(

@@ -10,7 +10,7 @@ import random
 
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, covers, find_witness, parse_clause
-from automode.clauses import fold_singleton_literals
+from automode.clauses import const, fold_singleton_literals, var
 from automode.learner import LearnConfig, learn_definition
 from automode.biasgen import induce_bias
 from automode.evaluation import generate_negatives, precision_recall
@@ -18,7 +18,9 @@ from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, regi
 
 from oracles import (
     covers_oracle,
+    fold_oracle,
     random_clause,
+    random_clause_over,
     random_db,
     random_example,
     semijoin_fixpoint_oracle,
@@ -228,6 +230,21 @@ class TestSingletonFold:
             for _ in range(6):
                 example = random_example(rng, len(clause.head.args))
                 assert covers(clause, example, db) == covers(folded, example, db)
+
+
+    def test_matches_restart_oracle(self):
+        rng = random.Random(239)
+        head_vars = [var("x0"), var("x1")]
+        shrunk = 0
+        for _ in range(600):
+            pool = [var(f"y{i}") for i in range(rng.randint(1, 10))]
+            pool += [const("c0"), const("c1")]
+            relations = rng.choice(("pppqr", "ppppp", "pprrq", "rrrp"))
+            clause = random_clause_over(rng, head_vars, pool, 14, relations)
+            folded = fold_singleton_literals(clause)
+            assert folded == fold_oracle(clause)
+            shrunk += len(folded.body) < len(clause.body)
+        assert shrunk >= 100, shrunk
 
 
 class TestPlantedRule:

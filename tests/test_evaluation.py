@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import random
+import tracemalloc
+from itertools import product
+
 import pytest
 
 from automode import fixtures
@@ -9,6 +14,7 @@ from automode.biasgen import induce_bias
 from automode.clauses import HornDefinition, parse_clause
 from automode.errors import ConfigError, ValidationError
 from automode.evaluation import (
+    _BUILT_POOL_FACTOR,
     _split,
     cross_validate,
     generate_negatives,
@@ -16,6 +22,51 @@ from automode.evaluation import (
 )
 from automode.learner import LearnConfig
 from automode.relstore import DatabaseInstance, RelationSchema
+
+from oracles import negatives_oracle
+
+
+def _sample_branch(n: int, k: int) -> str:
+    """The branch CPython's `random.Random.sample` takes to draw k of n:
+    "list" shuffles a copy of the population, "set" redraws taken indices."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return "list" if n <= setsize else "set"
+
+
+def _random_negatives_case(rng: random.Random):
+    """A target of arity 1-4, positives with repeats, and the target
+    unregistered, or registered with some positives among its rows, with
+    or without rows that add values; one case in ten fills the whole
+    product with positives."""
+    arity = rng.randint(1, 4)
+    width = (40, 12, 6, 4)[arity - 1]
+    values = [
+        rng.sample([f"v{i}" for i in range(3 * width)], rng.randint(1, width))
+        for _ in range(arity)
+    ]
+    if rng.random() < 0.1:
+        positives = [tuple(t) for t in product(*values)]
+    else:
+        positives = [
+            tuple(rng.choice(v) for v in values) for _ in range(rng.randint(1, 14))
+        ]
+    positives += rng.choices(positives, k=rng.randint(0, 3))
+    rng.shuffle(positives)
+    target = RelationSchema("t", tuple(f"a{i}" for i in range(arity)))
+    other = RelationSchema("r", ("a",))
+    registered = rng.random()
+    if registered < 0.3:
+        db = DatabaseInstance.build((other,), {"r": []})
+    else:
+        rows = rng.sample(positives, rng.randint(0, len(positives)))
+        rows += [
+            tuple(f"w{rng.randrange(3 * width)}" for _ in range(arity))
+            for _ in range(rng.randint(1, 2 * width) if registered < 0.8 else 0)
+        ]
+        db = DatabaseInstance.build((target, other), {"t": rows, "r": []})
+    return db, tuple(positives), target, rng.randint(1, 3), rng.randrange(10**6)
 
 
 class TestGenerateNegatives:
@@ -47,6 +98,59 @@ class TestGenerateNegatives:
         first = generate_negatives(db, positives, schemas[0], 2, seed=11)
         second = generate_negatives(db, positives, schemas[0], 2, seed=11)
         assert first == second
+
+    def test_matches_materialized_pool_oracle(self):
+        rng = random.Random(5)
+        seen = {"empty": 0, "whole": 0, "built": 0, "list": 0, "set": 0}
+        for _ in range(2400):
+            case = _random_negatives_case(rng)
+            db, positives, target, ratio, _ = case
+            rows = db.relation_rows("t") if db.has_relation("t") else ()
+            domains = [
+                {t[i] for t in positives + rows} for i in range(target.arity)
+            ]
+            size = math.prod(map(len, domains)) - len(set(positives))
+            wanted = ratio * len(positives)
+            if not size:
+                seen["empty"] += 1
+                for draw in (negatives_oracle, generate_negatives):
+                    with pytest.raises(ValidationError):
+                        draw(*case)
+                continue
+            assert generate_negatives(*case) == negatives_oracle(*case)
+            if size <= wanted:
+                seen["whole"] += 1
+            elif size <= _BUILT_POOL_FACTOR * wanted:
+                seen["built"] += 1
+            else:  # drawn by pool position, never built
+                seen[_sample_branch(size, wanted)] += 1
+        assert seen["list"] >= 100 and seen["set"] >= 100, seen
+        assert min(seen["empty"], seen["whole"], seen["built"]) >= 50, seen
+
+    def test_wide_target_never_builds_the_product(self):
+        # 300 values at each of four positions: 8.1e9 tuples in the product
+        target = RelationSchema("t", ("a", "b", "c", "d"))
+        db = DatabaseInstance.build((RelationSchema("r", ("a",)),), {"r": []})
+        positives = tuple(tuple(f"{c}{i}" for c in "abcd") for i in range(300))
+        tracemalloc.start()
+        try:
+            out = generate_negatives(db, positives, target, 2, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert len(out) == len(set(out)) == 2 * len(positives)
+        assert not set(out) & set(positives)
+        domains = [{p[i] for p in positives} for i in range(4)]
+        assert all(v in d for t in out for v, d in zip(t, domains))
+
+    def test_pool_beyond_sample_range_is_an_error(self):
+        # 7,000^5 tuples outnumber the indices random.sample can draw
+        target = RelationSchema("t", tuple("abcde"))
+        db = DatabaseInstance.build((RelationSchema("r", ("a",)),), {"r": []})
+        positives = tuple((f"v{i}",) * 5 for i in range(7000))
+        with pytest.raises(ValidationError, match="too large"):
+            generate_negatives(db, positives, target, 1, seed=1)
 
     def test_ratio_validated(self):
         db = fixtures.small_database_registered()

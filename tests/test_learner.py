@@ -6,14 +6,15 @@ import pytest
 
 from automode import fixtures
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
-from automode.clauses import Literal, conforms, covers, parse_clause
-from automode.errors import ConfigError
+from automode.clauses import conforms, covers, parse_clause
+from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     BottomClause,
     LearnConfig,
     armg,
     build_bottom_clause,
     generalize_clause,
+    ground_bottom_clause,
     learn_definition,
     score,
 )
@@ -69,18 +70,27 @@ class TestBottomClause:
                 # reachable through the constants minted in round one
                 assert len(two.clause.body) > len(one.clause.body)
 
-    def test_seed_tuple_never_justifies_itself(self, small_db):
-        # a (hand-written) bias may expose the target as a body relation;
-        # the seed tuple itself must still be excluded
-        bias = read_bias(MANUAL_BIAS_TEXT + "advisedBy(+,-)\n")
+    def test_seed_tuple_never_justifies_itself(self, small_db, manual_bias):
+        # no bias can expose the target as a body relation, so a stored
+        # target tuple, the seed included, never enters a bottom clause
+        with pytest.raises(ValidationError, match="target relation"):
+            read_bias(MANUAL_BIAS_TEXT + "advisedBy(+,-)\n")
         db = small_db.with_relation(
             small_db.schema("advisedBy"), [("alice", "bob"), ("alice", "mary")]
         )
-        bottom = build_bottom_clause(("alice", "bob"), db, bias, LearnConfig(iterations=1))
-        advised = [l for l in bottom.clause.body if l.relation == "advisedBy"]
-        head_args = bottom.clause.head.args
-        assert Literal("advisedBy", head_args) not in advised
-        assert len(advised) == 1  # the (alice, mary) tuple
+        auto_bias = induce_bias(db, "advisedBy")
+        cfg = LearnConfig(iterations=2)
+        bodies = [
+            build_bottom_clause(("alice", "bob"), db, bias, cfg).clause.body
+            for bias in (manual_bias, auto_bias)
+        ]
+        bodies.append(
+            ground_bottom_clause(
+                ("alice", "bob"), db, "advisedBy", auto_bias.predicates, cfg
+            ).body
+        )
+        for body in bodies:
+            assert body and all(l.relation != "advisedBy" for l in body)
 
     def test_relation_without_modes_contributes_nothing(self, small_db):
         bias = read_bias(

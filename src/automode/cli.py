@@ -199,13 +199,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     db = load_database(args.schema, args.facts, examples_backed=(args.target,))
     schema = _target_schema(db, args.target, _peek_arity(args.examples, args.target))
     examples = load_examples(args.examples, schema)
-    db = register_target(db, examples)
     if not examples.negatives:
+        # drawn before registering, which would replace the stored target
+        # rows with the positives: stored members stay in the domains
         negatives = generate_negatives(
             db, examples.positives, schema, args.neg_ratio, args.seed
         )
         examples = ExampleSet(schema, examples.positives, negatives)
         _note(f"generated {len(negatives)} closed-world negatives")
+    db = register_target(db, examples)
     if args.bias is not None:
         bias = read_bias(args.bias.read_text(encoding="utf-8"), args.constant_threshold)
     else:

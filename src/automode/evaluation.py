@@ -63,7 +63,7 @@ def generate_negatives(
     """Closed-world negatives: sample from the per-position active domains.
 
     Position i draws from the values the positives place there, plus the
-    target column's stored values when the relation is registered. The
+    target column's stored values when `db` declares the relation. The
     pool is every tuple of the domains' product that is not a positive, in
     sorted order; all of it is returned when it holds at most
     wanted = ratio * |positives| tuples, else `wanted` are sampled without

@@ -81,21 +81,10 @@ class DatabaseInstance:
         names = [s.name for s in schemas]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate relation name in schema")
-        rows: dict[str, tuple[tuple[str, ...], ...]] = {}
-        for schema in schemas:
-            raw = tuples_by_relation.get(schema.name, ())
-            deduped = sorted(set(tuple(r) for r in raw))
-            for row in deduped:
-                if len(row) != schema.arity:
-                    raise ValidationError(
-                        f"relation {schema.name}: row {row!r} does not match "
-                        f"arity {schema.arity}"
-                    )
-                if any(v == "" for v in row):
-                    raise ValidationError(
-                        f"relation {schema.name}: empty value in row {row!r}"
-                    )
-            rows[schema.name] = tuple(deduped)
+        rows = {
+            schema.name: _validated_rows(schema, tuples_by_relation.get(schema.name, ()))
+            for schema in schemas
+        }
         unknown = set(tuples_by_relation) - set(names)
         if unknown:
             raise ValidationError(f"tuples for undeclared relations: {sorted(unknown)}")
@@ -138,13 +127,15 @@ class DatabaseInstance:
         if not bound:
             return rows
         index = _pos_index(self)
-        pos, val = next(iter(bound.items()))
+        if len(bound) == 1:
+            ((pos, val),) = bound.items()
+            return index.get((relation, pos, val), ())
         # narrowest indexed set first, then filter the rest
         best = None
         for p, v in bound.items():
             cand = index.get((relation, p, v), ())
             if best is None or len(cand) < len(best):
-                best, pos, val = cand, p, v
+                best, pos = cand, p
         return tuple(
             row
             for row in (best or ())
@@ -154,14 +145,33 @@ class DatabaseInstance:
     def with_relation(
         self, schema: RelationSchema, tuples: object
     ) -> "DatabaseInstance":
-        """Return a new instance with `schema` added or its rows replaced."""
-        schemas = [s for s in self.schemas if s.name != schema.name]
-        schemas.append(schema)
-        tuples_by_relation: dict[str, object] = {
-            s.name: self.rows[s.name] for s in self.schemas if s.name != schema.name
-        }
-        tuples_by_relation[schema.name] = tuples
-        return DatabaseInstance.build(tuple(schemas), tuples_by_relation)
+        """Return a new instance with `schema` added or its rows replaced.
+
+        `schema` moves to the end of the schema order. Only its rows are
+        deduplicated, sorted and validated; the other relations share this
+        instance's rows."""
+        schemas = tuple(s for s in self.schemas if s.name != schema.name)
+        rows = {s.name: self.rows[s.name] for s in schemas}
+        rows[schema.name] = _validated_rows(schema, tuples)
+        return DatabaseInstance(schemas + (schema,), rows)
+
+
+def _validated_rows(
+    schema: RelationSchema, raw: object
+) -> tuple[tuple[str, ...], ...]:
+    """`raw` deduplicated and sorted; raises on a wrong arity or an empty value."""
+    deduped = sorted(set(tuple(r) for r in raw))
+    for row in deduped:
+        if len(row) != schema.arity:
+            raise ValidationError(
+                f"relation {schema.name}: row {row!r} does not match "
+                f"arity {schema.arity}"
+            )
+        if any(v == "" for v in row):
+            raise ValidationError(
+                f"relation {schema.name}: empty value in row {row!r}"
+            )
+    return tuple(deduped)
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,29 @@ def random_db(
     return DatabaseInstance.build(schemas, tuples)
 
 
+def random_wide_db(rng: random.Random) -> DatabaseInstance:
+    """6-12 relations of arity 1-4 whose columns draw from disjoint value
+    pools. Each column takes a random prefix of its pool, so the columns of
+    one pool nest, mostly contain each other or overlap in part, and columns
+    of different pools share no value; about one relation in six is empty."""
+    pools = [f"p{i}_" for i in range(rng.randint(3, 5))]
+    schemas = tuple(
+        RelationSchema(f"r{i}", tuple(f"a{j}" for j in range(rng.randint(1, 4))))
+        for i in range(rng.randint(6, 12))
+    )
+    tuples: dict[str, list] = {}
+    for schema in schemas:
+        columns = [
+            (rng.choice(pools), rng.randint(1, 12)) for _ in range(schema.arity)
+        ]
+        count = 0 if rng.random() < 1 / 6 else rng.randint(1, 15)
+        tuples[schema.name] = [
+            tuple(f"{pool}{rng.randrange(width)}" for pool, width in columns)
+            for _ in range(count)
+        ]
+    return DatabaseInstance.build(schemas, tuples)
+
+
 def random_clause(
     rng: random.Random,
     db: DatabaseInstance,

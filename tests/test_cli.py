@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from automode import cli
 from automode.cli import dispatch
 from automode.fixtures import materialize_small
 
@@ -275,6 +276,53 @@ class TestEvaluate:
         )
         assert rc == 0
         assert "bias induction" in capsys.readouterr().err
+
+    def test_unary_target_draws_negatives_from_stored_members(
+        self, tmp_path, monkeypatch
+    ):
+        # registering the target replaces student.csv with the positives;
+        # the closed-world pool must still hold the stored member carol
+        facts = tmp_path / "facts"
+        facts.mkdir()
+        (tmp_path / "schema.txt").write_text(
+            "student(name)\ninPhase(name,phase)\n", encoding="utf-8"
+        )
+        (facts / "student.csv").write_text("name\nalice\nbob\ncarol\n", encoding="utf-8")
+        (facts / "inPhase.csv").write_text(
+            "name,phase\nalice,pre_quals\nbob,post_quals\ncarol,post_quals\n",
+            encoding="utf-8",
+        )
+        examples = tmp_path / "examples.txt"
+        examples.write_text("+ student(alice)\n+ student(bob)\n", encoding="utf-8")
+        drawn = []
+        original = cli.generate_negatives
+
+        def recording(*args):
+            drawn.append(original(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "generate_negatives", recording)
+        report = tmp_path / "r.json"
+        rc = dispatch(
+            [
+                "evaluate",
+                "--schema",
+                str(tmp_path / "schema.txt"),
+                "--facts",
+                str(facts),
+                "--examples",
+                str(examples),
+                "--target",
+                "student",
+                "--folds",
+                "2",
+                "--report",
+                str(report),
+            ]
+        )
+        assert rc == 0
+        assert drawn == [(("carol",),)]
+        assert json.loads(report.read_text())["folds"] == 2
 
 
 class TestDemo:

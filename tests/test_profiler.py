@@ -18,7 +18,7 @@ from automode.profiler import (
 )
 from automode.relstore import AttributeRef, DatabaseInstance, RelationSchema
 
-from oracles import inds_oracle, random_db
+from oracles import inds_oracle, random_db, random_wide_db
 
 
 def _ind(ind_set: IndSet, lhs: tuple[str, int], rhs: tuple[str, int]) -> UnaryInd | None:
@@ -64,6 +64,30 @@ class TestDiscovery:
                 for i in discover_inds(db, alpha).inds
             }
             assert got == inds_oracle(db, alpha)
+
+    def test_matches_oracle_on_wide_databases(self):
+        # columns of different pools share no value: at alpha 1.0 every such
+        # pair is reported with error 1.0, as is every pair whose right
+        # column is empty
+        rng = random.Random(37)
+        disjoint = exact = approximate = empty_right = 0
+        for _ in range(120):
+            db = random_wide_db(rng)
+            empty = {s.name for s in db.schemas if not db.rows[s.name]}
+            for alpha in (0.0, 0.25, 0.5, 1.0):
+                got = {
+                    (i.lhs.relation, i.lhs.position, i.rhs.relation, i.rhs.position, i.error)
+                    for i in discover_inds(db, alpha).inds
+                }
+                assert got == inds_oracle(db, alpha)
+                if alpha == 1.0:
+                    errors = [error for *_, error in got]
+                    disjoint += errors.count(1.0)
+                    exact += errors.count(0.0)
+                    approximate += sum(0.0 < error < 1.0 for error in errors)
+                    empty_right += sum(rhs in empty for _, _, rhs, _, _ in got)
+        assert disjoint >= 50 and exact >= 50 and approximate >= 50
+        assert empty_right >= 50
 
     def test_monotone_in_alpha(self):
         rng = random.Random(29)

@@ -257,6 +257,40 @@ class TestIndexAndRoundTrip:
         registered = register_target(db, ex)
         assert set(registered.relation_rows("advisedBy")) == set(ex.positives)
 
+    def test_with_relation_equals_a_rebuild(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            db = random_db(rng, max_relations=4)
+            replaced = rng.choice(db.schemas + (RelationSchema("new", ("a", "b")),))
+            tuples = [
+                tuple(rng.choice("xyz") for _ in range(replaced.arity))
+                for _ in range(rng.randint(0, 6))
+            ]
+            got = db.with_relation(replaced, tuples)
+            schemas = tuple(s for s in db.schemas if s != replaced) + (replaced,)
+            rows = {s.name: db.rows[s.name] for s in schemas[:-1]}
+            assert got == DatabaseInstance.build(schemas, {**rows, replaced.name: tuples})
+            assert list(got.rows) == [s.name for s in schemas]
+            assert all(got.rows[name] is kept for name, kept in rows.items())
+        schema = fixtures.small_database().schemas[0]
+        for bad in ([("x",) * (schema.arity + 1)], [("",) * schema.arity]):
+            with pytest.raises(ValidationError):
+                fixtures.small_database().with_relation(schema, bad)
+
+    def test_matching_rows_filters_relation_rows(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            db = random_db(rng, max_arity=3)
+            schema = rng.choice(db.schemas)
+            positions = rng.sample(range(schema.arity), rng.randint(0, schema.arity))
+            bound = {p: f"c{rng.randrange(8)}" for p in positions}
+            expected = tuple(
+                row
+                for row in db.relation_rows(schema.name)
+                if all(row[p] == v for p, v in bound.items())
+            )
+            assert db.matching_rows(schema.name, bound) == expected
+
     def test_examples_round_trip(self, tmp_path):
         ex = fixtures.small_examples()
         f = tmp_path / "ex.txt"

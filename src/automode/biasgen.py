@@ -24,7 +24,7 @@ from itertools import combinations, product
 
 from .errors import ConfigError, LoadError, ValidationError
 from .profiler import IndSet, dedupe_bidirectional, discover_inds
-from .relstore import AttributeRef, DatabaseInstance, RelationSchema, attribute_stats
+from .relstore import AttributeRef, DatabaseInstance, RelationSchema
 
 _DECL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(([^()]*)\)$")
 
@@ -284,11 +284,8 @@ def generate_modes(
         for plus in range(n):
             symbols = tuple("+" if i == plus else "-" for i in range(n))
             body.append(ModeDecl(schema.name, symbols))
-        eligible = [
-            i
-            for i, ref in enumerate(schema.attribute_refs())
-            if 0 < attribute_stats(db, ref).distinct_count < threshold
-        ]
+        rows = db.relation_rows(schema.name)
+        eligible = [i for i in range(n) if _few_distinct(rows, i, threshold)]
         for size in range(1, len(eligible) + 1):
             for subset in combinations(eligible, size):
                 for plus in range(n):
@@ -303,6 +300,17 @@ def generate_modes(
     for m in body:
         deduped.setdefault(m)
     return head, tuple(deduped)
+
+
+def _few_distinct(rows, position: int, threshold: int) -> bool:
+    """True iff the column holds at least one and fewer than `threshold`
+    distinct values; reading stops at the `threshold`-th distinct value."""
+    seen: set[str] = set()
+    for row in rows:
+        seen.add(row[position])
+        if len(seen) >= threshold:
+            return False
+    return bool(seen)
 
 
 def induce_bias(

@@ -1,15 +1,18 @@
 """Clause representation and evaluation.
 
 A clause is one head literal plus an ordered body of literals over
-variables and string constants. Coverage of an example relative to a
-database is an existential substitution check: the body splits into
-subgoals that share no unbound variable, each solved by fail-first
-backtracking over indexed candidate rows, with example-independent subgoal
-results memoized on the database instance. Whole clauses can also be
-evaluated against a set of examples in one joined pass: each body literal
-becomes a factor read from the database's stored row sets and position
-index (never by scanning a relation), a worklist semi-join reduction
-shrinks the factors, and variable elimination joins what is left.
+variables and string constants. Coverage has one evaluator,
+`covered_examples`, which tests a whole clause against a set of examples in
+one joined pass: each body literal becomes a factor read from the
+database's stored row sets and position index (never by scanning a
+relation), a worklist semi-join reduction shrinks the factors, variable
+elimination joins away the non-head variables, and each example is
+checked against what is left. `covers` is that pass over one example;
+batches of tests should share passes through `learner.CoverageCache`.
+`find_witness` serves armg's prefix decisions: an existential
+substitution search whose subgoals, split by shared unbound variables, are
+solved by fail-first backtracking over indexed candidate rows, with
+example-independent subgoal results memoized on the database instance.
 Clause-to-clause subsumption backs the deep reduction used to keep
 generalized clauses small.
 """
@@ -197,22 +200,16 @@ def _parse_literal_list(text: str) -> list[Literal]:
 
 def covers(clause: Clause, example: tuple[str, ...], db: "DatabaseInstance") -> bool:
     """True iff some substitution maps the head onto `example` and every
-    body literal onto a stored tuple."""
+    body literal onto a stored tuple: `covered_examples` over one example.
+
+    Each call is a joined pass of its own; tests of many examples should
+    share one pass through `learner.CoverageCache`.
+    """
     if len(example) != len(clause.head.args):
         raise ValidationError(
             f"example arity {len(example)} does not match head {clause.head}"
         )
-    for lit in clause.body:
-        if not db.has_relation(lit.relation):
-            raise ValidationError(f"clause relation missing from database: {lit.relation}")
-    binding: dict[Term, str] = {}
-    for term, value in zip(clause.head.args, example):
-        if term.is_var:
-            if binding.setdefault(term, value) != value:
-                return False
-        elif term.symbol != value:
-            return False
-    return find_witness(clause.body, binding, db) is not None
+    return tuple(example) in covered_examples(clause, (example,), db)
 
 
 def find_witness(
@@ -220,12 +217,13 @@ def find_witness(
 ) -> dict[Term, str] | None:
     """A satisfying assignment for the conjunction under `binding`, or None.
 
-    Fully bound literals are membership tests; the rest split into
-    subproblems that share no unbound variable and are solved independently.
-    A component's outcome depends only on its literals with bound values
-    substituted in, so per-component assignments (or refutations) are
-    memoized on the database and recur across examples, clauses, and
-    prefixes.
+    armg decides each kept prefix with it; coverage of examples goes
+    through `covered_examples` instead. Fully bound literals are membership
+    tests; the rest split into subproblems that share no unbound variable
+    and are solved independently. A component's outcome depends only on its
+    literals with bound values substituted in, so per-component assignments
+    (or refutations) are memoized on the database and recur across
+    examples, clauses, and prefixes.
     """
     pending: list[Literal] = []
     for lit in literals:
@@ -377,24 +375,27 @@ def covers_definition(
 
 
 def covered_examples(
-    clause: Clause,
-    examples,
-    db: "DatabaseInstance",
-    cap: int = 500_000,
-) -> frozenset[tuple[str, ...]] | None:
+    clause: Clause, examples, db: "DatabaseInstance"
+) -> frozenset[tuple[str, ...]]:
     """The subset of `examples` the clause covers, computed in one pass.
 
-    The example tuples join the body as one more relation over the head
-    variables, so every intermediate stays anchored to examples actually
-    asked about. Each body literal is a factor over its distinct variables,
-    read without a relation scan: a literal of distinct variables shares
-    the stored row set (`db.fact_set`), one with constants starts from the
-    position index (`db.matching_rows`), and only a repeated variable needs
-    a row filter. `_reduce_domains` shrinks the factors to their semi-join
-    fixpoint; non-head variables are then eliminated cheapest-first.
-    Returns None when an intermediate join exceeds `cap` rows (callers fall
-    back to per-example tests).
+    This is the package's only coverage evaluator. The example tuples are
+    one more factor over the head variables, so the semi-join reduction
+    anchors every intermediate to examples actually asked about. Each body
+    literal is a factor over its distinct variables, read without a
+    relation scan: a literal of distinct variables shares the stored row
+    set (`db.fact_set`), one with constants starts from the position index
+    (`db.matching_rows`), and only a repeated variable needs a row filter.
+    `_reduce_domains` shrinks the factors to their semi-join fixpoint;
+    non-head variables are then eliminated cheapest-first, each by joining
+    the factors that hold it. Every factor left afterwards is over head
+    variables only, and an example is covered when its projection onto
+    each of them is one of that factor's rows: no join runs without a
+    shared variable.
     """
+    for lit in clause.body:
+        if not db.has_relation(lit.relation):
+            raise ValidationError(f"clause relation missing from database: {lit.relation}")
     head_vars = tuple(dict.fromkeys(clause.head.variables()))
     example_rows: dict[tuple[str, ...], tuple[str, ...]] = {}
     for example in examples:
@@ -413,8 +414,6 @@ def covered_examples(
         (head_vars, set(example_rows))
     ]
     for lit in clause.body:
-        if not db.has_relation(lit.relation):
-            raise ValidationError(f"clause relation missing from database: {lit.relation}")
         factor_vars = tuple(dict.fromkeys(lit.variables()))
         if len(factor_vars) == len(lit.args):
             # distinct variables only: the stored row set is the factor
@@ -432,40 +431,29 @@ def covered_examples(
         if factor_vars:
             factors.append((factor_vars, rows))
     _reduce_domains(factors)
-    while len(factors) > 1 or (factors and set(factors[0][0]) - set(head_vars)):
-        v = _cheapest_variable(factors, set(head_vars))
-        if v is None:
-            # only head variables left in several factors: join them up
-            factors.sort(key=lambda f: len(f[1]))
-            joined = factors[0]
-            for factor in factors[1:]:
-                joined = _join_factors(joined, factor, cap)
-                if joined is None:
-                    return None
-            factors = [joined]
-            break
+    keep = set(head_vars)
+    while (v := _cheapest_variable(factors, keep)) is not None:
         touching = sorted(
             (f for f in factors if v in f[0]), key=lambda f: len(f[1])
         )
+        # the example factor holds no eliminated variable: it stays first
         rest = [f for f in factors if v not in f[0]]
         joined = touching[0]
         for factor in touching[1:]:
-            joined = _join_factors(joined, factor, cap)
-            if joined is None:
-                return None
+            joined = _join_factors(joined, factor)
         factors = rest + [_project_out(joined, v)]
         if not factors[-1][1]:
             return frozenset()  # the component is unsatisfiable
-    if not factors:
-        return frozenset(example_rows.values())
-    out_vars, rows = factors[0]
-    index = [out_vars.index(v) for v in head_vars]
-    covered = frozenset(
+    keys = factors[0][1]
+    checks = [
+        ([head_vars.index(v) for v in factor_vars], rows)
+        for factor_vars, rows in factors[1:]
+    ]
+    return frozenset(
         example_rows[key]
-        for key in (tuple(row[i] for i in index) for row in rows)
-        if key in example_rows
+        for key in keys
+        if all(tuple(key[i] for i in index) in rows for index, rows in checks)
     )
-    return covered
 
 
 def _literal_rows(
@@ -564,7 +552,7 @@ def _cheapest_variable(factors, keep: set[Term]) -> Term | None:
     return best
 
 
-def _join_factors(f1, f2, cap: int):
+def _join_factors(f1, f2):
     vars1, rows1 = f1
     vars2, rows2 = f2
     shared = [v for v in vars2 if v in vars1]
@@ -583,8 +571,6 @@ def _join_factors(f1, f2, cap: int):
         key = tuple(row[i] for i in idx1)
         for carried in table.get(key, ()):
             out.add(row + carried)
-            if len(out) > cap:
-                return None
     return out_vars, out
 
 

@@ -66,41 +66,33 @@ class BottomClause:
 
 
 class CoverageCache:
-    """Memoized coverage tests against one immutable database.
+    """Coverage tests against one immutable database.
 
-    When the queried examples are known up front (the universe), a clause is
-    evaluated against all of them in one joined pass; each test is then a
-    set lookup. Out-of-universe examples, and clauses whose joined
-    evaluation overflows, fall back to memoized per-example tests.
+    The examples to be queried are known up front (the universe): a clause
+    is evaluated against all of them in one joined pass, and each test is
+    then a set lookup. An example outside the universe is tested on its
+    own by `covers`, without a memo.
     """
-
-    _PENDING = object()
 
     def __init__(self, db: DatabaseInstance, universe=()):
         self.db = db
-        self._universe = tuple(dict.fromkeys(universe))
-        self._universe_set = frozenset(self._universe)
-        self._covered: dict[Clause, object] = {}
-        self._memo: dict[tuple[Clause, tuple[str, ...]], bool] = {}
+        self._universe = frozenset(universe)
+        self._covered: dict[Clause, frozenset[tuple[str, ...]]] = {}
 
     def covers(self, clause: Clause, example: tuple[str, ...]) -> bool:
-        if example in self._universe_set:
-            covered = self._covered.get(clause, self._PENDING)
-            if covered is self._PENDING:
-                covered = covered_examples(clause, self._universe, self.db)
-                self._covered[clause] = covered
-            if covered is not None:
-                return example in covered  # type: ignore[operator]
-        key = (clause, example)
-        if key not in self._memo:
-            self._memo[key] = covers(clause, example, self.db)
-        return self._memo[key]
+        if example not in self._universe:
+            return covers(clause, example, self.db)
+        covered = self._covered.get(clause)
+        if covered is None:
+            covered = covered_examples(clause, self._universe, self.db)
+            self._covered[clause] = covered
+        return example in covered
 
     def share_coverage(self, clause: Clause, equivalent: Clause) -> None:
         """Let `equivalent`, a clause subsumption-equivalent to `clause`,
         reuse the joined coverage already computed for `clause`."""
-        covered = self._covered.get(clause, self._PENDING)
-        if covered is not self._PENDING:
+        covered = self._covered.get(clause)
+        if covered is not None:
             self._covered.setdefault(equivalent, covered)
 
 

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, covers, find_witness, parse_clause
 from automode.clauses import const, fold_singleton_literals, var
 from automode.learner import LearnConfig, learn_definition
 from automode.biasgen import induce_bias
 from automode.evaluation import generate_negatives, precision_recall
+from automode.errors import ValidationError
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, register_target
 
 from oracles import (
@@ -27,6 +30,37 @@ from oracles import (
 )
 
 
+def head_binding(clause, example):
+    """The binding that maps the clause head onto `example`, or None."""
+    binding = {}
+    for term, value in zip(clause.head.args, example):
+        if term.is_var:
+            if binding.setdefault(term, value) != value:
+                return None
+        elif term.symbol != value:
+            return None
+    return binding
+
+
+def witness_covers(clause, example, db) -> bool:
+    binding = head_binding(clause, example)
+    return binding is not None and find_witness(list(clause.body), binding, db) is not None
+
+
+def wide_body_cases():
+    # wide bodies with constants and head variables repeated inside
+    # literals, over dense relations of arity up to 3, so the semi-join
+    # reduction and variable elimination both have real work to do
+    rng = random.Random(239)
+    for _ in range(450):
+        db = random_db(rng, max_relations=3, max_arity=3, max_tuples=60, pool=5)
+        clause = random_clause(rng, db, max_body=12)
+        universe = list(
+            {random_example(rng, len(clause.head.args), pool=5) for _ in range(6)}
+        )
+        yield db, clause, universe
+
+
 class TestFindWitness:
     def test_witness_actually_satisfies(self):
         rng = random.Random(211)
@@ -35,14 +69,8 @@ class TestFindWitness:
             db = random_db(rng)
             clause = random_clause(rng, db, max_body=5)
             example = random_example(rng, len(clause.head.args))
-            binding = {}
-            ok = True
-            for term, value in zip(clause.head.args, example):
-                if term.is_var:
-                    ok = ok and binding.setdefault(term, value) == value
-                else:
-                    ok = ok and term.symbol == value
-            if not ok:
+            binding = head_binding(clause, example)
+            if binding is None:
                 continue
             witness = find_witness(list(clause.body), binding, db)
             assert (witness is not None) == covers(clause, example, db)
@@ -64,7 +92,7 @@ class TestFindWitness:
             clause = random_clause(rng, db, max_body=5)
             example = random_example(rng, len(clause.head.args))
             want = covers_oracle(clause, example, db)
-            assert covers(clause, example, db) == want
+            assert witness_covers(clause, example, db) == want
             refuted += not want
         assert refuted >= 50  # the generator produces plenty of failures
         # wide bodies over a dense database, so components of 8 or more
@@ -86,7 +114,7 @@ class TestFindWitness:
             example = random_example(rng, len(clause.head.args), pool=4)
             want = covers_oracle(clause, example, db)
             widths.clear()
-            assert covers(clause, example, db) == want
+            assert witness_covers(clause, example, db) == want
             if max(widths, default=0) >= 8:
                 wide += 1
                 wide_covered += want
@@ -102,31 +130,41 @@ class TestCoveredExamples:
             clause = random_clause(rng, db)
             universe = list({random_example(rng, len(clause.head.args)) for _ in range(10)})
             joined = covered_examples(clause, universe, db)
-            direct = frozenset(e for e in universe if covers(clause, e, db))
-            assert joined == direct  # None (an overflow) fails: no join nears the cap
+            assert joined == frozenset(e for e in universe if covers_oracle(clause, e, db))
 
     def test_wide_bodies_match_substitution_oracle(self):
-        # wide bodies with constants and head variables repeated inside
-        # literals, over dense relations of arity up to 3, so the semi-join
-        # reduction and variable elimination both have real work to do
-        rng = random.Random(239)
-        overflows = nonempty = 0
-        for _ in range(450):
-            db = random_db(rng, max_relations=3, max_arity=3, max_tuples=60, pool=5)
-            clause = random_clause(rng, db, max_body=12)
-            universe = list(
-                {random_example(rng, len(clause.head.args), pool=5) for _ in range(6)}
-            )
+        nonempty = 0
+        for db, clause, universe in wide_body_cases():
             joined = covered_examples(clause, universe, db)
-            if joined is None:
-                overflows += 1
-                continue
             want = frozenset(e for e in universe if covers_oracle(clause, e, db))
             assert joined == want, str(clause)
             nonempty += bool(joined)
-        # at most 6 variables over 5 values: no join can reach the cap
-        assert overflows == 0
         assert nonempty >= 100
+
+    def test_every_join_shares_a_variable(self, monkeypatch):
+        # variable elimination joins only factors holding the eliminated
+        # variable; what is left over the head variables is a filter
+        join = clauses._join_factors
+        shared: list[bool] = []
+
+        def recording(f1, f2):
+            shared.append(not set(f1[0]).isdisjoint(f2[0]))
+            return join(f1, f2)
+
+        monkeypatch.setattr(clauses, "_join_factors", recording)
+        for db, clause, universe in wide_body_cases():
+            covered_examples(clause, universe, db)
+        assert len(shared) >= 100
+        assert all(shared), f"{shared.count(False)} of {len(shared)} joins share no variable"
+
+    def test_missing_relation_is_an_error_even_after_an_empty_literal(self):
+        schemas = (RelationSchema("p", ("a",)), RelationSchema("q", ("a",)))
+        db = DatabaseInstance.build(schemas, {"p": [], "q": [("c1",)]})
+        clause = parse_clause("t(x) :- p(x), missing(x).")
+        with pytest.raises(ValidationError, match="missing"):
+            covered_examples(clause, [("c1",)], db)
+        with pytest.raises(ValidationError, match="missing"):
+            covers(clause, ("c1",), db)
 
     def test_head_only_clause_covers_unifiable_examples(self):
         db = random_db(random.Random(229))
@@ -157,48 +195,52 @@ class TestCoveredExamples:
             covered_examples(clause, list(universe), db)
         assert narrowed >= 75
 
-    def test_join_above_cap_returns_none(self):
-        db = fixtures.small_database()
-        clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
-        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
-        # eliminating z joins two 2-row factors into 2 rows
-        assert covered_examples(clause, universe, db, cap=1) is None
-        assert covered_examples(clause, universe, db, cap=2) == frozenset(
-            {("alice", "bob"), ("john", "mary")}
-        )
-
-
 class TestCoverageCache:
-    def test_overflow_falls_back_to_per_example_tests(self, monkeypatch):
+    def test_agrees_with_oracle_inside_and_outside_the_universe(self, monkeypatch):
         db = fixtures.small_database()
-        overflowed = []
+        joined, single = [], []
+        evaluate, test_one = learner.covered_examples, learner.covers
 
-        def overflowing(clause, examples, db, cap=500_000):
-            overflowed.append(clause)
-            return None
+        def recording_joined(clause, examples, db):
+            joined.append(clause)
+            return evaluate(clause, examples, db)
 
-        monkeypatch.setattr(learner, "covered_examples", overflowing)
+        def recording_single(clause, example, db):
+            single.append(example)
+            return test_one(clause, example, db)
+
+        monkeypatch.setattr(learner, "covered_examples", recording_joined)
+        monkeypatch.setattr(learner, "covers", recording_single)
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
         outside = [("alice", "alice"), ("bob", "mary"), ("john", "p2")]
         cache = learner.CoverageCache(db, universe)
-        for text in (
+        texts = (
             "advisedBy(x,y) :- publication(z,x), publication(z,y).",
             'advisedBy(x,y) :- inPhase(x,"post_quals"), hasPosition(y,v).',
             "advisedBy(x,y) :- publication(z,x), publication(z,w).",
-        ):
-            clause = parse_clause(text)
-            for example in universe + outside:
-                assert cache.covers(clause, example) == covers(clause, example, db)
-        assert len(overflowed) == 3  # one joined attempt per clause
+            "advisedBy(x,x) :- student(x).",
+        )
+        covered = 0
+        for _ in range(2):
+            for text in texts:
+                clause = parse_clause(text)
+                for example in universe + outside:
+                    want = covers_oracle(clause, example, db)
+                    assert cache.covers(clause, example) == want, (text, example)
+                    covered += want
+        assert covered >= 10
+        # one joined pass per clause; every outside test runs on its own
+        assert joined == [parse_clause(t) for t in texts]
+        assert single == outside * len(texts) * 2
 
     def test_equivalent_clause_reuses_joined_coverage(self, monkeypatch):
         db = fixtures.small_database()
         joined = []
         evaluate = learner.covered_examples
 
-        def recording(clause, examples, db, cap=500_000):
+        def recording(clause, examples, db):
             joined.append(clause)
-            return evaluate(clause, examples, db, cap)
+            return evaluate(clause, examples, db)
 
         monkeypatch.setattr(learner, "covered_examples", recording)
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]

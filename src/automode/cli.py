@@ -20,7 +20,7 @@ from . import __version__
 from .biasgen import induce_bias, read_bias, write_bias
 from .errors import AutomodeError, ConfigError, LoadError
 from .evaluation import cross_validate, generate_negatives, precision_recall
-from .learner import LearnConfig, learn_definition
+from .learner import CoverageCache, LearnConfig, learn_definition
 from .lgg import lgg_learn
 from .fixtures import materialize_small
 from .profiler import discover_inds, format_ind_set
@@ -174,17 +174,21 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.generalizer == "lgg" and bias.modes:
         _note("mode definitions in the bias file are ignored by the lgg generalizer")
+    # the training scores below read the coverage learning computed
+    cache = CoverageCache(db, examples.positives + examples.negatives)
     started = time.perf_counter()
     if args.generalizer == "lgg":
-        definition = lgg_learn(db, examples, bias.predicates, cfg, guard=args.lgg_guard)
+        definition = lgg_learn(
+            db, examples, bias.predicates, cfg, guard=args.lgg_guard, cache=cache
+        )
     else:
         definition = learn_definition(
-            db, examples, bias, cfg, deep_reduce_clauses=args.deep_reduce
+            db, examples, bias, cfg, deep_reduce_clauses=args.deep_reduce, cache=cache
         )
     wall = _ms(started)
     _note(f"learning took {wall} ms; {len(definition.clauses)} clause(s)")
     precision, recall = precision_recall(
-        definition, examples.positives, examples.negatives, db
+        definition, examples.positives, examples.negatives, db, cache
     )
     lines = [str(c) for c in definition.clauses]
     lines.append(f"# train_precision={precision:.6f}")

@@ -128,15 +128,18 @@ def precision_recall(
     test_pos: tuple[tuple[str, ...], ...],
     test_neg: tuple[tuple[str, ...], ...],
     db: DatabaseInstance,
+    cache: CoverageCache | None = None,
 ) -> tuple[float, float]:
     """Precision over covered examples and recall over positives.
 
     A definition covering nothing is vacuously precise (1.0, 0.0 recall):
     the all-rejecting case divides zero true positives by zero covered.
+    A `cache` whose universe holds the test examples turns every test into
+    a lookup of coverage it may already know.
     """
     if set(test_pos) & set(test_neg):
         raise ValidationError("test sets overlap")
-    cache = CoverageCache(db, tuple(test_pos) + tuple(test_neg))
+    cache = cache or CoverageCache(db, tuple(test_pos) + tuple(test_neg))
 
     def covered(example: tuple[str, ...]) -> bool:
         return any(cache.covers(c, example) for c in definition.clauses)
@@ -163,6 +166,13 @@ def cross_validate(
     Positives and negatives are shuffled and split independently so every
     fold keeps the global class ratio; fold k trains with rng seed
     `seed + k` and is scored on its held-out slice.
+
+    Every fold learns against the same database, so one `CoverageCache`
+    over all the examples serves the whole run: a clause's coverage, an
+    armg step, a ground bottom clause or a pairwise lgg that one fold
+    computed is a lookup in every later fold and in held-out scoring. Each
+    fold learns and scores exactly what it would with a cache of its own.
+    A fold's `wall_ms` includes the shared work it computes first.
     """
     if folds < 2:
         raise ConfigError("folds must be >= 2")
@@ -179,6 +189,7 @@ def cross_validate(
     rng.shuffle(neg)
     pos_folds = _split(pos, folds)
     neg_folds = _split(neg, folds)
+    cache = CoverageCache(db, examples.positives + examples.negatives)
     metrics: list[FoldMetrics] = []
     for k in range(folds):
         train = ExampleSet(
@@ -189,12 +200,14 @@ def cross_validate(
         fold_cfg = replace(cfg, rng_seed=seed + k)
         started = time.perf_counter()
         if generalizer == "lgg":
-            definition = lgg_learn(db, train, bias.predicates, fold_cfg, guard=lgg_guard)
+            definition = lgg_learn(
+                db, train, bias.predicates, fold_cfg, guard=lgg_guard, cache=cache
+            )
         else:
-            definition = learn_definition(db, train, bias, fold_cfg)
+            definition = learn_definition(db, train, bias, fold_cfg, cache=cache)
         wall_ms = (time.perf_counter() - started) * 1000.0
         precision, recall = precision_recall(
-            definition, tuple(pos_folds[k]), tuple(neg_folds[k]), db
+            definition, tuple(pos_folds[k]), tuple(neg_folds[k]), db, cache
         )
         metrics.append(FoldMetrics(precision, recall, wall_ms))
     return EvalReport(

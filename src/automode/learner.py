@@ -65,19 +65,40 @@ class BottomClause:
     var_map: dict[str, Term]
 
 
+_MISSING = object()
+
+
 class CoverageCache:
-    """Coverage tests against one immutable database.
+    """Coverage tests, and other pure steps, against one immutable database.
 
     The examples to be queried are known up front (the universe): a clause
     is evaluated against all of them in one joined pass, and each test is
     then a set lookup. An example outside the universe is tested on its
     own by `covers`, without a memo.
+
+    `memo` stores the result of any other step that reads nothing but this
+    database and its key, so runs over different example sets against the
+    same database (the folds of `cross_validate`) can share one cache. A universe larger than the
+    training set leaks nothing: `_cover_set`, `generalize_clause` and
+    `score` only ask about training examples, and a clause's coverage of
+    one example does not depend on which other examples were evaluated
+    with it.
     """
 
     def __init__(self, db: DatabaseInstance, universe=()):
         self.db = db
         self._universe = frozenset(universe)
         self._covered: dict[Clause, frozenset[tuple[str, ...]]] = {}
+        self._memo: dict = {}
+
+    def memo(self, key, compute: Callable[[], object]):
+        """The value stored under `key`, or `compute()` stored there first.
+
+        The key must hold every input of `compute` except the database."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
+        return value
 
     def covers(self, clause: Clause, example: tuple[str, ...]) -> bool:
         if example not in self._universe:
@@ -455,7 +476,13 @@ def generalize_clause(
                     continue
                 if not cache.covers(clause_with(b.head, ()), e):
                     continue  # head shape (e.g. repeated variable) cannot fit e
-                c = fold_singleton_literals(armg(b, e, db, hint=seed_witness))
+                # armg keeps exactly the literals jointly satisfiable with
+                # the kept prefix; the hint only speeds up the search, so
+                # it is no part of the key
+                c = cache.memo(
+                    ("armg", b, e),
+                    lambda: fold_singleton_literals(armg(b, e, db, hint=seed_witness)),
+                )
                 if c not in seen:
                     seen.add(c)
                     candidates.append(c)
@@ -484,21 +511,34 @@ def learn_definition(
     bias: BiasSpec,
     cfg: LearnConfig,
     deep_reduce_clauses: bool = False,
+    cache: CoverageCache | None = None,
 ) -> HornDefinition:
     """Cover-set learning: seed, saturate, generalize, gate, repeat.
 
     A clause enters the definition only if its training precision reaches
     `min_precision` and it covers at least the resolved minimum of
     positives; otherwise the seed is discarded as uncoverable, which bounds
-    the loop by the number of positives.
+    the loop by the number of positives. A shared `cache`, whose universe
+    should hold every training example, also keeps each bottom clause and
+    armg step for the later runs that share it.
     """
+    cache = cache or CoverageCache(db, examples.positives + examples.negatives)
+    # one token per distinct saturation input, as in `lgg.lgg_learn`; a
+    # bottom clause shared across runs also makes every clause armg derives
+    # from it the same object, so later lookups compare by identity
+    inputs = cache.memo(
+        ("bottom inputs", bias, cfg.iterations, cfg.per_relation_cap), object
+    )
 
     def learn_one(
         uncovered: list[tuple[str, ...]],
         rng: random.Random,
         cache: CoverageCache,
     ) -> Clause:
-        bottom = build_bottom_clause(uncovered[0], db, bias, cfg)
+        seed = uncovered[0]
+        bottom = cache.memo(
+            ("bottom", inputs, seed), lambda: build_bottom_clause(seed, db, bias, cfg)
+        )
         clause = generalize_clause(
             bottom,
             tuple(uncovered),
@@ -514,7 +554,7 @@ def learn_definition(
             clause = reduced
         return clause
 
-    return _cover_set(db, examples, cfg, learn_one)
+    return _cover_set(db, examples, cfg, learn_one, cache)
 
 
 def _cover_set(
@@ -522,13 +562,13 @@ def _cover_set(
     examples: ExampleSet,
     cfg: LearnConfig,
     learn_one: Callable[[list, random.Random, CoverageCache], Clause],
+    cache: CoverageCache,
 ) -> HornDefinition:
     positives = list(examples.positives)
     if not positives:
         return HornDefinition(())
     min_positives = cfg.resolved_min_positives(len(positives))
     rng = random.Random(cfg.rng_seed)
-    cache = CoverageCache(db, examples.positives + examples.negatives)
     learned: list[Clause] = []
     uncovered = list(positives)
     while uncovered:

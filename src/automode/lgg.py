@@ -92,13 +92,16 @@ def lgg_learn(
     predicates: tuple,
     cfg: LearnConfig,
     guard: int = 10_000,
+    cache: CoverageCache | None = None,
 ) -> HornDefinition:
     """Cover-set learning where each clause is a fold of lgg over the
     ground bottom clauses of sampled positives.
 
     Refuses databases above `guard` tuples: repeated generalization grows
     clauses multiplicatively and evaluation cost becomes prohibitive well
-    before memory does.
+    before memory does. A shared `cache`, whose universe should hold every
+    training example, also keeps each ground bottom clause, reduced seed
+    clause and pairwise lgg for the later runs that share it.
     """
     total = db.total_tuples()
     if total > guard:
@@ -112,6 +115,19 @@ def lgg_learn(
         raise ValidationError(f"target relation not registered: {target}")
     if not any(d.relation == target for d in predicates):
         raise ValidationError(f"no predicate declaration for target {target}")
+    cache = cache or CoverageCache(db, examples.positives + examples.negatives)
+    # one token per distinct saturation input, so the per-example keys
+    # below hash the predicate declarations once per call, not per lookup
+    inputs = cache.memo(
+        ("ground inputs", target, predicates, cfg.iterations, cfg.per_relation_cap),
+        object,
+    )
+
+    def ground(example: tuple[str, ...]) -> Clause:
+        return cache.memo(
+            ("ground", inputs, example),
+            lambda: ground_bottom_clause(example, db, target, predicates, cfg),
+        )
 
     def learn_one(
         uncovered: list[tuple[str, ...]],
@@ -122,13 +138,15 @@ def lgg_learn(
         sampled = set(rng.sample(uncovered, min(cfg.sample_size, len(uncovered))))
         sampled.add(seed)
         fold = [seed] + [e for e in uncovered[1:] if e in sampled]
-        clause = minimize(
-            ground_bottom_clause(seed, db, target, predicates, cfg), deep=True
+        clause = cache.memo(
+            ("reduced seed", inputs, seed), lambda: minimize(ground(seed), deep=True)
         )
         best = score(clause, uncovered, examples.negatives, db, cache)
         for example in fold[1:]:
-            bottom = ground_bottom_clause(example, db, target, predicates, cfg)
-            candidate = lgg_clauses(clause, bottom)
+            bottom = ground(example)
+            candidate = cache.memo(
+                ("lgg", clause, bottom), lambda: lgg_clauses(clause, bottom)
+            )
             cand_score = score(candidate, uncovered, examples.negatives, db, cache)
             if cand_score > best:
                 clause, best = candidate, cand_score
@@ -136,4 +154,4 @@ def lgg_learn(
                 break
         return clause
 
-    return _cover_set(db, examples, cfg, learn_one)
+    return _cover_set(db, examples, cfg, learn_one, cache)

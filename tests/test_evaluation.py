@@ -9,8 +9,8 @@ from itertools import product
 
 import pytest
 
-from automode import fixtures
-from automode.biasgen import induce_bias
+from automode import evaluation, fixtures
+from automode.biasgen import induce_bias, read_bias
 from automode.clauses import HornDefinition, parse_clause
 from automode.errors import ConfigError, ValidationError
 from automode.evaluation import (
@@ -21,7 +21,12 @@ from automode.evaluation import (
     precision_recall,
 )
 from automode.learner import LearnConfig
-from automode.relstore import DatabaseInstance, RelationSchema
+from automode.relstore import (
+    DatabaseInstance,
+    ExampleSet,
+    RelationSchema,
+    register_target,
+)
 
 from oracles import negatives_oracle
 
@@ -212,6 +217,47 @@ class TestCrossValidate:
         bias = induce_bias(db, "advisedBy")
         return db, ex, bias
 
+    def _planted_task(self):
+        """Students advised by a professor they publish with, and
+        closed-world negatives: several positives per fold. The bias keeps
+        phases and positions as constants, which armg must drop."""
+        rng = random.Random(5)
+        students = [f"s{i}" for i in range(12)]
+        profs = [f"p{i}" for i in range(4)]
+        schemas = (
+            RelationSchema("student", ("stud",)),
+            RelationSchema("professor", ("prof",)),
+            RelationSchema("inPhase", ("stud", "phase")),
+            RelationSchema("hasPosition", ("prof", "position")),
+            RelationSchema("publication", ("title", "author")),
+            RelationSchema("advisedBy", ("stud", "prof")),
+        )
+        pubs, positives = [], set()
+        for k, stud in enumerate(students):
+            prof = rng.choice(profs)
+            pubs += [(f"t{k}", stud), (f"t{k}", prof)]
+            positives.add((stud, prof))
+        facts = {
+            "student": [(s,) for s in students],
+            "professor": [(p,) for p in profs],
+            "inPhase": [(s, rng.choice(["pre", "post"])) for s in students],
+            "hasPosition": [(p, rng.choice(["assistant", "full"])) for p in profs],
+            "publication": pubs,
+            "advisedBy": [],
+        }
+        positives = tuple(sorted(positives))
+        db = register_target(
+            DatabaseInstance.build(schemas, facts), ExampleSet(schemas[-1], positives, ())
+        )
+        negatives = generate_negatives(db, positives, schemas[-1], 2, seed=5)
+        bias = read_bias(
+            "PREDICATES:\nadvisedBy(S,P)\nstudent(S)\nprofessor(P)\ninPhase(S,F)\n"
+            "hasPosition(P,R)\npublication(T,S)\npublication(T,P)\n"
+            "MODES:\nadvisedBy(+,+)\nstudent(+)\nprofessor(+)\ninPhase(+,#)\n"
+            "hasPosition(+,#)\npublication(+,-)\npublication(-,+)\n"
+        )
+        return db, ExampleSet(schemas[-1], positives, negatives), bias
+
     def test_leave_one_out_runs(self):
         db, ex, bias = self._task()
         report = cross_validate(db, ex, bias, LearnConfig(), folds=2, seed=1)
@@ -228,6 +274,47 @@ class TestCrossValidate:
         ] == [(m.precision, m.recall) for m in second.per_fold]
         assert first.mean_precision == second.mean_precision
         assert first.mean_recall == second.mean_recall
+
+    @pytest.mark.parametrize("task, folds", [("_task", 2), ("_planted_task", 3)])
+    @pytest.mark.parametrize(
+        "generalizer, learner", [("armg", "learn_definition"), ("lgg", "lgg_learn")]
+    )
+    def test_folds_do_not_influence_each_other(
+        self, monkeypatch, task, folds, generalizer, learner
+    ):
+        """One cache serves every fold, yet each fold learns what it would
+        alone with a fresh cache and scores what a cache-less scoring gives."""
+        db, ex, bias = getattr(self, task)()
+        learn = getattr(evaluation, learner)
+        score = evaluation.precision_recall
+        learned, scored, caches = [], [], []
+
+        def learn_fold(db_, train, *args, cache, **kwargs):
+            caches.append(cache)
+            definition = learn(db_, train, *args, cache=cache, **kwargs)
+            learned.append((train, args, kwargs, definition))
+            return definition
+
+        def score_fold(definition, test_pos, test_neg, db_, cache):
+            caches.append(cache)
+            result = score(definition, test_pos, test_neg, db_, cache)
+            scored.append((definition, test_pos, test_neg, result))
+            return result
+
+        monkeypatch.setattr(evaluation, learner, learn_fold)
+        monkeypatch.setattr(evaluation, "precision_recall", score_fold)
+        report = cross_validate(
+            db, ex, bias, LearnConfig(), folds=folds, seed=3, generalizer=generalizer
+        )
+        assert len(learned) == len(scored) == folds
+        assert all(cache is caches[0] for cache in caches)
+        for train, args, kwargs, definition in learned:
+            assert learn(db, train, *args, **kwargs) == definition
+        for fold, (definition, test_pos, test_neg, result) in zip(
+            report.per_fold, scored
+        ):
+            assert score(definition, test_pos, test_neg, db) == result
+            assert (fold.precision, fold.recall) == result
 
     def test_lgg_generalizer_path(self):
         db, ex, bias = self._task()

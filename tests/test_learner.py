@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from automode import fixtures
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
-from automode.clauses import conforms, covers, parse_clause
+from automode.clauses import clause_with, conforms, covers, parse_clause
 from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     BottomClause,
+    CoverageCache,
     LearnConfig,
     armg,
     build_bottom_clause,
@@ -21,7 +24,7 @@ from automode.learner import (
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 
 from conftest import MANUAL_BIAS_TEXT
-from oracles import isomorphic
+from oracles import isomorphic, random_clause, random_db, random_example
 
 
 @pytest.fixture
@@ -154,6 +157,36 @@ class TestArmg:
         assert [l.relation for l in out.body] == ["publication", "publication"]
 
 
+class TestArmgIgnoresHint:
+    """`CoverageCache.memo` keys armg results without the hint: the hint
+    may only change which witness is found, never the clause."""
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize("fixture", ["small", "typed"])
+    def test_bottom_clause_hint(self, fixture, iterations):
+        db = getattr(fixtures, f"{fixture}_database_registered")()
+        ex = getattr(fixtures, f"{fixture}_examples")()
+        bias = induce_bias(db, "advisedBy")
+        for seed in ex.positives:
+            bottom = build_bottom_clause(seed, db, bias, LearnConfig(iterations=iterations))
+            hint = {term: value for value, term in bottom.var_map.items()}
+            for e in ex.positives + ex.negatives:
+                assert armg(bottom.clause, e, db, hint=hint) == armg(bottom.clause, e, db)
+
+    def test_arbitrary_hint(self):
+        rng = random.Random(211)
+        checked = 0
+        while checked < 200:
+            db = random_db(rng)
+            clause = random_clause(rng, db, max_body=6, max_free_vars=3)
+            example = random_example(rng, len(clause.head.args))
+            if not covers(clause_with(clause.head, ()), example, db):
+                continue  # repeated head variable with unequal values
+            hint = {t: f"c{rng.randrange(8)}" for t in clause.variables()}
+            assert armg(clause, example, db, hint=hint) == armg(clause, example, db)
+            checked += 1
+
+
 class TestScore:
     def test_synthetic_set_values(self, small_db, worked_clause):
         ex = fixtures.small_examples()
@@ -186,6 +219,23 @@ class TestGeneralizeClause:
         )
         assert score(out, ex.positives, ex.negatives, small_db) == 2
         assert all(l.relation != "hasPosition" for l in out.body)
+
+    def test_shared_cache_generalizes_toward_each_example(self, small_db):
+        # armg drops inPhase for alice and both constant literals for john:
+        # the memo must tell the two examples apart
+        ex = fixtures.small_examples()
+        pinned = parse_clause(
+            'advisedBy(x,y) :- student(x), inPhase(x,"pre_quals"), professor(y), '
+            'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
+        )
+        bottom = BottomClause(pinned, ("alice", "bob"), {})
+        shared = CoverageCache(small_db, ex.positives + ex.negatives)
+        fresh = []
+        for positive in ex.positives:
+            args = (bottom, (positive,), ex.negatives, small_db, LearnConfig())
+            fresh.append(generalize_clause(*args))
+            assert generalize_clause(*args, cache=shared) == fresh[-1]
+        assert fresh[0] != fresh[1]
 
     def test_single_positive_keeps_bottom_score(self, small_db, auto_bias):
         bottom = build_bottom_clause(("alice", "bob"), small_db, auto_bias, LearnConfig())
@@ -257,6 +307,20 @@ class TestLearnDefinition:
             assert len(lean.body) <= len(fat.body)
             for example in ex.positives + ex.negatives:
                 assert covers(lean, example, small_db) == covers(fat, example, small_db)
+
+    def test_shared_cache_learns_what_fresh_caches_learn(self, small_db, manual_bias):
+        # bottom clauses are memoized per bias, iterations and cap
+        ex = fixtures.small_examples()
+        shared = CoverageCache(small_db, ex.positives + ex.negatives)
+        runs = [
+            (bias, LearnConfig(iterations=iterations, per_relation_cap=cap))
+            for bias in (manual_bias, induce_bias(small_db, "advisedBy"))
+            for iterations in (1, 2)
+            for cap in (1, 100)
+        ]
+        for bias, cfg in runs:
+            fresh = learn_definition(small_db, ex, bias, cfg)
+            assert learn_definition(small_db, ex, bias, cfg, cache=shared) == fresh
 
 
 class TestLearnConfig:

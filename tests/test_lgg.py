@@ -8,7 +8,7 @@ from automode import fixtures
 from automode.biasgen import induce_bias
 from automode.clauses import covers, covers_definition, parse_clause, subsumes, const, var
 from automode.errors import ConfigError, ValidationError
-from automode.learner import LearnConfig, ground_bottom_clause
+from automode.learner import CoverageCache, LearnConfig, ground_bottom_clause
 from automode.lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 from automode.biasgen import PredicateDecl
@@ -134,6 +134,20 @@ class TestLggLearn:
         definition = lgg_learn(db, ex, predicates, LearnConfig())
         assert len(definition.clauses) == 1
         assert definition.clauses[0].body == ()
+
+    def test_shared_cache_learns_what_fresh_caches_learn(self):
+        # ground bottom clauses are memoized per target, predicates,
+        # iterations and cap; a cap of 1 changes the learned clause here
+        db = fixtures.small_database_registered()
+        ex = fixtures.small_examples()
+        bias = induce_bias(db, "advisedBy")
+        shared = CoverageCache(db, ex.positives + ex.negatives)
+        fresh = {}
+        for cap in (1, 100):
+            cfg = LearnConfig(per_relation_cap=cap)
+            fresh[cap] = lgg_learn(db, ex, bias.predicates, cfg)
+            assert lgg_learn(db, ex, bias.predicates, cfg, cache=shared) == fresh[cap]
+        assert fresh[1] != fresh[100]
 
     def test_guard_refuses_large_databases(self):
         db = fixtures.small_database_registered()

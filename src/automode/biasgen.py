@@ -63,11 +63,8 @@ class BiasSpec:
     predicates: tuple[PredicateDecl, ...]
     modes: tuple[ModeDecl, ...]
     head_mode: ModeDecl
-    constant_threshold: int
 
     def __post_init__(self) -> None:
-        if self.constant_threshold < 1:
-            raise ConfigError("constant threshold must be >= 1")
         if set(self.head_mode.symbols) != {"+"}:
             raise ValidationError("the head mode must be all '+'")
         declared = {d.relation for d in self.predicates}
@@ -330,7 +327,7 @@ def induce_bias(
     graph = build_type_graph(db.schemas, inds)
     predicates = generate_predicates(graph)
     head, body = generate_modes(db, constant_threshold, target)
-    return BiasSpec(predicates, body, head, constant_threshold)
+    return BiasSpec(predicates, body, head)
 
 
 # -- bias file format --------------------------------------------------------
@@ -353,7 +350,7 @@ def write_bias(bias: BiasSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_bias(text: str, constant_threshold: int = 5) -> BiasSpec:
+def read_bias(text: str) -> BiasSpec:
     section = None
     predicates: list[PredicateDecl] = []
     modes: list[ModeDecl] = []
@@ -378,4 +375,4 @@ def read_bias(text: str, constant_threshold: int = 5) -> BiasSpec:
     if not modes:
         raise LoadError("bias file declares no modes")
     head, body = modes[0], tuple(modes[1:])
-    return BiasSpec(tuple(predicates), body, head, constant_threshold)
+    return BiasSpec(tuple(predicates), body, head)

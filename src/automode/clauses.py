@@ -799,7 +799,6 @@ def _deep_reduce(clause: Clause) -> Clause:
     body = list(clause.body)
     # consistency under the fixed head never changes: compute it once
     consistent = dict(zip(body, _consistent_targets(body, body, head_theta)))
-    free = {k: {a for a in k.args if a.is_var and a not in head_theta} for k in body}
     alive = set(body)
     image: set[Literal] | None = None
     i = 0
@@ -812,7 +811,9 @@ def _deep_reduce(clause: Clause) -> Clause:
         theta = None
         # without another target for the literal itself, no search can succeed
         if any(t in alive for t in consistent[lit]):
-            linked = _linked_literals(lit, body, free)
+            # θ can map every literal outside lit's group, joined to it
+            # through variables outside the head, onto itself
+            linked = next(g for g in _components(body, head_theta) if lit in g)
             candidates = [[t for t in consistent[k] if t in alive] for k in linked]
             theta = _embed(linked, candidates, head_theta)
         if theta is None:
@@ -824,25 +825,6 @@ def _deep_reduce(clause: Clause) -> Clause:
             Literal(k.relation, tuple(theta.get(a, a) for a in k.args)) for k in body
         }
     return clause_with(clause.head, body)
-
-
-def _linked_literals(
-    start: Literal, body: list[Literal], free: dict[Literal, set[Term]]
-) -> list[Literal]:
-    """`start` and the literals of `body` joined to it through variables
-    outside the head, in body order. θ can map every other literal onto
-    itself, so a search for `start`'s removal only needs these."""
-    group = {start}
-    reached = set(free[start])
-    grown = True
-    while grown:
-        grown = False
-        for k in body:
-            if k not in group and not reached.isdisjoint(free[k]):
-                group.add(k)
-                reached |= free[k]
-                grown = True
-    return [k for k in body if k in group]
 
 
 def clause_with(head: Literal, body: Iterable[Literal]) -> Clause:

@@ -58,9 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"automode {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("discover-inds", help="profile the database for unary INDs")
-    _data_flags(p, examples_required=False)
-    p.add_argument(
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument(
         "--alpha",
         "--approx-ind-threshold",
         dest="alpha",
@@ -68,18 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="error tolerance for approximate INDs (default 0.5)",
     )
-    p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
-    p.set_defaults(handler=_cmd_discover_inds)
-
-    p = sub.add_parser("induce-bias", help="generate predicate and mode definitions")
-    _data_flags(p, examples_required=True)
-    p.add_argument("--alpha", "--approx-ind-threshold", dest="alpha", type=float, default=0.5)
-    p.add_argument(
+    constants = argparse.ArgumentParser(add_help=False)
+    constants.add_argument(
         "--constant-threshold",
         type=int,
         default=5,
         help="attributes with fewer distinct values may appear as constants (default 5)",
     )
+
+    p = sub.add_parser("discover-inds", parents=[alpha], help="profile the database for unary INDs")
+    _data_flags(p, examples_required=False)
+    p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
+    p.set_defaults(handler=_cmd_discover_inds)
+
+    p = sub.add_parser(
+        "induce-bias", parents=[alpha, constants], help="generate predicate and mode definitions"
+    )
+    _data_flags(p, examples_required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=_cmd_induce_bias)
 
@@ -88,13 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=Path, required=True, help="bias file (generated or hand-written)")
     p.add_argument("--out", type=Path, required=True, help="model output file")
     _learn_flags(p)
+    p.add_argument("--deep-reduce", action="store_true", help="deep-reduce learned clauses")
     p.set_defaults(handler=_cmd_learn)
 
-    p = sub.add_parser("evaluate", help="k-fold cross validation")
+    # --alpha and --constant-threshold apply only when no --bias is given
+    p = sub.add_parser("evaluate", parents=[alpha, constants], help="k-fold cross validation")
     _data_flags(p, examples_required=True)
     p.add_argument("--bias", type=Path, default=None, help="bias file; induced when omitted")
-    p.add_argument("--alpha", "--approx-ind-threshold", dest="alpha", type=float, default=0.5)
-    p.add_argument("--constant-threshold", type=int, default=5)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--neg-ratio", type=int, default=2, help="negatives per positive when generating")
     p.add_argument("--report", type=Path, required=True, help="JSON report output")
@@ -123,7 +127,6 @@ def _learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-relation-cap", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--generalizer", choices=("armg", "lgg"), default="armg")
-    p.add_argument("--deep-reduce", action="store_true", help="deep-reduce learned clauses")
     p.add_argument("--lgg-guard", type=int, default=10_000)
 
 
@@ -195,11 +198,18 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     lines.append(f"# train_recall={recall:.6f}")
     lines.append(f"# wall_ms={wall}")
     args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(args, args.out, _config_dict(args), extra_inputs=[args.bias])
+    _write_manifest(
+        args,
+        args.out,
+        {**_config_dict(args), "deep_reduce": args.deep_reduce},
+        extra_inputs=[args.bias],
+    )
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.constant_threshold < 1:
+        raise ConfigError("constant threshold must be >= 1")
     db = load_database(args.schema, args.facts, examples_backed=(args.target,))
     schema = _target_schema(db, args.target, _peek_arity(args.examples, args.target))
     examples = load_examples(args.examples, schema)
@@ -213,7 +223,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _note(f"generated {len(negatives)} closed-world negatives")
     db = register_target(db, examples)
     if args.bias is not None:
-        bias = read_bias(args.bias.read_text(encoding="utf-8"), args.constant_threshold)
+        bias = read_bias(args.bias.read_text(encoding="utf-8"))
     else:
         started = time.perf_counter()
         bias = induce_bias(db, args.target, args.alpha, args.constant_threshold)
@@ -250,45 +260,22 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     paths = materialize_small(args.out_dir)
     _note(f"fixture written to {args.out_dir}")
-    rc = _cmd_induce_bias(
-        argparse.Namespace(
-            schema=paths["schema"],
-            facts=paths["facts"],
-            examples=paths["examples"],
-            target="advisedBy",
-            alpha=0.5,
-            constant_threshold=5,
-            out=args.out_dir / "bias.txt",
-            command="induce-bias",
-        )
-    )
+    data = [
+        "--schema", str(paths["schema"]),
+        "--facts", str(paths["facts"]),
+        "--examples", str(paths["examples"]),
+        "--target", "advisedBy",
+    ]
+    bias = str(args.out_dir / "bias.txt")
+    model = args.out_dir / "model.dl"
+    rc = dispatch(["induce-bias", *data, "--out", bias])
     if rc != 0:
         return rc
-    ns = argparse.Namespace(
-        schema=paths["schema"],
-        facts=paths["facts"],
-        examples=paths["examples"],
-        target="advisedBy",
-        bias=args.out_dir / "bias.txt",
-        out=args.out_dir / "model.dl",
-        iterations=2,
-        beam_width=3,
-        sample_size=20,
-        min_precision=0.5,
-        min_positives=None,
-        per_relation_cap=100,
-        seed=1,
-        generalizer="armg",
-        deep_reduce=False,
-        lgg_guard=10_000,
-        command="learn",
-    )
-    rc = _cmd_learn(ns)
+    rc = dispatch(["learn", *data, "--bias", bias, "--out", str(model)])
     if rc != 0:
         return rc
-    model = (args.out_dir / "model.dl").read_text(encoding="utf-8")
     print("learned definition:")
-    for line in model.splitlines():
+    for line in model.read_text(encoding="utf-8").splitlines():
         print(f"  {line}")
     return 0
 
@@ -345,7 +332,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
         "per_relation_cap": args.per_relation_cap,
         "seed": args.seed,
         "generalizer": args.generalizer,
-        "deep_reduce": args.deep_reduce,
     }
 
 

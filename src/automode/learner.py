@@ -20,6 +20,7 @@ from .clauses import (
     HornDefinition,
     Literal,
     Term,
+    _components,
     canonical_text,
     covered_examples,
     find_witness,
@@ -183,7 +184,7 @@ def _implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> Bias
             symbols = tuple("+" if i == plus else "-" for i in range(schema.arity))
             modes.append(ModeDecl(schema.name, symbols))
     head = ModeDecl(target, ("+",) * db.schema(target).arity)
-    return BiasSpec(tuple(predicates), tuple(modes), head, 1)
+    return BiasSpec(tuple(predicates), tuple(modes), head)
 
 
 class _SaturationState:
@@ -399,20 +400,13 @@ def _connected_order(head: Literal, body: list[Literal]) -> list[Literal]:
 
 
 def _head_connected(head: Literal, body: list[Literal]) -> list[Literal]:
-    reached = set(head.variables())
-    kept = [False] * len(body)
-    changed = True
-    while changed:
-        changed = False
-        for i, lit in enumerate(body):
-            if kept[i]:
-                continue
-            lit_vars = set(lit.variables())
-            if lit_vars & reached:
-                kept[i] = True
-                reached |= lit_vars
-                changed = True
-    return [lit for i, lit in enumerate(body) if kept[i]]
+    """The literals of `body` joined to a head variable, in body order."""
+    head_vars = set(head.variables())
+    kept: set[Literal] = set()
+    for group in _components(body, {}):
+        if any(not head_vars.isdisjoint(k.variables()) for k in group):
+            kept.update(group)
+    return [lit for lit in body if lit in kept]
 
 
 def score(

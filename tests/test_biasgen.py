@@ -238,9 +238,10 @@ class TestGenerateModes:
 
 
 class TestBiasSpec:
-    def test_round_trip(self):
+    @pytest.mark.parametrize("threshold", [1, 2, 5, 50])
+    def test_round_trip(self, threshold):
         db = fixtures.typed_database_registered()
-        bias = induce_bias(db, "advisedBy")
+        bias = induce_bias(db, "advisedBy", constant_threshold=threshold)
         assert read_bias(write_bias(bias)) == bias
 
     def test_induction_is_deterministic(self):
@@ -254,7 +255,6 @@ class TestBiasSpec:
                 (PredicateDecl("student", ("T1",)),),
                 (ModeDecl("ghost", ("+",)),),
                 ModeDecl("student", ("+",)),
-                5,
             )
 
     def test_body_mode_requires_plus(self):
@@ -263,7 +263,6 @@ class TestBiasSpec:
                 (PredicateDecl("student", ("T1",)),),
                 (ModeDecl("student", ("-",)),),
                 ModeDecl("student", ("+",)),
-                5,
             )
 
     def test_body_mode_on_target_rejected(self):

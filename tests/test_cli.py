@@ -36,6 +36,14 @@ class TestExitCodes:
         rc = dispatch(["discover-inds", *_data_args(fixture_dir, False), "--bogus"])
         assert rc == 2
 
+    def test_deep_reduce_is_a_learn_flag(self, fixture_dir, tmp_path):
+        report = tmp_path / "r.json"
+        rc = dispatch(
+            ["evaluate", *_data_args(fixture_dir), "--report", str(report), "--deep-reduce"]
+        )
+        assert rc == 2
+        assert not report.exists()
+
     def test_threshold_zero_is_validation_error(self, fixture_dir, tmp_path, capsys):
         rc = dispatch(
             [
@@ -45,6 +53,27 @@ class TestExitCodes:
                 "0",
                 "--out",
                 str(tmp_path / "bias.txt"),
+            ]
+        )
+        assert rc == 1
+        assert "threshold must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_evaluate_threshold_zero_is_validation_error(
+        self, fixture_dir, tmp_path, capsys, with_bias
+    ):
+        # the threshold only reaches bias induction, but is checked either way
+        bias = tmp_path / "b.txt"
+        bias.write_text(MANUAL_BIAS_TEXT, encoding="utf-8")
+        rc = dispatch(
+            [
+                "evaluate",
+                *_data_args(fixture_dir),
+                "--constant-threshold",
+                "0",
+                "--report",
+                str(tmp_path / "r.json"),
+                *(["--bias", str(bias)] if with_bias else []),
             ]
         )
         assert rc == 1
@@ -336,6 +365,32 @@ class TestDemo:
         for artifact in ("schema.txt", "examples.txt", "bias.txt", "model.dl"):
             assert (out_dir / artifact).exists()
         assert (out_dir / "model.dl.manifest.json").exists()
+
+    def test_demo_runs_the_commands_with_their_defaults(self, tmp_path):
+        demo = tmp_path / "demo"
+        assert dispatch(["demo", "--out-dir", str(demo)]) == 0
+        data = _data_args(
+            {
+                "schema": demo / "schema.txt",
+                "facts": demo / "facts",
+                "examples": demo / "examples.txt",
+            }
+        )
+        bias, model = tmp_path / "bias.txt", tmp_path / "model.dl"
+        assert dispatch(["induce-bias", *data, "--out", str(bias)]) == 0
+        assert dispatch(["learn", *data, "--bias", str(bias), "--out", str(model)]) == 0
+        assert (demo / "bias.txt").read_text() == bias.read_text()
+
+        def without_wall(path):
+            return [l for l in path.read_text().splitlines() if not l.startswith("# wall_ms")]
+
+        assert without_wall(demo / "model.dl") == without_wall(model)
+        for name in ("bias.txt", "model.dl"):
+            configs = [
+                json.loads((d / f"{name}.manifest.json").read_text())["config"]
+                for d in (demo, tmp_path)
+            ]
+            assert configs[0] == configs[1]
 
 
 def _strip_wall(report: dict) -> dict:

@@ -145,16 +145,32 @@ class TestArmg:
         assert set(out.body) <= set(worked_clause.body)
         assert covers(out, ("alice", "mary"), small_db)
 
-    def test_disconnected_literals_pruned(self, small_db):
-        clause = parse_clause(
-            "advisedBy(x,y) :- publication(z,x), publication(z,y), inPhase(w,u), "
-            'hasPosition(y,"assistant_prof").'
-        )
-        # inPhase(w,u) shares no variable with the head: once the blocking
-        # hasPosition literal goes, it must be pruned as disconnected
-        out = armg(clause, ("john", "mary"), small_db)
+    @pytest.mark.parametrize(
+        "text, kept",
+        [
+            # inPhase(w,u) shares no variable with the head: once the blocking
+            # hasPosition literal goes, it must be pruned as disconnected
+            (
+                "advisedBy(x,y) :- publication(z,x), publication(z,y), inPhase(w,u), "
+                'hasPosition(y,"assistant_prof").',
+                ["publication(z,x)", "publication(z,y)"],
+            ),
+            # hasPosition(w,p) reaches the head only through the kept
+            # publication literals, and stays; the student/inPhase group
+            # touches no head variable, and goes
+            (
+                "advisedBy(x,y) :- hasPosition(w,p), publication(z,w), "
+                "publication(z,x), student(s), inPhase(s,u), "
+                'hasPosition(y,"assistant_prof").',
+                ["publication(z,x)", "publication(z,w)", "hasPosition(w,p)"],
+            ),
+        ],
+        ids=["isolated", "chain"],
+    )
+    def test_disconnected_literals_pruned(self, small_db, text, kept):
+        out = armg(parse_clause(text), ("john", "mary"), small_db)
         assert covers(out, ("john", "mary"), small_db)
-        assert [l.relation for l in out.body] == ["publication", "publication"]
+        assert [str(l) for l in out.body] == kept
 
 
 class TestArmgIgnoresHint:
@@ -279,7 +295,6 @@ class TestLearnDefinition:
             (PredicateDecl("t", ("T1",)), PredicateDecl("r", ("T1",))),
             (ModeDecl("r", ("+",)),),
             ModeDecl("t", ("+",)),
-            5,
         )
         cfg = LearnConfig(min_precision=0.6)
         definition = learn_definition(db, ex, bias, cfg)

@@ -160,14 +160,15 @@ def _validated_rows(
     schema: RelationSchema, raw: object
 ) -> tuple[tuple[str, ...], ...]:
     """`raw` deduplicated and sorted; raises on a wrong arity or an empty value."""
-    deduped = sorted(set(tuple(r) for r in raw))
+    deduped = sorted(set(map(tuple, raw)))
+    arity = schema.arity
     for row in deduped:
-        if len(row) != schema.arity:
+        if len(row) != arity:
             raise ValidationError(
                 f"relation {schema.name}: row {row!r} does not match "
-                f"arity {schema.arity}"
+                f"arity {arity}"
             )
-        if any(v == "" for v in row):
+        if "" in row:
             raise ValidationError(
                 f"relation {schema.name}: empty value in row {row!r}"
             )
@@ -250,25 +251,28 @@ def load_database(
 
 
 def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    body = [(n, ln) for n, ln in enumerate(lines, 1) if ln.strip()]
-    if not body:
-        return []
-    header_no, header = body[0]
-    if tuple(c.strip() for c in header.split(",")) != schema.attributes:
-        raise LoadError(
-            f"{path}:{header_no}: header does not match attributes "
-            f"{','.join(schema.attributes)}"
-        )
+    arity = schema.arity
+    header_seen = False
     out: list[tuple[str, ...]] = []
-    for lineno, line in body[1:]:
-        cells = tuple(c.strip() for c in line.split(","))
-        if len(cells) != schema.arity:
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        cells = tuple(map(str.strip, line.split(",")))
+        if cells == ("",):
+            # a blank or whitespace-only line, skipped anywhere
+            continue
+        if not header_seen:
+            if cells != schema.attributes:
+                raise LoadError(
+                    f"{path}:{lineno}: header does not match attributes "
+                    f"{','.join(schema.attributes)}"
+                )
+            header_seen = True
+            continue
+        if len(cells) != arity:
             raise LoadError(
                 f"{path}:{lineno}: relation {schema.name} expects "
-                f"{schema.arity} values, got {len(cells)}"
+                f"{arity} values, got {len(cells)}"
             )
-        if any(c == "" for c in cells):
+        if "" in cells:
             raise LoadError(f"{path}:{lineno}: empty value is not allowed")
         out.append(cells)
     return out
@@ -279,8 +283,8 @@ def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleS
     path = Path(examples_file)
     if not path.is_file():
         raise LoadError(f"examples file not found: {path}")
-    positives: list[tuple[str, ...]] = []
-    negatives: list[tuple[str, ...]] = []
+    positives: dict[tuple[str, ...], None] = {}
+    negatives: dict[tuple[str, ...], None] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -299,9 +303,8 @@ def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleS
             raise LoadError(
                 f"{path}:{lineno}: expected {target.arity} values, got {args!r}"
             )
-        bucket = positives if label == "+" else negatives
-        if values not in bucket:
-            bucket.append(values)
+        # a dict keeps each example once, at its first occurrence
+        (positives if label == "+" else negatives)[values] = None
     try:
         return ExampleSet(target, tuple(positives), tuple(negatives))
     except ValidationError as exc:

@@ -9,10 +9,12 @@ code paths.
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
+from pathlib import Path
 
 from automode.clauses import Clause, Literal, Term, const, var
-from automode.errors import ValidationError
+from automode.errors import LoadError, ValidationError
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 
 
@@ -284,6 +286,73 @@ def _incoming(edges, node):
         if dst == node:
             yield src, error > 0
 
+def facts_csv_oracle(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]:
+    """The facts reader as first written: keep the numbered non-blank
+    lines, take the first as the header, then check each later line's
+    arity and cells through per-cell generators."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    body = [(n, ln) for n, ln in enumerate(lines, 1) if ln.strip()]
+    if not body:
+        return []
+    header_no, header = body[0]
+    if tuple(c.strip() for c in header.split(",")) != schema.attributes:
+        raise LoadError(
+            f"{path}:{header_no}: header does not match attributes "
+            f"{','.join(schema.attributes)}"
+        )
+    out: list[tuple[str, ...]] = []
+    for lineno, line in body[1:]:
+        cells = tuple(c.strip() for c in line.split(","))
+        if len(cells) != schema.arity:
+            raise LoadError(
+                f"{path}:{lineno}: relation {schema.name} expects "
+                f"{schema.arity} values, got {len(cells)}"
+            )
+        if any(c == "" for c in cells):
+            raise LoadError(f"{path}:{lineno}: empty value is not allowed")
+        out.append(cells)
+    return out
+
+
+_ORACLE_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_ORACLE_EXAMPLE_LINE = re.compile(rf"^([+-])\s+({_ORACLE_IDENT})\(([^()]*)\)$")
+
+
+def examples_oracle(examples_file: Path, target: RelationSchema) -> ExampleSet:
+    """The examples reader as first written: each label's examples are a
+    list, and a line is kept when a scan of that list does not find it."""
+    path = Path(examples_file)
+    if not path.is_file():
+        raise LoadError(f"examples file not found: {path}")
+    positives: list[tuple[str, ...]] = []
+    negatives: list[tuple[str, ...]] = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _ORACLE_EXAMPLE_LINE.match(line)
+        if not m:
+            raise LoadError(f"{path}:{lineno}: cannot parse example line {raw!r}")
+        label, rel, args = m.groups()
+        if rel != target.name:
+            raise LoadError(
+                f"{path}:{lineno}: example relation {rel} is not the target "
+                f"{target.name}"
+            )
+        values = tuple(v.strip() for v in args.split(","))
+        if len(values) != target.arity or any(v == "" for v in values):
+            raise LoadError(
+                f"{path}:{lineno}: expected {target.arity} values, got {args!r}"
+            )
+        bucket = positives if label == "+" else negatives
+        if values not in bucket:
+            bucket.append(values)
+    try:
+        return ExampleSet(target, tuple(positives), tuple(negatives))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 
 # -- random generators --------------------------------------------------------
 
@@ -457,3 +526,66 @@ def random_string_examples(rng: random.Random) -> ExampleSet:
     )
     split = rng.randint(0, len(drawn))
     return ExampleSet(target, tuple(drawn[:split]), tuple(drawn[split:]))
+
+
+_BLANKS = ("", " ", "\t", " \t  ", "\u3000")
+# str.splitlines boundaries; reading in text mode turns "\r\n" and "\r"
+# into "\n" before the split
+_LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x1c", "\u2028")
+
+
+def _padded(rng: random.Random, cell: str) -> str:
+    return rng.choice(_BLANKS) + cell + rng.choice(_BLANKS)
+
+
+def random_facts_csv(rng: random.Random, schema: RelationSchema) -> str:
+    """CSV text for `schema` with blank and whitespace-only lines anywhere,
+    mixed line boundaries and padded cells; at random the header does not
+    match, and one row has a wrong arity or an empty cell."""
+    lines = [rng.choice(_BLANKS) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.1:
+        return rng.choice(_LINE_ENDS).join(lines)
+    header = list(schema.attributes)
+    if rng.random() < 0.15:
+        if rng.random() < 0.5:
+            header[rng.randrange(len(header))] = "other"
+        else:
+            header.append("extra")
+    lines.append(",".join(_padded(rng, a) for a in header))
+    rows = [
+        [rng.choice(("x", "y1", "a b", "z")) for _ in range(schema.arity)]
+        for _ in range(rng.randint(0, 6))
+    ]
+    fault = rng.random()
+    if rows and fault < 0.3:
+        row = rng.choice(rows)
+        if rng.random() < 0.5 or len(row) == 1:
+            row.append("w")
+        else:
+            row.pop()
+    elif rows and fault < 0.6:
+        rng.choice(rows)[rng.randrange(schema.arity)] = ""
+    for row in rows:
+        if rng.random() < 0.3:
+            lines.append(rng.choice(_BLANKS))
+        lines.append(",".join(_padded(rng, cell) for cell in row))
+    lines += [rng.choice(_BLANKS) for _ in range(rng.randint(0, 2))]
+    return "".join(line + rng.choice(_LINE_ENDS) for line in lines)
+
+
+def random_examples_text(rng: random.Random, target: RelationSchema) -> str:
+    """Example lines over a small value pool, so duplicates are common and
+    now and then one example carries both labels; blanks, comments and
+    padding in between."""
+    lines = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(rng.choice(_BLANKS + ("# note",)))
+            continue
+        values = ",".join(
+            _padded(rng, rng.choice("abcd")) for _ in range(target.arity)
+        )
+        label = rng.choice("+-") if kind < 0.2 else "+"
+        lines.append(f"{rng.choice(_BLANKS)}{label} {target.name}({values})")
+    return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,15 @@ from automode.relstore import (
     register_target,
 )
 
-from oracles import random_db, random_string_db, random_string_examples
+from oracles import (
+    examples_oracle,
+    facts_csv_oracle,
+    random_db,
+    random_examples_text,
+    random_facts_csv,
+    random_string_db,
+    random_string_examples,
+)
 
 
 @pytest.fixture
@@ -120,6 +129,31 @@ class TestLoadDatabase:
         with pytest.raises(LoadError):
             load_database(schema, facts)
 
+    def test_reader_agrees_with_oracle_on_random_files(self, tmp_path):
+        rng = random.Random(53)
+        outcomes = {"loaded": 0, "header": 0, "arity": 0, "empty": 0}
+        for i in range(400):
+            schema = RelationSchema("r", tuple(f"a{j}" for j in range(rng.randint(1, 3))))
+            path = tmp_path / f"r{i}.csv"
+            path.write_bytes(random_facts_csv(rng, schema).encode("utf-8"))
+            try:
+                expected = facts_csv_oracle(path, schema)
+            except LoadError as exc:
+                with pytest.raises(LoadError) as got:
+                    relstore._read_facts_csv(path, schema)
+                message = str(exc)
+                assert str(got.value) == message
+                kind = (
+                    "header" if "header" in message
+                    else "arity" if "expects" in message
+                    else "empty"
+                )
+                outcomes[kind] += 1
+                continue
+            assert relstore._read_facts_csv(path, schema) == expected
+            outcomes["loaded"] += 1
+        assert all(count >= 30 for count in outcomes.values()), outcomes
+
 
 class TestExamples:
     TARGET = RelationSchema("advisedBy", ("stud", "prof"))
@@ -154,6 +188,44 @@ class TestExamples:
         _write(f, "+ other(a,b)\n")
         with pytest.raises(LoadError):
             load_examples(f, self.TARGET)
+
+    def test_reader_agrees_with_oracle_on_random_files(self, tmp_path):
+        rng = random.Random(59)
+        outcomes = {"loaded": 0, "collapsed": 0, "conflict": 0}
+        for i in range(300):
+            target = RelationSchema("t", tuple(f"a{j}" for j in range(rng.randint(1, 2))))
+            path = tmp_path / f"ex{i}.txt"
+            _write(path, random_examples_text(rng, target))
+            try:
+                expected = examples_oracle(path, target)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    load_examples(path, target)
+                assert str(got.value) == str(exc)
+                outcomes["conflict"] += 1
+                continue
+            assert load_examples(path, target) == expected
+            outcomes["loaded"] += 1
+            lines = path.read_text(encoding="utf-8").count("(")
+            outcomes["collapsed"] += len(expected.positives + expected.negatives) < lines
+        assert all(count >= 30 for count in outcomes.values()), outcomes
+
+    def test_large_file_loads_in_linear_time(self, tmp_path):
+        # 40,000 distinct lines; a per-line scan of the examples kept so
+        # far made this take about 20 s
+        f = tmp_path / "ex.txt"
+        _write(
+            f,
+            "".join(
+                f"{'+' if i % 4 else '-'} advisedBy(s{i},p{i % 97})\n"
+                for i in range(40_000)
+            ),
+        )
+        start = time.perf_counter()
+        ex = load_examples(f, self.TARGET)
+        assert time.perf_counter() - start < 5.0
+        assert len(ex.positives) == 30_000 and len(ex.negatives) == 10_000
+        assert ex.negatives[:2] == (("s0", "p0"), ("s4", "p4"))
 
 
 class TestStats:

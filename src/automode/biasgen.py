@@ -26,7 +26,9 @@ from .errors import ConfigError, LoadError, ValidationError
 from .profiler import IndSet, dedupe_bidirectional, discover_inds
 from .relstore import AttributeRef, DatabaseInstance, RelationSchema
 
-_DECL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(([^()]*)\)$")
+# whitespace may surround each item, but not split one
+_ITEM = r"\s*[^\s(),]*\s*"
+_DECL_RE = re.compile(rf"^([A-Za-z_][A-Za-z0-9_]*)\s*\(({_ITEM}(?:,{_ITEM})*)\)$")
 
 
 @dataclass(frozen=True, order=True)
@@ -364,10 +366,10 @@ def read_bias(text: str) -> BiasSpec:
         if line == "MODES:":
             section = "modes"
             continue
-        m = _DECL_RE.match(line.replace(" ", ""))
+        m = _DECL_RE.match(line)
         if not m or section is None:
             raise LoadError(f"bias line {lineno}: cannot parse {raw!r}")
-        relation, items = m.group(1), tuple(m.group(2).split(","))
+        relation, items = m.group(1), tuple(map(str.strip, m.group(2).split(",")))
         if section == "predicates":
             predicates.append(PredicateDecl(relation, items))
         else:

@@ -12,7 +12,8 @@ batches of tests should share passes through `learner.CoverageCache`.
 `find_witness` serves armg's prefix decisions: an existential
 substitution search whose subgoals, split by shared unbound variables, are
 solved by fail-first backtracking over indexed candidate rows, with
-example-independent subgoal results memoized on the database instance.
+example-independent subgoal results memoized in the caller's memo (the
+`learner.CoverageCache` of the run).
 Clause-to-clause subsumption backs the deep reduction used to keep
 generalized clauses small.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import AbstractSet, Iterable, TYPE_CHECKING
 
@@ -213,7 +215,7 @@ def covers(clause: Clause, example: tuple[str, ...], db: "DatabaseInstance") -> 
 
 
 def find_witness(
-    literals, binding: dict[Term, str], db: "DatabaseInstance"
+    literals, binding: dict[Term, str], db: "DatabaseInstance", memo
 ) -> dict[Term, str] | None:
     """A satisfying assignment for the conjunction under `binding`, or None.
 
@@ -221,9 +223,10 @@ def find_witness(
     through `covered_examples` instead. Fully bound literals are membership
     tests; the rest split into subproblems that share no unbound variable
     and are solved independently. A component's outcome depends only on its
-    literals with bound values substituted in, so per-component assignments
-    (or refutations) are memoized on the database and recur across
-    examples, clauses, and prefixes.
+    literals with bound values substituted in, so the assignment (or
+    refutation) of each component of two or more literals is stored through
+    `memo`, a get-or-compute function such as `CoverageCache.memo` over
+    `db`, and recurs across examples, clauses, and prefixes.
     """
     pending: list[Literal] = []
     for lit in literals:
@@ -236,32 +239,28 @@ def find_witness(
     components = _components(pending, binding)
     components.sort(key=len)
     out = dict(binding)
-    memo = _sat_memo(db)
     for component in components:
         if len(component) < 2:
             # singletons are cheaper to solve than to key
-            solved = _solve_component(component, binding, db)
-            if solved is None:
-                return None
-            out.update(solved)
-            continue
-        key = frozenset(_component_key(lit, binding) for lit in component)
-        hit = memo.get(key)
-        if hit is None:
-            solved = _solve_component(component, binding, db)
-            if len(memo) > 100_000:
-                memo.clear()
-            if solved is None:
-                memo[key] = False
-            else:
-                # store only this component's variables: the assignment is
-                # valid for any caller whose substituted literals match
-                memo[key] = {t: v for t, v in solved.items() if t not in binding}
-            hit = memo[key]
-        if hit is False:
+            found = _solve_component(component, binding, db, memo)
+        else:
+            key = frozenset(_component_key(lit, binding) for lit in component)
+            found = memo(key, partial(_new_values, component, binding, db, memo))
+        if found is None:
             return None
-        out.update(hit)
+        out.update(found)
     return out
+
+
+def _new_values(
+    component: list[Literal], binding: dict[Term, str], db: "DatabaseInstance", memo
+) -> dict[Term, str] | None:
+    # only this component's variables: the assignment is valid for any
+    # caller whose substituted literals match
+    solved = _solve_component(component, binding, db, memo)
+    if solved is None:
+        return None
+    return {t: v for t, v in solved.items() if t not in binding}
 
 
 def _component_key(lit: Literal, binding: dict[Term, str]) -> tuple:
@@ -277,7 +276,7 @@ def _component_key(lit: Literal, binding: dict[Term, str]) -> tuple:
 
 
 def _solve_component(
-    body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance"
+    body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance", memo
 ) -> dict[Term, str] | None:
     # fail first: branch on the literal with the fewest matching rows, then
     # solve what remains under each row's extension of the binding
@@ -301,18 +300,10 @@ def _solve_component(
             continue
         if not rest:
             return extended
-        solved = find_witness(rest, extended, db)
+        solved = find_witness(rest, extended, db, memo)
         if solved is not None:
             return solved
     return None
-
-
-def _sat_memo(db: "DatabaseInstance") -> dict:
-    memo = db.__dict__.get("_component_sat")
-    if memo is None:
-        memo = {}
-        object.__setattr__(db, "_component_sat", memo)
-    return memo
 
 
 def _image(lit: Literal, binding: dict[Term, str]) -> tuple[str, ...]:

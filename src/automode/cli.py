@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import sys
 import time
 from pathlib import Path
@@ -25,6 +24,7 @@ from .lgg import lgg_learn
 from .fixtures import materialize_small
 from .profiler import discover_inds, format_ind_set
 from .relstore import (
+    _EXAMPLE_LINE,
     ExampleSet,
     RelationSchema,
     load_database,
@@ -304,9 +304,9 @@ def _peek_arity(examples_file: Path, target: str) -> int:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = re.match(rf"^[+-]\s+{re.escape(target)}\(([^()]*)\)$", line)
-        if m:
-            return len(m.group(1).split(","))
+        m = _EXAMPLE_LINE.match(line)
+        if m and m.group(2) == target:
+            return len(m.group(3).split(","))
     raise LoadError(f"{examples_file}: no examples of target {target}")
 
 

@@ -73,13 +73,15 @@ class CoverageCache:
     """Coverage tests, and other pure steps, against one immutable database.
 
     The examples to be queried are known up front (the universe): a clause
-    is evaluated against all of them in one joined pass, and each test is
-    then a set lookup. An example outside the universe is tested on its
-    own by `covers`, without a memo.
+    is evaluated against all of them in one joined pass, kept per clause,
+    and each test is then a set lookup. An example outside the universe is
+    tested on its own by `covers`, without a memo.
 
     `memo` stores the result of any other step that reads nothing but this
-    database and its key, so runs over different example sets against the
-    same database (the folds of `cross_validate`) can share one cache. A universe larger than the
+    database (`db`) and its key: bottom clauses, armg steps, the components
+    of `clauses.find_witness`, ground bottom clauses and pairwise lggs. So
+    runs over different example sets against the same database (the folds
+    of `cross_validate`) can share one cache. A universe larger than the
     training set leaks nothing: `_cover_set`, `generalize_clause` and
     `score` only ask about training examples, and a clause's coverage of
     one example does not depend on which other examples were evaluated
@@ -291,7 +293,7 @@ def _saturate(
 def armg(
     clause: Clause,
     example: tuple[str, ...],
-    db: DatabaseInstance,
+    cache: CoverageCache,
     hint: dict[Term, str] | None = None,
 ) -> Clause:
     """Drop blocking atoms until `example` is covered.
@@ -305,7 +307,10 @@ def armg(
     satisfying assignment of the input clause (for a bottom clause, the
     saturation that built it); values consistent with it are adopted without
     search. Literals left disconnected from the head are pruned at the end.
+    The searches read `cache.db` and share their results through
+    `cache.memo`.
     """
+    db, memo = cache.db, cache.memo
     binding: dict[Term, str] = {}
     for term, value in zip(clause.head.args, example):
         if term.is_var:
@@ -342,9 +347,9 @@ def armg(
         # search; only a conflict forces re-solving the merged component
         witness = _hint_extension(lit, combined, hint, db)
         if witness is None:
-            witness = find_witness([lit], combined, db)
+            witness = find_witness([lit], combined, db, memo)
         if witness is None:
-            witness = find_witness(merged_lits, binding, db)
+            witness = find_witness(merged_lits, binding, db, memo)
         if witness is not None:
             kept.append(lit)
             untouched.append((merged_vars, merged_lits, witness))
@@ -475,7 +480,7 @@ def generalize_clause(
                 # it is no part of the key
                 c = cache.memo(
                     ("armg", b, e),
-                    lambda: fold_singleton_literals(armg(b, e, db, hint=seed_witness)),
+                    lambda: fold_singleton_literals(armg(b, e, cache, hint=seed_witness)),
                 )
                 if c not in seen:
                     seen.add(c)

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import LoadError, ValidationError
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_SCHEMA_LINE = re.compile(rf"^({_IDENT})\(({_IDENT}(?:,{_IDENT})*)\)$")
+# whitespace may surround each attribute name, but not split one
+_ATTR = rf"\s*{_IDENT}\s*"
+_SCHEMA_LINE = re.compile(rf"^({_IDENT})\s*\(({_ATTR}(?:,{_ATTR})*)\)$")
 _EXAMPLE_LINE = re.compile(rf"^([+-])\s+({_IDENT})\(([^()]*)\)$")
 
 
@@ -65,9 +68,9 @@ class DatabaseInstance:
     """An immutable set of relations.
 
     `rows` maps each relation name to its deduplicated tuples in sorted
-    order. The per-position row index behind `matching_rows` and the
-    membership sets behind `fact_set` are built on first use. Instances
-    are safe for concurrent reads.
+    order. Its only other state is two indexes over `rows`, built on first
+    use: `_fact_sets` behind `fact_set` and `_pos_index` behind
+    `matching_rows`. Instances are safe for concurrent reads.
     """
 
     schemas: tuple[RelationSchema, ...]
@@ -109,15 +112,24 @@ class DatabaseInstance:
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
+    @cached_property
+    def _fact_sets(self) -> dict[str, frozenset[tuple[str, ...]]]:
+        return {name: frozenset(rows) for name, rows in self.rows.items()}
+
+    @cached_property
+    def _pos_index(self) -> dict[tuple[str, int, str], tuple[tuple[str, ...], ...]]:
+        index: dict[tuple[str, int, str], list[tuple[str, ...]]] = {}
+        for name, rows in self.rows.items():
+            for row in rows:
+                for pos, value in enumerate(row):
+                    index.setdefault((name, pos, value), []).append(row)
+        return {k: tuple(v) for k, v in index.items()}
+
     def fact_set(self, relation: str) -> frozenset[tuple[str, ...]]:
         """Rows of `relation` as a set, for O(1) membership tests."""
-        cache = self.__dict__.get("_fact_sets")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_fact_sets", cache)
-        if relation not in cache:
-            cache[relation] = frozenset(self.relation_rows(relation))
-        return cache[relation]
+        if relation not in self.rows:
+            raise ValidationError(f"unknown relation: {relation}")
+        return self._fact_sets[relation]
 
     def matching_rows(
         self, relation: str, bound: dict[int, str]
@@ -126,7 +138,7 @@ class DatabaseInstance:
         rows = self.relation_rows(relation)
         if not bound:
             return rows
-        index = _pos_index(self)
+        index = self._pos_index
         if len(bound) == 1:
             ((pos, val),) = bound.items()
             return index.get((relation, pos, val), ())
@@ -207,10 +219,10 @@ def load_schema(schema_file: Path | str) -> tuple[RelationSchema, ...]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _SCHEMA_LINE.match(line.replace(" ", ""))
+        m = _SCHEMA_LINE.match(line)
         if not m:
             raise LoadError(f"{path}:{lineno}: cannot parse schema line {raw!r}")
-        name, attrs = m.group(1), tuple(m.group(2).split(","))
+        name, attrs = m.group(1), tuple(map(str.strip, m.group(2).split(",")))
         try:
             schemas.append(RelationSchema(name, attrs))
         except ValidationError as exc:
@@ -377,23 +389,3 @@ def _check_dumpable(values: tuple[str, ...], separators: str, where: str) -> Non
             raise ValidationError(
                 f"{where}: value {value!r} cannot be written and read back"
             )
-
-
-# -- internal indexes ----------------------------------------------------
-
-
-def _pos_index(
-    db: DatabaseInstance,
-) -> dict[tuple[str, int, str], tuple[tuple[str, ...], ...]]:
-    # lazily attached to the (immutable) instance so it is computed once
-    cached = db.__dict__.get("_pos_idx")
-    if cached is not None:
-        return cached
-    index: dict[tuple[str, int, str], list[tuple[str, ...]]] = {}
-    for schema in db.schemas:
-        for row in db.rows[schema.name]:
-            for pos, value in enumerate(row):
-                index.setdefault((schema.name, pos, value), []).append(row)
-    built = {k: tuple(v) for k, v in index.items()}
-    object.__setattr__(db, "_pos_idx", built)
-    return built

@@ -27,7 +27,13 @@ from automode.clauses import (
 )
 from automode.cli import dispatch
 from automode.evaluation import cross_validate, generate_negatives, precision_recall
-from automode.learner import LearnConfig, armg, build_bottom_clause, learn_definition
+from automode.learner import (
+    CoverageCache,
+    LearnConfig,
+    armg,
+    build_bottom_clause,
+    learn_definition,
+)
 from automode.lgg import lgg_clauses
 from automode.profiler import discover_inds
 from automode.relstore import (
@@ -239,7 +245,7 @@ def test_criterion_7c_armg_properties():
         head_only = Clause(clause.head, ())
         if not covers(head_only, example, db):
             continue  # e.g. repeated head variable with unequal values
-        out = armg(clause, example, db)
+        out = armg(clause, example, CoverageCache(db))
         assert covers(out, example, db)
         assert set(out.body) <= set(clause.body)
         for _ in range(8):

@@ -18,7 +18,7 @@ from automode.biasgen import (
     read_bias,
     write_bias,
 )
-from automode.errors import ConfigError, ValidationError
+from automode.errors import ConfigError, LoadError, ValidationError
 from automode.profiler import dedupe_bidirectional, discover_inds
 from automode.relstore import DatabaseInstance, RelationSchema
 
@@ -264,6 +264,16 @@ class TestBiasSpec:
                 (ModeDecl("student", ("-",)),),
                 ModeDecl("student", ("+",)),
             )
+
+    def test_whitespace_around_an_item_is_stripped(self, manual_bias):
+        text = MANUAL_BIAS_TEXT.replace("inPhase(T1,T2)", "inPhase(T1,\tT2)")
+        text = text.replace("publication(-,+)", "publication ( - ,\t+ )")
+        assert read_bias(text) == manual_bias
+
+    @pytest.mark.parametrize("line", ["inPhase(T1,T 2)", "inPhase(+,\t-\t#)"])
+    def test_whitespace_inside_an_item_rejected(self, line):
+        with pytest.raises(LoadError, match="cannot parse"):
+            read_bias(MANUAL_BIAS_TEXT + line + "\n")
 
     def test_body_mode_on_target_rejected(self):
         with pytest.raises(ValidationError, match="target relation"):

@@ -92,6 +92,33 @@ class TestExitCodes:
         assert rc == 1
 
 
+class TestUndeclaredTarget:
+    """A target the schema does not declare takes its arity from the first
+    example of it."""
+
+    @staticmethod
+    def _undeclare(paths, examples_text):
+        lines = paths["schema"].read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if not line.startswith("advisedBy(")]
+        paths["schema"].write_text("\n".join(kept) + "\n", encoding="utf-8")
+        paths["examples"].write_text(examples_text, encoding="utf-8")
+
+    def test_arity_from_the_first_target_example(self, fixture_dir, tmp_path):
+        text = "# comment\n\n" + fixture_dir["examples"].read_text(encoding="utf-8")
+        self._undeclare(fixture_dir, text)
+        out = tmp_path / "bias.txt"
+        rc = dispatch(["induce-bias", *_data_args(fixture_dir), "--out", str(out)])
+        assert rc == 0
+        assert "advisedBy(+,+)" in out.read_text(encoding="utf-8")
+
+    def test_no_target_example_is_load_error(self, fixture_dir, tmp_path, capsys):
+        self._undeclare(fixture_dir, "# none\n+ advisedByX(a,b)\n- other(a,b)\n")
+        out = tmp_path / "bias.txt"
+        rc = dispatch(["induce-bias", *_data_args(fixture_dir), "--out", str(out)])
+        assert rc == 1
+        assert "no examples of target advisedBy" in capsys.readouterr().err
+
+
 class TestDiscoverInds:
     def test_writes_sorted_lines_and_manifest(self, fixture_dir, tmp_path):
         out = tmp_path / "inds.txt"

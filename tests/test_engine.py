@@ -13,7 +13,7 @@ import pytest
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, covers, find_witness, parse_clause
 from automode.clauses import const, fold_singleton_literals, var
-from automode.learner import LearnConfig, learn_definition
+from automode.learner import CoverageCache, LearnConfig, learn_definition
 from automode.biasgen import induce_bias
 from automode.evaluation import generate_negatives, precision_recall
 from automode.errors import ValidationError
@@ -44,7 +44,9 @@ def head_binding(clause, example):
 
 def witness_covers(clause, example, db) -> bool:
     binding = head_binding(clause, example)
-    return binding is not None and find_witness(list(clause.body), binding, db) is not None
+    if binding is None:
+        return False
+    return find_witness(list(clause.body), binding, db, CoverageCache(db).memo) is not None
 
 
 def wide_body_cases():
@@ -72,7 +74,7 @@ class TestFindWitness:
             binding = head_binding(clause, example)
             if binding is None:
                 continue
-            witness = find_witness(list(clause.body), binding, db)
+            witness = find_witness(list(clause.body), binding, db, CoverageCache(db).memo)
             assert (witness is not None) == covers(clause, example, db)
             if witness is None:
                 continue
@@ -100,9 +102,9 @@ class TestFindWitness:
         widths: list[int] = []
         solve = clauses._solve_component
 
-        def recording(body, binding, db):
+        def recording(body, binding, db, memo):
             widths.append(len(body))
-            return solve(body, binding, db)
+            return solve(body, binding, db, memo)
 
         monkeypatch.setattr(clauses, "_solve_component", recording)
         wide = wide_covered = 0

@@ -123,14 +123,14 @@ class TestBottomClause:
 
 class TestArmg:
     def test_identity_when_already_covered(self, small_db, worked_clause):
-        assert armg(worked_clause, ("john", "mary"), small_db) == worked_clause
+        assert armg(worked_clause, ("john", "mary"), CoverageCache(small_db)) == worked_clause
 
     def test_drops_blocking_constant_literal(self, small_db, worked_clause):
         pinned = parse_clause(
             'advisedBy(x,y) :- student(x), inPhase(x,u), professor(y), '
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
-        generalized = armg(pinned, ("john", "mary"), small_db)
+        generalized = armg(pinned, ("john", "mary"), CoverageCache(small_db))
         assert covers(generalized, ("john", "mary"), small_db)
         assert [l.relation for l in generalized.body] == [
             "student",
@@ -141,7 +141,7 @@ class TestArmg:
         ]
 
     def test_body_only_shrinks(self, small_db, worked_clause):
-        out = armg(worked_clause, ("alice", "mary"), small_db)
+        out = armg(worked_clause, ("alice", "mary"), CoverageCache(small_db))
         assert set(out.body) <= set(worked_clause.body)
         assert covers(out, ("alice", "mary"), small_db)
 
@@ -168,9 +168,47 @@ class TestArmg:
         ids=["isolated", "chain"],
     )
     def test_disconnected_literals_pruned(self, small_db, text, kept):
-        out = armg(parse_clause(text), ("john", "mary"), small_db)
+        out = armg(parse_clause(text), ("john", "mary"), CoverageCache(small_db))
         assert covers(out, ("john", "mary"), small_db)
         assert [str(l) for l in out.body] == kept
+
+
+    def test_shared_memo_gives_the_fresh_cache_clauses(self):
+        # one cache serves every armg call on a database, as in a learning
+        # run; its witness memo must be reused across calls and never
+        # change a clause
+        class ForeignHits(CoverageCache):
+            """Counts memo lookups served by an entry another call stored."""
+
+            def __init__(self, db):
+                super().__init__(db)
+                self.call = None
+                self.stored_by = {}
+                self.foreign_hits = 0
+
+            def memo(self, key, compute):
+                first = self.stored_by.setdefault(key, self.call)
+                self.foreign_hits += first != self.call
+                return super().memo(key, compute)
+
+        rng = random.Random(239)
+        foreign_hits = 0
+        for _ in range(120):
+            db = random_db(rng, max_tuples=60, pool=4, max_arity=3)
+            shared = ForeignHits(db)
+            for _ in range(3):
+                clause = random_clause(
+                    rng, db, max_body=12, max_free_vars=4, allow_constants=False
+                )
+                for _ in range(4):
+                    example = random_example(rng, len(clause.head.args), pool=4)
+                    if not covers(clause_with(clause.head, ()), example, db):
+                        continue  # repeated head variable with unequal values
+                    shared.call = (clause, example)
+                    fresh = armg(clause, example, CoverageCache(db))
+                    assert armg(clause, example, shared) == fresh
+            foreign_hits += shared.foreign_hits
+        assert foreign_hits >= 50
 
 
 class TestArmgIgnoresHint:
@@ -187,7 +225,8 @@ class TestArmgIgnoresHint:
             bottom = build_bottom_clause(seed, db, bias, LearnConfig(iterations=iterations))
             hint = {term: value for value, term in bottom.var_map.items()}
             for e in ex.positives + ex.negatives:
-                assert armg(bottom.clause, e, db, hint=hint) == armg(bottom.clause, e, db)
+                with_hint = armg(bottom.clause, e, CoverageCache(db), hint=hint)
+                assert with_hint == armg(bottom.clause, e, CoverageCache(db))
 
     def test_arbitrary_hint(self):
         rng = random.Random(211)
@@ -199,7 +238,8 @@ class TestArmgIgnoresHint:
             if not covers(clause_with(clause.head, ()), example, db):
                 continue  # repeated head variable with unequal values
             hint = {t: f"c{rng.randrange(8)}" for t in clause.variables()}
-            assert armg(clause, example, db, hint=hint) == armg(clause, example, db)
+            with_hint = armg(clause, example, CoverageCache(db), hint=hint)
+            assert with_hint == armg(clause, example, CoverageCache(db))
             checked += 1
 
 
@@ -282,6 +322,11 @@ class TestLearnDefinition:
         definition = learn_definition(small_db, ex, auto_bias, LearnConfig())
         assert len(definition.clauses) == 1
         assert isomorphic(definition.clauses[0], worked_clause)
+
+    def test_leaves_only_its_indexes_on_the_database(self, small_db, auto_bias):
+        # what a run memoizes lives in its CoverageCache, not on the database
+        learn_definition(small_db, fixtures.small_examples(), auto_bias, LearnConfig())
+        assert set(vars(small_db)) <= {"schemas", "rows", "_fact_sets", "_pos_index"}
 
     def test_empty_positives_give_empty_definition(self, small_db, auto_bias):
         ex = ExampleSet(small_db.schema("advisedBy"), (), ())

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -64,6 +66,19 @@ class TestSchemaFile:
         _, schema, _ = workspace
         _write(schema, "r(a,a)\n")
         with pytest.raises(LoadError):
+            load_schema(schema)
+
+    def test_whitespace_around_a_name_is_stripped(self, workspace):
+        # a tab is whitespace like a space, as in a facts header
+        _, schema, _ = workspace
+        _write(schema, "r(a,\tb)\ns ( c ,\u00a0d\t)\n")
+        assert [s.attributes for s in load_schema(schema)] == [("a", "b"), ("c", "d")]
+
+    @pytest.mark.parametrize("line", ["r(a b,c)", "r(a,b\tc)"])
+    def test_whitespace_inside_a_name_rejected(self, workspace, line):
+        _, schema, _ = workspace
+        _write(schema, line + "\n")
+        with pytest.raises(LoadError, match="cannot parse schema line"):
             load_schema(schema)
 
 
@@ -362,6 +377,37 @@ class TestIndexAndRoundTrip:
                 if all(row[p] == v for p, v in bound.items())
             )
             assert db.matching_rows(schema.name, bound) == expected
+
+    def test_indexes_agree_under_concurrent_first_reads(self):
+        # the indexes are built on first use, with no lock from Python 3.12
+        # on: threads that race to build them must all read the stored rows
+        rng = random.Random(53)
+        errors: list[AssertionError] = []
+
+        def read(db):
+            try:
+                for schema in db.schemas:
+                    rows = db.relation_rows(schema.name)
+                    assert db.fact_set(schema.name) == frozenset(rows)
+                    for row in rows:
+                        assert row in db.matching_rows(schema.name, {0: row[0]})
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                db = random_db(rng, max_arity=3, max_tuples=200)
+                threads = [threading.Thread(target=read, args=(db,)) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_examples_round_trip(self, tmp_path):
         ex = fixtures.small_examples()

@@ -26,8 +26,8 @@ from .errors import ConfigError, LoadError, ValidationError
 from .profiler import IndSet, dedupe_bidirectional, discover_inds
 from .relstore import AttributeRef, DatabaseInstance, RelationSchema
 
-# whitespace may surround each item, but not split one
-_ITEM = r"\s*[^\s(),]*\s*"
+# whitespace may surround each item, but not split one; no item is empty
+_ITEM = r"\s*[^\s(),]+\s*"
 _DECL_RE = re.compile(rf"^([A-Za-z_][A-Za-z0-9_]*)\s*\(({_ITEM}(?:,{_ITEM})*)\)$")
 
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import AbstractSet, Iterable, TYPE_CHECKING
+from typing import AbstractSet, Iterable, NamedTuple, TYPE_CHECKING
 
 from .errors import ValidationError
 
@@ -33,17 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .relstore import DatabaseInstance
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+class Term(NamedTuple):
     symbol: str
     is_var: bool
-
-    def __post_init__(self) -> None:
-        # terms are hashed constantly (bindings, memo keys): compute once
-        object.__setattr__(self, "_hash", hash((self.symbol, self.is_var)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
 
 def var(name: str) -> Term:
@@ -54,16 +46,9 @@ def const(value: str) -> Term:
     return Term(value, False)
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(NamedTuple):
     relation: str
     args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.relation, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     def variables(self) -> tuple[Term, ...]:
         return tuple(a for a in self.args if a.is_var)
@@ -72,16 +57,9 @@ class Literal:
         return f"{self.relation}({','.join(_render_term(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     head: Literal
     body: tuple[Literal, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.head, self.body)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     def variables(self) -> tuple[Term, ...]:
         seen: dict[Term, None] = {}
@@ -153,48 +131,53 @@ def parse_clause(text: str) -> Clause:
     if not text.endswith("."):
         raise ValidationError(f"clause must end with '.': {text!r}")
     text = text[:-1]
-    if ":-" in text:
-        head_part, body_part = text.split(":-", 1)
-    else:
-        head_part, body_part = text, ""
-    head = _parse_literal_list(head_part)
-    if len(head) != 1:
-        raise ValidationError(f"expected exactly one head literal: {text!r}")
-    return Clause(head[0], tuple(_parse_literal_list(body_part)))
+    # the head first: a quoted head constant may itself contain ':-'
+    head, pos = _parse_literal(text, 0)
+    rest = text[pos:].strip()
+    if not rest:
+        return Clause(head, ())
+    if not rest.startswith(":-"):
+        raise ValidationError(f"expected ':-' after the head literal: {text!r}")
+    return Clause(head, tuple(_parse_literal_list(rest[2:])))
 
 
 def _parse_literal_list(text: str) -> list[Literal]:
     out: list[Literal] = []
     pos = 0
     while pos < len(text):
-        m = _LIT_RE.match(text, pos)
-        if not m:
+        if not _LIT_RE.match(text, pos):
             if text[pos:].strip(", "):
                 raise ValidationError(f"cannot parse literals at {text[pos:]!r}")
             break
-        relation = m.group(1)
-        pos = m.end()
-        args: list[Term] = []
-        while True:
-            t = _TERM_RE.match(text, pos)
-            if not t:
-                raise ValidationError(f"cannot parse term at {text[pos:]!r}")
-            if t.group(1) is not None:
-                args.append(const(t.group(1).replace('\\"', '"').replace("\\\\", "\\")))
-            else:
-                args.append(var(t.group(2)))
-            pos = t.end()
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-                break
-            raise ValidationError(f"expected ',' or ')' at {text[pos:]!r}")
-        out.append(Literal(relation, tuple(args)))
+        lit, pos = _parse_literal(text, pos)
+        out.append(lit)
         while pos < len(text) and text[pos] in ", ":
             pos += 1
     return out
+
+
+def _parse_literal(text: str, pos: int) -> tuple[Literal, int]:
+    """The literal that starts at `pos`, and the position after its ')'."""
+    m = _LIT_RE.match(text, pos)
+    if not m:
+        raise ValidationError(f"cannot parse literal at {text[pos:]!r}")
+    pos = m.end()
+    args: list[Term] = []
+    while True:
+        t = _TERM_RE.match(text, pos)
+        if not t:
+            raise ValidationError(f"cannot parse term at {text[pos:]!r}")
+        if t.group(1) is not None:
+            args.append(const(t.group(1).replace('\\"', '"').replace("\\\\", "\\")))
+        else:
+            args.append(var(t.group(2)))
+        pos = t.end()
+        if pos < len(text) and text[pos] == ",":
+            pos += 1
+            continue
+        if pos < len(text) and text[pos] == ")":
+            return Literal(m.group(1), tuple(args)), pos + 1
+        raise ValidationError(f"expected ',' or ')' at {text[pos:]!r}")
 
 
 # -- coverage against a database ------------------------------------------

@@ -270,7 +270,16 @@ class TestBiasSpec:
         text = text.replace("publication(-,+)", "publication ( - ,\t+ )")
         assert read_bias(text) == manual_bias
 
-    @pytest.mark.parametrize("line", ["inPhase(T1,T 2)", "inPhase(+,\t-\t#)"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "inPhase(T1,T 2)",
+            "inPhase(+,\t-\t#)",
+            "inPhase(+,)",
+            "PREDICATES:\nr(T1,,T2)",
+            "PREDICATES:\nr()",
+        ],
+    )
     def test_whitespace_inside_an_item_rejected(self, line):
         with pytest.raises(LoadError, match="cannot parse"):
             read_bias(MANUAL_BIAS_TEXT + line + "\n")

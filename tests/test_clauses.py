@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from automode import clauses, fixtures
+from automode import clauses, fixtures, learner
 from automode.clauses import (
     Clause,
     HornDefinition,
     Literal,
+    Term,
     canonical_text,
     conforms,
     const,
@@ -32,9 +33,48 @@ from oracles import (
     random_db,
     random_example,
     random_generalization,
+    random_value,
     reduction_oracle,
     subsumes_oracle,
 )
+
+
+class TestValueSemantics:
+    """Terms, literals and clauses are plain tuples of their fields."""
+
+    def test_no_state_beyond_the_fields(self, worked_clause):
+        for value in (var("x"), worked_clause.head, worked_clause):
+            with pytest.raises(TypeError):
+                vars(value)
+
+    def test_hash_is_the_tuple_hash(self):
+        assert hash(var("x")) == hash(("x", True))
+        lit = Literal("r", (var("x"), const("a")))
+        assert hash(lit) == hash(("r", (("x", True), ("a", False))))
+
+    def test_terms_sort_by_symbol_then_kind(self):
+        terms = [var("b"), const("b"), var("a"), const("c"), const("a")]
+        assert sorted(terms) == [
+            const("a"), var("a"), const("b"), var("b"), const("c")
+        ]
+
+    def test_equal_clause_built_apart_reuses_cached_coverage(self, monkeypatch):
+        joined = []
+        evaluate = learner.covered_examples
+
+        def recording(clause, examples, db):
+            joined.append(clause)
+            return evaluate(clause, examples, db)
+
+        monkeypatch.setattr(learner, "covered_examples", recording)
+        text = "advisedBy(x,y) :- publication(z,x), publication(z,y)."
+        cache = learner.CoverageCache(fixtures.small_database(), [("alice", "bob")])
+        first, second = parse_clause(text), parse_clause(text)
+        assert first == second and first is not second
+        assert first.body[0] is not second.body[0]
+        assert cache.covers(first, ("alice", "bob"))
+        assert cache.covers(second, ("alice", "bob"))
+        assert joined == [first]
 
 
 class TestTextFormat:
@@ -51,6 +91,26 @@ class TestTextFormat:
     def test_round_trip_with_escapes(self):
         clause = Clause(Literal("r", (const('a"b\\c'),)), ())
         assert parse_clause(render_clause(clause)) == clause
+        # constants with quotes, backslashes, separators and line breaks,
+        # some holding ':-' or '.', in the head as well as in the body
+        rng = random.Random(131)
+
+        def term() -> Term:
+            if rng.random() < 0.3:
+                return var(f"v{rng.randrange(4)}")
+            value = random_value(rng, hazard_rate=0.3)
+            if rng.random() < 0.3:
+                k = rng.randint(0, len(value))
+                value = value[:k] + rng.choice((":-", ".")) + value[k:]
+            return const(value)
+
+        def literal(relation: str) -> Literal:
+            return Literal(relation, tuple(term() for _ in range(rng.randint(1, 3))))
+
+        for _ in range(1000):
+            body = tuple(literal(rng.choice("pq")) for _ in range(rng.randint(0, 3)))
+            clause = Clause(literal("t"), body)
+            assert parse_clause(render_clause(clause)) == clause
 
     def test_head_only_clause(self):
         clause = parse_clause("t(x,y).")

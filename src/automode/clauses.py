@@ -138,7 +138,10 @@ def parse_clause(text: str) -> Clause:
         return Clause(head, ())
     if not rest.startswith(":-"):
         raise ValidationError(f"expected ':-' after the head literal: {text!r}")
-    return Clause(head, tuple(_parse_literal_list(rest[2:])))
+    body = _parse_literal_list(rest[2:])
+    if not body:
+        raise ValidationError(f"expected a body literal after ':-': {text!r}")
+    return Clause(head, tuple(body))
 
 
 def _parse_literal_list(text: str) -> list[Literal]:
@@ -373,16 +376,10 @@ def covered_examples(
     head_vars = tuple(dict.fromkeys(clause.head.variables()))
     example_rows: dict[tuple[str, ...], tuple[str, ...]] = {}
     for example in examples:
-        assignment: dict[Term, str] = {}
-        ok = len(example) == len(clause.head.args)
-        for term, value in zip(clause.head.args, example):
-            if not ok:
-                break
-            if term.is_var:
-                ok = assignment.setdefault(term, value) == value
-            else:
-                ok = term.symbol == value
-        if ok:
+        if len(example) != len(clause.head.args):
+            continue
+        assignment = _extend(clause.head, example, {})
+        if assignment is not None:
             example_rows[tuple(assignment[v] for v in head_vars)] = tuple(example)
     factors: list[tuple[tuple[Term, ...], AbstractSet[tuple[str, ...]]]] = [
         (head_vars, set(example_rows))
@@ -749,7 +746,7 @@ def fold_singleton_literals(clause: Clause) -> Clause:
         i = next(
             (k for k in range(i) if not singles.isdisjoint(body[k].args)), i
         )
-    return clause_with(clause.head, body)
+    return Clause(clause.head, tuple(body))
 
 
 def _deep_reduce(clause: Clause) -> Clause:
@@ -798,11 +795,7 @@ def _deep_reduce(clause: Clause) -> Clause:
         image = {
             Literal(k.relation, tuple(theta.get(a, a) for a in k.args)) for k in body
         }
-    return clause_with(clause.head, body)
-
-
-def clause_with(head: Literal, body: Iterable[Literal]) -> Clause:
-    return Clause(head, tuple(body))
+    return Clause(clause.head, tuple(body))
 
 
 # -- bias conformance --------------------------------------------------------

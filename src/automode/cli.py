@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .biasgen import induce_bias, read_bias, write_bias
+from .biasgen import BiasSpec, induce_bias, read_bias, write_bias
 from .errors import AutomodeError, ConfigError, LoadError
 from .evaluation import cross_validate, generate_negatives, precision_recall
 from .learner import CoverageCache, LearnConfig, learn_definition
@@ -164,12 +164,8 @@ def _cmd_induce_bias(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    bias = read_bias(args.bias.read_text(encoding="utf-8"))
-    target = args.target or bias.head_mode.relation
-    if target != bias.head_mode.relation:
-        raise LoadError(
-            f"--target {target} does not match the bias head {bias.head_mode.relation}"
-        )
+    bias = _read_bias(args.bias, args.target)
+    target = bias.head_mode.relation
     db = load_database(args.schema, args.facts, examples_backed=(target,))
     schema = _target_schema(db, target, len(bias.head_mode.symbols))
     examples = load_examples(args.examples, schema)
@@ -210,6 +206,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.constant_threshold < 1:
         raise ConfigError("constant threshold must be >= 1")
+    bias = _read_bias(args.bias, args.target) if args.bias is not None else None
     db = load_database(args.schema, args.facts, examples_backed=(args.target,))
     schema = _target_schema(db, args.target, _peek_arity(args.examples, args.target))
     examples = load_examples(args.examples, schema)
@@ -222,9 +219,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         examples = ExampleSet(schema, examples.positives, negatives)
         _note(f"generated {len(negatives)} closed-world negatives")
     db = register_target(db, examples)
-    if args.bias is not None:
-        bias = read_bias(args.bias.read_text(encoding="utf-8"))
-    else:
+    if bias is None:
         started = time.perf_counter()
         bias = induce_bias(db, args.target, args.alpha, args.constant_threshold)
         _note(f"bias induction took {_ms(started)} ms")
@@ -291,6 +286,15 @@ def _load(args: argparse.Namespace, register: bool):
         examples = load_examples(args.examples, schema)
         db = register_target(db, examples)
     return db
+
+
+def _read_bias(path: Path, target: str | None) -> BiasSpec:
+    """The bias file at `path`, whose head must be `target` when one is given."""
+    bias = read_bias(path.read_text(encoding="utf-8"))
+    head = bias.head_mode.relation
+    if target and target != head:
+        raise LoadError(f"--target {target} does not match the bias head {head}")
+    return bias
 
 
 def _target_schema(db, target: str, arity: int) -> RelationSchema:

@@ -10,6 +10,7 @@ rejected seeds are discarded so the outer loop always terminates.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -20,12 +21,12 @@ from .clauses import (
     HornDefinition,
     Literal,
     Term,
-    _components,
+    _extend,
+    apply_renaming,
     canonical_text,
     covered_examples,
     find_witness,
     fold_singleton_literals,
-    clause_with,
     covers,
     minimize,
     var,
@@ -148,7 +149,7 @@ def build_bottom_clause(
     for pos, value in enumerate(example):
         head_args.append(state.bind(value, target, pos))
     head = Literal(target, tuple(head_args))
-    body = _saturate(example, db, cfg, state, ground=False)
+    body = _saturate(example, db, cfg, state)
     return BottomClause(Clause(head, body), tuple(example), state.var_map)
 
 
@@ -159,20 +160,12 @@ def ground_bottom_clause(
     predicates: tuple,
     cfg: LearnConfig,
 ) -> Clause:
-    """Ground variant used by the lgg learner: constants stay constants and
-    every relation is reachable through implicit one-'+' modes."""
-    schema = db.schema(target)
-    if len(example) != schema.arity:
-        raise ValidationError(
-            f"example arity {len(example)} does not match target {target}"
-        )
-    bias = _implicit_bias(db, target, predicates)
-    state = _SaturationState(bias)
-    for pos, value in enumerate(example):
-        state.bind(value, target, pos)
-    head = Literal(target, tuple(Term(v, False) for v in example))
-    body = _saturate(example, db, cfg, state, ground=True)
-    return Clause(head, body)
+    """Ground variant used by the lgg learner: the bottom clause under
+    implicit one-'+' modes for every relation, with each variable put back
+    to the constant it stands for."""
+    bottom = build_bottom_clause(example, db, _implicit_bias(db, target, predicates), cfg)
+    constants = {term: Term(value, False) for value, term in bottom.var_map.items()}
+    return apply_renaming(bottom.clause, constants)
 
 
 def _implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
@@ -212,7 +205,7 @@ class _SaturationState:
         return fresh
 
     def try_mode(
-        self, relation: str, row: tuple[str, ...], symbols: tuple[str, ...], ground: bool
+        self, relation: str, row: tuple[str, ...], symbols: tuple[str, ...]
     ) -> tuple[Literal, list[str]] | None:
         """Literal for `row` under one mode, or None if the mode fails.
 
@@ -237,11 +230,10 @@ class _SaturationState:
                     return None
                 pending[value] = joined
         self.prov.update(pending)
-        if not ground:
-            for value in minted:
-                self.var_map[value] = var(f"v{len(self.var_map)}")
+        for value in minted:
+            self.var_map[value] = var(f"v{len(self.var_map)}")
         args = tuple(
-            Term(value, False) if (sym == "#" or ground) else self.var_map[value]
+            Term(value, False) if sym == "#" else self.var_map[value]
             for value, sym in zip(row, symbols)
         )
         return Literal(relation, args), minted
@@ -252,7 +244,6 @@ def _saturate(
     db: DatabaseInstance,
     cfg: LearnConfig,
     state: _SaturationState,
-    ground: bool,
 ) -> tuple[Literal, ...]:
     body: list[Literal] = []
     emitted: set[Literal] = set()
@@ -273,7 +264,7 @@ def _saturate(
                 if not frontier_set.intersection(row):
                     continue
                 for mode in modes:
-                    result = state.try_mode(schema.name, row, mode.symbols, ground)
+                    result = state.try_mode(schema.name, row, mode.symbols)
                     if result is None:
                         continue
                     literal, minted = result
@@ -306,20 +297,14 @@ def armg(
     so each decision is a local witness search. `hint` may carry a known
     satisfying assignment of the input clause (for a bottom clause, the
     saturation that built it); values consistent with it are adopted without
-    search. Literals left disconnected from the head are pruned at the end.
-    The searches read `cache.db` and share their results through
-    `cache.memo`.
+    search. `_connected_order` then drops the kept literals that no chain of
+    shared variables joins to the head and orders the rest. The searches
+    read `cache.db` and share their results through `cache.memo`.
     """
     db, memo = cache.db, cache.memo
-    binding: dict[Term, str] = {}
-    for term, value in zip(clause.head.args, example):
-        if term.is_var:
-            if binding.setdefault(term, value) != value:
-                raise ValidationError(
-                    f"head {clause.head} cannot cover {example} at all"
-                )
-        elif term.symbol != value:
-            raise ValidationError(f"head {clause.head} cannot cover {example} at all")
+    binding = _extend(clause.head, example, {})
+    if binding is None:
+        raise ValidationError(f"head {clause.head} cannot cover {example} at all")
     hint = hint or {}
 
     kept: list[Literal] = []
@@ -355,8 +340,7 @@ def armg(
             untouched.append((merged_vars, merged_lits, witness))
             components = untouched
         # otherwise lit is the blocking atom of the kept prefix: drop it
-    kept = _head_connected(clause.head, kept)
-    return clause_with(clause.head, _connected_order(clause.head, kept))
+    return Clause(clause.head, tuple(_connected_order(clause.head, kept)))
 
 
 def _hint_extension(
@@ -378,40 +362,31 @@ def _hint_extension(
         image.append(value)
     if tuple(image) not in db.fact_set(lit.relation):
         return None
-    witness = dict(combined)
-    for term, value in zip(lit.args, image):
-        if term.is_var:
-            witness[term] = value
-    return witness
+    return _extend(lit, image, combined)
 
 
 def _connected_order(head: Literal, body: list[Literal]) -> list[Literal]:
-    """Stable reorder so every literal shares a variable with what precedes it."""
-    seen = set(head.variables())
-    remaining = list(body)
+    """The literals of `body` that a chain of shared variables joins to the
+    head, each placed at the earliest body position that shares a variable
+    with the head or with a literal already placed."""
+    holders: dict[Term, list[int]] = {}
+    for i, lit in enumerate(body):
+        for v in lit.variables():
+            holders.setdefault(v, []).append(i)
+    reached: list[int] = []  # a heap of the positions joined to what is placed
+    pushed: set[int] = set()
     ordered: list[Literal] = []
-    while remaining:
-        pick = next(
-            (i for i, lit in enumerate(remaining) if set(lit.variables()) & seen),
-            None,
-        )
-        if pick is None:
-            ordered.extend(remaining)
-            break
-        lit = remaining.pop(pick)
+    lit = head
+    while True:
+        for v in lit.variables():
+            for i in holders.pop(v, ()):
+                if i not in pushed:
+                    pushed.add(i)
+                    heapq.heappush(reached, i)
+        if not reached:
+            return ordered
+        lit = body[heapq.heappop(reached)]
         ordered.append(lit)
-        seen |= set(lit.variables())
-    return ordered
-
-
-def _head_connected(head: Literal, body: list[Literal]) -> list[Literal]:
-    """The literals of `body` joined to a head variable, in body order."""
-    head_vars = set(head.variables())
-    kept: set[Literal] = set()
-    for group in _components(body, {}):
-        if any(not head_vars.isdisjoint(k.variables()) for k in group):
-            kept.update(group)
-    return [lit for lit in body if lit in kept]
 
 
 def score(
@@ -473,7 +448,7 @@ def generalize_clause(
             for e in sample:
                 if cache.covers(b, e):
                     continue
-                if not cache.covers(clause_with(b.head, ()), e):
+                if not cache.covers(Clause(b.head, ()), e):
                     continue  # head shape (e.g. repeated variable) cannot fit e
                 # armg keeps exactly the literals jointly satisfiable with
                 # the kept prefix; the hint only speeds up the search, so
@@ -529,11 +504,7 @@ def learn_definition(
         ("bottom inputs", bias, cfg.iterations, cfg.per_relation_cap), object
     )
 
-    def learn_one(
-        uncovered: list[tuple[str, ...]],
-        rng: random.Random,
-        cache: CoverageCache,
-    ) -> Clause:
+    def learn_one(uncovered: list[tuple[str, ...]], rng: random.Random) -> Clause:
         seed = uncovered[0]
         bottom = cache.memo(
             ("bottom", inputs, seed), lambda: build_bottom_clause(seed, db, bias, cfg)
@@ -560,7 +531,7 @@ def _cover_set(
     db: DatabaseInstance,
     examples: ExampleSet,
     cfg: LearnConfig,
-    learn_one: Callable[[list, random.Random, CoverageCache], Clause],
+    learn_one: Callable[[list, random.Random], Clause],
     cache: CoverageCache,
 ) -> HornDefinition:
     positives = list(examples.positives)
@@ -572,7 +543,7 @@ def _cover_set(
     uncovered = list(positives)
     while uncovered:
         seed = uncovered[0]
-        clause = learn_one(uncovered, rng, cache)
+        clause = learn_one(uncovered, rng)
         tp, fp = _coverage_counts(
             clause, examples.positives, examples.negatives, cache
         )

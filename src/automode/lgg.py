@@ -97,11 +97,13 @@ def lgg_learn(
     """Cover-set learning where each clause is a fold of lgg over the
     ground bottom clauses of sampled positives.
 
-    Refuses databases above `guard` tuples: repeated generalization grows
-    clauses multiplicatively and evaluation cost becomes prohibitive well
-    before memory does. A shared `cache`, whose universe should hold every
-    training example, also keeps each ground bottom clause, reduced seed
-    clause and pairwise lgg for the later runs that share it.
+    The fold starts from the seed's ground bottom clause itself, which is
+    its own core: its body holds no duplicate, and a ground literal maps
+    only onto itself. Refuses databases above `guard` tuples: repeated
+    generalization grows clauses multiplicatively and evaluation cost
+    becomes prohibitive well before memory does. A shared `cache`, whose
+    universe should hold every training example, also keeps each ground
+    bottom clause and pairwise lgg for the later runs that share it.
     """
     total = db.total_tuples()
     if total > guard:
@@ -129,18 +131,12 @@ def lgg_learn(
             lambda: ground_bottom_clause(example, db, target, predicates, cfg),
         )
 
-    def learn_one(
-        uncovered: list[tuple[str, ...]],
-        rng: random.Random,
-        cache: CoverageCache,
-    ) -> Clause:
+    def learn_one(uncovered: list[tuple[str, ...]], rng: random.Random) -> Clause:
         seed = uncovered[0]
         sampled = set(rng.sample(uncovered, min(cfg.sample_size, len(uncovered))))
         sampled.add(seed)
         fold = [seed] + [e for e in uncovered[1:] if e in sampled]
-        clause = cache.memo(
-            ("reduced seed", inputs, seed), lambda: minimize(ground(seed), deep=True)
-        )
+        clause = ground(seed)
         best = score(clause, uncovered, examples.negatives, db, cache)
         for example in fold[1:]:
             bottom = ground(example)

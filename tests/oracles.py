@@ -13,6 +13,7 @@ import re
 from itertools import product
 from pathlib import Path
 
+from automode.biasgen import BiasSpec, ModeDecl
 from automode.clauses import Clause, Literal, Term, const, var
 from automode.errors import LoadError, ValidationError
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
@@ -187,6 +188,121 @@ def fold_oracle(clause: Clause) -> Clause:
             if changed:
                 break
     return Clause(clause.head, tuple(body))
+
+
+def ground_bottom_oracle(
+    example: tuple[str, ...],
+    db: DatabaseInstance,
+    target: str,
+    predicates: tuple,
+    cfg,
+) -> Clause:
+    """The ground bottom clause as first written: a saturation mode of its
+    own that never names a variable. Every relation but the target gets
+    one mode per position, '+' there and '-' elsewhere; a row joins through
+    its first mode whose '+' values are known and whose values' accumulated
+    types still meet the position's, and its literal keeps its constants."""
+    schema = db.schema(target)
+    if len(example) != schema.arity:
+        raise ValidationError(
+            f"example arity {len(example)} does not match target {target}"
+        )
+    modes = []
+    for s in db.schemas:
+        if s.name == target:
+            continue
+        for plus in range(s.arity):
+            symbols = tuple("+" if i == plus else "-" for i in range(s.arity))
+            modes.append(ModeDecl(s.name, symbols))
+    bias = BiasSpec(tuple(predicates), tuple(modes), ModeDecl(target, ("+",) * schema.arity))
+    prov: dict[str, frozenset[str]] = {}
+    for pos, value in enumerate(example):
+        types = bias.position_types(target, pos)
+        prov[value] = prov[value] & types if value in prov else types
+
+    def try_mode(relation, row, symbols):
+        pending: dict[str, frozenset[str]] = {}
+        minted: list[str] = []
+        for pos, (value, sym) in enumerate(zip(row, symbols)):
+            types_here = bias.position_types(relation, pos)
+            previous = pending.get(value, prov.get(value))
+            if previous is None:
+                if sym == "+":
+                    return None
+                pending[value] = types_here
+                minted.append(value)
+            else:
+                joined = previous & types_here
+                if not joined:
+                    return None
+                pending[value] = joined
+        prov.update(pending)
+        return Literal(relation, tuple(Term(value, False) for value in row)), minted
+
+    body: list[Literal] = []
+    emitted: set[Literal] = set()
+    frontier = list(dict.fromkeys(example))
+    for _ in range(cfg.iterations):
+        if not frontier:
+            break
+        frontier_set = set(frontier)
+        added: list[str] = []
+        for s in db.schemas:
+            relation_modes = bias.modes_for(s.name)
+            if not relation_modes:
+                continue
+            produced = 0
+            for row in db.relation_rows(s.name):
+                if produced >= cfg.per_relation_cap:
+                    break
+                if not frontier_set.intersection(row):
+                    continue
+                for mode in relation_modes:
+                    result = try_mode(s.name, row, mode.symbols)
+                    if result is None:
+                        continue
+                    literal, minted = result
+                    if literal not in emitted:
+                        emitted.add(literal)
+                        body.append(literal)
+                        produced += 1
+                        added.extend(minted)
+                    break  # first satisfied mode wins
+        frontier = list(dict.fromkeys(added))
+    head = Literal(target, tuple(Term(v, False) for v in example))
+    return Clause(head, tuple(body))
+
+
+def connected_order_oracle(head: Literal, body: list[Literal]) -> list[Literal]:
+    """armg's tail as first written, in two passes. First keep, in body
+    order, the literals whose variables reach a head variable through a
+    chain of literals sharing variables (grown to a fixpoint); then
+    repeatedly move the first remaining literal sharing a variable with the
+    head or the literals moved so far to the end of the output."""
+    reach = set(head.variables())
+    changed = True
+    while changed:
+        changed = False
+        for lit in body:
+            lit_vars = set(lit.variables())
+            if lit_vars & reach and not lit_vars <= reach:
+                reach |= lit_vars
+                changed = True
+    remaining = [lit for lit in body if set(lit.variables()) & reach]
+    seen = set(head.variables())
+    ordered: list[Literal] = []
+    while remaining:
+        pick = next(
+            (i for i, lit in enumerate(remaining) if set(lit.variables()) & seen),
+            None,
+        )
+        if pick is None:
+            ordered.extend(remaining)
+            break
+        lit = remaining.pop(pick)
+        ordered.append(lit)
+        seen |= set(lit.variables())
+    return ordered
 
 
 def negatives_oracle(

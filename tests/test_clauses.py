@@ -123,9 +123,15 @@ class TestTextFormat:
         )
         assert canonical_text(renamed) == canonical_text(worked_clause)
 
-    def test_parse_rejects_garbage(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["not a clause", "t(x) :- .", "t(x) :- , ."],
+        ids=["garbage", "empty-body", "separators-only"],
+    )
+    def test_parse_rejects_garbage(self, text):
+        # a body lost after ':-' must not read back as a fact covering everything
         with pytest.raises(ValidationError):
-            parse_clause("not a clause")
+            parse_clause(text)
 
 
 class TestCovers:

@@ -79,6 +79,23 @@ class TestExitCodes:
         assert rc == 1
         assert "threshold must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["learn", "evaluate"])
+    def test_bias_head_other_than_target_is_validation_error(
+        self, fixture_dir, tmp_path, capsys, command
+    ):
+        bias = tmp_path / "b.txt"
+        text = MANUAL_BIAS_TEXT.replace("hasPosition(+,-)\n", "")
+        bias.write_text(text.replace("advisedBy(+,+)", "hasPosition(+,+)"), encoding="utf-8")
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "learn" else "--report"
+        rc = dispatch(
+            [command, *_data_args(fixture_dir), "--bias", str(bias), out_flag, str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "does not match the bias head hasPosition" in err
+        assert not out.exists()
+
     def test_missing_input_file_is_validation_error(self, tmp_path):
         rc = dispatch(
             [

@@ -8,10 +8,11 @@ import pytest
 
 from automode import fixtures
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
-from automode.clauses import clause_with, conforms, covers, parse_clause
+from automode.clauses import Clause, Literal, conforms, const, covers, parse_clause, var
 from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     BottomClause,
+    _connected_order,
     CoverageCache,
     LearnConfig,
     armg,
@@ -24,7 +25,13 @@ from automode.learner import (
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 
 from conftest import MANUAL_BIAS_TEXT
-from oracles import isomorphic, random_clause, random_db, random_example
+from oracles import (
+    connected_order_oracle,
+    isomorphic,
+    random_clause,
+    random_db,
+    random_example,
+)
 
 
 @pytest.fixture
@@ -172,6 +179,38 @@ class TestArmg:
         assert covers(out, ("john", "mary"), small_db)
         assert [str(l) for l in out.body] == kept
 
+    def test_connected_order_matches_two_pass_oracle(self):
+        rng = random.Random(331)
+        head_vars = [var("x0"), var("x1")]
+        free = [var(f"y{i}") for i in range(6)]
+        reordered = dropped = 0
+        for _ in range(400):
+            head = Literal("t", tuple(head_vars[: rng.randint(1, 2)]))
+
+            def term():
+                roll = rng.random()
+                if roll < 0.15:
+                    return rng.choice(head.args)
+                return rng.choice(free) if roll < 0.85 else const(f"c{rng.randrange(3)}")
+
+            body = [
+                Literal(rng.choice("pqr"), tuple(term() for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(0, 8))
+            ]
+            # a chain from the head through fresh variables, at random positions
+            chain = [head.args[0], *(var(f"z{i}") for i in range(rng.randint(0, 3)))]
+            for a, b in reversed(list(zip(chain, chain[1:]))):
+                body.insert(rng.randint(0, len(body)), Literal("s", (a, b)))
+            if rng.random() < 0.3:  # an all-constant literal
+                body.insert(rng.randint(0, len(body)), Literal("q", (const("c0"),)))
+            if body and rng.random() < 0.3:  # a duplicate literal
+                body.insert(rng.randint(0, len(body)), rng.choice(body))
+            out = _connected_order(head, body)
+            assert out == connected_order_oracle(head, body)
+            kept = set(out)
+            reordered += out != [lit for lit in body if lit in kept]
+            dropped += len(out) < len(body)
+        assert reordered >= 50 and dropped >= 50
 
     def test_shared_memo_gives_the_fresh_cache_clauses(self):
         # one cache serves every armg call on a database, as in a learning
@@ -202,7 +241,7 @@ class TestArmg:
                 )
                 for _ in range(4):
                     example = random_example(rng, len(clause.head.args), pool=4)
-                    if not covers(clause_with(clause.head, ()), example, db):
+                    if not covers(Clause(clause.head, ()), example, db):
                         continue  # repeated head variable with unequal values
                     shared.call = (clause, example)
                     fresh = armg(clause, example, CoverageCache(db))
@@ -235,7 +274,7 @@ class TestArmgIgnoresHint:
             db = random_db(rng)
             clause = random_clause(rng, db, max_body=6, max_free_vars=3)
             example = random_example(rng, len(clause.head.args))
-            if not covers(clause_with(clause.head, ()), example, db):
+            if not covers(Clause(clause.head, ()), example, db):
                 continue  # repeated head variable with unequal values
             hint = {t: f"c{rng.randrange(8)}" for t in clause.variables()}
             with_hint = armg(clause, example, CoverageCache(db), hint=hint)

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from automode import fixtures
 from automode.biasgen import induce_bias
-from automode.clauses import covers, covers_definition, parse_clause, subsumes, const, var
+from automode.clauses import (
+    const,
+    covers,
+    covers_definition,
+    minimize,
+    parse_clause,
+    subsumes,
+    var,
+)
 from automode.errors import ConfigError, ValidationError
 from automode.learner import CoverageCache, LearnConfig, ground_bottom_clause
 from automode.lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
@@ -14,7 +25,7 @@ from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 from automode.biasgen import PredicateDecl
 
 from conftest import WORKED_C1_TEXT, WORKED_C2_TEXT
-from oracles import isomorphic
+from oracles import ground_bottom_oracle, isomorphic, random_db, random_example
 
 
 class TestLggTerms:
@@ -97,6 +108,61 @@ class TestGroundBottom:
         )
         assert isomorphic(clause, parse_clause(WORKED_C1_TEXT))
         assert covers(clause, ("alice", "bob"), db)
+
+    def test_matches_ground_saturation_oracle(self):
+        nonempty = capped = 0
+        for db, example, target, predicates in _ground_cases():
+            for cfg in _GROUND_CONFIGS:
+                clause = ground_bottom_clause(example, db, target, predicates, cfg)
+                assert clause == ground_bottom_oracle(example, db, target, predicates, cfg)
+                nonempty += bool(clause.body)
+                if cfg.per_relation_cap < 100:
+                    uncapped = replace(cfg, per_relation_cap=10**6)
+                    capped += clause != ground_bottom_clause(
+                        example, db, target, predicates, uncapped
+                    )
+        assert nonempty >= 50 and capped >= 20
+
+    def test_is_its_own_deep_reduction(self):
+        # the licence for starting each lgg fold from the seed's clause as it is
+        for db, example, target, predicates in _ground_cases():
+            for cfg in _GROUND_CONFIGS:
+                clause = ground_bottom_clause(example, db, target, predicates, cfg)
+                assert minimize(clause, deep=True) == clause
+
+
+def _ground_cases():
+    """Examples to saturate, with their database, target and predicate
+    declarations: every example of both fixtures, and one example on each
+    of 200 random databases typed at random."""
+    for name in ("small", "typed"):
+        db = getattr(fixtures, f"{name}_database_registered")()
+        ex = getattr(fixtures, f"{name}_examples")()
+        predicates = induce_bias(db, "advisedBy").predicates
+        for example in ex.positives + ex.negatives:
+            yield db, example, "advisedBy", predicates
+    rng = random.Random(467)
+    for _ in range(200):
+        db = random_db(rng, max_relations=4, max_arity=3, max_tuples=40, pool=6)
+        target = rng.choice(db.schemas)
+        predicates = tuple(
+            dict.fromkeys(
+                PredicateDecl(s.name, tuple(rng.choice(("T0", "T1")) for _ in range(s.arity)))
+                for s in db.schemas
+                for _ in range(rng.randint(1, 2))
+            )
+        )
+        rows = sorted(db.relation_rows(target.name))
+        if rows and rng.random() < 0.5:
+            example = rng.choice(rows)
+        else:
+            example = random_example(rng, target.arity, pool=6)
+        yield db, example, target.name, predicates
+
+
+_GROUND_CONFIGS = [
+    LearnConfig(iterations=i, per_relation_cap=cap) for i in (1, 2, 3) for cap in (1, 3, 100)
+]
 
 
 class TestLggLearn:

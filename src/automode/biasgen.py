@@ -295,10 +295,7 @@ def generate_modes(
                         for i in range(n)
                     )
                     body.append(ModeDecl(schema.name, symbols))
-    deduped: dict[ModeDecl, None] = {}
-    for m in body:
-        deduped.setdefault(m)
-    return head, tuple(deduped)
+    return head, tuple(body)
 
 
 def _few_distinct(rows, position: int, threshold: int) -> bool:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from math import prod
 from typing import AbstractSet, Iterable, NamedTuple, TYPE_CHECKING
 
 from .errors import ValidationError
@@ -321,6 +322,13 @@ def _components(
     return list(groups.values())
 
 
+def _head_binding(head: Literal, example: tuple[str, ...]) -> dict[Term, str] | None:
+    """The binding that maps `head` onto `example`, or None when none does."""
+    if len(example) != len(head.args):
+        return None
+    return _extend(head, example, {})
+
+
 def _extend(
     lit: Literal, row: tuple[str, ...], binding: dict[Term, str]
 ) -> dict[Term, str] | None:
@@ -376,9 +384,7 @@ def covered_examples(
     head_vars = tuple(dict.fromkeys(clause.head.variables()))
     example_rows: dict[tuple[str, ...], tuple[str, ...]] = {}
     for example in examples:
-        if len(example) != len(clause.head.args):
-            continue
-        assignment = _extend(clause.head, example, {})
+        assignment = _head_binding(clause.head, example)
         if assignment is not None:
             example_rows[tuple(assignment[v] for v in head_vars)] = tuple(example)
     factors: list[tuple[tuple[Term, ...], AbstractSet[tuple[str, ...]]]] = [
@@ -391,12 +397,7 @@ def covered_examples(
             rows = db.fact_set(lit.relation)
         else:
             bound = {pos: a.symbol for pos, a in enumerate(lit.args) if not a.is_var}
-            stored = (
-                db.matching_rows(lit.relation, bound)
-                if bound
-                else db.relation_rows(lit.relation)
-            )
-            rows = _literal_rows(lit, factor_vars, stored)
+            rows = _literal_rows(lit, factor_vars, db.matching_rows(lit.relation, bound))
         if not rows:
             return frozenset()  # no stored tuple matches: covers nothing
         if factor_vars:
@@ -502,25 +503,18 @@ def _reduce_domains(factors) -> None:
 
 def _cheapest_variable(factors, keep: set[Term]) -> Term | None:
     # variables in a single factor project away for free; otherwise prefer
-    # the variable whose touching factors bound the join most tightly
+    # the variable whose touching factors bound the join most tightly; ties
+    # go to the least variable
     sizes: dict[Term, list[int]] = {}
     for factor_vars, rows in factors:
         for v in factor_vars:
             if v not in keep:
-                sizes.setdefault(v, []).append(len(rows))
-    best: Term | None = None
-    best_cost: tuple | None = None
-    for v, touched in sorted(sizes.items()):
-        if len(touched) == 1:
-            cost: tuple = (0, 0)
-        else:
-            product = 1
-            for size in touched:
-                product *= max(size, 1)
-            cost = (1, product)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = v, cost
-    return best
+                sizes.setdefault(v, []).append(len(rows) or 1)
+
+    def cost(v: Term) -> tuple[int, Term]:
+        return (prod(sizes[v]) if len(sizes[v]) > 1 else 0, v)
+
+    return min(sizes, key=cost, default=None)
 
 
 def _join_factors(f1, f2):

@@ -148,8 +148,6 @@ def _cmd_discover_inds(args: argparse.Namespace) -> int:
 
 
 def _cmd_induce_bias(args: argparse.Namespace) -> int:
-    if args.constant_threshold < 1:
-        raise ConfigError("constant threshold must be >= 1")
     db = _load(args, register=True)
     started = time.perf_counter()
     bias = induce_bias(db, args.target, args.alpha, args.constant_threshold)

@@ -6,7 +6,7 @@ import random
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from math import prod
 
@@ -35,17 +35,7 @@ class EvalReport:
     mean_wall_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "folds": self.folds,
-            "seed": self.seed,
-            "per_fold": [
-                {"precision": f.precision, "recall": f.recall, "wall_ms": f.wall_ms}
-                for f in self.per_fold
-            ],
-            "mean_precision": self.mean_precision,
-            "mean_recall": self.mean_recall,
-            "mean_wall_ms": self.mean_wall_ms,
-        }
+        return {**asdict(self), "per_fold": list(map(asdict, self.per_fold))}
 
 
 # a closed-world pool of at most this many times the draw is built and
@@ -139,7 +129,7 @@ def precision_recall(
     """
     if set(test_pos) & set(test_neg):
         raise ValidationError("test sets overlap")
-    cache = cache or CoverageCache(db, tuple(test_pos) + tuple(test_neg))
+    cache = CoverageCache.of(db, cache, test_pos, test_neg)
 
     def covered(example: tuple[str, ...]) -> bool:
         return any(cache.covers(c, example) for c in definition.clauses)

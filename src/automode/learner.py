@@ -13,15 +13,18 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
-from .biasgen import BiasSpec
+from .biasgen import BiasSpec, generate_modes
 from .clauses import (
     Clause,
     HornDefinition,
     Literal,
     Term,
     _extend,
+    _head_binding,
+    _image,
     apply_renaming,
     canonical_text,
     covered_examples,
@@ -62,9 +65,10 @@ class LearnConfig:
 
 @dataclass(frozen=True)
 class BottomClause:
+    """A bottom clause and its seed's witness: the value of each variable."""
+
     clause: Clause
-    seed: tuple[str, ...]
-    var_map: dict[str, Term]
+    witness: dict[Term, str]
 
 
 _MISSING = object()
@@ -86,7 +90,8 @@ class CoverageCache:
     training set leaks nothing: `_cover_set`, `generalize_clause` and
     `score` only ask about training examples, and a clause's coverage of
     one example does not depend on which other examples were evaluated
-    with it.
+    with it. Functions that take a cache get it through `of`, which
+    refuses a cache over another database.
     """
 
     def __init__(self, db: DatabaseInstance, universe=()):
@@ -94,6 +99,16 @@ class CoverageCache:
         self._universe = frozenset(universe)
         self._covered: dict[Clause, frozenset[tuple[str, ...]]] = {}
         self._memo: dict = {}
+
+    @classmethod
+    def of(cls, db: DatabaseInstance, cache: CoverageCache | None, *example_groups):
+        """`cache`, which must be over `db`; without one, a new cache whose
+        universe is every example of `example_groups`."""
+        if cache is None:
+            return cls(db, chain(*example_groups))
+        if cache.db is not db:
+            raise ValidationError("the coverage cache is over another database")
+        return cache
 
     def memo(self, key, compute: Callable[[], object]):
         """The value stored under `key`, or `compute()` stored there first.
@@ -150,7 +165,7 @@ def build_bottom_clause(
         head_args.append(state.bind(value, target, pos))
     head = Literal(target, tuple(head_args))
     body = _saturate(example, db, cfg, state)
-    return BottomClause(Clause(head, body), tuple(example), state.var_map)
+    return BottomClause(Clause(head, body), {t: v for v, t in state.var_map.items()})
 
 
 def ground_bottom_clause(
@@ -161,25 +176,19 @@ def ground_bottom_clause(
     cfg: LearnConfig,
 ) -> Clause:
     """Ground variant used by the lgg learner: the bottom clause under
-    implicit one-'+' modes for every relation, with each variable put back
+    implicit one-'+' modes for every declared relation, each variable put back
     to the constant it stands for."""
     bottom = build_bottom_clause(example, db, _implicit_bias(db, target, predicates), cfg)
-    constants = {term: Term(value, False) for value, term in bottom.var_map.items()}
+    constants = {term: Term(value, False) for term, value in bottom.witness.items()}
     return apply_renaming(bottom.clause, constants)
 
 
 def _implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
-    from .biasgen import ModeDecl
-
-    modes = []
-    for schema in db.schemas:
-        if schema.name == target:
-            continue
-        for plus in range(schema.arity):
-            symbols = tuple("+" if i == plus else "-" for i in range(schema.arity))
-            modes.append(ModeDecl(schema.name, symbols))
-    head = ModeDecl(target, ("+",) * db.schema(target).arity)
-    return BiasSpec(tuple(predicates), tuple(modes), head)
+    # a constant threshold of 1 admits no constant: one '+' per mode
+    head, modes = generate_modes(db, 1, target)
+    declared = {d.relation for d in predicates}
+    kept = tuple(m for m in modes if m.relation in declared)
+    return BiasSpec(tuple(predicates), kept, head)
 
 
 class _SaturationState:
@@ -302,7 +311,7 @@ def armg(
     read `cache.db` and share their results through `cache.memo`.
     """
     db, memo = cache.db, cache.memo
-    binding = _extend(clause.head, example, {})
+    binding = _head_binding(clause.head, example)
     if binding is None:
         raise ValidationError(f"head {clause.head} cannot cover {example} at all")
     hint = hint or {}
@@ -313,8 +322,7 @@ def armg(
     for lit in clause.body:
         unbound = {a for a in lit.args if a.is_var and a not in binding}
         if not unbound:
-            image = tuple(binding[a] if a.is_var else a.symbol for a in lit.args)
-            if image in db.fact_set(lit.relation):
+            if _image(lit, binding) in db.fact_set(lit.relation):
                 kept.append(lit)
             continue
         merged_vars = set(unbound)
@@ -349,8 +357,6 @@ def _hint_extension(
     hint: dict[Term, str],
     db: DatabaseInstance,
 ) -> dict[Term, str] | None:
-    if not hint:
-        return None
     image = []
     for term in lit.args:
         if not term.is_var:
@@ -397,7 +403,7 @@ def score(
     cache: CoverageCache | None = None,
 ) -> int:
     """Covered positives minus covered negatives."""
-    cache = cache or CoverageCache(db, positives + negatives)
+    cache = CoverageCache.of(db, cache, positives, negatives)
     tp, fp = _coverage_counts(clause, positives, negatives, cache)
     return tp - fp
 
@@ -425,12 +431,14 @@ def generalize_clause(
     Each round samples positives, generalizes every beam clause toward the
     sampled examples it misses, and keeps the top clauses by score (ties:
     shorter body, then clause text). Search stops when no candidate beats
-    the best score seen so far. The winner is returned folded
-    (`fold_singleton_literals`) even when it is the bottom clause itself;
-    the folded clause reuses the winner's cached coverage.
+    the best score seen so far. A sampled example the head cannot bind to
+    (`clauses._head_binding`) is skipped: no body could cover it. The
+    bottom clause's witness speeds up armg's searches. The winner is
+    returned folded (`fold_singleton_literals`) even when it is the bottom
+    clause itself; the folded clause reuses the winner's cached coverage.
     """
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
-    cache = cache or CoverageCache(db, positives + negatives)
+    cache = CoverageCache.of(db, cache, positives, negatives)
 
     def clause_score(c: Clause) -> int:
         return score(c, positives, negatives, db, cache)
@@ -439,7 +447,6 @@ def generalize_clause(
     best_score = clause_score(best)
     beam = [best]
     pool = list(positives)
-    seed_witness = {term: value for value, term in bottom.var_map.items()}
     while True:
         sample = rng.sample(pool, min(cfg.sample_size, len(pool)))
         candidates: list[Clause] = []
@@ -448,14 +455,14 @@ def generalize_clause(
             for e in sample:
                 if cache.covers(b, e):
                     continue
-                if not cache.covers(Clause(b.head, ()), e):
+                if _head_binding(b.head, e) is None:
                     continue  # head shape (e.g. repeated variable) cannot fit e
                 # armg keeps exactly the literals jointly satisfiable with
                 # the kept prefix; the hint only speeds up the search, so
                 # it is no part of the key
                 c = cache.memo(
                     ("armg", b, e),
-                    lambda: fold_singleton_literals(armg(b, e, cache, hint=seed_witness)),
+                    lambda: fold_singleton_literals(armg(b, e, cache, hint=bottom.witness)),
                 )
                 if c not in seen:
                     seen.add(c)
@@ -496,7 +503,7 @@ def learn_definition(
     should hold every training example, also keeps each bottom clause and
     armg step for the later runs that share it.
     """
-    cache = cache or CoverageCache(db, examples.positives + examples.negatives)
+    cache = CoverageCache.of(db, cache, examples.positives, examples.negatives)
     # one token per distinct saturation input, as in `lgg.lgg_learn`; a
     # bottom clause shared across runs also makes every clause armg derives
     # from it the same object, so later lookups compare by identity

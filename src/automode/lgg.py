@@ -117,7 +117,7 @@ def lgg_learn(
         raise ValidationError(f"target relation not registered: {target}")
     if not any(d.relation == target for d in predicates):
         raise ValidationError(f"no predicate declaration for target {target}")
-    cache = cache or CoverageCache(db, examples.positives + examples.negatives)
+    cache = CoverageCache.of(db, cache, examples.positives, examples.negatives)
     # one token per distinct saturation input, so the per-example keys
     # below hash the predicate declarations once per call, not per lookup
     inputs = cache.memo(

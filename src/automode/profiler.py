@@ -56,15 +56,6 @@ class IndSet:
                 raise ValidationError(f"{ind} exceeds alpha={self.alpha}")
 
 
-def ind_error(db: DatabaseInstance, lhs: AttributeRef, rhs: AttributeRef) -> float | None:
-    """Error of lhs <= rhs, or None when lhs has no values."""
-    left = attribute_stats(db, lhs).distinct_values
-    if not left:
-        return None
-    right = attribute_stats(db, rhs).distinct_values
-    return len(left - right) / len(left)
-
-
 def discover_inds(db: DatabaseInstance, alpha: float) -> IndSet:
     """All ordered attribute pairs whose containment error is within alpha.
 

@@ -305,6 +305,75 @@ def connected_order_oracle(head: Literal, body: list[Literal]) -> list[Literal]:
     return ordered
 
 
+def head_fit_oracle(head: Literal, example: tuple[str, ...]) -> bool:
+    """`generalize_clause`'s head-fit test as first written,
+    `cache.covers(Clause(head, ()), example)`: the joined coverage pass of
+    the head-only clause. With no body, that pass keeps an example exactly
+    when its example filter and `clauses._extend`, copied here as written,
+    bind the head to it."""
+    if len(example) != len(head.args):
+        return False
+    out: dict[Term, str] = {}
+    for term, value in zip(head.args, example):
+        if not term.is_var:
+            if term.symbol != value:
+                return False
+            continue
+        known = out.get(term)
+        if known is None:
+            out[term] = value
+        elif known != value:
+            return False
+    return True
+
+
+def cheapest_variable_oracle(factors, keep: set[Term]) -> Term | None:
+    """`clauses._cheapest_variable` as first written: a scan of every
+    variable in sorted order that keeps the first of least cost."""
+    sizes: dict[Term, list[int]] = {}
+    for factor_vars, rows in factors:
+        for v in factor_vars:
+            if v not in keep:
+                sizes.setdefault(v, []).append(len(rows))
+    best: Term | None = None
+    best_cost: tuple | None = None
+    for v, touched in sorted(sizes.items()):
+        if len(touched) == 1:
+            cost: tuple = (0, 0)
+        else:
+            product = 1
+            for size in touched:
+                product *= max(size, 1)
+            cost = (1, product)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = v, cost
+    return best
+
+
+def implicit_bias_oracle(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
+    """The lgg learner's bias as first written: its own loop of one mode
+    per position of every relation but the target, '+' there and '-'
+    elsewhere, whether the predicates declare the relation or not."""
+    modes = []
+    for schema in db.schemas:
+        if schema.name == target:
+            continue
+        for plus in range(schema.arity):
+            symbols = tuple("+" if i == plus else "-" for i in range(schema.arity))
+            modes.append(ModeDecl(schema.name, symbols))
+    head = ModeDecl(target, ("+",) * db.schema(target).arity)
+    return BiasSpec(tuple(predicates), tuple(modes), head)
+
+
+def dedupe_modes_oracle(body) -> tuple:
+    """The deduplication that ended `biasgen.generate_modes` as first
+    written: each mode once, in order of first appearance."""
+    deduped: dict[ModeDecl, None] = {}
+    for m in body:
+        deduped.setdefault(m)
+    return tuple(deduped)
+
+
 def negatives_oracle(
     db: DatabaseInstance,
     positives: tuple[tuple[str, ...], ...],

@@ -68,8 +68,10 @@ def test_criterion_1_bottom_clause_worked_example(manual_bias, worked_clause):
     elapsed = time.perf_counter() - started
     assert len(bottom.clause.body) == 6
     assert isomorphic(bottom.clause, worked_clause)
-    assert set(bottom.var_map) == {"alice", "bob", "p1", "post_quals", "assistant_prof"}
-    assert len(set(bottom.var_map.values())) == 5
+    assert set(bottom.witness.values()) == {
+        "alice", "bob", "p1", "post_quals", "assistant_prof"
+    }
+    assert len(bottom.witness) == 5
     assert elapsed < 1.0
     _report("1", f"bottom clause matches the worked example ({elapsed * 1000:.0f} ms)")
 

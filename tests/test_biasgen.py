@@ -23,7 +23,7 @@ from automode.profiler import dedupe_bidirectional, discover_inds
 from automode.relstore import DatabaseInstance, RelationSchema
 
 from conftest import MANUAL_BIAS_TEXT
-from oracles import random_db, type_reachability_oracle
+from oracles import dedupe_modes_oracle, random_db, random_wide_db, type_reachability_oracle
 
 
 def _single_column_db(columns: dict[str, list[str]]) -> DatabaseInstance:
@@ -223,6 +223,17 @@ class TestGenerateModes:
                     for size in range(1, eligible + 1)
                 )
                 assert len([m for m in modes if m.relation == schema.name]) == expected
+
+    def test_no_mode_repeats(self):
+        # each (relation, '#' subset, '+' position) yields a distinct mode,
+        # so the deduplication generate_modes once ended with is a no-op
+        rng = random.Random(83)
+        for _ in range(40):
+            db = random_db(rng, max_arity=3) if rng.random() < 0.5 else random_wide_db(rng)
+            target = rng.choice(db.schemas).name
+            for threshold in range(1, 7):
+                _, modes = generate_modes(db, threshold, target)
+                assert modes == dedupe_modes_oracle(modes)
 
     def test_every_body_mode_has_a_plus(self):
         rng = random.Random(79)

@@ -292,6 +292,36 @@ class TestLearn:
         assert rc == 0
         assert "ignored" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generalizer", ["armg", "lgg"])
+    def test_partial_predicates_section(self, fixture_dir, tmp_path, capsys, generalizer):
+        # a hand-written bias may leave relations undeclared; lgg then walks
+        # only the declared ones, as armg does through the modes
+        bias_file = tmp_path / "bias.txt"
+        bias_file.write_text(
+            "PREDICATES:\nadvisedBy(T1,T1)\nstudent(T1)\nprofessor(T1)\n"
+            "publication(T4,T1)\nMODES:\nadvisedBy(+,+)\npublication(-,+)\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "model.dl"
+        rc = dispatch(
+            [
+                "learn",
+                *_data_args(fixture_dir),
+                "--bias",
+                str(bias_file),
+                "--generalizer",
+                generalizer,
+                "--iterations",
+                "1",
+                "--out",
+                str(model),
+            ]
+        )
+        assert rc == 0, capsys.readouterr().err
+        text = model.read_text(encoding="utf-8")
+        assert "publication(" in text
+        assert "inPhase" not in text and "hasPosition" not in text
+
     def test_models_identical_modulo_wall_time(self, fixture_dir, tmp_path):
         bias_file = tmp_path / "bias.txt"
         assert dispatch(

@@ -7,19 +7,29 @@ is checked against an independent route on random inputs.
 from __future__ import annotations
 
 import random
+from math import prod
 
 import pytest
 
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, covers, find_witness, parse_clause
-from automode.clauses import const, fold_singleton_literals, var
-from automode.learner import CoverageCache, LearnConfig, learn_definition
+from automode.clauses import HornDefinition, const, fold_singleton_literals, var
+from automode.learner import (
+    CoverageCache,
+    LearnConfig,
+    build_bottom_clause,
+    generalize_clause,
+    learn_definition,
+    score,
+)
+from automode.lgg import lgg_learn
 from automode.biasgen import induce_bias
 from automode.evaluation import generate_negatives, precision_recall
 from automode.errors import ValidationError
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, register_target
 
 from oracles import (
+    cheapest_variable_oracle,
     covers_oracle,
     fold_oracle,
     random_clause,
@@ -261,6 +271,74 @@ class TestCoverageCache:
             covers(folded, e, db) for e in universe
         ]
         assert joined == [clause]
+
+    @pytest.mark.parametrize(
+        "call",
+        ["score", "generalize_clause", "learn_definition", "lgg_learn", "precision_recall"],
+    )
+    def test_cache_over_another_database_is_rejected(self, call):
+        db = fixtures.small_database_registered()
+        ex = fixtures.small_examples()
+        bias = induce_bias(db, "advisedBy")
+        cfg = LearnConfig()
+        clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
+        run = {
+            "score": lambda cache: score(clause, ex.positives, ex.negatives, db, cache),
+            "generalize_clause": lambda cache: generalize_clause(
+                build_bottom_clause(ex.positives[0], db, bias, cfg),
+                ex.positives, ex.negatives, db, cfg, cache=cache,
+            ),
+            "learn_definition": lambda cache: learn_definition(db, ex, bias, cfg, cache=cache),
+            "lgg_learn": lambda cache: lgg_learn(db, ex, bias.predicates, cfg, cache=cache),
+            "precision_recall": lambda cache: precision_recall(
+                HornDefinition((clause,)), ex.positives, ex.negatives, db, cache
+            ),
+        }[call]
+        universe = ex.positives + ex.negatives
+        other = CoverageCache(fixtures.typed_database_registered(), universe)
+        with pytest.raises(ValidationError, match="another database"):
+            run(other)
+        assert run(CoverageCache(db, universe)) == run(None)
+
+    def test_default_universe_takes_lists_and_tuples(self):
+        # lgg scores against its list of uncovered positives
+        db = fixtures.small_database_registered()
+        ex = fixtures.small_examples()
+        clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
+        assert score(clause, list(ex.positives), ex.negatives, db) == 2
+
+
+class TestCheapestVariable:
+    def test_matches_sorted_scan_oracle(self):
+        # the least (cost, variable) is the variable the former scan of all
+        # variables in sorted order picked, ties included
+        rng = random.Random(257)
+        pool = [var(f"y{i}") for i in range(6)] + [var(f"x{i}") for i in range(2)]
+        ties = 0
+        for _ in range(500):
+            factors = []
+            for _ in range(rng.randint(1, 5)):
+                factor_vars = tuple(rng.sample(pool, rng.randint(1, 3)))
+                rows = {
+                    tuple(f"c{rng.randrange(3)}" for _ in factor_vars)
+                    for _ in range(rng.randint(0, 4))
+                }
+                factors.append((factor_vars, rows))
+            keep = set(rng.sample(pool, rng.randint(0, 3)))
+            picked = clauses._cheapest_variable(factors, keep)
+            assert picked == cheapest_variable_oracle(factors, keep)
+            sizes: dict = {}
+            for factor_vars, rows in factors:
+                for v in factor_vars:
+                    if v not in keep:
+                        sizes.setdefault(v, []).append(len(rows))
+            cost = {
+                v: 0 if len(n) == 1 else prod(max(k, 1) for k in n) for v, n in sizes.items()
+            }
+            cheapest = [v for v in sizes if cost[v] == min(cost.values())]
+            # a tie the first variable seen would decide otherwise
+            ties += bool(cheapest) and cheapest[0] != picked
+        assert ties >= 50
 
 
 class TestSingletonFold:

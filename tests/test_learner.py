@@ -9,6 +9,7 @@ import pytest
 from automode import fixtures
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
 from automode.clauses import Clause, Literal, conforms, const, covers, parse_clause, var
+from automode.clauses import _head_binding
 from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     BottomClause,
@@ -27,6 +28,7 @@ from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 from conftest import MANUAL_BIAS_TEXT
 from oracles import (
     connected_order_oracle,
+    head_fit_oracle,
     isomorphic,
     random_clause,
     random_db,
@@ -50,16 +52,15 @@ class TestBottomClause:
         bottom = build_bottom_clause(("alice", "bob"), small_db, manual_bias, cfg)
         assert len(bottom.clause.body) == 6
         assert isomorphic(bottom.clause, worked_clause)
-        assert set(bottom.var_map) == {
+        assert set(bottom.witness.values()) == {
             "alice",
             "bob",
             "p1",
             "post_quals",
             "assistant_prof",
         }
-        mapped = [bottom.var_map[c] for c in ("alice", "bob")]
-        assert tuple(bottom.clause.head.args) == tuple(mapped)
-        assert len(set(bottom.var_map.values())) == 5  # injective
+        assert len(bottom.witness) == 5  # injective
+        assert [bottom.witness[v] for v in bottom.clause.head.args] == ["alice", "bob"]
 
     def test_empty_database_gives_head_only(self, manual_bias):
         schemas = fixtures.small_database().schemas
@@ -262,9 +263,8 @@ class TestArmgIgnoresHint:
         bias = induce_bias(db, "advisedBy")
         for seed in ex.positives:
             bottom = build_bottom_clause(seed, db, bias, LearnConfig(iterations=iterations))
-            hint = {term: value for value, term in bottom.var_map.items()}
             for e in ex.positives + ex.negatives:
-                with_hint = armg(bottom.clause, e, CoverageCache(db), hint=hint)
+                with_hint = armg(bottom.clause, e, CoverageCache(db), hint=bottom.witness)
                 assert with_hint == armg(bottom.clause, e, CoverageCache(db))
 
     def test_arbitrary_hint(self):
@@ -294,6 +294,30 @@ class TestScore:
 
 
 class TestGeneralizeClause:
+    def test_head_fit_matches_head_only_coverage_oracle(self):
+        # generalize_clause skips an example the head cannot bind to; it
+        # used to ask the joined coverage pass of the head-only clause
+        rng = random.Random(251)
+        db = random_db(rng)
+        terms = [var("x"), var("y"), var("z"), const("c0")]
+        rejected = {"arity": 0, "repeated variable": 0, "constant": 0}
+        for _ in range(1000):
+            head = Literal("t", tuple(rng.choice(terms) for _ in range(rng.randint(1, 3))))
+            arity = len(head.args) if rng.random() < 0.7 else rng.randint(1, 3)
+            example = random_example(rng, arity, pool=3)
+            fits = _head_binding(head, example) is not None
+            assert fits == head_fit_oracle(head, example), (head, example)
+            assert fits == CoverageCache(db, [example]).covers(Clause(head, ()), example)
+            if fits:
+                continue
+            if len(example) != len(head.args):
+                rejected["arity"] += 1
+            elif all(t.is_var for t in head.args):
+                rejected["repeated variable"] += 1
+            else:
+                rejected["constant"] += 1
+        assert min(rejected.values()) >= 50, rejected
+
     def test_returns_bottom_when_it_already_generalizes(self, small_db, auto_bias):
         ex = fixtures.small_examples()
         bottom = build_bottom_clause(("alice", "bob"), small_db, auto_bias, LearnConfig())
@@ -308,7 +332,7 @@ class TestGeneralizeClause:
             'advisedBy(x,y) :- student(x), inPhase(x,u), professor(y), '
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
-        bottom = BottomClause(pinned, ("alice", "bob"), {})
+        bottom = BottomClause(pinned, {})
         out = generalize_clause(
             bottom, ex.positives, ex.negatives, small_db, LearnConfig()
         )
@@ -323,7 +347,7 @@ class TestGeneralizeClause:
             'advisedBy(x,y) :- student(x), inPhase(x,"pre_quals"), professor(y), '
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
-        bottom = BottomClause(pinned, ("alice", "bob"), {})
+        bottom = BottomClause(pinned, {})
         shared = CoverageCache(small_db, ex.positives + ex.negatives)
         fresh = []
         for positive in ex.positives:

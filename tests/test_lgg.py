@@ -19,13 +19,19 @@ from automode.clauses import (
     var,
 )
 from automode.errors import ConfigError, ValidationError
-from automode.learner import CoverageCache, LearnConfig, ground_bottom_clause
+from automode.learner import CoverageCache, LearnConfig, _implicit_bias, ground_bottom_clause
 from automode.lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 from automode.biasgen import PredicateDecl
 
 from conftest import WORKED_C1_TEXT, WORKED_C2_TEXT
-from oracles import ground_bottom_oracle, isomorphic, random_db, random_example
+from oracles import (
+    ground_bottom_oracle,
+    implicit_bias_oracle,
+    isomorphic,
+    random_db,
+    random_example,
+)
 
 
 class TestLggTerms:
@@ -122,6 +128,13 @@ class TestGroundBottom:
                         example, db, target, predicates, uncapped
                     )
         assert nonempty >= 50 and capped >= 20
+
+    def test_implicit_bias_matches_its_own_loop_oracle(self):
+        # with every relation declared, biasgen's modes under a constant
+        # threshold of 1 are the ones the lgg learner used to build itself
+        for db, _, target, predicates in _ground_cases():
+            want = implicit_bias_oracle(db, target, predicates)
+            assert _implicit_bias(db, target, predicates) == want
 
     def test_is_its_own_deep_reduction(self):
         # the licence for starting each lgg fold from the seed's clause as it is

@@ -14,7 +14,6 @@ from automode.profiler import (
     dedupe_bidirectional,
     discover_inds,
     format_ind_set,
-    ind_error,
 )
 from automode.relstore import AttributeRef, DatabaseInstance, RelationSchema
 
@@ -156,7 +155,6 @@ class TestIndErrors:
             (RelationSchema("r1", ("a",)), RelationSchema("r2", ("a",))),
             {"r1": [], "r2": [("x",)]},
         )
-        assert ind_error(db, _attr("r1"), _attr("r2")) is None
         assert not discover_inds(db, 1.0).inds or all(
             i.lhs.relation != "r1" for i in discover_inds(db, 1.0).inds
         )

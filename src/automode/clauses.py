@@ -194,10 +194,6 @@ def covers(clause: Clause, example: tuple[str, ...], db: "DatabaseInstance") -> 
     Each call is a joined pass of its own; tests of many examples should
     share one pass through `learner.CoverageCache`.
     """
-    if len(example) != len(clause.head.args):
-        raise ValidationError(
-            f"example arity {len(example)} does not match head {clause.head}"
-        )
     return tuple(example) in covered_examples(clause, (example,), db)
 
 
@@ -376,14 +372,20 @@ def covered_examples(
     the factors that hold it. Every factor left afterwards is over head
     variables only, and an example is covered when its projection onto
     each of them is one of that factor's rows: no join runs without a
-    shared variable.
+    shared variable. An example whose arity is not the head's raises
+    `ValidationError`.
     """
     for lit in clause.body:
         if not db.has_relation(lit.relation):
             raise ValidationError(f"clause relation missing from database: {lit.relation}")
     head_vars = tuple(dict.fromkeys(clause.head.variables()))
+    arity = len(clause.head.args)
     example_rows: dict[tuple[str, ...], tuple[str, ...]] = {}
     for example in examples:
+        if len(example) != arity:
+            raise ValidationError(
+                f"example arity {len(example)} does not match head {clause.head}"
+            )
         assignment = _head_binding(clause.head, example)
         if assignment is not None:
             example_rows[tuple(assignment[v] for v in head_vars)] = tuple(example)

@@ -13,22 +13,24 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .biasgen import BiasSpec, induce_bias, read_bias, write_bias
 from .errors import AutomodeError, ConfigError, LoadError
-from .evaluation import cross_validate, generate_negatives, precision_recall
-from .learner import CoverageCache, LearnConfig, learn_definition
-from .lgg import lgg_learn
+from .clauses import HornDefinition, minimize
+from .evaluation import cross_validate, generate_negatives, learner_for, precision_recall
+from .learner import CoverageCache, LearnConfig
 from .fixtures import materialize_small
 from .profiler import discover_inds, format_ind_set
 from .relstore import (
-    _EXAMPLE_LINE,
     ExampleSet,
     RelationSchema,
+    example_arity,
     load_database,
     load_examples,
+    read_input,
     register_target,
 )
 
@@ -45,7 +47,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except AutomodeError as exc:
+    except (AutomodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -92,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=Path, required=True, help="bias file (generated or hand-written)")
     p.add_argument("--out", type=Path, required=True, help="model output file")
     _learn_flags(p)
-    p.add_argument("--deep-reduce", action="store_true", help="deep-reduce learned clauses")
+    p.add_argument("--deep-reduce", action="store_true", help="deep-reduce clauses after learning")
     p.set_defaults(handler=_cmd_learn)
 
     # --alpha and --constant-threshold apply only when no --bias is given
@@ -127,7 +129,6 @@ def _learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-relation-cap", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--generalizer", choices=("armg", "lgg"), default="armg")
-    p.add_argument("--lgg-guard", type=int, default=10_000)
 
 
 # -- command implementations -------------------------------------------------
@@ -174,14 +175,13 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     # the training scores below read the coverage learning computed
     cache = CoverageCache(db, examples.positives + examples.negatives)
     started = time.perf_counter()
-    if args.generalizer == "lgg":
-        definition = lgg_learn(
-            db, examples, bias.predicates, cfg, guard=args.lgg_guard, cache=cache
-        )
-    else:
-        definition = learn_definition(
-            db, examples, bias, cfg, deep_reduce_clauses=args.deep_reduce, cache=cache
-        )
+    definition = learner_for(args.generalizer)(db, examples, bias, cfg, cache=cache)
+    if args.deep_reduce:
+        cores = tuple(minimize(c, deep=True) for c in definition.clauses)
+        for clause, core in zip(definition.clauses, cores):
+            # a core covers exactly what its clause covers
+            cache.share_coverage(clause, core)
+        definition = HornDefinition(cores)
     wall = _ms(started)
     _note(f"learning took {wall} ms; {len(definition.clauses)} clause(s)")
     precision, recall = precision_recall(
@@ -206,7 +206,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError("constant threshold must be >= 1")
     bias = _read_bias(args.bias, args.target) if args.bias is not None else None
     db = load_database(args.schema, args.facts, examples_backed=(args.target,))
-    schema = _target_schema(db, args.target, _peek_arity(args.examples, args.target))
+    schema = _target_schema(db, args.target, example_arity(args.examples, args.target))
     examples = load_examples(args.examples, schema)
     if not examples.negatives:
         # drawn before registering, which would replace the stored target
@@ -230,7 +230,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         folds=args.folds,
         seed=args.seed,
         generalizer=args.generalizer,
-        lgg_guard=args.lgg_guard,
     )
     args.report.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -280,7 +279,7 @@ def _load(args: argparse.Namespace, register: bool):
     backed = (args.target,) if args.target else ()
     db = load_database(args.schema, args.facts, examples_backed=backed)
     if register:
-        schema = _target_schema(db, args.target, _peek_arity(args.examples, args.target))
+        schema = _target_schema(db, args.target, example_arity(args.examples, args.target))
         examples = load_examples(args.examples, schema)
         db = register_target(db, examples)
     return db
@@ -288,7 +287,7 @@ def _load(args: argparse.Namespace, register: bool):
 
 def _read_bias(path: Path, target: str | None) -> BiasSpec:
     """The bias file at `path`, whose head must be `target` when one is given."""
-    bias = read_bias(path.read_text(encoding="utf-8"))
+    bias = read_bias(read_input(path, "bias file"))
     head = bias.head_mode.relation
     if target and target != head:
         raise LoadError(f"--target {target} does not match the bias head {head}")
@@ -299,17 +298,6 @@ def _target_schema(db, target: str, arity: int) -> RelationSchema:
     if db.has_relation(target):
         return db.schema(target)
     return RelationSchema(target, tuple(f"a{i}" for i in range(arity)))
-
-
-def _peek_arity(examples_file: Path, target: str) -> int:
-    for raw in Path(examples_file).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _EXAMPLE_LINE.match(line)
-        if m and m.group(2) == target:
-            return len(m.group(3).split(","))
-    raise LoadError(f"{examples_file}: no examples of target {target}")
 
 
 def _config(args: argparse.Namespace) -> LearnConfig:
@@ -325,16 +313,9 @@ def _config(args: argparse.Namespace) -> LearnConfig:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    return {
-        "iterations": args.iterations,
-        "beam_width": args.beam_width,
-        "sample_size": args.sample_size,
-        "min_precision": args.min_precision,
-        "min_positives": args.min_positives,
-        "per_relation_cap": args.per_relation_cap,
-        "seed": args.seed,
-        "generalizer": args.generalizer,
-    }
+    config = asdict(_config(args))
+    config["seed"] = config.pop("rng_seed")
+    return {**config, "generalizer": args.generalizer}
 
 
 def _write_manifest(

@@ -141,6 +141,18 @@ def precision_recall(
     return precision, recall
 
 
+def learner_for(generalizer: str):
+    """The learner of the generalizer named `generalizer`: `learn_definition`
+    for "armg", `lgg_learn` for "lgg". Both take (db, examples, bias, cfg,
+    cache=None). Each call reads this module's attributes, so a learner
+    replaced on the module is the one returned."""
+    if generalizer == "armg":
+        return learn_definition
+    if generalizer == "lgg":
+        return lgg_learn
+    raise ConfigError(f"unknown generalizer: {generalizer}")
+
+
 def cross_validate(
     db: DatabaseInstance,
     examples: ExampleSet,
@@ -149,7 +161,6 @@ def cross_validate(
     folds: int,
     seed: int,
     generalizer: str = "armg",
-    lgg_guard: int = 10_000,
 ) -> EvalReport:
     """Stratified k-fold evaluation with per-fold learner seeds.
 
@@ -170,8 +181,7 @@ def cross_validate(
         raise ValidationError(
             f"{len(examples.positives)} positives cannot fill {folds} folds"
         )
-    if generalizer not in ("armg", "lgg"):
-        raise ConfigError(f"unknown generalizer: {generalizer}")
+    learn = learner_for(generalizer)
     rng = random.Random(seed)
     pos = list(examples.positives)
     neg = list(examples.negatives)
@@ -189,12 +199,7 @@ def cross_validate(
         )
         fold_cfg = replace(cfg, rng_seed=seed + k)
         started = time.perf_counter()
-        if generalizer == "lgg":
-            definition = lgg_learn(
-                db, train, bias.predicates, fold_cfg, guard=lgg_guard, cache=cache
-            )
-        else:
-            definition = learn_definition(db, train, bias, fold_cfg, cache=cache)
+        definition = learn(db, train, bias, fold_cfg, cache=cache)
         wall_ms = (time.perf_counter() - started) * 1000.0
         precision, recall = precision_recall(
             definition, tuple(pos_folds[k]), tuple(neg_folds[k]), db, cache

@@ -491,7 +491,6 @@ def learn_definition(
     examples: ExampleSet,
     bias: BiasSpec,
     cfg: LearnConfig,
-    deep_reduce_clauses: bool = False,
     cache: CoverageCache | None = None,
 ) -> HornDefinition:
     """Cover-set learning: seed, saturate, generalize, gate, repeat.
@@ -516,7 +515,7 @@ def learn_definition(
         bottom = cache.memo(
             ("bottom", inputs, seed), lambda: build_bottom_clause(seed, db, bias, cfg)
         )
-        clause = generalize_clause(
+        return generalize_clause(
             bottom,
             tuple(uncovered),
             examples.negatives,
@@ -525,11 +524,6 @@ def learn_definition(
             rng=rng,
             cache=cache,
         )
-        if deep_reduce_clauses:
-            reduced = minimize(clause, deep=True)
-            cache.share_coverage(clause, reduced)
-            clause = reduced
-        return clause
 
     return _cover_set(db, examples, cfg, learn_one, cache)
 

@@ -14,6 +14,7 @@ import random
 import re
 from typing import Iterable
 
+from .biasgen import BiasSpec
 from .clauses import Clause, HornDefinition, Literal, Term, minimize, var
 from .errors import ConfigError, ValidationError
 from .learner import (
@@ -26,6 +27,8 @@ from .learner import (
 from .relstore import DatabaseInstance, ExampleSet
 
 _VAR_SUFFIX = re.compile(r"^v(\d+)$")
+# the most tuples `lgg_learn` accepts, well above what it can finish on
+_GUARD = 10_000
 
 
 class VarPairTable:
@@ -89,29 +92,31 @@ def lgg_clauses(c1: Clause, c2: Clause, reduce: bool = True) -> Clause:
 def lgg_learn(
     db: DatabaseInstance,
     examples: ExampleSet,
-    predicates: tuple,
+    bias: BiasSpec,
     cfg: LearnConfig,
-    guard: int = 10_000,
     cache: CoverageCache | None = None,
 ) -> HornDefinition:
     """Cover-set learning where each clause is a fold of lgg over the
     ground bottom clauses of sampled positives.
 
+    Takes the arguments of `learner.learn_definition` but reads only
+    `bias.predicates`: the mode definitions and the head mode are ignored.
     The fold starts from the seed's ground bottom clause itself, which is
     its own core: its body holds no duplicate, and a ground literal maps
-    only onto itself. Refuses databases above `guard` tuples: repeated
+    only onto itself. Refuses databases above `_GUARD` tuples: repeated
     generalization grows clauses multiplicatively and evaluation cost
     becomes prohibitive well before memory does. A shared `cache`, whose
     universe should hold every training example, also keeps each ground
     bottom clause and pairwise lgg for the later runs that share it.
     """
     total = db.total_tuples()
-    if total > guard:
+    if total > _GUARD:
         raise ConfigError(
-            f"database has {total} tuples, above the lgg guard of {guard}; "
+            f"database has {total} tuples, above the lgg guard of {_GUARD}; "
             "this generalizer is only tractable on small databases - use the "
-            "default generalizer or raise the guard explicitly"
+            "default generalizer"
         )
+    predicates = bias.predicates
     target = examples.target.name
     if not db.has_relation(target):
         raise ValidationError(f"target relation not registered: {target}")

@@ -209,13 +209,22 @@ class ExampleSet:
 # -- loading ------------------------------------------------------------
 
 
+def read_input(path: Path, what: str) -> str:
+    """The text of the UTF-8 input file `path`; `what` names the file in
+    the `LoadError` raised when it is missing, a directory or unreadable."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (FileNotFoundError, IsADirectoryError):
+        raise LoadError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoadError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_schema(schema_file: Path | str) -> tuple[RelationSchema, ...]:
     """Parse a schema file: one `name(a,b,...)` per line, `#` comments."""
     path = Path(schema_file)
-    if not path.is_file():
-        raise LoadError(f"schema file not found: {path}")
     schemas: list[RelationSchema] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_input(path, "schema file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -266,7 +275,7 @@ def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]
     arity = schema.arity
     header_seen = False
     out: list[tuple[str, ...]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input(path, "facts file").splitlines(), 1):
         cells = tuple(map(str.strip, line.split(",")))
         if cells == ("",):
             # a blank or whitespace-only line, skipped anywhere
@@ -293,11 +302,9 @@ def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]
 def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleSet:
     """Parse `+ rel(a,b)` / `- rel(a,b)` lines into an ExampleSet."""
     path = Path(examples_file)
-    if not path.is_file():
-        raise LoadError(f"examples file not found: {path}")
     positives: dict[tuple[str, ...], None] = {}
     negatives: dict[tuple[str, ...], None] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_input(path, "examples file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -321,6 +328,18 @@ def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleS
         return ExampleSet(target, tuple(positives), tuple(negatives))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def example_arity(examples_file: Path, target: str) -> int:
+    """The number of values in the first example of `target` in the file."""
+    for raw in read_input(examples_file, "examples file").splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _EXAMPLE_LINE.match(line)
+        if m and m.group(2) == target:
+            return len(m.group(3).split(","))
+    raise LoadError(f"{examples_file}: no examples of target {target}")
 
 
 def register_target(db: DatabaseInstance, examples: ExampleSet) -> DatabaseInstance:

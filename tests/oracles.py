@@ -565,6 +565,17 @@ def random_db(
     return DatabaseInstance.build(schemas, tuples)
 
 
+def random_task(rng: random.Random) -> tuple[DatabaseInstance, ExampleSet]:
+    """A `random_db` with a binary target `t` registered: up to 14 distinct
+    pairs of its values, alternately positive and negative in sorted order."""
+    db = random_db(rng, max_relations=3, max_arity=2, max_tuples=30, pool=6)
+    domain = sorted({v for rows in db.rows.values() for row in rows for v in row})
+    pool = sorted({tuple(rng.choice(domain) for _ in range(2)) for _ in range(14)})
+    target = RelationSchema("t", ("a0", "a1"))
+    examples = ExampleSet(target, tuple(pool[::2]), tuple(pool[1::2]))
+    return db.with_relation(target, examples.positives), examples
+
+
 def random_wide_db(rng: random.Random) -> DatabaseInstance:
     """6-12 relations of arity 1-4 whose columns draw from disjoint value
     pools. Each column takes a random prefix of its pool, so the columns of

@@ -109,6 +109,52 @@ class TestExitCodes:
         assert rc == 1
 
 
+    @pytest.mark.parametrize(
+        "command, name, problem",
+        [
+            ("learn", "bias", "missing"),
+            ("learn", "bias", "a directory"),
+            ("learn", "bias", "not UTF-8"),
+            ("learn", "facts", "not UTF-8"),
+            ("learn", "schema", "not UTF-8"),
+            ("learn", "examples", "not UTF-8"),
+            ("learn", "out", "in a missing directory"),
+            ("evaluate", "examples", "missing"),
+            ("evaluate", "examples", "a directory"),
+            ("induce-bias", "examples", "missing"),
+            ("discover-inds", "examples", "missing"),
+        ],
+    )
+    def test_unreadable_input_or_unwritable_output_exits_1(
+        self, fixture_dir, tmp_path, capsys, command, name, problem
+    ):
+        files = {**fixture_dir, "bias": tmp_path / "bias.txt", "out": tmp_path / "out"}
+        files["bias"].write_text(MANUAL_BIAS_TEXT, encoding="utf-8")
+        if problem == "not UTF-8":
+            path = files[name] / "student.csv" if name == "facts" else files[name]
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:
+            files[name] = {
+                "missing": tmp_path / "missing.txt",
+                "a directory": tmp_path,
+                "in a missing directory": tmp_path / "nodir" / "m.dl",
+            }[problem]
+        args = [
+            command,
+            "--schema", str(files["schema"]),
+            "--facts", str(files["facts"]),
+            "--examples", str(files["examples"]),
+            "--target", "advisedBy",
+            "--report" if command == "evaluate" else "--out", str(files["out"]),
+        ]
+        if command == "learn":
+            args += ["--bias", str(files["bias"])]
+        assert dispatch(args) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not files["out"].exists()
+
+
 class TestUndeclaredTarget:
     """A target the schema does not declare takes its arity from the first
     example of it."""

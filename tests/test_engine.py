@@ -245,6 +245,16 @@ class TestCoverageCache:
         assert joined == [parse_clause(t) for t in texts]
         assert single == outside * len(texts) * 2
 
+    @pytest.mark.parametrize("in_universe", [True, False])
+    def test_wrong_arity_example_is_rejected(self, in_universe):
+        # the joined pass over the universe and the test outside it agree
+        db = fixtures.small_database()
+        clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
+        example = ("alice",)
+        cache = learner.CoverageCache(db, [example] if in_universe else [])
+        with pytest.raises(ValidationError, match="arity"):
+            cache.covers(clause, example)
+
     def test_equivalent_clause_reuses_joined_coverage(self, monkeypatch):
         db = fixtures.small_database()
         joined = []
@@ -289,7 +299,7 @@ class TestCoverageCache:
                 ex.positives, ex.negatives, db, cfg, cache=cache,
             ),
             "learn_definition": lambda cache: learn_definition(db, ex, bias, cfg, cache=cache),
-            "lgg_learn": lambda cache: lgg_learn(db, ex, bias.predicates, cfg, cache=cache),
+            "lgg_learn": lambda cache: lgg_learn(db, ex, bias, cfg, cache=cache),
             "precision_recall": lambda cache: precision_recall(
                 HornDefinition((clause,)), ex.positives, ex.negatives, db, cache
             ),

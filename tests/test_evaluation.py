@@ -18,6 +18,7 @@ from automode.evaluation import (
     _split,
     cross_validate,
     generate_negatives,
+    learner_for,
     precision_recall,
 )
 from automode.learner import LearnConfig
@@ -322,6 +323,17 @@ class TestCrossValidate:
             db, ex, bias, LearnConfig(), folds=2, seed=1, generalizer="lgg"
         )
         assert len(report.per_fold) == 2
+
+    def test_unknown_generalizer_rejected_before_any_fold_learns(self, monkeypatch):
+        with pytest.raises(ConfigError, match="unknown generalizer: bogus"):
+            learner_for("bogus")
+        db, ex, bias = self._task()
+        learned = []
+        for name in ("learn_definition", "lgg_learn"):
+            monkeypatch.setattr(evaluation, name, lambda *a, **k: learned.append(a))
+        with pytest.raises(ConfigError, match="unknown generalizer: bogus"):
+            cross_validate(db, ex, bias, LearnConfig(), folds=2, seed=1, generalizer="bogus")
+        assert learned == []
 
     def test_too_many_folds_rejected(self):
         db, ex, bias = self._task()

@@ -17,12 +17,12 @@ import pytest
 
 from automode import fixtures
 from automode.biasgen import induce_bias, write_bias
+from automode.clauses import HornDefinition, minimize
 from automode.evaluation import cross_validate
 from automode.learner import LearnConfig, learn_definition
 from automode.lgg import lgg_learn
-from automode.relstore import ExampleSet, RelationSchema, register_target
 
-from oracles import random_db
+from oracles import random_task
 
 # random_db seed whose definitions have two clauses at every run below, and
 # whose deep-reduced clauses differ from the plain ones
@@ -30,13 +30,7 @@ _SEEDED_DB = 57
 
 
 def _seeded():
-    rng = random.Random(_SEEDED_DB)
-    db = random_db(rng, max_relations=3, max_arity=2, max_tuples=30, pool=6)
-    domain = sorted({v for rows in db.rows.values() for row in rows for v in row})
-    pool = sorted({tuple(rng.choice(domain) for _ in range(2)) for _ in range(14)})
-    target = RelationSchema("t", ("a0", "a1"))
-    examples = ExampleSet(target, tuple(pool[::2]), tuple(pool[1::2]))
-    return register_target(db, examples), examples
+    return random_task(random.Random(_SEEDED_DB))
 
 
 _CASES = {
@@ -53,11 +47,17 @@ _RUNS = {
     "armg iterations=2": lambda db, ex, bias: str(
         learn_definition(db, ex, bias, LearnConfig(iterations=2))
     ),
+    # what `learn --deep-reduce` writes: each learned clause's core
     "armg deep_reduce_clauses": lambda db, ex, bias: str(
-        learn_definition(db, ex, bias, LearnConfig(), deep_reduce_clauses=True)
+        HornDefinition(
+            tuple(
+                minimize(c, deep=True)
+                for c in learn_definition(db, ex, bias, LearnConfig()).clauses
+            )
+        )
     ),
     "lgg iterations=1": lambda db, ex, bias: str(
-        lgg_learn(db, ex, bias.predicates, LearnConfig(iterations=1))
+        lgg_learn(db, ex, bias, LearnConfig(iterations=1))
     ),
 }
 

@@ -8,7 +8,16 @@ import pytest
 
 from automode import fixtures
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
-from automode.clauses import Clause, Literal, conforms, const, covers, parse_clause, var
+from automode.clauses import (
+    Clause,
+    Literal,
+    conforms,
+    const,
+    covers,
+    minimize,
+    parse_clause,
+    var,
+)
 from automode.clauses import _head_binding
 from automode.errors import ConfigError, ValidationError
 from automode.learner import (
@@ -33,6 +42,7 @@ from oracles import (
     random_clause,
     random_db,
     random_example,
+    random_task,
 )
 
 
@@ -307,12 +317,16 @@ class TestGeneralizeClause:
             example = random_example(rng, arity, pool=3)
             fits = _head_binding(head, example) is not None
             assert fits == head_fit_oracle(head, example), (head, example)
+            if len(example) != len(head.args):
+                # coverage refuses an example of another arity outright
+                with pytest.raises(ValidationError, match="arity"):
+                    CoverageCache(db, [example]).covers(Clause(head, ()), example)
+                rejected["arity"] += 1
+                continue
             assert fits == CoverageCache(db, [example]).covers(Clause(head, ()), example)
             if fits:
                 continue
-            if len(example) != len(head.args):
-                rejected["arity"] += 1
-            elif all(t.is_var for t in head.args):
+            if all(t.is_var for t in head.args):
                 rejected["repeated variable"] += 1
             else:
                 rejected["constant"] += 1
@@ -420,16 +434,20 @@ class TestLearnDefinition:
         assert all(conforms(c, auto_bias) for c in definition.clauses)
 
     def test_deep_reduction_shrinks_without_changing_coverage(self, small_db, auto_bias):
-        ex = fixtures.small_examples()
-        plain = learn_definition(small_db, ex, auto_bias, LearnConfig())
-        reduced = learn_definition(
-            small_db, ex, auto_bias, LearnConfig(), deep_reduce_clauses=True
-        )
-        assert len(reduced.clauses) == len(plain.clauses)
-        for lean, fat in zip(reduced.clauses, plain.clauses):
-            assert len(lean.body) <= len(fat.body)
-            for example in ex.positives + ex.negatives:
-                assert covers(lean, example, small_db) == covers(fat, example, small_db)
+        # `learn --deep-reduce` replaces each learned clause by its core
+        cases = [(small_db, fixtures.small_examples(), auto_bias)]
+        for seed in range(50, 65):
+            db, ex = random_task(random.Random(seed))
+            cases.append((db, ex, induce_bias(db, "t")))
+        shrunk = 0
+        for db, ex, bias in cases:
+            for fat in learn_definition(db, ex, bias, LearnConfig()).clauses:
+                lean = minimize(fat, deep=True)
+                assert len(lean.body) <= len(fat.body)
+                shrunk += len(lean.body) < len(fat.body)
+                for example in ex.positives + ex.negatives:
+                    assert covers(lean, example, db) == covers(fat, example, db)
+        assert shrunk >= 2, shrunk
 
     def test_shared_cache_learns_what_fresh_caches_learn(self, small_db, manual_bias):
         # bottom clauses are memoized per bias, iterations and cap

@@ -22,7 +22,7 @@ from automode.errors import ConfigError, ValidationError
 from automode.learner import CoverageCache, LearnConfig, _implicit_bias, ground_bottom_clause
 from automode.lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
-from automode.biasgen import PredicateDecl
+from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl
 
 from conftest import WORKED_C1_TEXT, WORKED_C2_TEXT
 from oracles import (
@@ -183,7 +183,7 @@ class TestLggLearn:
         db = fixtures.small_database_registered()
         ex = fixtures.small_examples()
         bias = induce_bias(db, "advisedBy")
-        definition = lgg_learn(db, ex, bias.predicates, LearnConfig())
+        definition = lgg_learn(db, ex, bias, LearnConfig())
         assert all(covers_definition(definition, p, db) for p in ex.positives)
         assert not any(covers_definition(definition, n, db) for n in ex.negatives)
 
@@ -191,7 +191,7 @@ class TestLggLearn:
         db = fixtures.small_database_registered()
         bias = induce_bias(db, "advisedBy")
         ex = ExampleSet(db.schema("advisedBy"), (("alice", "bob"),), ())
-        definition = lgg_learn(db, ex, bias.predicates, LearnConfig(iterations=1))
+        definition = lgg_learn(db, ex, bias, LearnConfig(iterations=1))
         assert len(definition.clauses) == 1
         assert isomorphic(definition.clauses[0], parse_clause(WORKED_C1_TEXT))
 
@@ -209,8 +209,9 @@ class TestLggLearn:
             PredicateDecl("q", ("T1",)),
             PredicateDecl("t", ("T1",)),
         )
+        bias = BiasSpec(predicates, (), ModeDecl("t", ("+",)))
         ex = ExampleSet(schemas[2], (("alice",), ("bob",)), ())
-        definition = lgg_learn(db, ex, predicates, LearnConfig())
+        definition = lgg_learn(db, ex, bias, LearnConfig())
         assert len(definition.clauses) == 1
         assert definition.clauses[0].body == ()
 
@@ -224,19 +225,29 @@ class TestLggLearn:
         fresh = {}
         for cap in (1, 100):
             cfg = LearnConfig(per_relation_cap=cap)
-            fresh[cap] = lgg_learn(db, ex, bias.predicates, cfg)
-            assert lgg_learn(db, ex, bias.predicates, cfg, cache=shared) == fresh[cap]
+            fresh[cap] = lgg_learn(db, ex, bias, cfg)
+            assert lgg_learn(db, ex, bias, cfg, cache=shared) == fresh[cap]
         assert fresh[1] != fresh[100]
 
     def test_guard_refuses_large_databases(self):
-        db = fixtures.small_database_registered()
-        ex = fixtures.small_examples()
-        bias = induce_bias(db, "advisedBy")
-        with pytest.raises(ConfigError, match="guard"):
-            lgg_learn(db, ex, bias.predicates, LearnConfig(), guard=3)
+        # one tuple above the fixed guard of 10,000
+        schemas = (RelationSchema("r", ("a",)), RelationSchema("t", ("a",)))
+        db = DatabaseInstance.build(
+            schemas, {"r": [(f"c{i}",) for i in range(10_000)], "t": [("c0",)]}
+        )
+        assert db.total_tuples() == 10_001
+        ex = ExampleSet(schemas[1], (("c0",),), ())
+        bias = BiasSpec(
+            (PredicateDecl("r", ("T1",)), PredicateDecl("t", ("T1",))),
+            (),
+            ModeDecl("t", ("+",)),
+        )
+        with pytest.raises(ConfigError, match="above the lgg guard of 10000"):
+            lgg_learn(db, ex, bias, LearnConfig())
 
     def test_missing_target_declaration_rejected(self):
         db = fixtures.small_database_registered()
         ex = fixtures.small_examples()
-        with pytest.raises(ValidationError):
-            lgg_learn(db, ex, (PredicateDecl("student", ("T1",)),), LearnConfig())
+        bias = BiasSpec((PredicateDecl("student", ("T1",)),), (), ModeDecl("student", ("+",)))
+        with pytest.raises(ValidationError, match="no predicate declaration"):
+            lgg_learn(db, ex, bias, LearnConfig())

@@ -11,9 +11,7 @@ checked against what is left. `covers` is that pass over one example;
 batches of tests should share passes through `learner.CoverageCache`.
 `find_witness` serves armg's prefix decisions: an existential
 substitution search whose subgoals, split by shared unbound variables, are
-solved by fail-first backtracking over indexed candidate rows, with
-example-independent subgoal results memoized in the caller's memo (the
-`learner.CoverageCache` of the run).
+solved by fail-first backtracking over indexed candidate rows.
 Clause-to-clause subsumption backs the deep reduction used to keep
 generalized clauses small.
 """
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from math import prod
 from typing import AbstractSet, Iterable, NamedTuple, TYPE_CHECKING
@@ -198,18 +195,14 @@ def covers(clause: Clause, example: tuple[str, ...], db: "DatabaseInstance") -> 
 
 
 def find_witness(
-    literals, binding: dict[Term, str], db: "DatabaseInstance", memo
+    literals, binding: dict[Term, str], db: "DatabaseInstance"
 ) -> dict[Term, str] | None:
     """A satisfying assignment for the conjunction under `binding`, or None.
 
     armg decides each kept prefix with it; coverage of examples goes
     through `covered_examples` instead. Fully bound literals are membership
     tests; the rest split into subproblems that share no unbound variable
-    and are solved independently. A component's outcome depends only on its
-    literals with bound values substituted in, so the assignment (or
-    refutation) of each component of two or more literals is stored through
-    `memo`, a get-or-compute function such as `CoverageCache.memo` over
-    `db`, and recurs across examples, clauses, and prefixes.
+    and are solved independently.
     """
     pending: list[Literal] = []
     for lit in literals:
@@ -223,43 +216,15 @@ def find_witness(
     components.sort(key=len)
     out = dict(binding)
     for component in components:
-        if len(component) < 2:
-            # singletons are cheaper to solve than to key
-            found = _solve_component(component, binding, db, memo)
-        else:
-            key = frozenset(_component_key(lit, binding) for lit in component)
-            found = memo(key, partial(_new_values, component, binding, db, memo))
+        found = _solve_component(component, binding, db)
         if found is None:
             return None
         out.update(found)
     return out
 
 
-def _new_values(
-    component: list[Literal], binding: dict[Term, str], db: "DatabaseInstance", memo
-) -> dict[Term, str] | None:
-    # only this component's variables: the assignment is valid for any
-    # caller whose substituted literals match
-    solved = _solve_component(component, binding, db, memo)
-    if solved is None:
-        return None
-    return {t: v for t, v in solved.items() if t not in binding}
-
-
-def _component_key(lit: Literal, binding: dict[Term, str]) -> tuple:
-    # constants and bound variables both reduce to their value string;
-    # unbound variables stay as terms (their names matter for the stored
-    # assignment)
-    return (
-        lit.relation,
-        tuple(
-            (binding.get(a, a) if a.is_var else a.symbol) for a in lit.args
-        ),
-    )
-
-
 def _solve_component(
-    body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance", memo
+    body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance"
 ) -> dict[Term, str] | None:
     # fail first: branch on the literal with the fewest matching rows, then
     # solve what remains under each row's extension of the binding
@@ -283,7 +248,7 @@ def _solve_component(
             continue
         if not rest:
             return extended
-        solved = find_witness(rest, extended, db, memo)
+        solved = find_witness(rest, extended, db)
         if solved is not None:
             return solved
     return None

@@ -83,15 +83,14 @@ class CoverageCache:
     tested on its own by `covers`, without a memo.
 
     `memo` stores the result of any other step that reads nothing but this
-    database (`db`) and its key: bottom clauses, armg steps, the components
-    of `clauses.find_witness`, ground bottom clauses and pairwise lggs. So
-    runs over different example sets against the same database (the folds
-    of `cross_validate`) can share one cache. A universe larger than the
-    training set leaks nothing: `_cover_set`, `generalize_clause` and
-    `score` only ask about training examples, and a clause's coverage of
-    one example does not depend on which other examples were evaluated
-    with it. Functions that take a cache get it through `of`, which
-    refuses a cache over another database.
+    database (`db`) and its key: bottom clauses, armg steps, ground bottom
+    clauses and pairwise lggs. So runs over different example sets against
+    the same database (the folds of `cross_validate`) can share one cache.
+    A universe larger than the training set leaks nothing: `_cover_set`,
+    `generalize_clause` and `score` only ask about training examples, and
+    a clause's coverage of one example does not depend on which other
+    examples were evaluated with it. Functions that take a cache get it
+    through `of`, which refuses a cache over another database.
     """
 
     def __init__(self, db: DatabaseInstance, universe=()):
@@ -152,7 +151,12 @@ def build_bottom_clause(
     additions; a tuple contributes one literal, shaped by the first mode it
     satisfies. A '+' position only accepts a constant that is already
     mapped and whose accumulated types intersect the position's declared
-    types, which keeps every emitted join licensed by the bias.
+    types, which keeps every emitted join licensed by the bias. A value
+    first seen at a position that some mode of its relation marks '#'
+    becomes a variable but does not seed the next round, unless the same
+    tuple also holds it at a position no mode marks '#': the bias treats
+    such values as constants, and walking through one would reach every
+    tuple that shares it.
     """
     target = bias.head_mode.relation
     if len(example) != len(bias.head_mode.symbols):
@@ -266,6 +270,8 @@ def _saturate(
             modes = state.bias.modes_for(schema.name)
             if not modes:
                 continue
+            # a value minted only at these positions does not seed the next round
+            constant = {i for m in modes for i, sym in enumerate(m.symbols) if sym == "#"}
             produced = 0
             for row in db.relation_rows(schema.name):
                 if produced >= cfg.per_relation_cap:
@@ -281,6 +287,11 @@ def _saturate(
                         emitted.add(literal)
                         body.append(literal)
                         produced += 1
+                        if constant and minted:
+                            open_values = {
+                                v for i, v in enumerate(row) if i not in constant
+                            }
+                            minted = [v for v in minted if v in open_values]
                         added.extend(minted)
                     break  # first satisfied mode wins
         frontier = list(dict.fromkeys(added))
@@ -308,9 +319,9 @@ def armg(
     saturation that built it); values consistent with it are adopted without
     search. `_connected_order` then drops the kept literals that no chain of
     shared variables joins to the head and orders the rest. The searches
-    read `cache.db` and share their results through `cache.memo`.
+    read `cache.db`.
     """
-    db, memo = cache.db, cache.memo
+    db = cache.db
     binding = _head_binding(clause.head, example)
     if binding is None:
         raise ValidationError(f"head {clause.head} cannot cover {example} at all")
@@ -340,9 +351,9 @@ def armg(
         # search; only a conflict forces re-solving the merged component
         witness = _hint_extension(lit, combined, hint, db)
         if witness is None:
-            witness = find_witness([lit], combined, db, memo)
+            witness = find_witness([lit], combined, db)
         if witness is None:
-            witness = find_witness(merged_lits, binding, db, memo)
+            witness = find_witness(merged_lits, binding, db)
         if witness is not None:
             kept.append(lit)
             untouched.append((merged_vars, merged_lits, witness))

@@ -56,7 +56,7 @@ def witness_covers(clause, example, db) -> bool:
     binding = head_binding(clause, example)
     if binding is None:
         return False
-    return find_witness(list(clause.body), binding, db, CoverageCache(db).memo) is not None
+    return find_witness(list(clause.body), binding, db) is not None
 
 
 def wide_body_cases():
@@ -84,7 +84,7 @@ class TestFindWitness:
             binding = head_binding(clause, example)
             if binding is None:
                 continue
-            witness = find_witness(list(clause.body), binding, db, CoverageCache(db).memo)
+            witness = find_witness(list(clause.body), binding, db)
             assert (witness is not None) == covers(clause, example, db)
             if witness is None:
                 continue
@@ -112,9 +112,9 @@ class TestFindWitness:
         widths: list[int] = []
         solve = clauses._solve_component
 
-        def recording(body, binding, db, memo):
+        def recording(body, binding, db):
             widths.append(len(body))
-            return solve(body, binding, db, memo)
+            return solve(body, binding, db)
 
         monkeypatch.setattr(clauses, "_solve_component", recording)
         wide = wide_covered = 0

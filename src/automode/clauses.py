@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from heapq import heappop, heappush
 from math import prod
 from typing import AbstractSet, Iterable, NamedTuple, TYPE_CHECKING
 
@@ -666,48 +666,45 @@ def fold_singleton_literals(clause: Clause) -> Clause:
     subsumption-equivalent; pairwise generalization and saturation both
     produce whole families of such literals.
     """
-    body = list(clause.body)
+    body = clause.body
     counts: dict[Term, int] = {}
-    for lit in (clause.head, *body):
-        for arg in lit.args:
-            if arg.is_var:
-                counts[arg] = counts.get(arg, 0) + 1
-    groups: dict[tuple[str, int], list[Literal]] = {}
-    for lit in body:
-        groups.setdefault((lit.relation, len(lit.args)), []).append(lit)
-    # drop the first literal that has a partner, as restarting from the
-    # first literal after each removal would: a literal before the dropped
-    # one gains a partner only if one of its variables became a singleton
-    i = 0
-    while i < len(body):
+    for arg in clause.head.variables():
+        counts[arg] = counts.get(arg, 0) + 1
+    holders: dict[Term, list[int]] = {}
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, lit in enumerate(body):
+        groups.setdefault((lit.relation, len(lit.args)), []).append(i)
+        for arg in lit.variables():
+            counts[arg] = counts.get(arg, 0) + 1
+            holders.setdefault(arg, []).append(i)
+    # drop the lowest literal with a partner, as restarting from the first
+    # literal after each removal would: a literal gains a partner only when
+    # one of its variables becomes a singleton
+    pending = list(range(len(body)))
+    live = set(pending)
+    while pending:
+        i = heappop(pending)
+        if i not in live:
+            continue
         lit = body[i]
         fixed = [
             (pos, arg)
             for pos, arg in enumerate(lit.args)
             if not (arg.is_var and counts[arg] == 1)
         ]
-        group = groups[lit.relation, len(lit.args)]
-        matching = (
-            other
-            for other in group
-            if all(other.args[pos] == arg for pos, arg in fixed)
-        )
-        # lit matches itself, so a partner is a second match
-        if len(fixed) == len(lit.args) or len(list(islice(matching, 2))) < 2:
-            i += 1
+        if len(fixed) == len(lit.args) or not any(
+            j != i and j in live and all(body[j].args[pos] == arg for pos, arg in fixed)
+            for j in groups[lit.relation, len(lit.args)]
+        ):
             continue
-        del body[i]
-        group.remove(lit)
-        singles = set()
-        for arg in lit.args:
-            if arg.is_var:
-                counts[arg] -= 1
-                if counts[arg] == 1:
-                    singles.add(arg)
-        i = next(
-            (k for k in range(i) if not singles.isdisjoint(body[k].args)), i
-        )
-    return Clause(clause.head, tuple(body))
+        live.remove(i)
+        for arg in lit.variables():
+            counts[arg] -= 1
+            if counts[arg] == 1:
+                for j in holders[arg]:
+                    if j in live:
+                        heappush(pending, j)
+    return Clause(clause.head, tuple(body[i] for i in sorted(live)))
 
 
 def _deep_reduce(clause: Clause) -> Clause:

@@ -22,6 +22,7 @@ from .clauses import (
     HornDefinition,
     Literal,
     Term,
+    _components,
     _extend,
     _head_binding,
     _image,
@@ -83,9 +84,10 @@ class CoverageCache:
     tested on its own by `covers`, without a memo.
 
     `memo` stores the result of any other step that reads nothing but this
-    database (`db`) and its key: bottom clauses, armg steps, ground bottom
-    clauses and pairwise lggs. So runs over different example sets against
-    the same database (the folds of `cross_validate`) can share one cache.
+    database (`db`) and its key: bottom clauses, armg steps, scoring
+    equivalents, ground bottom clauses and pairwise lggs. So runs over
+    different example sets against the same database (the folds of
+    `cross_validate`) can share one cache.
     A universe larger than the training set leaks nothing: `_cover_set`,
     `generalize_clause` and `score` only ask about training examples, and
     a clause's coverage of one example does not depend on which other
@@ -304,7 +306,7 @@ def _saturate(
 def armg(
     clause: Clause,
     example: tuple[str, ...],
-    cache: CoverageCache,
+    db: DatabaseInstance,
     hint: dict[Term, str] | None = None,
 ) -> Clause:
     """Drop blocking atoms until `example` is covered.
@@ -318,10 +320,8 @@ def armg(
     satisfying assignment of the input clause (for a bottom clause, the
     saturation that built it); values consistent with it are adopted without
     search. `_connected_order` then drops the kept literals that no chain of
-    shared variables joins to the head and orders the rest. The searches
-    read `cache.db`.
+    shared variables joins to the head and orders the rest.
     """
-    db = cache.db
     binding = _head_binding(clause.head, example)
     if binding is None:
         raise ValidationError(f"head {clause.head} cannot cover {example} at all")
@@ -444,15 +444,20 @@ def generalize_clause(
     shorter body, then clause text). Search stops when no candidate beats
     the best score seen so far. A sampled example the head cannot bind to
     (`clauses._head_binding`) is skipped: no body could cover it. The
-    bottom clause's witness speeds up armg's searches. The winner is
-    returned folded (`fold_singleton_literals`) even when it is the bottom
-    clause itself; the folded clause reuses the winner's cached coverage.
+    bottom clause's witness speeds up armg's searches. Each clause is
+    scored through its `_scoring_equivalent`, and shares that clause's
+    coverage; the ranking reads the clause itself. The winner is returned
+    folded (`fold_singleton_literals`) even when it is the bottom clause
+    itself; the folded clause reuses the winner's cached coverage.
     """
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
     cache = CoverageCache.of(db, cache, positives, negatives)
 
     def clause_score(c: Clause) -> int:
-        return score(c, positives, negatives, db, cache)
+        equivalent = cache.memo(("equivalent", c), lambda: _scoring_equivalent(c))
+        value = score(equivalent, positives, negatives, db, cache)
+        cache.share_coverage(equivalent, c)
+        return value
 
     best = bottom.clause
     best_score = clause_score(best)
@@ -473,7 +478,7 @@ def generalize_clause(
                 # it is no part of the key
                 c = cache.memo(
                     ("armg", b, e),
-                    lambda: fold_singleton_literals(armg(b, e, cache, hint=bottom.witness)),
+                    lambda: fold_singleton_literals(armg(b, e, db, hint=bottom.witness)),
                 )
                 if c not in seen:
                     seen.add(c)
@@ -492,6 +497,36 @@ def generalize_clause(
     folded = minimize(fold_singleton_literals(best))
     cache.share_coverage(best, folded)
     return folded
+
+
+def _scoring_equivalent(clause: Clause) -> Clause:
+    """A subsumption-equivalent clause found without a search: the
+    singleton fold, then one copy of each twin group.
+
+    A group is a set of body literals that non-head variables join; two
+    groups are twins when renaming their non-head variables in
+    first-occurrence order gives the same literals. That renaming maps a
+    later twin onto the first and leaves every other term alone, so the
+    clause maps into itself without the later twin and covers exactly what
+    it covers.
+    """
+    folded = fold_singleton_literals(clause)
+    head = dict.fromkeys(folded.head.variables())
+    shapes = set()
+    kept: list[Literal] = []
+    for group in _components(list(folded.body), head):
+        names: dict[Term, int] = {}
+        shape = tuple(
+            (lit.relation, tuple(
+                a if a in head or not a.is_var else names.setdefault(a, len(names))
+                for a in lit.args
+            ))
+            for lit in group
+        )
+        if shape not in shapes:
+            shapes.add(shape)
+            kept.extend(group)
+    return Clause(folded.head, tuple(kept))
 
 
 # -- cover-set loop --------------------------------------------------------------

@@ -28,7 +28,6 @@ from automode.clauses import (
 from automode.cli import dispatch
 from automode.evaluation import cross_validate, generate_negatives, precision_recall
 from automode.learner import (
-    CoverageCache,
     LearnConfig,
     armg,
     build_bottom_clause,
@@ -247,7 +246,7 @@ def test_criterion_7c_armg_properties():
         head_only = Clause(clause.head, ())
         if not covers(head_only, example, db):
             continue  # e.g. repeated head variable with unequal values
-        out = armg(clause, example, CoverageCache(db))
+        out = armg(clause, example, db)
         assert covers(out, example, db)
         assert set(out.body) <= set(clause.body)
         for _ in range(8):

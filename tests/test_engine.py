@@ -14,6 +14,7 @@ import pytest
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, covers, find_witness, parse_clause
 from automode.clauses import HornDefinition, const, fold_singleton_literals, var
+from automode.clauses import _head_binding
 from automode.learner import (
     CoverageCache,
     LearnConfig,
@@ -36,6 +37,7 @@ from oracles import (
     random_clause_over,
     random_db,
     random_example,
+    random_task,
     semijoin_fixpoint_oracle,
 )
 
@@ -377,6 +379,29 @@ class TestSingletonFold:
             assert folded == fold_oracle(clause)
             shrunk += len(folded.body) < len(clause.body)
         assert shrunk >= 100, shrunk
+        # what learning folds: bottom clauses and armg's results, which hold
+        # chains of twins such as publication(v4,v1), publication(v4,v22)
+        tasks = [
+            (fixtures.small_database_registered(), fixtures.small_examples()),
+            (fixtures.typed_database_registered(), fixtures.typed_examples()),
+        ]
+        tasks += [random_task(random.Random(seed)) for seed in range(50, 84)]
+        checked = shrunk = 0
+        for db, ex in tasks:
+            bias = induce_bias(db, ex.target.name)
+            for iterations in (1, 2):
+                for seed in ex.positives:
+                    bottom = build_bottom_clause(seed, db, bias, LearnConfig(iterations=iterations))
+                    shapes = [bottom.clause]
+                    for e in ex.positives + ex.negatives:
+                        if _head_binding(bottom.clause.head, e) is not None:
+                            shapes.append(learner.armg(bottom.clause, e, db, bottom.witness))
+                    for clause in shapes:
+                        folded = fold_singleton_literals(clause)
+                        assert folded == fold_oracle(clause)
+                        checked += 1
+                        shrunk += len(folded.body) < len(clause.body)
+        assert checked >= 2000 and shrunk >= 500, (checked, shrunk)
 
 
 class TestPlantedRule:

@@ -6,14 +6,17 @@ import random
 
 import pytest
 
-from automode import fixtures
+from automode import clauses, fixtures, learner
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
 from automode.clauses import (
     Clause,
     Literal,
+    apply_renaming,
     conforms,
     const,
+    covered_examples,
     covers,
+    fold_singleton_literals,
     minimize,
     parse_clause,
     var,
@@ -23,6 +26,7 @@ from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     BottomClause,
     _connected_order,
+    _scoring_equivalent,
     CoverageCache,
     LearnConfig,
     armg,
@@ -40,9 +44,11 @@ from oracles import (
     head_fit_oracle,
     isomorphic,
     random_clause,
+    random_clause_over,
     random_db,
     random_example,
     random_task,
+    subsumes_oracle,
 )
 
 
@@ -232,14 +238,14 @@ class TestBottomClause:
 
 class TestArmg:
     def test_identity_when_already_covered(self, small_db, worked_clause):
-        assert armg(worked_clause, ("john", "mary"), CoverageCache(small_db)) == worked_clause
+        assert armg(worked_clause, ("john", "mary"), small_db) == worked_clause
 
     def test_drops_blocking_constant_literal(self, small_db, worked_clause):
         pinned = parse_clause(
             'advisedBy(x,y) :- student(x), inPhase(x,u), professor(y), '
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
-        generalized = armg(pinned, ("john", "mary"), CoverageCache(small_db))
+        generalized = armg(pinned, ("john", "mary"), small_db)
         assert covers(generalized, ("john", "mary"), small_db)
         assert [l.relation for l in generalized.body] == [
             "student",
@@ -250,7 +256,7 @@ class TestArmg:
         ]
 
     def test_body_only_shrinks(self, small_db, worked_clause):
-        out = armg(worked_clause, ("alice", "mary"), CoverageCache(small_db))
+        out = armg(worked_clause, ("alice", "mary"), small_db)
         assert set(out.body) <= set(worked_clause.body)
         assert covers(out, ("alice", "mary"), small_db)
 
@@ -277,7 +283,7 @@ class TestArmg:
         ids=["isolated", "chain"],
     )
     def test_disconnected_literals_pruned(self, small_db, text, kept):
-        out = armg(parse_clause(text), ("john", "mary"), CoverageCache(small_db))
+        out = armg(parse_clause(text), ("john", "mary"), small_db)
         assert covers(out, ("john", "mary"), small_db)
         assert [str(l) for l in out.body] == kept
 
@@ -315,22 +321,21 @@ class TestArmg:
         assert reordered >= 50 and dropped >= 50
 
     def test_shared_memo_gives_the_fresh_cache_clauses(self):
-        # one cache serves every armg call on a database, as in a learning
-        # run; sharing it must never change a clause
+        # one database, its indexes built by earlier calls, serves every
+        # armg call of a learning run; that must never change a clause
         rng = random.Random(239)
         for _ in range(120):
-            db = random_db(rng, max_tuples=60, pool=4, max_arity=3)
-            shared = CoverageCache(db)
+            shared = random_db(rng, max_tuples=60, pool=4, max_arity=3)
             for _ in range(3):
                 clause = random_clause(
-                    rng, db, max_body=12, max_free_vars=4, allow_constants=False
+                    rng, shared, max_body=12, max_free_vars=4, allow_constants=False
                 )
                 for _ in range(4):
                     example = random_example(rng, len(clause.head.args), pool=4)
-                    if not covers(Clause(clause.head, ()), example, db):
+                    if not covers(Clause(clause.head, ()), example, shared):
                         continue  # repeated head variable with unequal values
-                    fresh = armg(clause, example, CoverageCache(db))
-                    assert armg(clause, example, shared) == fresh
+                    fresh = DatabaseInstance.build(shared.schemas, shared.rows)
+                    assert armg(clause, example, shared) == armg(clause, example, fresh)
 
 
 class TestArmgIgnoresHint:
@@ -346,8 +351,8 @@ class TestArmgIgnoresHint:
         for seed in ex.positives:
             bottom = build_bottom_clause(seed, db, bias, LearnConfig(iterations=iterations))
             for e in ex.positives + ex.negatives:
-                with_hint = armg(bottom.clause, e, CoverageCache(db), hint=bottom.witness)
-                assert with_hint == armg(bottom.clause, e, CoverageCache(db))
+                with_hint = armg(bottom.clause, e, db, hint=bottom.witness)
+                assert with_hint == armg(bottom.clause, e, db)
 
     def test_arbitrary_hint(self):
         rng = random.Random(211)
@@ -359,8 +364,8 @@ class TestArmgIgnoresHint:
             if not covers(Clause(clause.head, ()), example, db):
                 continue  # repeated head variable with unequal values
             hint = {t: f"c{rng.randrange(8)}" for t in clause.variables()}
-            with_hint = armg(clause, example, CoverageCache(db), hint=hint)
-            assert with_hint == armg(clause, example, CoverageCache(db))
+            with_hint = armg(clause, example, db, hint=hint)
+            assert with_hint == armg(clause, example, db)
             checked += 1
 
 
@@ -453,6 +458,84 @@ class TestGeneralizeClause:
         cfg = LearnConfig(beam_width=1, sample_size=1)
         out = generalize_clause(bottom, ex.positives, ex.negatives, small_db, cfg)
         assert covers(out, ("alice", "bob"), small_db)
+
+
+class TestScoringEquivalent:
+    def test_covers_what_its_clause_covers(self):
+        # random clauses, half of them merged with a copy whose non-head
+        # variables are renamed apart, against random databases over four
+        # values
+        rng = random.Random(409)
+        head_vars = [var("x0"), var("x1")]
+        schemas = (
+            RelationSchema("p", ("a0", "a1")),
+            RelationSchema("q", ("a0",)),
+            RelationSchema("r", ("a0", "a1", "a2")),
+        )
+        values = [f"c{i}" for i in range(4)]
+        examples = [(a, b) for a in values for b in values]
+        twins = 0
+        for _ in range(300):
+            db = DatabaseInstance.build(schemas, {
+                s.name: [
+                    tuple(rng.choice(values) for _ in range(s.arity))
+                    for _ in range(rng.randint(0, 12))
+                ]
+                for s in schemas
+            })
+            pool = [var(f"y{i}") for i in range(rng.randint(1, 2))] + [const("c0")]
+            clause = random_clause_over(rng, head_vars, pool, 5, rng.choice(("pppqr", "ppqq", "pq")))
+            if rng.random() < 0.5:
+                renamed = {v: var(f"z{v.symbol}") for v in pool if v.is_var}
+                body, copy = list(clause.body), list(apply_renaming(clause, renamed).body)
+                merged = []
+                while body or copy:
+                    source = body if body and (not copy or rng.random() < 0.5) else copy
+                    merged.append(source.pop(0))
+                clause = Clause(clause.head, tuple(merged))
+            equivalent = _scoring_equivalent(clause)
+            assert set(equivalent.body) <= set(clause.body)
+            assert covered_examples(equivalent, examples, db) == covered_examples(
+                clause, examples, db
+            )
+            assert subsumes_oracle(clause, equivalent) and subsumes_oracle(equivalent, clause)
+            twins += len(equivalent.body) < len(minimize(fold_singleton_literals(clause)).body)
+        assert twins >= 30, twins
+
+    def test_learning_scores_reduced_clauses_without_a_search(self, monkeypatch):
+        # every joined pass of a learning run evaluates a clause that neither
+        # the fold nor the twin-group drop shrinks, and no subsumption search
+        # runs to find it
+        evaluate, reduce = learner.covered_examples, learner._scoring_equivalent
+        evaluated, shrunk = [], []
+
+        def recording(clause, examples, db):
+            evaluated.append(clause)
+            return evaluate(clause, examples, db)
+
+        def reducing(clause):
+            equivalent = reduce(clause)
+            shrunk.append(len(equivalent.body) < len(clause.body))
+            return equivalent
+
+        def no_search(*args):
+            raise AssertionError("a subsumption search ran during learning")
+
+        monkeypatch.setattr(learner, "covered_examples", recording)
+        monkeypatch.setattr(clauses, "covered_examples", recording)
+        monkeypatch.setattr(learner, "_scoring_equivalent", reducing)
+        monkeypatch.setattr(clauses, "_embed", no_search)
+        tasks = [
+            (fixtures.small_database_registered(), fixtures.small_examples()),
+            (fixtures.typed_database_registered(), fixtures.typed_examples()),
+        ]
+        tasks += [random_task(random.Random(seed)) for seed in range(50, 65)]
+        for db, ex in tasks:
+            for iterations in (1, 2):
+                cfg = LearnConfig(iterations=iterations)
+                learn_definition(db, ex, induce_bias(db, ex.target.name), cfg)
+        assert all(reduce(c) == c for c in evaluated)
+        assert len(evaluated) >= 50 and sum(shrunk) >= 20, (len(evaluated), sum(shrunk))
 
 
 class TestLearnDefinition:

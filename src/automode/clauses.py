@@ -186,12 +186,28 @@ def _parse_literal(text: str, pos: int) -> tuple[Literal, int]:
 
 def covers(clause: Clause, example: tuple[str, ...], db: "DatabaseInstance") -> bool:
     """True iff some substitution maps the head onto `example` and every
-    body literal onto a stored tuple: `covered_examples` over one example.
+    body literal onto a stored tuple.
 
-    Each call is a joined pass of its own; tests of many examples should
-    share one pass through `learner.CoverageCache`.
+    The example is bound into the clause first: each head variable becomes
+    its value, so a literal on a head variable starts from the position
+    index instead of its relation's whole row set, and `covered_examples`
+    runs over the one nullary example of the bound clause. Each call is a
+    joined pass of its own; tests of many examples should share one pass
+    through `learner.CoverageCache`.
     """
-    return tuple(example) in covered_examples(clause, (example,), db)
+    example = tuple(example)
+    if len(example) != len(clause.head.args):
+        raise ValidationError(
+            f"example arity {len(example)} does not match head {clause.head}"
+        )
+    binding = _head_binding(clause.head, example)
+    values = {v: const(value) for v, value in (binding or {}).items()}
+    bound = Clause(
+        Literal(clause.head.relation, ()), apply_renaming(clause, values).body
+    )
+    # a head that cannot bind covers nothing, but a missing relation is
+    # still an error
+    return bool(covered_examples(bound, [()] if binding is not None else [], db))
 
 
 def find_witness(

@@ -87,7 +87,13 @@ class CoverageCache:
     database (`db`) and its key: bottom clauses, armg steps, scoring
     equivalents, ground bottom clauses and pairwise lggs. So runs over
     different example sets against the same database (the folds of
-    `cross_validate`) can share one cache.
+    `cross_validate`) can share one cache. One key per armg input clause
+    `b` also gathers the distinct results armg has returned for `b`, each
+    with its fold, whichever example produced it: `generalize_clause`
+    reuses one for a new example once `_holds_for` shows that armg would
+    return it there too. Satisfiability is closed under subsets and armg
+    decides each variable-connected group on its own, so that reuse is
+    exact, and it gives the same clauses whichever runs shared the cache.
     A universe larger than the training set leaks nothing: `_cover_set`,
     `generalize_clause` and `score` only ask about training examples, and
     a clause's coverage of one example does not depend on which other
@@ -449,15 +455,43 @@ def generalize_clause(
     coverage; the ranking reads the clause itself. The winner is returned
     folded (`fold_singleton_literals`) even when it is the bottom clause
     itself; the folded clause reuses the winner's cached coverage.
+
+    Before armg runs on a beam clause `b` and an example `e` of the cache's
+    universe, each distinct earlier result `c = armg(b, e')` is tried
+    (`_holds_for`): `c` must cover `e`, and each literal of `b` that `c`
+    leaves out must stay unsatisfiable under `e` together with the
+    literals of `c` before it that non-head variables join to it. Then
+    armg's greedy pass over `b` for `e` keeps exactly `c`'s literals, by
+    induction over `b`: satisfiability is closed under subsets, so a
+    literal of `c` is kept, as it and the kept prefix are a subset of `c`,
+    which covers `e`; and armg decides each variable-connected group on
+    its own, so the rest of that prefix, satisfiable too, cannot unblock a
+    left-out literal that its group blocks. So the reuse returns what armg
+    would, and any other case, a kept literal that `_connected_order`
+    dropped included, falls through to armg.
     """
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
     cache = CoverageCache.of(db, cache, positives, negatives)
 
     def clause_score(c: Clause) -> int:
-        equivalent = cache.memo(("equivalent", c), lambda: _scoring_equivalent(c))
+        equivalent = _equivalent(c, cache)
         value = score(equivalent, positives, negatives, db, cache)
         cache.share_coverage(equivalent, c)
         return value
+
+    def generalized(b: Clause, e: tuple[str, ...]) -> Clause:
+        # armg's results for b, raw and folded; outside the universe a
+        # coverage test would be a joined pass of its own, so none is tried
+        results = cache.memo(("armg results", b), dict)
+        if e in cache._universe:
+            for c, folded in results.items():
+                if _holds_for(b, c, folded, e, cache):
+                    return folded
+        c = armg(b, e, db, hint=bottom.witness)
+        folded = results.get(c)
+        if folded is None:
+            folded = results[c] = fold_singleton_literals(c)
+        return folded
 
     best = bottom.clause
     best_score = clause_score(best)
@@ -476,10 +510,7 @@ def generalize_clause(
                 # armg keeps exactly the literals jointly satisfiable with
                 # the kept prefix; the hint only speeds up the search, so
                 # it is no part of the key
-                c = cache.memo(
-                    ("armg", b, e),
-                    lambda: fold_singleton_literals(armg(b, e, db, hint=bottom.witness)),
-                )
+                c = cache.memo(("armg", b, e), lambda: generalized(b, e))
                 if c not in seen:
                     seen.add(c)
                     candidates.append(c)
@@ -497,6 +528,45 @@ def generalize_clause(
     folded = minimize(fold_singleton_literals(best))
     cache.share_coverage(best, folded)
     return folded
+
+
+def _equivalent(clause: Clause, cache: CoverageCache) -> Clause:
+    """The clause's `_scoring_equivalent`, memoized in `cache`."""
+    return cache.memo(("equivalent", clause), lambda: _scoring_equivalent(clause))
+
+
+def _holds_for(
+    clause: Clause,
+    result: Clause,
+    folded: Clause,
+    example: tuple[str, ...],
+    cache: CoverageCache,
+) -> bool:
+    """True when `result`, armg's result for `clause` and another example,
+    is also `armg(clause, example)`, shown without armg's pass.
+
+    `result` must cover `example`: its coverage is read through the scoring
+    equivalent of its fold `folded`, which scoring computes anyway. And
+    each body literal of `clause` that `result` leaves out must be
+    unsatisfiable under `example` together with the literals of `result`
+    before it in `clause` that non-head variables join to it: one witness
+    search per left-out literal. `generalize_clause` states why that is
+    exact.
+    """
+    if not cache.covers(_equivalent(folded, cache), example):
+        return False
+    binding = _head_binding(clause.head, example)
+    kept = set(result.body)
+    prefix: list[Literal] = []
+    for lit in clause.body:
+        if lit in kept:
+            prefix.append(lit)
+            continue
+        # the first group holds `lit`: the rest of the prefix cannot block it
+        group = _components([lit, *prefix], binding)[0]
+        if find_witness(group, binding, cache.db) is not None:
+            return False
+    return True
 
 
 def _scoring_equivalent(clause: Clause) -> Clause:

@@ -567,8 +567,12 @@ def random_db(
 
 def random_task(rng: random.Random) -> tuple[DatabaseInstance, ExampleSet]:
     """A `random_db` with a binary target `t` registered: up to 14 distinct
-    pairs of its values, alternately positive and negative in sorted order."""
+    pairs of its values, alternately positive and negative in sorted order.
+    A database without a tuple has no values to pair, so it is drawn again
+    from the same `rng`."""
     db = random_db(rng, max_relations=3, max_arity=2, max_tuples=30, pool=6)
+    while not db.total_tuples():
+        db = random_db(rng, max_relations=3, max_arity=2, max_tuples=30, pool=6)
     domain = sorted({v for rows in db.rows.values() for row in rows for v in row})
     pool = sorted({tuple(rng.choice(domain) for _ in range(2)) for _ in range(14)})
     target = RelationSchema("t", ("a0", "a1"))

@@ -13,7 +13,7 @@ import pytest
 
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, covers, find_witness, parse_clause
-from automode.clauses import HornDefinition, const, fold_singleton_literals, var
+from automode.clauses import Clause, HornDefinition, Literal, const, fold_singleton_literals, var
 from automode.clauses import _head_binding
 from automode.learner import (
     CoverageCache,
@@ -179,6 +179,31 @@ class TestCoveredExamples:
             covered_examples(clause, [("c1",)], db)
         with pytest.raises(ValidationError, match="missing"):
             covers(clause, ("c1",), db)
+        # so does a head that cannot bind the example
+        with pytest.raises(ValidationError, match="missing"):
+            covers(parse_clause('t("c2") :- p(x), missing(x).'), ("c1",), db)
+
+    def test_single_example_covers_matches_the_joined_pass(self):
+        # covers binds the example into the clause before its pass; heads
+        # with a repeated variable or a constant may not bind at all
+        rng = random.Random(233)
+        seen = {"covered": 0, "not covered": 0, "head does not bind": 0}
+        for _ in range(300):
+            db = random_db(rng, pool=4)
+            clause = random_clause(rng, db)
+            if rng.random() < 0.3:
+                args = list(clause.head.args)
+                args[rng.randrange(len(args))] = const(f"c{rng.randrange(4)}")
+                clause = Clause(Literal("t", tuple(args)), clause.body)
+            example = random_example(rng, len(clause.head.args), pool=4)
+            want = covers_oracle(clause, example, db)
+            assert covers(clause, example, db) == want, (str(clause), example)
+            assert want == (example in covered_examples(clause, [example], db))
+            if _head_binding(clause.head, example) is None:
+                seen["head does not bind"] += 1
+            else:
+                seen["covered" if want else "not covered"] += 1
+        assert min(seen.values()) >= 30, seen
 
     def test_head_only_clause_covers_unifiable_examples(self):
         db = random_db(random.Random(229))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from automode import clauses, fixtures, learner
+from automode.evaluation import generate_negatives
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
 from automode.clauses import (
     Clause,
@@ -36,7 +39,14 @@ from automode.learner import (
     learn_definition,
     score,
 )
-from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, register_target
+from automode.relstore import (
+    DatabaseInstance,
+    ExampleSet,
+    RelationSchema,
+    load_database,
+    load_examples,
+    register_target,
+)
 
 from conftest import MANUAL_BIAS_TEXT
 from oracles import (
@@ -538,6 +548,119 @@ class TestScoringEquivalent:
         assert len(evaluated) >= 50 and sum(shrunk) >= 20, (len(evaluated), sum(shrunk))
 
 
+def _planted_task(out: Path, seed: int, **params):
+    """A database from the bench's `planted` generator, registered, with
+    closed-world negatives at the bench's ratio of two per positive."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    target = gen.planted(out, seed, **params)
+    db = load_database(out / "schema.txt", out / "facts", examples_backed=(target,))
+    ex = load_examples(out / "examples.txt", db.schema(target))
+    db = register_target(db, ex)
+    negatives = generate_negatives(db, ex.positives, ex.target, 2, seed)
+    return db, ExampleSet(ex.target, ex.positives, negatives)
+
+
+def _blocking_drop(clause: Clause, example, db) -> tuple[Literal, ...]:
+    """armg's kept literals by its definition, before the literals that no
+    chain of shared variables joins to the head are pruned: drop the
+    earliest body literal whose prefix does not cover `example`, and repeat
+    until the whole body covers it."""
+    body, i = list(clause.body), 0
+    while i < len(body):
+        if covers(Clause(clause.head, tuple(body[: i + 1])), example, db):
+            i += 1
+        else:
+            del body[i]  # every shorter prefix covers: the earliest blocking literal
+    return tuple(body)
+
+
+class TestArmgReuse:
+    def test_reuse_is_accepted_exactly_when_armg_keeps_its_literals(
+        self, monkeypatch, tmp_path
+    ):
+        # generalize_clause reuses an earlier armg result for a new example
+        # exactly when armg's pass there keeps the same literals, and then
+        # the reuse is armg's own result, folded; both ways of rejecting
+        # one occur
+        holds, reuses, drops = learner._holds_for, [], {}
+        rejected = {"not covered": 0, "a left-out literal is satisfiable": 0}
+
+        def recording(clause, result, folded, example, cache):
+            accepted = holds(clause, result, folded, example, cache)
+            key = (clause, example, id(cache.db))
+            if key not in drops:
+                drops[key] = set(_blocking_drop(clause, example, cache.db))
+            assert accepted == (drops[key] == set(result.body)), (clause, result, example)
+            if accepted:
+                reuses.append((clause, folded, example, cache.db))
+            elif not covers(result, example, cache.db):
+                rejected["not covered"] += 1
+            else:
+                rejected["a left-out literal is satisfiable"] += 1
+            return accepted
+
+        monkeypatch.setattr(learner, "_holds_for", recording)
+        tasks = [
+            (fixtures.small_database_registered(), fixtures.small_examples()),
+            (fixtures.typed_database_registered(), fixtures.typed_examples()),
+        ]
+        tasks += [random_task(random.Random(seed)) for seed in range(20)]
+        # the oracle's passes over the larger bottom clauses of the bench's
+        # databases without '#' modes (threshold 1) take seconds
+        planted = [
+            _planted_task(tmp_path / f"p{seed}", seed, profs=2, students_per_prof=10,
+                          papers_per_pair=1)
+            for seed in (1, 2)
+        ]
+        runs = [(*task, (5, 1)) for task in tasks] + [(*task, (5,)) for task in planted]
+        for db, ex, thresholds in runs:
+            for threshold in thresholds:
+                bias = induce_bias(db, ex.target.name, constant_threshold=threshold)
+                for iterations in (1, 2):
+                    learn_definition(db, ex, bias, LearnConfig(iterations=iterations))
+        for clause, folded, example, db in reuses:
+            assert folded == fold_singleton_literals(armg(clause, example, db))
+        assert len(reuses) >= 50 and min(rejected.values()) >= 10, (len(reuses), rejected)
+
+    def test_cache_without_the_examples_reuses_nothing(self, monkeypatch, small_db):
+        # outside the universe a coverage test is a pass of its own: no
+        # reuse is tried there, and the clause learned is the same
+        ex = fixtures.small_examples()
+        pinned = parse_clause(
+            'advisedBy(x,y) :- student(x), inPhase(x,"pre_quals"), professor(y), '
+            'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
+        )
+        bottom = BottomClause(pinned, {})
+        holds, single, verified, tried = learner._holds_for, learner.covers, [], []
+
+        def verifying(*args):
+            verified.append(args)
+            return holds(*args)
+
+        def counting(*args):
+            tried.append(args)
+            return single(*args)
+
+        monkeypatch.setattr(learner, "_holds_for", verifying)
+        monkeypatch.setattr(learner, "covers", counting)
+        args = (bottom, ex.positives, ex.negatives, small_db, LearnConfig())
+        full = generalize_clause(*args)
+        assert verified and not tried  # inside the universe a reuse is tried
+        verified.clear()
+        outside = generalize_clause(*args, cache=CoverageCache(small_db))
+        calls = len(tried)
+        assert outside == full and not verified
+        # the same run with reuse turned off makes the same single-example tests
+        monkeypatch.setattr(learner, "_holds_for", lambda *a: False)
+        tried.clear()
+        assert generalize_clause(*args, cache=CoverageCache(small_db)) == outside
+        assert len(tried) == calls > 0
+
+
 class TestLearnDefinition:
     def test_fixture_learns_perfect_definition(self, small_db, auto_bias):
         ex = fixtures.small_examples()
@@ -617,6 +740,15 @@ class TestLearnDefinition:
         for bias, cfg in runs:
             fresh = learn_definition(small_db, ex, bias, cfg)
             assert learn_definition(small_db, ex, bias, cfg, cache=shared) == fresh
+
+
+class TestRandomTask:
+    def test_every_seed_builds_a_task(self):
+        # a draw without a tuple has no values to pair: it is drawn again
+        for seed in range(200):
+            db, ex = random_task(random.Random(seed))
+            assert ex.positives and set(db.relation_rows("t")) == set(ex.positives)
+            assert db.total_tuples() > len(ex.positives)
 
 
 class TestLearnConfig:

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
+from operator import itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, TYPE_CHECKING
 
 from .errors import ValidationError
@@ -554,18 +555,41 @@ def subsumption_witness(
 def _consistent_targets(
     literals: Iterable[Literal], targets: Iterable[Literal], theta: dict[Term, Term]
 ) -> list[list[Literal]]:
-    """For each literal, the targets it unifies with under `theta`."""
-    by_relation: dict[str, list[Literal]] = {}
+    """For each literal, the targets it unifies with under `theta`, in
+    their order.
+
+    A literal's constants and θ-bound variables fix the values at their
+    positions, a key looked up in the targets of its shape indexed by those
+    positions; a target found there unifies when it also repeats each
+    repeated unbound variable's value.
+    """
+    by_shape: dict[tuple[str, int], list[Literal]] = {}
     for t in targets:
-        by_relation.setdefault(t.relation, []).append(t)
-    return [
-        [
-            t
-            for t in by_relation.get(lit.relation, ())
-            if _unify_literal(lit, t, theta) is not None
-        ]
-        for lit in literals
-    ]
+        by_shape.setdefault((t.relation, len(t.args)), []).append(t)
+    indexes: dict[tuple, dict[tuple[Term, ...], list[Literal]]] = {}
+    out = []
+    for lit in literals:
+        fixed: list[int] = []
+        key: list[Term] = []
+        first: dict[Term, int] = {}
+        repeats: list[tuple[int, int]] = []
+        for pos, a in enumerate(lit.args):
+            if not a.is_var or a in theta:
+                fixed.append(pos)
+                key.append(theta[a] if a.is_var else a)
+            elif first.setdefault(a, pos) != pos:
+                repeats.append((pos, first[a]))
+        shape = (lit.relation, len(lit.args), tuple(fixed))
+        index = indexes.get(shape)
+        if index is None:
+            index = indexes[shape] = {}
+            for t in by_shape.get(shape[:2], ()):
+                index.setdefault(tuple(t.args[p] for p in fixed), []).append(t)
+        found = index.get(tuple(key), [])
+        if repeats:
+            found = [t for t in found if all(t.args[p] == t.args[q] for p, q in repeats)]
+        out.append(found)
+    return out
 
 
 def _unify_literal(
@@ -623,27 +647,35 @@ def _forward_check(
 ) -> dict[Term, Term] | None:
     if not pending:
         return theta
-    best = min(pending, key=lambda k: len(candidates[k]))
-    rest = [k for k in pending if k != best]
+    # fail first: the fewest candidates, ties to the earliest pending literal
+    sizes = list(map(len, map(candidates.__getitem__, pending)))
+    i = sizes.index(min(sizes))
+    best = pending[i]
+    rest = pending[:i] + pending[i + 1 :]
     lit = literals[best]
+    # the first position of each variable the branch binds
+    free: dict[Term, int] = {}
+    for pos, a in enumerate(lit.args):
+        if a.is_var and a not in theta:
+            free.setdefault(a, pos)
+    if not free:
+        # every target leaves the same subproblem: try it once
+        return _forward_check(literals, rest, candidates, occurs, theta)
+    # each pending literal sharing one of them keeps the candidates whose
+    # arguments there equal the target's at the branch literal's positions
+    affected = {k for a in free for k in occurs[a]}
+    checks = []
+    for k in rest:
+        if k in affected:
+            pairs = [(pos, free[a]) for pos, a in enumerate(literals[k].args) if a in free]
+            checks.append(
+                (k, itemgetter(*(p for p, _ in pairs)), itemgetter(*(q for _, q in pairs)))
+            )
     for target in candidates[best]:
-        new = {
-            a: b for a, b in zip(lit.args, target.args) if a.is_var and a not in theta
-        }
-        if not new:
-            # every target leaves the same subproblem: try it once
-            return _forward_check(literals, rest, candidates, occurs, theta)
         narrowed = candidates
-        affected = {k for a in new for k in occurs[a]}
-        for k in rest:
-            if k not in affected:
-                continue
-            checks = [
-                (pos, new[a]) for pos, a in enumerate(literals[k].args) if a in new
-            ]
-            kept = [
-                t for t in narrowed[k] if all(t.args[pos] == b for pos, b in checks)
-            ]
+        for k, theirs, ours in checks:
+            want = ours(target.args)
+            kept = [t for t in narrowed[k] if theirs(t.args) == want]
             if not kept:
                 break
             if len(kept) == len(narrowed[k]):
@@ -653,7 +685,7 @@ def _forward_check(
             narrowed[k] = kept
         else:
             extended = dict(theta)
-            extended.update(new)
+            extended.update((a, target.args[pos]) for a, pos in free.items())
             solved = _forward_check(literals, rest, narrowed, occurs, extended)
             if solved is not None:
                 return solved
@@ -744,6 +776,12 @@ def _deep_reduce(clause: Clause) -> Clause:
     body = list(clause.body)
     # consistency under the fixed head never changes: compute it once
     consistent = dict(zip(body, _consistent_targets(body, body, head_theta)))
+    rank = {lit: i for i, lit in enumerate(body)}
+    holders: dict[Term, list[Literal]] = {}
+    for lit in body:
+        for a in lit.args:
+            if a.is_var and a not in head_theta:
+                holders.setdefault(a, []).append(lit)
     alive = set(body)
     image: set[Literal] | None = None
     i = 0
@@ -757,8 +795,17 @@ def _deep_reduce(clause: Clause) -> Clause:
         # without another target for the literal itself, no search can succeed
         if any(t in alive for t in consistent[lit]):
             # θ can map every literal outside lit's group, joined to it
-            # through variables outside the head, onto itself
-            linked = next(g for g in _components(body, head_theta) if lit in g)
+            # through variables outside the head, onto itself; the group goes
+            # in body order, which breaks the search's ties and so picks θ
+            group = {lit}
+            stack = [lit]
+            while stack:
+                for a in stack.pop().args:
+                    for k in holders.get(a, ()):
+                        if k not in group and k in alive:
+                            group.add(k)
+                            stack.append(k)
+            linked = sorted(group, key=rank.__getitem__)
             candidates = [[t for t in consistent[k] if t in alive] for k in linked]
             theta = _embed(linked, candidates, head_theta)
         if theta is None:

@@ -57,15 +57,17 @@ def lgg_terms(a: Term, b: Term, table: VarPairTable) -> Term:
     return table.variable_for(a, b)
 
 
-def lgg_literals(a: Literal, b: Literal, table: VarPairTable) -> Literal | None:
-    if a.relation != b.relation or len(a.args) != len(b.args):
-        return None
+def lgg_literals(a: Literal, b: Literal, table: VarPairTable) -> Literal:
+    """The generalization of two literals of one relation and arity."""
     return Literal(a.relation, tuple(lgg_terms(x, y, table) for x, y in zip(a.args, b.args)))
 
 
 def lgg_clauses(c1: Clause, c2: Clause, reduce: bool = True) -> Clause:
     """Pairwise generalization of compatible literals under one shared table.
 
+    Each literal of `c1` meets only `c2`'s literals of its relation and
+    arity, in `c2`'s order: the pairs that generalize, met in the order of
+    the all-pairs loop, so the body and its variable names are that loop's.
     The result subsumes both inputs; with `reduce` (the default) it is also
     deep-reduced, which collapses the pairwise product back to its
     non-redundant core.
@@ -76,13 +78,15 @@ def lgg_clauses(c1: Clause, c2: Clause, reduce: bool = True) -> Clause:
         )
     table = VarPairTable(c1.variables() + c2.variables())
     head = lgg_literals(c1.head, c2.head, table)
-    assert head is not None
+    partners: dict[tuple[str, int], list[Literal]] = {}
+    for l2 in c2.body:
+        partners.setdefault((l2.relation, len(l2.args)), []).append(l2)
     body: list[Literal] = []
     seen: set[Literal] = set()
     for l1 in c1.body:
-        for l2 in c2.body:
+        for l2 in partners.get((l1.relation, len(l1.args)), ()):
             lit = lgg_literals(l1, l2, table)
-            if lit is not None and lit not in seen:
+            if lit not in seen:
                 seen.add(lit)
                 body.append(lit)
     clause = Clause(head, tuple(body))

@@ -12,10 +12,13 @@ import random
 import re
 from itertools import product
 from pathlib import Path
+from typing import Iterator
 
-from automode.biasgen import BiasSpec, ModeDecl
+from automode import fixtures
+from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl, induce_bias
 from automode.clauses import Clause, Literal, Term, const, var
 from automode.errors import LoadError, ValidationError
+from automode.learner import ground_bottom_clause
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 
 
@@ -150,6 +153,38 @@ def reduction_oracle(clause: Clause) -> Clause:
                 changed = True
                 break
     return Clause(clause.head, tuple(body))
+
+
+def lgg_product_oracle(c1: Clause, c2: Clause) -> Clause:
+    """The unreduced lgg as first written: generalize every literal of `c1`
+    against every literal of `c2`, keeping each literal of the same
+    relation and arity that is new. Each distinct ordered pair of terms
+    becomes one variable, numbered after the highest `v<N>` variable of
+    either clause."""
+    numbers = [
+        int(t.symbol[1:])
+        for t in c1.variables() + c2.variables()
+        if re.fullmatch(r"v\d+", t.symbol)
+    ]
+    names: dict[tuple[Term, Term], Term] = {}
+
+    def generalize(l1: Literal, l2: Literal) -> Literal:
+        args = []
+        for a, b in zip(l1.args, l2.args):
+            if a != b and (a, b) not in names:
+                names[a, b] = var(f"v{max(numbers, default=-1) + 1 + len(names)}")
+            args.append(a if a == b else names[a, b])
+        return Literal(l1.relation, tuple(args))
+
+    head = generalize(c1.head, c2.head)
+    body: list[Literal] = []
+    for l1 in c1.body:
+        for l2 in c2.body:
+            if l1.relation == l2.relation and len(l1.args) == len(l2.args):
+                lit = generalize(l1, l2)
+                if lit not in body:
+                    body.append(lit)
+    return Clause(head, tuple(body))
 
 
 def fold_oracle(clause: Clause) -> Clause:
@@ -633,6 +668,52 @@ def random_clause(
 
 def random_example(rng: random.Random, arity: int, pool: int = 8) -> tuple[str, ...]:
     return tuple(f"c{rng.randint(0, pool - 1)}" for _ in range(arity))
+
+
+def ground_cases():
+    """Examples to saturate, with their database, target and predicate
+    declarations: every example of both fixtures, and one example on each
+    of 200 random databases typed at random."""
+    for name in ("small", "typed"):
+        db = getattr(fixtures, f"{name}_database_registered")()
+        ex = getattr(fixtures, f"{name}_examples")()
+        predicates = induce_bias(db, "advisedBy").predicates
+        for example in ex.positives + ex.negatives:
+            yield db, example, "advisedBy", predicates
+    rng = random.Random(467)
+    for _ in range(200):
+        db = random_db(rng, max_relations=4, max_arity=3, max_tuples=40, pool=6)
+        target = rng.choice(db.schemas)
+        predicates = tuple(
+            dict.fromkeys(
+                PredicateDecl(s.name, tuple(rng.choice(("T0", "T1")) for _ in range(s.arity)))
+                for s in db.schemas
+                for _ in range(rng.randint(1, 2))
+            )
+        )
+        rows = sorted(db.relation_rows(target.name))
+        if rows and rng.random() < 0.5:
+            example = rng.choice(rows)
+        else:
+            example = random_example(rng, target.arity, pool=6)
+        yield db, example, target.name, predicates
+
+
+def ground_clause_pairs(cfg) -> Iterator[tuple[Clause, Clause]]:
+    """Pairs of ground bottom clauses under `cfg` over one database and
+    target, as an lgg fold's first step meets them: on each fixture, each
+    example's clause after the previous example's; on each random database
+    of `ground_cases`, the clauses of the target's first two stored tuples,
+    each before its example's clause."""
+    previous = None
+    for db, example, target, predicates in ground_cases():
+        clause = ground_bottom_clause(example, db, target, predicates, cfg)
+        if previous is not None and previous[0] is db:
+            yield previous[1], clause
+        else:
+            for row in sorted(db.relation_rows(target))[:2]:
+                yield ground_bottom_clause(row, db, target, predicates, cfg), clause
+        previous = db, clause
 
 
 _CLAUSE_RELATIONS = {"p": 2, "q": 1, "r": 3}

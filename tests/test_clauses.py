@@ -25,9 +25,11 @@ from automode.clauses import (
     var,
 )
 from automode.errors import ValidationError
+from automode.lgg import lgg_clauses
 
 from oracles import (
     covers_oracle,
+    ground_clause_pairs,
     random_clause,
     random_clause_over,
     random_db,
@@ -297,16 +299,7 @@ class TestMinimize:
         assert minimize(clause, deep=True) == clause
 
     def test_deep_reduce_matches_restart_oracle(self, monkeypatch):
-        searched = []
-        embed = clauses._embed
-
-        def recording(literals, candidates, theta):
-            # the literal under test is the one not offered as its own target
-            (tested,) = [l for l, c in zip(literals, candidates) if l not in c]
-            searched.append(tested)
-            return embed(literals, candidates, theta)
-
-        monkeypatch.setattr(clauses, "_embed", recording)
+        searched = _record_searches(monkeypatch)
         rng = random.Random(59)
         pool = [var(f"y{i}") for i in range(3)] + [const("a"), const("b")]
         shrunk = 0
@@ -337,6 +330,46 @@ class TestMinimize:
         for clause, reduced in pairs:
             assert set(reduced.body) <= set(clause.body)
             assert subsumes(reduced, clause) and subsumes(clause, reduced)
+
+    def test_deep_reduce_of_lgg_products(self, monkeypatch):
+        # what the lgg learner reduces: unreduced lggs of ground bottom
+        # clauses, with repeated relations and shared constants
+        searched = _record_searches(monkeypatch)
+        pairs = []
+        for iterations in (1, 2):
+            cfg = learner.LearnConfig(iterations=iterations, per_relation_cap=3)
+            for c1, c2 in ground_clause_pairs(cfg):
+                raw = lgg_clauses(c1, c2, reduce=False)
+                searched.clear()
+                pairs.append((raw, minimize(raw, deep=True)))
+                # one forward pass: no literal is searched twice
+                assert len(searched) == len(set(searched))
+        monkeypatch.undo()
+        shrunk = 0
+        for raw, reduced in pairs:
+            assert set(reduced.body) <= set(raw.body)
+            assert subsumes(reduced, raw) and subsumes(raw, reduced)
+            # the oracle enumerates every assignment of the free variables
+            free = set(raw.variables()) - set(raw.head.variables())
+            if len(raw.body) <= 12 and len(free) <= 4:
+                assert reduced == reduction_oracle(raw)
+                shrunk += len(reduced.body) < len(raw.body)
+        assert shrunk >= 60
+
+
+def _record_searches(monkeypatch) -> list[Literal]:
+    """Record the literal each deep-reduction search tests: the one its
+    `clauses._embed` call does not offer as its own target."""
+    searched: list[Literal] = []
+    embed = clauses._embed
+
+    def recording(literals, candidates, theta):
+        (tested,) = [l for l, c in zip(literals, candidates) if l not in c]
+        searched.append(tested)
+        return embed(literals, candidates, theta)
+
+    monkeypatch.setattr(clauses, "_embed", recording)
+    return searched
 
 
 class TestSubsumes:
@@ -393,3 +426,46 @@ class TestSubsumes:
             assert image(general.head) == specific.head
             assert all(image(lit) in specific.body for lit in general.body)
         assert answers[True] >= 50 and answers[False] >= 50
+
+    def test_consistent_targets_match_pairwise_unification(self):
+        # the key lookup against filtering by unification, under the fixed
+        # head of deep reduction and under a head unification's θ, as in
+        # subsumption_witness
+        rng = random.Random(61)
+        head_vars = [var("x0"), var("x1")]
+        pool = [var("y0"), var("y1"), const("a"), const("b")]
+        seen = {"repeated": 0, "repeated found": 0, "bound": 0, "found": 0, "refused": 0}
+        for _ in range(300):
+            literals = random_clause_over(rng, head_vars, pool, 8).body
+            # half of the literals also appear renamed among the targets, so
+            # a repeated unbound variable often finds its target
+            renaming = {v: rng.choice(head_vars + pool) for v in pool if v.is_var}
+            targets = list(random_clause_over(rng, head_vars, pool, 8).body) + [
+                Literal(lit.relation, tuple(renaming.get(a, a) for a in lit.args))
+                for lit in literals
+                if rng.random() < 0.5
+            ]
+            rng.shuffle(targets)
+            general = Literal("t", tuple(rng.choice(head_vars) for _ in head_vars))
+            specific = Literal("t", tuple(rng.choice(head_vars + pool) for _ in head_vars))
+            for theta in (
+                clauses._unify_literal(general, general, {}),
+                clauses._unify_literal(general, specific, {}),
+            ):
+                if theta is None:
+                    continue
+                expected = [
+                    [t for t in targets if clauses._unify_literal(lit, t, theta) is not None]
+                    for lit in literals
+                ]
+                assert clauses._consistent_targets(literals, targets, theta) == expected
+                for lit, found in zip(literals, expected):
+                    free = [a for a in lit.args if a.is_var and a not in theta]
+                    seen["repeated"] += len(set(free)) < len(free)
+                    seen["repeated found"] += len(set(free)) < len(free) and bool(found)
+                    seen["bound"] += any(a in theta for a in lit.args)
+                    seen["found"] += bool(found)
+                    seen["refused"] += len(found) < sum(
+                        t.relation == lit.relation for t in targets
+                    )
+        assert min(seen.values()) >= 100, seen

@@ -10,6 +10,8 @@ import pytest
 from automode import fixtures
 from automode.biasgen import induce_bias
 from automode.clauses import (
+    Clause,
+    Literal,
     const,
     covers,
     covers_definition,
@@ -27,10 +29,11 @@ from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl
 from conftest import WORKED_C1_TEXT, WORKED_C2_TEXT
 from oracles import (
     ground_bottom_oracle,
+    ground_cases,
+    ground_clause_pairs,
     implicit_bias_oracle,
     isomorphic,
-    random_db,
-    random_example,
+    lgg_product_oracle,
 )
 
 
@@ -83,6 +86,40 @@ class TestLggClauses:
         out = lgg_clauses(c1, c2)
         assert isomorphic(out, parse_clause("t(v) :- r(v)."))
 
+    def test_product_matches_all_pairs_oracle(self):
+        # the unreduced product exactly, body order and variable names
+        # included: the ground clauses of a fold's first step, then a
+        # reduced result against each of them, as the fold's later steps
+        checked = 0
+        for iterations in (1, 2):
+            cfg = LearnConfig(iterations=iterations, per_relation_cap=3)
+            for c1, c2 in ground_clause_pairs(cfg):
+                pairs = [(c1, c2)]
+                if c1.body and c2.body:
+                    learned = lgg_clauses(c1, c2)
+                    pairs += [(learned, c1), (c2, learned)]
+                for a, b in pairs:
+                    raw = lgg_clauses(a, b, reduce=False)
+                    assert raw == lgg_product_oracle(a, b)
+                    checked += len(raw.body) > 1
+        assert checked >= 300
+        # random clauses: one relation name at two arities, and variables
+        # and constants named like the fresh variables
+        rng = random.Random(73)
+        shapes = [("p", 1), ("p", 2), ("q", 2), ("r", 3)]
+        terms = [var("x"), var("y"), var("v0"), var("v4"), const("a"), const("b"), const("v2")]
+
+        def clause() -> Clause:
+            body = []
+            for _ in range(rng.randint(0, 8)):
+                relation, arity = rng.choice(shapes)
+                body.append(Literal(relation, tuple(rng.choice(terms) for _ in range(arity))))
+            return Clause(Literal("t", (rng.choice(terms), rng.choice(terms))), tuple(body))
+
+        for _ in range(300):
+            c1, c2 = clause(), clause()
+            assert lgg_clauses(c1, c2, reduce=False) == lgg_product_oracle(c1, c2)
+
     def test_incompatible_heads_rejected(self):
         with pytest.raises(ValidationError):
             lgg_clauses(parse_clause("t(x)."), parse_clause("s(x)."))
@@ -117,7 +154,7 @@ class TestGroundBottom:
 
     def test_matches_ground_saturation_oracle(self):
         nonempty = capped = 0
-        for db, example, target, predicates in _ground_cases():
+        for db, example, target, predicates in ground_cases():
             for cfg in _GROUND_CONFIGS:
                 clause = ground_bottom_clause(example, db, target, predicates, cfg)
                 assert clause == ground_bottom_oracle(example, db, target, predicates, cfg)
@@ -132,45 +169,16 @@ class TestGroundBottom:
     def test_implicit_bias_matches_its_own_loop_oracle(self):
         # with every relation declared, biasgen's modes under a constant
         # threshold of 1 are the ones the lgg learner used to build itself
-        for db, _, target, predicates in _ground_cases():
+        for db, _, target, predicates in ground_cases():
             want = implicit_bias_oracle(db, target, predicates)
             assert _implicit_bias(db, target, predicates) == want
 
     def test_is_its_own_deep_reduction(self):
         # the licence for starting each lgg fold from the seed's clause as it is
-        for db, example, target, predicates in _ground_cases():
+        for db, example, target, predicates in ground_cases():
             for cfg in _GROUND_CONFIGS:
                 clause = ground_bottom_clause(example, db, target, predicates, cfg)
                 assert minimize(clause, deep=True) == clause
-
-
-def _ground_cases():
-    """Examples to saturate, with their database, target and predicate
-    declarations: every example of both fixtures, and one example on each
-    of 200 random databases typed at random."""
-    for name in ("small", "typed"):
-        db = getattr(fixtures, f"{name}_database_registered")()
-        ex = getattr(fixtures, f"{name}_examples")()
-        predicates = induce_bias(db, "advisedBy").predicates
-        for example in ex.positives + ex.negatives:
-            yield db, example, "advisedBy", predicates
-    rng = random.Random(467)
-    for _ in range(200):
-        db = random_db(rng, max_relations=4, max_arity=3, max_tuples=40, pool=6)
-        target = rng.choice(db.schemas)
-        predicates = tuple(
-            dict.fromkeys(
-                PredicateDecl(s.name, tuple(rng.choice(("T0", "T1")) for _ in range(s.arity)))
-                for s in db.schemas
-                for _ in range(rng.randint(1, 2))
-            )
-        )
-        rows = sorted(db.relation_rows(target.name))
-        if rows and rng.random() < 0.5:
-            example = rng.choice(rows)
-        else:
-            example = random_example(rng, target.arity, pool=6)
-        yield db, example, target.name, predicates
 
 
 _GROUND_CONFIGS = [

@@ -22,8 +22,9 @@ import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
-from operator import itemgetter
-from typing import AbstractSet, Iterable, NamedTuple, TYPE_CHECKING
+from itertools import compress, starmap
+from operator import eq, itemgetter
+from typing import AbstractSet, Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import ValidationError
 
@@ -342,37 +343,49 @@ def covered_examples(
 ) -> frozenset[tuple[str, ...]]:
     """The subset of `examples` the clause covers, computed in one pass.
 
-    This is the package's only coverage evaluator. The example tuples are
-    one more factor over the head variables, so the semi-join reduction
-    anchors every intermediate to examples actually asked about. Each body
-    literal is a factor over its distinct variables, read without a
+    This is the package's only coverage evaluator. The examples are one
+    more factor over the head variables, so the semi-join reduction anchors
+    every intermediate to examples actually asked about; under a head of
+    distinct variables each example is its own row there, and only a head
+    with a constant or a repeated variable binds each example first. Each
+    body literal is a factor over its distinct variables, read without a
     relation scan: a literal of distinct variables shares the stored row
     set (`db.fact_set`), one with constants starts from the position index
     (`db.matching_rows`), and only a repeated variable needs a row filter.
     `_reduce_domains` shrinks the factors to their semi-join fixpoint;
     non-head variables are then eliminated cheapest-first, each by joining
     the factors that hold it. Every factor left afterwards is over head
-    variables only, and an example is covered when its projection onto
-    each of them is one of that factor's rows: no join runs without a
-    shared variable. An example whose arity is not the head's raises
+    variables only: those over the same variables are intersected, and the
+    example rows are then filtered by each merged factor in turn, so no
+    join runs without a shared variable. Rows are projected, filtered and
+    collected by `itemgetter`, `compress` and `map` rather than per-row
+    Python code. An example whose arity is not the head's raises
     `ValidationError`.
     """
     for lit in clause.body:
         if not db.has_relation(lit.relation):
             raise ValidationError(f"clause relation missing from database: {lit.relation}")
-    head_vars = tuple(dict.fromkeys(clause.head.variables()))
-    arity = len(clause.head.args)
-    example_rows: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for example in examples:
-        if len(example) != arity:
-            raise ValidationError(
-                f"example arity {len(example)} does not match head {clause.head}"
-            )
-        assignment = _head_binding(clause.head, example)
-        if assignment is not None:
-            example_rows[tuple(assignment[v] for v in head_vars)] = tuple(example)
+    head = clause.head
+    head_vars = tuple(dict.fromkeys(head.variables()))
+    examples = list(map(tuple, examples))
+    arity = len(head.args)
+    if not all(map(arity.__eq__, map(len, examples))):
+        wrong = next(n for n in map(len, examples) if n != arity)
+        raise ValidationError(f"example arity {wrong} does not match head {head}")
+    # binds each example's key over head_vars to the example; None when
+    # the head is distinct variables and every example is its own key
+    example_rows: dict[tuple[str, ...], tuple[str, ...]] | None = None
+    if len(head_vars) == arity:
+        keys = set(examples)
+    else:
+        example_rows = {}
+        for example in examples:
+            assignment = _head_binding(head, example)
+            if assignment is not None:
+                example_rows[tuple(assignment[v] for v in head_vars)] = example
+        keys = set(example_rows)
     factors: list[tuple[tuple[Term, ...], AbstractSet[tuple[str, ...]]]] = [
-        (head_vars, set(example_rows))
+        (head_vars, keys)
     ]
     for lit in clause.body:
         factor_vars = tuple(dict.fromkeys(lit.variables()))
@@ -401,32 +414,43 @@ def covered_examples(
         if not factors[-1][1]:
             return frozenset()  # the component is unsatisfiable
     keys = factors[0][1]
-    checks = [
-        ([head_vars.index(v) for v in factor_vars], rows)
-        for factor_vars, rows in factors[1:]
-    ]
-    return frozenset(
-        example_rows[key]
-        for key in keys
-        if all(tuple(key[i] for i in index) in rows for index, rows in checks)
-    )
+    merged: dict[tuple[Term, ...], AbstractSet[tuple[str, ...]]] = {}
+    for factor_vars, rows in factors[1:]:
+        if factor_vars:  # a factor over no variable is {()}: no constraint
+            known = merged.get(factor_vars)
+            merged[factor_vars] = rows if known is None else known & rows
+    for factor_vars, rows in merged.items():
+        if factor_vars == head_vars:
+            keys = rows.intersection(keys)
+        else:
+            index = tuple(map(head_vars.index, factor_vars))
+            keys = list(compress(keys, map(rows.__contains__, _project(keys, index))))
+    if example_rows is None:
+        return frozenset(keys)
+    return frozenset(map(example_rows.__getitem__, keys))
+
+
+_NO_POSITION = itemgetter(slice(0, 0))  # any row's empty projection, ()
+
+
+def _project(rows: Iterable[tuple[str, ...]], positions: tuple[int, ...]):
+    """Each row's values at `positions`, always as a tuple: a one-position
+    projection is a 1-tuple and a projection onto no position is ()."""
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), rows))
+    return map(itemgetter(*positions) if positions else _NO_POSITION, rows)
 
 
 def _literal_rows(
-    lit: Literal, factor_vars: tuple[Term, ...], rows: Iterable[tuple[str, ...]]
+    lit: Literal, factor_vars: tuple[Term, ...], rows: Sequence[tuple[str, ...]]
 ) -> frozenset[tuple[str, ...]]:
     # `rows` already agree with the literal's constants; keep those that
     # bind each repeated variable consistently, projected onto factor_vars
     first = {v: lit.args.index(v) for v in factor_vars}
-    repeats = [
-        (pos, first[a]) for pos, a in enumerate(lit.args) if a.is_var and first[a] != pos
-    ]
-    picks = tuple(first.values())
-    return frozenset(
-        tuple(row[i] for i in picks)
-        for row in rows
-        if all(row[pos] == row[i] for pos, i in repeats)
-    )
+    for pos, a in enumerate(lit.args):
+        if a.is_var and first[a] != pos:
+            rows = list(compress(rows, starmap(eq, map(itemgetter(pos, first[a]), rows))))
+    return frozenset(_project(rows, tuple(first.values())))
 
 
 def _reduce_domains(factors) -> None:
@@ -445,11 +469,11 @@ def _reduce_domains(factors) -> None:
         for v in factor_vars:
             holders.setdefault(v, []).append(k)
     shared = [
-        [(i, v) for i, v in enumerate(factor_vars) if len(holders[v]) > 1]
+        [(itemgetter(i), v) for i, v in enumerate(factor_vars) if len(holders[v]) > 1]
         for factor_vars, _ in factors
     ]
     columns = [
-        {v: {row[i] for row in rows} for i, v in positions}
+        {v: set(map(column, rows)) for column, v in positions}
         for positions, (_, rows) in zip(shared, factors)
     ]
     domains: dict[Term, set[str]] = {
@@ -468,15 +492,14 @@ def _reduce_domains(factors) -> None:
         queued.discard(k)
         factor_vars, rows = factors[k]
         kept = rows
-        for i, v in shared[k]:
-            domain = domains[v]
-            kept = [row for row in kept if row[i] in domain]
+        for column, v in shared[k]:
+            kept = list(compress(kept, map(domains[v].__contains__, map(column, kept))))
         kept = frozenset(kept)
         if len(kept) == len(rows):
             continue
         factors[k] = (factor_vars, kept)
-        for i, v in shared[k]:
-            values = {row[i] for row in kept}
+        for column, v in shared[k]:
+            values = set(map(column, kept))
             if len(values) < len(domains[v]):
                 domains[v] = values
                 for j in holders[v]:
@@ -505,29 +528,26 @@ def _join_factors(f1, f2):
     vars1, rows1 = f1
     vars2, rows2 = f2
     shared = [v for v in vars2 if v in vars1]
-    out_vars = vars1 + tuple(v for v in vars2 if v not in vars1)
-    idx1 = [vars1.index(v) for v in shared]
-    idx2 = [vars2.index(v) for v in shared]
-    carry = [i for i, v in enumerate(vars2) if v not in vars1]
+    carry = tuple(i for i, v in enumerate(vars2) if v not in vars1)
+    out_vars = vars1 + tuple(vars2[i] for i in carry)
+    # the join keys may be scalars: both sides project the same way
+    key1 = itemgetter(*map(vars1.index, shared))
+    key2 = itemgetter(*map(vars2.index, shared))
     # rows2 are distinct, so each shared key lists distinct carried values
-    table: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for row in rows2:
-        table.setdefault(tuple(row[i] for i in idx2), []).append(
-            tuple(row[i] for i in carry)
-        )
+    table: dict[object, list[tuple[str, ...]]] = {}
+    for key, carried in zip(map(key2, rows2), _project(rows2, carry)):
+        table.setdefault(key, []).append(carried)
     out: set[tuple[str, ...]] = set()
-    for row in rows1:
-        key = tuple(row[i] for i in idx1)
-        for carried in table.get(key, ()):
-            out.add(row + carried)
+    for row, matches in zip(rows1, map(table.get, map(key1, rows1))):
+        if matches:
+            out.update(map(row.__add__, matches))
     return out_vars, out
 
 
 def _project_out(factor, v: Term):
     factor_vars, rows = factor
-    keep = [i for i, u in enumerate(factor_vars) if u != v]
-    out_vars = tuple(factor_vars[i] for i in keep)
-    return out_vars, {tuple(row[i] for i in keep) for row in rows}
+    keep = tuple(i for i, u in enumerate(factor_vars) if u != v)
+    return tuple(factor_vars[i] for i in keep), set(_project(rows, keep))
 
 
 # -- clause-to-clause subsumption ------------------------------------------
@@ -766,7 +786,10 @@ def _deep_reduce(clause: Clause) -> Clause:
     exactly what restarting from the first literal after each removal
     would. θ is reused: it maps every later body into its image θ(body),
     so each later literal outside the image goes without a search while
-    the image stays inside the body.
+    the image stays inside the body. θ binds only the variables of the
+    searched group, so every other literal is its own image: only a
+    literal of that group can lie outside the image, which is built over
+    the group alone.
     """
     # the singleton fold performs a cheap subset of the same removals;
     # reduction is confluent, so pre-folding changes nothing but speed
@@ -783,12 +806,14 @@ def _deep_reduce(clause: Clause) -> Clause:
             if a.is_var and a not in head_theta:
                 holders.setdefault(a, []).append(lit)
     alive = set(body)
-    image: set[Literal] | None = None
+    # the group of the last dropped literal, and θ's image of its survivors
+    group: set[Literal] = set()
+    image: set[Literal] = set()
     i = 0
     while i < len(body):
         lit = body[i]
         alive.discard(lit)
-        if image is not None and lit not in image:
+        if lit in group and lit not in image:
             del body[i]
             continue
         theta = None
@@ -797,24 +822,26 @@ def _deep_reduce(clause: Clause) -> Clause:
             # θ can map every literal outside lit's group, joined to it
             # through variables outside the head, onto itself; the group goes
             # in body order, which breaks the search's ties and so picks θ
-            group = {lit}
+            linked = {lit}
             stack = [lit]
             while stack:
                 for a in stack.pop().args:
                     for k in holders.get(a, ()):
-                        if k not in group and k in alive:
-                            group.add(k)
+                        if k not in linked and k in alive:
+                            linked.add(k)
                             stack.append(k)
-            linked = sorted(group, key=rank.__getitem__)
-            candidates = [[t for t in consistent[k] if t in alive] for k in linked]
-            theta = _embed(linked, candidates, head_theta)
+            ordered = sorted(linked, key=rank.__getitem__)
+            candidates = [[t for t in consistent[k] if t in alive] for k in ordered]
+            theta = _embed(ordered, candidates, head_theta)
         if theta is None:
             alive.add(lit)
             i += 1
             continue
         del body[i]
+        group = linked
+        group.discard(lit)
         image = {
-            Literal(k.relation, tuple(theta.get(a, a) for a in k.args)) for k in body
+            Literal(k.relation, tuple(theta.get(a, a) for a in k.args)) for k in group
         }
     return Clause(clause.head, tuple(body))
 

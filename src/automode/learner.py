@@ -13,8 +13,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Callable
+from typing import Callable, Sequence
 
 from .biasgen import BiasSpec, generate_modes
 from .clauses import (
@@ -129,11 +130,25 @@ class CoverageCache:
     def covers(self, clause: Clause, example: tuple[str, ...]) -> bool:
         if example not in self._universe:
             return covers(clause, example, self.db)
+        return example in self._covered_set(clause)
+
+    def count(self, clause: Clause, examples: Sequence[tuple[str, ...]]) -> int:
+        """How many of `examples` the clause covers, a duplicate counted
+        each time it occurs. Examples inside the universe are looked up in
+        the clause's joined coverage in one C-level pass; when some lie
+        outside it, each example is tested through `covers`."""
+        if not examples:
+            return 0  # nothing asked: no joined pass
+        if self._universe.issuperset(examples):
+            return sum(map(self._covered_set(clause).__contains__, examples))
+        return sum(map(partial(self.covers, clause), examples))
+
+    def _covered_set(self, clause: Clause) -> frozenset[tuple[str, ...]]:
         covered = self._covered.get(clause)
         if covered is None:
             covered = covered_examples(clause, self._universe, self.db)
             self._covered[clause] = covered
-        return example in covered
+        return covered
 
     def share_coverage(self, clause: Clause, equivalent: Clause) -> None:
         """Let `equivalent`, a clause subsumption-equivalent to `clause`,
@@ -429,9 +444,7 @@ def _coverage_counts(
     clause: Clause, positives, negatives, cache: CoverageCache
 ) -> tuple[int, int]:
     """How many positives and how many negatives the clause covers."""
-    tp = sum(1 for e in positives if cache.covers(clause, e))
-    fp = sum(1 for e in negatives if cache.covers(clause, e))
-    return tp, fp
+    return cache.count(clause, positives), cache.count(clause, negatives)
 
 
 def generalize_clause(

@@ -68,9 +68,10 @@ class DatabaseInstance:
     """An immutable set of relations.
 
     `rows` maps each relation name to its deduplicated tuples in sorted
-    order. Its only other state is two indexes over `rows`, built on first
-    use: `_fact_sets` behind `fact_set` and `_pos_index` behind
-    `matching_rows`. Instances are safe for concurrent reads.
+    order, one entry per schema. Its only other state is three lookups,
+    built on first use: `_schema_by_name` behind `schema`, and over `rows`,
+    `_fact_sets` behind `fact_set` and `_pos_index` behind `matching_rows`.
+    Instances are safe for concurrent reads.
     """
 
     schemas: tuple[RelationSchema, ...]
@@ -96,13 +97,13 @@ class DatabaseInstance:
     # -- lookups --------------------------------------------------------
 
     def schema(self, relation: str) -> RelationSchema:
-        for s in self.schemas:
-            if s.name == relation:
-                return s
-        raise ValidationError(f"unknown relation: {relation}")
+        found = self._schema_by_name.get(relation)
+        if found is None:
+            raise ValidationError(f"unknown relation: {relation}")
+        return found
 
     def has_relation(self, relation: str) -> bool:
-        return any(s.name == relation for s in self.schemas)
+        return relation in self.rows
 
     def relation_rows(self, relation: str) -> tuple[tuple[str, ...], ...]:
         if relation not in self.rows:
@@ -111,6 +112,10 @@ class DatabaseInstance:
 
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.rows.values())
+
+    @cached_property
+    def _schema_by_name(self) -> dict[str, RelationSchema]:
+        return {s.name: s for s in self.schemas}
 
     @cached_property
     def _fact_sets(self) -> dict[str, frozenset[tuple[str, ...]]]:

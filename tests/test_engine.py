@@ -75,6 +75,73 @@ def wide_body_cases():
         yield db, clause, universe
 
 
+def shaped_head_cases():
+    # heads random_clause never draws: ternary, holding a constant, repeating
+    # a variable; bodies with several factors over the same head variables,
+    # both as literals and as what variable elimination leaves; examples
+    # given as lists, some of them twice
+    rng = random.Random(251)
+    pool = [f"c{i}" for i in range(4)]
+    schemas = tuple(
+        RelationSchema(f"{name}{arity}", tuple(f"a{j}" for j in range(arity)))
+        for name in "pq"
+        for arity in (1, 2, 3)
+    )
+    for _ in range(300):
+        db = DatabaseInstance.build(
+            schemas,
+            {
+                s.name: [
+                    tuple(rng.choice(pool) for _ in range(s.arity))
+                    for _ in range(rng.randint(1, 4 ** s.arity))
+                ]
+                for s in schemas
+            },
+        )
+        head_args = [
+            var(f"x{rng.randrange(3)}") if rng.random() < 0.8 else const(rng.choice(pool))
+            for _ in range(rng.randint(1, 3))
+        ]
+        head_vars = list(dict.fromkeys(a for a in head_args if a.is_var))
+        body = []
+        free = iter(var(f"y{i}") for i in range(99))
+
+        def some_head_vars():
+            # an order-preserving pick: factors over it merge with each other
+            k = rng.randint(1, len(head_vars))
+            return sorted(rng.sample(head_vars, k), key=head_vars.index)
+
+        for _ in range(rng.randint(1, 3) if head_vars else 0):
+            picked = some_head_vars()
+            if rng.random() < 0.5:
+                # twin literals over exactly these variables
+                body.append(Literal(f"p{len(picked)}", tuple(picked)))
+                body.append(Literal(f"q{len(picked)}", tuple(picked)))
+            elif len(picked) < 3:
+                # a literal over them and a free variable, which elimination
+                # projects away: its leftover factor is over these variables
+                y = next(free)
+                body.append(Literal(f"{rng.choice('pq')}{len(picked) + 1}", (*picked, y)))
+                body.append(Literal(f"{rng.choice('pq')}1", (y,)))
+            if rng.random() < 0.5:
+                # a constant beside one head variable, or a repeated variable
+                v = rng.choice(head_vars)
+                second = const(rng.choice(pool)) if rng.random() < 0.5 else v
+                body.append(Literal(f"{rng.choice('pq')}2", (v, second)))
+        rng.shuffle(body)
+        clause = Clause(Literal("t", tuple(head_args)), tuple(body))
+        drawn = []
+        for _ in range(rng.randint(1, 12)):
+            # most examples fit the head, so the body decides them
+            value = {v: rng.choice(pool) for v in head_vars}
+            if rng.random() < 0.7:
+                drawn.append(tuple(value[a] if a.is_var else a.symbol for a in head_args))
+            else:
+                drawn.append(tuple(rng.choice(pool) for _ in head_args))
+        universe = [list(e) for e in drawn + drawn[: rng.randint(0, 3)]]
+        yield db, clause, universe
+
+
 class TestFindWitness:
     def test_witness_actually_satisfies(self):
         rng = random.Random(211)
@@ -234,6 +301,21 @@ class TestCoveredExamples:
             covered_examples(clause, list(universe), db)
         assert narrowed >= 75
 
+    def test_shaped_heads_and_merged_factors_match_substitution_oracle(self):
+        seen = {"ternary": 0, "constant": 0, "repeated": 0, "covered": 0, "not": 0}
+        for db, clause, universe in shaped_head_cases():
+            joined = covered_examples(clause, universe, db)
+            want = {tuple(e) for e in universe if covers_oracle(clause, tuple(e), db)}
+            assert joined == want, (str(clause), universe)
+            head = clause.head.args
+            seen["ternary"] += len(head) == 3
+            seen["constant"] += not all(a.is_var for a in head)
+            seen["repeated"] += len(set(head)) < len(head)
+            seen["covered"] += len(want)
+            seen["not"] += len({tuple(e) for e in universe} - want)
+        assert min(seen.values()) >= 50, seen
+
+
 class TestCoverageCache:
     def test_agrees_with_oracle_inside_and_outside_the_universe(self, monkeypatch):
         db = fixtures.small_database()
@@ -343,6 +425,63 @@ class TestCoverageCache:
         ex = fixtures.small_examples()
         clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
         assert score(clause, list(ex.positives), ex.negatives, db) == 2
+
+
+class TestCoverageCounts:
+    TEXTS = (
+        "advisedBy(x,y) :- publication(z,x), publication(z,y).",
+        'advisedBy(x,y) :- inPhase(x,"post_quals"), hasPosition(y,v).',
+        "advisedBy(x,x) :- student(x).",
+        'advisedBy(x,"mary") :- student(x).',
+    )
+
+    def test_counts_match_the_oracle_inside_outside_and_duplicated(self):
+        db = fixtures.small_database()
+        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary", "alice")]
+        outside = [("alice", "alice"), ("bob", "mary"), ("john", "p2")]
+        cache = CoverageCache(db, universe)
+        groups = {
+            "inside": (universe[:4], universe[4:]),
+            "partly outside": (universe[:3] + outside, outside[:1] + universe[3:]),
+            "duplicated": (universe + universe[:3], outside * 2 + universe[3:] * 2),
+        }
+        covered = 0
+        for text in self.TEXTS:
+            clause = parse_clause(text)
+            for positives, negatives in groups.values():
+                want = tuple(
+                    sum(covers_oracle(clause, e, db) for e in group)
+                    for group in (positives, negatives)
+                )
+                assert learner._coverage_counts(clause, positives, negatives, cache) == want
+                assert score(clause, positives, negatives, db, cache) == want[0] - want[1]
+                covered += sum(want)
+        assert covered >= 20
+
+    def test_random_tasks_count_like_the_oracle(self):
+        rng = random.Random(257)
+        for _ in range(60):
+            db, ex = random_task(rng)
+            clause = random_clause(rng, db)
+            clause = Clause(Literal("t", (var("x0"), var("x1"))), clause.body)
+            examples = ex.positives + ex.negatives
+            cache = CoverageCache(db, examples[: len(examples) // 2])
+            positives, negatives = ex.positives * 2, ex.negatives
+            want = tuple(
+                sum(covers_oracle(clause, e, db) for e in group)
+                for group in (positives, negatives)
+            )
+            assert learner._coverage_counts(clause, positives, negatives, cache) == want
+
+    @pytest.mark.parametrize("in_universe", [True, False])
+    def test_wrong_arity_example_is_rejected(self, in_universe):
+        db = fixtures.small_database()
+        clause = parse_clause(self.TEXTS[0])
+        example = ("alice",)
+        valid = [("alice", "bob")]
+        cache = CoverageCache(db, valid + [example] if in_universe else valid)
+        with pytest.raises(ValidationError, match="arity"):
+            learner._coverage_counts(clause, valid, [example], cache)
 
 
 class TestCheapestVariable:

@@ -681,7 +681,9 @@ class TestLearnDefinition:
     def test_leaves_only_its_indexes_on_the_database(self, small_db, auto_bias):
         # what a run memoizes lives in its CoverageCache, not on the database
         learn_definition(small_db, fixtures.small_examples(), auto_bias, LearnConfig())
-        assert set(vars(small_db)) <= {"schemas", "rows", "_fact_sets", "_pos_index"}
+        assert set(vars(small_db)) <= {
+            "schemas", "rows", "_schema_by_name", "_fact_sets", "_pos_index"
+        }
 
     def test_empty_positives_give_empty_definition(self, small_db, auto_bias):
         ex = ExampleSet(small_db.schema("advisedBy"), (), ())

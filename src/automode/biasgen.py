@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import ConfigError, LoadError, ValidationError
 from .profiler import IndSet, dedupe_bidirectional, discover_inds
@@ -31,8 +32,7 @@ _ITEM = r"\s*[^\s(),]+\s*"
 _DECL_RE = re.compile(rf"^([A-Za-z_][A-Za-z0-9_]*)\s*\(({_ITEM}(?:,{_ITEM})*)\)$")
 
 
-@dataclass(frozen=True, order=True)
-class PredicateDecl:
+class PredicateDecl(NamedTuple):
     relation: str
     types: tuple[str, ...]
 
@@ -178,22 +178,36 @@ def _propagate(
     assignments: dict[AttributeRef, dict[str, bool]],
 ) -> None:
     # Least fixpoint over (token present, fewest approx crossings); an
-    # unflagged copy of a token dominates a flagged one.
-    changed = True
-    while changed:
-        changed = False
-        for src, dst, error in edges:
-            for token, crossed in assignments[dst].items():
+    # unflagged copy of a token dominates a flagged one. Tokens flow from
+    # an edge's dst to its src, so a worklist of nodes whose tokens changed
+    # revisits only the edges into them; the transfer over each edge is
+    # monotone, so the fixpoint does not depend on the order of visits.
+    into: dict[AttributeRef, list[tuple[AttributeRef, float]]] = {}
+    for src, dst, error in edges:
+        into.setdefault(dst, []).append((src, error))
+    pending = [n for n in into if assignments[n]]
+    queued = set(pending)
+    while pending:
+        dst = pending.pop()
+        queued.discard(dst)
+        tokens = assignments[dst]
+        for src, error in into[dst]:
+            held = assignments[src]
+            changed = False
+            for token, crossed in tokens.items():
                 if error > 0:
                     if crossed:
                         continue
                     incoming = True
                 else:
                     incoming = crossed
-                current = assignments[src].get(token)
+                current = held.get(token)
                 if current is None or (current and not incoming):
-                    assignments[src][token] = incoming
+                    held[token] = incoming
                     changed = True
+            if changed and src in into and src not in queued:
+                queued.add(src)
+                pending.append(src)
 
 
 def _strongly_connected(
@@ -327,6 +341,28 @@ def induce_bias(
     predicates = generate_predicates(graph)
     head, body = generate_modes(db, constant_threshold, target)
     return BiasSpec(predicates, body, head)
+
+
+def check_bias_fits(bias: BiasSpec, db: DatabaseInstance) -> None:
+    """Raise ValidationError on a predicate or mode declaration whose
+    relation the database lacks or whose arity differs from the relation's.
+
+    A hand-written bias is read without the database; a declaration that
+    fits no relation would otherwise match no fact and go unused."""
+    declared = [(d, d.types) for d in bias.predicates]
+    declared += [(m, m.symbols) for m in (bias.head_mode, *bias.modes)]
+    for decl, items in declared:
+        if not db.has_relation(decl.relation):
+            raise ValidationError(
+                f"bias declaration {decl}: relation {decl.relation} "
+                "is not in the database"
+            )
+        arity = db.schema(decl.relation).arity
+        if len(items) != arity:
+            raise ValidationError(
+                f"bias declaration {decl}: relation {decl.relation} "
+                f"has arity {arity}"
+            )
 
 
 # -- bias file format --------------------------------------------------------

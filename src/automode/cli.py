@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .biasgen import BiasSpec, induce_bias, read_bias, write_bias
+from .biasgen import BiasSpec, check_bias_fits, induce_bias, read_bias, write_bias
 from .errors import AutomodeError, ConfigError, LoadError
 from .clauses import HornDefinition, minimize
 from .evaluation import cross_validate, generate_negatives, learner_for, precision_recall
@@ -169,6 +169,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     schema = _target_schema(db, target, len(bias.head_mode.symbols))
     examples = load_examples(args.examples, schema)
     db = register_target(db, examples)
+    check_bias_fits(bias, db)
     cfg = _config(args)
     if args.generalizer == "lgg" and bias.modes:
         _note("mode definitions in the bias file are ignored by the lgg generalizer")
@@ -221,6 +222,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         bias = induce_bias(db, args.target, args.alpha, args.constant_threshold)
         _note(f"bias induction took {_ms(started)} ms")
+    else:
+        check_bias_fits(bias, db)
     cfg = _config(args)
     report = cross_validate(
         db,

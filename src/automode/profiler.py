@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import ValidationError
-from .relstore import AttributeRef, DatabaseInstance, all_attributes, attribute_stats
+from .relstore import AttributeRef, DatabaseInstance, all_attributes
 
 
 @dataclass(frozen=True, order=True)
@@ -64,9 +64,15 @@ def discover_inds(db: DatabaseInstance, alpha: float) -> IndSet:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must be in [0,1], got {alpha}")
+    # one transposition per relation gives each column's distinct values;
+    # a relation with no rows has `arity` empty columns
+    by_relation = {
+        s.name: list(map(frozenset, zip(*db.rows[s.name]))) or [frozenset()] * s.arity
+        for s in db.schemas
+    }
     # sorted, so pairs are generated in the IndSet's canonical order
     attrs = sorted(all_attributes(db))
-    columns = [attribute_stats(db, a).distinct_values for a in attrs]
+    columns = [by_relation[a.relation][a.position] for a in attrs]
     holders: dict[str, list[int]] = {}
     for i, column in enumerate(columns):
         for value in column:
@@ -75,7 +81,13 @@ def discover_inds(db: DatabaseInstance, alpha: float) -> IndSet:
     for i, (lhs, left) in enumerate(zip(attrs, columns)):
         if not left:
             continue
-        overlap = Counter(chain.from_iterable(map(holders.__getitem__, left)))
+        # a list: most pairs share no value, and a Counter would answer
+        # each of them through a Python-level __missing__ call
+        overlap = [0] * len(attrs)
+        for j, shared in Counter(
+            chain.from_iterable(map(holders.__getitem__, left))
+        ).items():
+            overlap[j] = shared
         size = len(left)
         for j, rhs in enumerate(attrs):
             if j != i:

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import LoadError, ValidationError
 
@@ -21,9 +22,13 @@ _SCHEMA_LINE = re.compile(rf"^({_IDENT})\s*\(({_ATTR}(?:,{_ATTR})*)\)$")
 _EXAMPLE_LINE = re.compile(rf"^([+-])\s+({_IDENT})\(([^()]*)\)$")
 
 
-@dataclass(frozen=True, order=True)
-class AttributeRef:
-    """One column of one relation, identified by (relation, position)."""
+class AttributeRef(NamedTuple):
+    """One column of one relation, identified by (relation, position).
+
+    A named tuple, so hashing, equality and ordering run in C. Its hash is
+    that of the tuple (relation, position, name) and it sorts by those
+    fields in that order; every set, dict and sort of IND discovery and
+    bias induction is keyed by it, so their output depends on both."""
 
     relation: str
     position: int

@@ -96,6 +96,45 @@ class TestExitCodes:
         assert "does not match the bias head hasPosition" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["learn", "evaluate"])
+    @pytest.mark.parametrize(
+        "head,predicate,mode,message",
+        [
+            # a mode whose arity is wrong for its relation
+            ("advisedBy(+,+)", "publication(T4,T1)", "publication(+)",
+             "publication(+): relation publication has arity 2"),
+            # a misspelled relation, in both sections
+            ("advisedBy(+,+)", "publcation(T4,T1)", "publcation(-,+)",
+             "publcation(T4,T1): relation publcation is not in the database"),
+            # a predicate declaration whose arity is wrong
+            ("advisedBy(+,+)", "publication(T4)", "publication(-,+)",
+             "publication(T4): relation publication has arity 2"),
+            # a head mode whose arity is wrong for the target
+            ("advisedBy(+)", "publication(T4,T1)", "publication(-,+)",
+             "advisedBy(+): relation advisedBy has arity 2"),
+        ],
+    )
+    def test_bias_that_does_not_fit_the_database_is_validation_error(
+        self, fixture_dir, tmp_path, capsys, command, head, predicate, mode, message
+    ):
+        # each of these once learned the empty-body advisedBy(v0,v1). at
+        # precision 0.5 and exited 0
+        bias = tmp_path / "b.txt"
+        bias.write_text(
+            "PREDICATES:\nadvisedBy(T1,T1)\nstudent(T1)\nprofessor(T1)\n"
+            f"{predicate}\nMODES:\n{head}\n{mode}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "learn" else "--report"
+        rc = dispatch(
+            [command, *_data_args(fixture_dir), "--bias", str(bias), out_flag, str(out)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"bias declaration {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_input_file_is_validation_error(self, tmp_path):
         rc = dispatch(
             [

@@ -1,13 +1,15 @@
 """Learned output pinned as text.
 
 Each run below learns on a packaged fixture or on one seeded random
-database, and its text must equal the pin verbatim. A change that alters
-learned output on purpose regenerates the pins with
+database, and its text must equal the pin verbatim. IND sets and biases of
+a few seeded wide databases are pinned by the sha256 of their text. A
+change that alters learned output on purpose regenerates the pins with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -21,8 +23,9 @@ from automode.clauses import HornDefinition, minimize
 from automode.evaluation import cross_validate
 from automode.learner import LearnConfig, learn_definition
 from automode.lgg import lgg_learn
+from automode.profiler import discover_inds, format_ind_set
 
-from oracles import random_task
+from oracles import random_task, random_wide_db
 
 # random_db seed whose definitions have two clauses at every run below, and
 # whose deep-reduced clauses differ from the plain ones
@@ -68,6 +71,30 @@ def _learned(case: str, run: str) -> str:
     return _RUNS[run](db, examples, bias)
 
 
+# random_wide_db seeds: 6-12 relations each, some of them empty, whose
+# columns nest, overlap in part or share nothing
+_WIDE_SEEDS = range(12)
+
+_WIDE_RUNS = {
+    "inds alpha=0.0": lambda db: format_ind_set(discover_inds(db, 0.0)),
+    "inds alpha=0.5": lambda db: format_ind_set(discover_inds(db, 0.5)),
+    "inds alpha=1.0": lambda db: format_ind_set(discover_inds(db, 1.0)),
+    "bias constant_threshold=1": lambda db: write_bias(
+        induce_bias(db, db.schemas[0].name, constant_threshold=1)
+    ),
+    "bias constant_threshold=5": lambda db: write_bias(
+        induce_bias(db, db.schemas[0].name, constant_threshold=5)
+    ),
+}
+
+
+def _wide_digest(run: str) -> str:
+    digest = hashlib.sha256()
+    for seed in _WIDE_SEEDS:
+        digest.update(_WIDE_RUNS[run](random_wide_db(random.Random(seed))).encode())
+    return digest.hexdigest()
+
+
 def _cross_validate_report() -> str:
     db, examples = _seeded()
     bias = induce_bias(db, examples.target.name)
@@ -85,6 +112,11 @@ def test_learned_text_is_pinned(case, run):
 
 def test_cross_validate_report_is_pinned():
     assert _cross_validate_report() == CROSS_VALIDATE_REPORT
+
+
+@pytest.mark.parametrize("run", list(_WIDE_RUNS))
+def test_wide_profile_and_bias_are_pinned(run):
+    assert _wide_digest(run) == WIDE_DIGESTS[run]
 
 
 # -- pins -------------------------------------------------------------------
@@ -210,8 +242,16 @@ LEARNED = {('seeded', 'armg deep_reduce_clauses'): 't(v0,v1) :- r0(v0,v2), r0(v1
 
 CROSS_VALIDATE_REPORT = '{"folds": 3, "mean_precision": 0.4444444444444444, "mean_recall": 0.16666666666666666, "per_fold": [{"precision": 0.3333333333333333, "recall": 0.5}, {"precision": 1.0, "recall": 0.0}, {"precision": 0.0, "recall": 0.0}], "seed": 1}'
 
+WIDE_DIGESTS = {'bias constant_threshold=1': 'ed861ea6946683a5b79f47f7dd47ebfc7d534c0a3b26d98560bbcd1d75624a3b',
+ 'bias constant_threshold=5': '1331354bf19347fd5a0878c4412baea9ad039e1938a8923c9f09c1878677f7d4',
+ 'inds alpha=0.0': 'e3e3d98409b2b80682594554ad1b3e4bdcb758a7a9941207e9f02ba6bf10d7b4',
+ 'inds alpha=0.5': '55b14def98c9c8b38ad80e66fb771521c74a3fc3c3daf08a849499bb2475998e',
+ 'inds alpha=1.0': '9caaeed2a68b250f7518c1117c4b3655332a01a07d340898edb2b5292054586c'}
+
 
 if __name__ == "__main__":
     learned = {(case, run): _learned(case, run) for case in _CASES for run in _RUNS}
     sys.stdout.write(f"LEARNED = {pformat(learned, width=88)}\n\n")
-    sys.stdout.write(f"CROSS_VALIDATE_REPORT = {_cross_validate_report()!r}\n")
+    sys.stdout.write(f"CROSS_VALIDATE_REPORT = {_cross_validate_report()!r}\n\n")
+    digests = {run: _wide_digest(run) for run in _WIDE_RUNS}
+    sys.stdout.write(f"WIDE_DIGESTS = {pformat(digests, width=88)}\n")

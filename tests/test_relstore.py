@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -272,6 +273,54 @@ class TestStats:
                     stats = attribute_stats(db, ref)
                     assert stats.distinct_count <= len(db.rows[schema.name])
                     assert stats.distinct_count == len(stats.distinct_values)
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassAttributeRef:
+    """The frozen dataclass AttributeRef was before it became a named tuple."""
+
+    relation: str
+    position: int
+    name: str
+
+    def __str__(self) -> str:
+        return f"{self.relation}[{self.name}]"
+
+
+class TestAttributeRefContract:
+    # AttributeRef is a named tuple so that hashing, equality and ordering
+    # run in C. IND sets, type graphs and biases are built from sets, dicts
+    # and sorts keyed by it, so their output bytes stay those of the frozen
+    # dataclass only while its hash, order, str and repr stay the same.
+
+    @staticmethod
+    def _pairs(seed: int):
+        rng = random.Random(seed)
+        for _ in range(200):
+            fields = (
+                rng.choice(["r", "s", "advisedBy", "r10", "r2"]),
+                rng.randrange(4),
+                rng.choice(["a", "b", "stud", "a0"]),
+            )
+            yield AttributeRef(*fields), _DataclassAttributeRef(*fields), fields
+
+    def test_hash_is_the_field_tuples(self):
+        for ref, old, fields in self._pairs(1):
+            assert hash(ref) == hash(fields) == hash(old)
+
+    def test_sorting_follows_relation_position_name(self):
+        pairs = list(self._pairs(2))
+        refs = sorted(ref for ref, _, _ in pairs)
+        assert refs == sorted(refs, key=lambda a: (a.relation, a.position, a.name))
+        olds = sorted(old for _, old, _ in pairs)
+        assert [(r.relation, r.position, r.name) for r in refs] == [
+            (o.relation, o.position, o.name) for o in olds
+        ]
+
+    def test_str_and_repr_match_the_dataclass(self):
+        for ref, old, _ in self._pairs(3):
+            assert str(ref) == str(old)
+            assert repr(ref) == repr(old).replace("_DataclassAttributeRef", "AttributeRef")
 
 
 class TestIndexAndRoundTrip:

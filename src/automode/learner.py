@@ -218,6 +218,9 @@ def _implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> Bias
     return BiasSpec(tuple(predicates), kept, head)
 
 
+_NO_TYPES: frozenset[str] = frozenset()
+
+
 class _SaturationState:
     """Constant-to-variable map plus accumulated type evidence.
 
@@ -229,9 +232,16 @@ class _SaturationState:
         self.bias = bias
         self.var_map: dict[str, Term] = {}
         self.prov: dict[str, frozenset[str]] = {}
+        # `bias.position_types` for every declared slot, built once: that
+        # method scans all predicates, and saturation asks per tuple value
+        slots: dict[tuple[str, int], set[str]] = {}
+        for d in bias.predicates:
+            for pos, t in enumerate(d.types):
+                slots.setdefault((d.relation, pos), set()).add(t)
+        self.slot_types = {k: frozenset(v) for k, v in slots.items()}
 
     def bind(self, value: str, relation: str, position: int) -> Term:
-        types = self.bias.position_types(relation, position)
+        types = self.slot_types.get((relation, position), _NO_TYPES)
         if value in self.var_map:
             self.prov[value] = self.prov[value] & types
             return self.var_map[value]
@@ -250,10 +260,11 @@ class _SaturationState:
         """
         pending: dict[str, frozenset[str]] = {}
         minted: list[str] = []
+        slot_types = self.slot_types
         for pos, (value, sym) in enumerate(zip(row, symbols)):
             if sym == "#":
                 continue
-            types_here = self.bias.position_types(relation, pos)
+            types_here = slot_types.get((relation, pos), _NO_TYPES)
             previous = pending.get(value, self.prov.get(value))
             if previous is None:
                 if sym == "+":

@@ -181,8 +181,13 @@ class DatabaseInstance:
 def _validated_rows(
     schema: RelationSchema, raw: object
 ) -> tuple[tuple[str, ...], ...]:
-    """`raw` deduplicated and sorted; raises on a wrong arity or an empty value."""
-    deduped = sorted(set(map(tuple, raw)))
+    """`raw` deduplicated and sorted; raises on a wrong arity or an empty value.
+
+    The dedupe keeps input order, so a file already written sorted (as
+    `dump_database` writes it) reaches the sort as one ascending run, which
+    Timsort merges in a single linear pass; a set would hand it the rows in
+    hash order."""
+    deduped = sorted(dict.fromkeys(map(tuple, raw)))
     arity = schema.arity
     for row in deduped:
         if len(row) != arity:

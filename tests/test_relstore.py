@@ -470,3 +470,70 @@ class TestIndexAndRoundTrip:
             DatabaseInstance.build(
                 (RelationSchema("r", ("a", "b")),), {"r": [("x",)]}
             )
+
+
+class TestRowOrder:
+    """Rows come out deduplicated and sorted whatever order they go in."""
+
+    @staticmethod
+    def _inputs(rng, arity):
+        rows = sorted(
+            {tuple(f"c{rng.randrange(12)}" for _ in range(arity)) for _ in range(40)}
+        )
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        duplicated = rows + rng.sample(rows, len(rows) // 2) + rows[:3]
+        rng.shuffle(duplicated)
+        return {
+            "sorted": rows,
+            "reverse-sorted": rows[::-1],
+            "shuffled": shuffled,
+            "duplicated": duplicated,
+            "sorted-with-repeats": sorted(duplicated),
+        }
+
+    def test_validated_rows_and_build_equal_sorted_set(self):
+        rng = random.Random(59)
+        for arity in (1, 2, 3):
+            schema = RelationSchema("r", tuple(f"a{j}" for j in range(arity)))
+            for kind, rows in self._inputs(rng, arity).items():
+                expected = tuple(sorted(set(map(tuple, rows))))
+                for given in (
+                    lambda: [list(row) for row in rows],
+                    lambda: (list(row) for row in rows),
+                ):
+                    assert relstore._validated_rows(schema, given()) == expected, kind
+                    db = DatabaseInstance.build((schema,), {"r": given()})
+                    assert db.rows["r"] == expected, kind
+
+    def test_load_of_a_scrambled_file_equals_the_load_of_its_dump(self, tmp_path):
+        rng = random.Random(61)
+        for i in range(20):
+            drawn = random_db(rng, max_relations=4, max_arity=3, max_tuples=60)
+            # declared out of name order, so relation order is checked too
+            schemas = drawn.schemas[::-1]
+            db = DatabaseInstance.build(schemas, drawn.rows)
+            canonical = tmp_path / f"canonical{i}"
+            dump_database(db, canonical)
+            scrambled = tmp_path / f"scrambled{i}"
+            (scrambled / "facts").mkdir(parents=True)
+            (scrambled / "schema.txt").write_text(
+                (canonical / "schema.txt").read_text(encoding="utf-8"), encoding="utf-8"
+            )
+            for schema in schemas:
+                rows = list(db.rows[schema.name])
+                lines = [",".join(row) for row in rows + rng.sample(rows, len(rows) // 2)]
+                lines += ["", "   "]
+                rng.shuffle(lines)
+                lines = [
+                    " , ".join(line.split(",")) + "\t" if rng.random() < 0.3 else line
+                    for line in lines
+                ]
+                text = ",".join(schema.attributes) + "\n" + "\n".join(lines) + "\n"
+                _write(scrambled / "facts" / f"{schema.name}.csv", text)
+            want = load_database(canonical / "schema.txt", canonical / "facts")
+            got = load_database(scrambled / "schema.txt", scrambled / "facts")
+            assert want == db
+            assert got.schemas == want.schemas
+            assert list(got.rows) == list(want.rows) == [s.name for s in schemas]
+            assert got.rows == want.rows

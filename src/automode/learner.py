@@ -24,9 +24,9 @@ from .clauses import (
     Literal,
     Term,
     _components,
-    _extend,
     _head_binding,
     _image,
+    _solve_component,
     apply_renaming,
     canonical_text,
     covered_examples,
@@ -335,12 +335,7 @@ def _saturate(
 # -- generalization ------------------------------------------------------------
 
 
-def armg(
-    clause: Clause,
-    example: tuple[str, ...],
-    db: DatabaseInstance,
-    hint: dict[Term, str] | None = None,
-) -> Clause:
+def armg(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clause:
     """Drop blocking atoms until `example` is covered.
 
     A blocking atom is the earliest body literal whose prefix fails to
@@ -348,16 +343,13 @@ def armg(
     left-to-right pass that keeps each literal exactly when it is jointly
     satisfiable with the literals kept so far. Joint satisfiability only
     changes within the variable-connected component the new literal touches,
-    so each decision is a local witness search. `hint` may carry a known
-    satisfying assignment of the input clause (for a bottom clause, the
-    saturation that built it); values consistent with it are adopted without
-    search. `_connected_order` then drops the kept literals that no chain of
-    shared variables joins to the head and orders the rest.
+    so each decision is a local witness search. `_connected_order` then
+    drops the kept literals that no chain of shared variables joins to the
+    head and orders the rest.
     """
     binding = _head_binding(clause.head, example)
     if binding is None:
         raise ValidationError(f"head {clause.head} cannot cover {example} at all")
-    hint = hint or {}
 
     kept: list[Literal] = []
     # per component: its variables, literals, and one satisfying assignment
@@ -379,11 +371,10 @@ def armg(
                 combined.update(comp_witness)
             else:
                 untouched.append((comp_vars, comp_lits, comp_witness))
-        # cheapest first: extend by hint values, then by a one-literal row
-        # search; only a conflict forces re-solving the merged component
-        witness = _hint_extension(lit, combined, hint, db)
-        if witness is None:
-            witness = find_witness([lit], combined, db)
+        # cheapest first: extend the merged witness by a row of `lit`, a
+        # component of its own under `combined`; only a conflict forces
+        # re-solving the merged component
+        witness = _solve_component([lit], combined, db)
         if witness is None:
             witness = find_witness(merged_lits, binding, db)
         if witness is not None:
@@ -392,26 +383,6 @@ def armg(
             components = untouched
         # otherwise lit is the blocking atom of the kept prefix: drop it
     return Clause(clause.head, tuple(_connected_order(clause.head, kept)))
-
-
-def _hint_extension(
-    lit: Literal,
-    combined: dict[Term, str],
-    hint: dict[Term, str],
-    db: DatabaseInstance,
-) -> dict[Term, str] | None:
-    image = []
-    for term in lit.args:
-        if not term.is_var:
-            image.append(term.symbol)
-            continue
-        value = combined.get(term) or hint.get(term)
-        if value is None:
-            return None
-        image.append(value)
-    if tuple(image) not in db.fact_set(lit.relation):
-        return None
-    return _extend(lit, image, combined)
 
 
 def _connected_order(head: Literal, body: list[Literal]) -> list[Literal]:
@@ -447,19 +418,11 @@ def score(
 ) -> int:
     """Covered positives minus covered negatives."""
     cache = CoverageCache.of(db, cache, positives, negatives)
-    tp, fp = _coverage_counts(clause, positives, negatives, cache)
-    return tp - fp
-
-
-def _coverage_counts(
-    clause: Clause, positives, negatives, cache: CoverageCache
-) -> tuple[int, int]:
-    """How many positives and how many negatives the clause covers."""
-    return cache.count(clause, positives), cache.count(clause, negatives)
+    return cache.count(clause, positives) - cache.count(clause, negatives)
 
 
 def generalize_clause(
-    bottom: BottomClause,
+    bottom: Clause,
     positives: tuple[tuple[str, ...], ...],
     negatives: tuple[tuple[str, ...], ...],
     db: DatabaseInstance,
@@ -473,12 +436,11 @@ def generalize_clause(
     sampled examples it misses, and keeps the top clauses by score (ties:
     shorter body, then clause text). Search stops when no candidate beats
     the best score seen so far. A sampled example the head cannot bind to
-    (`clauses._head_binding`) is skipped: no body could cover it. The
-    bottom clause's witness speeds up armg's searches. Each clause is
-    scored through its `_scoring_equivalent`, and shares that clause's
-    coverage; the ranking reads the clause itself. The winner is returned
-    folded (`fold_singleton_literals`) even when it is the bottom clause
-    itself; the folded clause reuses the winner's cached coverage.
+    (`clauses._head_binding`) is skipped: no body could cover it. Each
+    clause is scored through its `_scoring_equivalent`, and shares that
+    clause's coverage; the ranking reads the clause itself. The winner is
+    returned folded (`fold_singleton_literals`) even when it is the bottom
+    clause itself; the folded clause reuses the winner's cached coverage.
 
     Before armg runs on a beam clause `b` and an example `e` of the cache's
     universe, each distinct earlier result `c = armg(b, e')` is tried
@@ -511,13 +473,13 @@ def generalize_clause(
             for c, folded in results.items():
                 if _holds_for(b, c, folded, e, cache):
                     return folded
-        c = armg(b, e, db, hint=bottom.witness)
+        c = armg(b, e, db)
         folded = results.get(c)
         if folded is None:
             folded = results[c] = fold_singleton_literals(c)
         return folded
 
-    best = bottom.clause
+    best = bottom
     best_score = clause_score(best)
     beam = [best]
     pool = list(positives)
@@ -532,8 +494,7 @@ def generalize_clause(
                 if _head_binding(b.head, e) is None:
                     continue  # head shape (e.g. repeated variable) cannot fit e
                 # armg keeps exactly the literals jointly satisfiable with
-                # the kept prefix; the hint only speeds up the search, so
-                # it is no part of the key
+                # the kept prefix: b and e are its whole input
                 c = cache.memo(("armg", b, e), lambda: generalized(b, e))
                 if c not in seen:
                     seen.add(c)
@@ -653,7 +614,8 @@ def learn_definition(
     def learn_one(uncovered: list[tuple[str, ...]], rng: random.Random) -> Clause:
         seed = uncovered[0]
         bottom = cache.memo(
-            ("bottom", inputs, seed), lambda: build_bottom_clause(seed, db, bias, cfg)
+            ("bottom", inputs, seed),
+            lambda: build_bottom_clause(seed, db, bias, cfg).clause,
         )
         return generalize_clause(
             bottom,
@@ -685,9 +647,8 @@ def _cover_set(
     while uncovered:
         seed = uncovered[0]
         clause = learn_one(uncovered, rng)
-        tp, fp = _coverage_counts(
-            clause, examples.positives, examples.negatives, cache
-        )
+        tp = cache.count(clause, examples.positives)
+        fp = cache.count(clause, examples.negatives)
         precision = tp / (tp + fp) if tp + fp else 0.0
         if precision >= cfg.min_precision and tp >= min_positives:
             learned.append(clause)

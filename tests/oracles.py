@@ -16,7 +16,7 @@ from typing import Iterator
 
 from automode import fixtures
 from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl, induce_bias
-from automode.clauses import Clause, Literal, Term, const, var
+from automode.clauses import Clause, Literal, Term, const, covers, var
 from automode.errors import LoadError, ValidationError
 from automode.learner import ground_bottom_clause
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
@@ -338,6 +338,29 @@ def connected_order_oracle(head: Literal, body: list[Literal]) -> list[Literal]:
         ordered.append(lit)
         seen |= set(lit.variables())
     return ordered
+
+
+def blocking_drop_oracle(
+    clause: Clause, example: tuple[str, ...], db: DatabaseInstance
+) -> tuple[Literal, ...]:
+    """armg's kept literals by its definition, before the literals that no
+    chain of shared variables joins to the head are pruned: drop the
+    earliest body literal whose prefix does not cover `example`, one
+    coverage pass per prefix, and repeat until the whole body covers it."""
+    body, i = list(clause.body), 0
+    while i < len(body):
+        if covers(Clause(clause.head, tuple(body[: i + 1])), example, db):
+            i += 1
+        else:
+            del body[i]  # every shorter prefix covers: the earliest blocking literal
+    return tuple(body)
+
+
+def armg_oracle(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clause:
+    """armg by its definition: the blocking-atom drop, then
+    `connected_order_oracle`'s pruning and order."""
+    kept = list(blocking_drop_oracle(clause, example, db))
+    return Clause(clause.head, tuple(connected_order_oracle(clause.head, kept)))
 
 
 def head_fit_oracle(head: Literal, example: tuple[str, ...]) -> bool:

@@ -404,7 +404,7 @@ class TestCoverageCache:
         run = {
             "score": lambda cache: score(clause, ex.positives, ex.negatives, db, cache),
             "generalize_clause": lambda cache: generalize_clause(
-                build_bottom_clause(ex.positives[0], db, bias, cfg),
+                build_bottom_clause(ex.positives[0], db, bias, cfg).clause,
                 ex.positives, ex.negatives, db, cfg, cache=cache,
             ),
             "learn_definition": lambda cache: learn_definition(db, ex, bias, cfg, cache=cache),
@@ -453,7 +453,8 @@ class TestCoverageCounts:
                     sum(covers_oracle(clause, e, db) for e in group)
                     for group in (positives, negatives)
                 )
-                assert learner._coverage_counts(clause, positives, negatives, cache) == want
+                counts = cache.count(clause, positives), cache.count(clause, negatives)
+                assert counts == want
                 assert score(clause, positives, negatives, db, cache) == want[0] - want[1]
                 covered += sum(want)
         assert covered >= 20
@@ -471,7 +472,7 @@ class TestCoverageCounts:
                 sum(covers_oracle(clause, e, db) for e in group)
                 for group in (positives, negatives)
             )
-            assert learner._coverage_counts(clause, positives, negatives, cache) == want
+            assert (cache.count(clause, positives), cache.count(clause, negatives)) == want
 
     @pytest.mark.parametrize("in_universe", [True, False])
     def test_wrong_arity_example_is_rejected(self, in_universe):
@@ -481,7 +482,7 @@ class TestCoverageCounts:
         valid = [("alice", "bob")]
         cache = CoverageCache(db, valid + [example] if in_universe else valid)
         with pytest.raises(ValidationError, match="arity"):
-            learner._coverage_counts(clause, valid, [example], cache)
+            cache.count(clause, [example])
 
 
 class TestCheapestVariable:
@@ -559,7 +560,7 @@ class TestSingletonFold:
                     shapes = [bottom.clause]
                     for e in ex.positives + ex.negatives:
                         if _head_binding(bottom.clause.head, e) is not None:
-                            shapes.append(learner.armg(bottom.clause, e, db, bottom.witness))
+                            shapes.append(learner.armg(bottom.clause, e, db))
                     for clause in shapes:
                         folded = fold_singleton_literals(clause)
                         assert folded == fold_oracle(clause)

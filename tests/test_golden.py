@@ -62,6 +62,12 @@ _RUNS = {
     "lgg iterations=1": lambda db, ex, bias: str(
         lgg_learn(db, ex, bias, LearnConfig(iterations=1))
     ),
+    # no '#' modes: armg's witness searches are at their heaviest
+    "armg threshold=1": lambda db, ex, bias: str(
+        learn_definition(
+            db, ex, induce_bias(db, ex.target.name, constant_threshold=1), LearnConfig()
+        )
+    ),
 }
 
 
@@ -136,6 +142,13 @@ LEARNED = {('seeded', 'armg deep_reduce_clauses'): 't(v0,v1) :- r0(v0,v2), r0(v1
                                   'r0(v4,v1), r0(v2,v0), r0(v5,v0), r0(v4,v3), '
                                   'r0(v4,v4), r0(v4,v2), r0(v2,v3), r0(v2,v4), '
                                   'r0(v2,v2), r0(v5,v4), r0(v5,v5).',
+ ('seeded', 'armg threshold=1'): 't(v0,v1) :- r0(v0,v2), r0(v1,v3), r0(v2,v1), '
+                                 'r0(v4,v1), r0(v5,v3), r0(v2,v5), r0(v2,v2), '
+                                 'r0(v4,v5), r0(v4,v4).\n'
+                                 't(v0,v1) :- r0(v1,v2), r0(v0,v3), r0(v0,v2), '
+                                 'r0(v4,v1), r0(v2,v0), r0(v5,v0), r0(v4,v3), '
+                                 'r0(v4,v4), r0(v4,v2), r0(v2,v3), r0(v2,v4), '
+                                 'r0(v2,v2), r0(v5,v4), r0(v5,v5).',
  ('seeded', 'bias'): 'PREDICATES:\n'
                      'r0(T1,T1)\n'
                      't(T1,T1)\n'
@@ -163,6 +176,9 @@ LEARNED = {('seeded', 'armg deep_reduce_clauses'): 't(v0,v1) :- r0(v0,v2), r0(v1
  ('small', 'armg iterations=2'): 'advisedBy(v0,v1) :- student(v0), professor(v1), '
                                  'inPhase(v0,v2), hasPosition(v1,v3), '
                                  'publication(v4,v0), publication(v4,v1).',
+ ('small', 'armg threshold=1'): 'advisedBy(v0,v1) :- student(v0), professor(v1), '
+                                'inPhase(v0,v2), hasPosition(v1,v3), '
+                                'publication(v4,v0), publication(v4,v1).',
  ('small', 'bias'): 'PREDICATES:\n'
                     'advisedBy(T1,T1)\n'
                     'hasPosition(T1,T2)\n'
@@ -199,6 +215,9 @@ LEARNED = {('seeded', 'armg deep_reduce_clauses'): 't(v0,v1) :- r0(v0,v2), r0(v1
  ('typed', 'armg iterations=2'): 'advisedBy(v0,v1) :- student(v0), professor(v1), '
                                  'inPhase(v0,v2), hasPosition(v1,v3), '
                                  'publication(v4,v0), publication(v4,v1).',
+ ('typed', 'armg threshold=1'): 'advisedBy(v0,v1) :- student(v0), professor(v1), '
+                                'inPhase(v0,v2), hasPosition(v1,v3), '
+                                'publication(v4,v0), publication(v4,v1).',
  ('typed', 'bias'): 'PREDICATES:\n'
                     'advisedBy(T3,T3)\n'
                     'advisedBy(T3,T5)\n'

@@ -27,7 +27,6 @@ from automode.clauses import (
 from automode.clauses import _head_binding
 from automode.errors import ConfigError, ValidationError
 from automode.learner import (
-    BottomClause,
     _connected_order,
     _scoring_equivalent,
     CoverageCache,
@@ -50,6 +49,8 @@ from automode.relstore import (
 
 from conftest import MANUAL_BIAS_TEXT
 from oracles import (
+    armg_oracle,
+    blocking_drop_oracle,
     connected_order_oracle,
     head_fit_oracle,
     isomorphic,
@@ -348,35 +349,45 @@ class TestArmg:
                     assert armg(clause, example, shared) == armg(clause, example, fresh)
 
 
-class TestArmgIgnoresHint:
-    """`CoverageCache.memo` keys armg results without the hint: the hint
-    may only change which witness is found, never the clause."""
+class TestArmgMatchesItsDefinition:
+    """armg against `armg_oracle`: the blocking-atom drop by one coverage
+    pass per prefix, then the head-connected order."""
 
-    @pytest.mark.parametrize("iterations", [1, 2])
-    @pytest.mark.parametrize("fixture", ["small", "typed"])
-    def test_bottom_clause_hint(self, fixture, iterations):
-        db = getattr(fixtures, f"{fixture}_database_registered")()
-        ex = getattr(fixtures, f"{fixture}_examples")()
-        bias = induce_bias(db, "advisedBy")
-        for seed in ex.positives:
-            bottom = build_bottom_clause(seed, db, bias, LearnConfig(iterations=iterations))
-            for e in ex.positives + ex.negatives:
-                with_hint = armg(bottom.clause, e, db, hint=bottom.witness)
-                assert with_hint == armg(bottom.clause, e, db)
-
-    def test_arbitrary_hint(self):
+    def test_random_clauses_with_constants(self):
         rng = random.Random(211)
-        checked = 0
-        while checked < 200:
+        checked = dropped = 0
+        while checked < 300:
             db = random_db(rng)
-            clause = random_clause(rng, db, max_body=6, max_free_vars=3)
+            clause = random_clause(rng, db, max_body=8, max_free_vars=3)
             example = random_example(rng, len(clause.head.args))
-            if not covers(Clause(clause.head, ()), example, db):
+            if _head_binding(clause.head, example) is None:
                 continue  # repeated head variable with unequal values
-            hint = {t: f"c{rng.randrange(8)}" for t in clause.variables()}
-            with_hint = armg(clause, example, db, hint=hint)
-            assert with_hint == armg(clause, example, db)
+            out = armg(clause, example, db)
+            assert out == armg_oracle(clause, example, db), (clause, example)
             checked += 1
+            dropped += 0 < len(out.body) < len(set(clause.body))
+        assert dropped >= 100, dropped
+
+    @pytest.mark.parametrize("threshold", [5, 1])
+    def test_bottom_clauses(self, threshold):
+        tasks = [
+            (fixtures.small_database_registered(), fixtures.small_examples()),
+            (fixtures.typed_database_registered(), fixtures.typed_examples()),
+        ]
+        tasks += [random_task(random.Random(seed)) for seed in range(20)]
+        checked = dropped = 0
+        for db, ex in tasks:
+            bias = induce_bias(db, ex.target.name, constant_threshold=threshold)
+            for seed in ex.positives:
+                bottom = build_bottom_clause(seed, db, bias, LearnConfig()).clause
+                for e in ex.positives + ex.negatives:
+                    if _head_binding(bottom.head, e) is None:
+                        continue  # head shape cannot fit e
+                    out = armg(bottom, e, db)
+                    assert out == armg_oracle(bottom, e, db), (bottom, e)
+                    checked += 1
+                    dropped += len(out.body) < len(bottom.body)
+        assert checked >= 1000 and dropped >= 500, (checked, dropped)
 
 
 class TestScore:
@@ -421,7 +432,9 @@ class TestGeneralizeClause:
 
     def test_returns_bottom_when_it_already_generalizes(self, small_db, auto_bias):
         ex = fixtures.small_examples()
-        bottom = build_bottom_clause(("alice", "bob"), small_db, auto_bias, LearnConfig())
+        bottom = build_bottom_clause(
+            ("alice", "bob"), small_db, auto_bias, LearnConfig()
+        ).clause
         out = generalize_clause(
             bottom, ex.positives, ex.negatives, small_db, LearnConfig()
         )
@@ -433,9 +446,8 @@ class TestGeneralizeClause:
             'advisedBy(x,y) :- student(x), inPhase(x,u), professor(y), '
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
-        bottom = BottomClause(pinned, {})
         out = generalize_clause(
-            bottom, ex.positives, ex.negatives, small_db, LearnConfig()
+            pinned, ex.positives, ex.negatives, small_db, LearnConfig()
         )
         assert score(out, ex.positives, ex.negatives, small_db) == 2
         assert all(l.relation != "hasPosition" for l in out.body)
@@ -448,23 +460,26 @@ class TestGeneralizeClause:
             'advisedBy(x,y) :- student(x), inPhase(x,"pre_quals"), professor(y), '
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
-        bottom = BottomClause(pinned, {})
         shared = CoverageCache(small_db, ex.positives + ex.negatives)
         fresh = []
         for positive in ex.positives:
-            args = (bottom, (positive,), ex.negatives, small_db, LearnConfig())
+            args = (pinned, (positive,), ex.negatives, small_db, LearnConfig())
             fresh.append(generalize_clause(*args))
             assert generalize_clause(*args, cache=shared) == fresh[-1]
         assert fresh[0] != fresh[1]
 
     def test_single_positive_keeps_bottom_score(self, small_db, auto_bias):
-        bottom = build_bottom_clause(("alice", "bob"), small_db, auto_bias, LearnConfig())
+        bottom = build_bottom_clause(
+            ("alice", "bob"), small_db, auto_bias, LearnConfig()
+        ).clause
         out = generalize_clause(bottom, (("alice", "bob"),), (), small_db, LearnConfig())
         assert score(out, (("alice", "bob"),), (), small_db) == 1
 
     def test_greedy_configuration_terminates(self, small_db, auto_bias):
         ex = fixtures.small_examples()
-        bottom = build_bottom_clause(("alice", "bob"), small_db, auto_bias, LearnConfig())
+        bottom = build_bottom_clause(
+            ("alice", "bob"), small_db, auto_bias, LearnConfig()
+        ).clause
         cfg = LearnConfig(beam_width=1, sample_size=1)
         out = generalize_clause(bottom, ex.positives, ex.negatives, small_db, cfg)
         assert covers(out, ("alice", "bob"), small_db)
@@ -564,20 +579,6 @@ def _planted_task(out: Path, seed: int, **params):
     return db, ExampleSet(ex.target, ex.positives, negatives)
 
 
-def _blocking_drop(clause: Clause, example, db) -> tuple[Literal, ...]:
-    """armg's kept literals by its definition, before the literals that no
-    chain of shared variables joins to the head are pruned: drop the
-    earliest body literal whose prefix does not cover `example`, and repeat
-    until the whole body covers it."""
-    body, i = list(clause.body), 0
-    while i < len(body):
-        if covers(Clause(clause.head, tuple(body[: i + 1])), example, db):
-            i += 1
-        else:
-            del body[i]  # every shorter prefix covers: the earliest blocking literal
-    return tuple(body)
-
-
 class TestArmgReuse:
     def test_reuse_is_accepted_exactly_when_armg_keeps_its_literals(
         self, monkeypatch, tmp_path
@@ -593,7 +594,7 @@ class TestArmgReuse:
             accepted = holds(clause, result, folded, example, cache)
             key = (clause, example, id(cache.db))
             if key not in drops:
-                drops[key] = set(_blocking_drop(clause, example, cache.db))
+                drops[key] = set(blocking_drop_oracle(clause, example, cache.db))
             assert accepted == (drops[key] == set(result.body)), (clause, result, example)
             if accepted:
                 reuses.append((clause, folded, example, cache.db))
@@ -634,7 +635,6 @@ class TestArmgReuse:
             'advisedBy(x,y) :- student(x), inPhase(x,"pre_quals"), professor(y), '
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
-        bottom = BottomClause(pinned, {})
         holds, single, verified, tried = learner._holds_for, learner.covers, [], []
 
         def verifying(*args):
@@ -647,7 +647,7 @@ class TestArmgReuse:
 
         monkeypatch.setattr(learner, "_holds_for", verifying)
         monkeypatch.setattr(learner, "covers", counting)
-        args = (bottom, ex.positives, ex.negatives, small_db, LearnConfig())
+        args = (pinned, ex.positives, ex.negatives, small_db, LearnConfig())
         full = generalize_clause(*args)
         assert verified and not tried  # inside the universe a reuse is tried
         verified.clear()

@@ -198,19 +198,21 @@ def build_bottom_clause(
 def ground_bottom_clause(
     example: tuple[str, ...],
     db: DatabaseInstance,
-    target: str,
-    predicates: tuple,
+    bias: BiasSpec,
     cfg: LearnConfig,
 ) -> Clause:
     """Ground variant used by the lgg learner: the bottom clause under
-    implicit one-'+' modes for every declared relation, each variable put back
-    to the constant it stands for."""
-    bottom = build_bottom_clause(example, db, _implicit_bias(db, target, predicates), cfg)
+    `bias`, built by `implicit_bias`, each variable put back to the
+    constant it stands for."""
+    bottom = build_bottom_clause(example, db, bias, cfg)
     constants = {term: Term(value, False) for term, value in bottom.witness.items()}
     return apply_renaming(bottom.clause, constants)
 
 
-def _implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
+def implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
+    """The lgg learner's saturation bias: the `predicates` as given, and
+    implicit one-'+' modes for every declared relation. It scans every
+    column of `db`, so a run builds it once for all its examples."""
     # a constant threshold of 1 admits no constant: one '+' per mode
     head, modes = generate_modes(db, 1, target)
     declared = {d.relation for d in predicates}

@@ -6,6 +6,12 @@ grow multiplicatively; every generalization step therefore deep-reduces
 the result. This learner needs predicate declarations to restrict joins
 but no mode definitions: constants survive exactly where both clauses
 agree.
+
+The learner's fold stops, without building the step's lgg, at an example
+whose ground bottom clause its clause already subsumes. That is exact: when
+`c` subsumes `d`, `lgg(c, d)` is equivalent to `c` (Plotkin, 1970), so it
+covers the same examples, scores the same, and the fold would have stopped
+there after building, reducing and scoring it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import random
 import re
 from typing import Iterable
 
+from . import clauses
 from .biasgen import BiasSpec
 from .clauses import Clause, HornDefinition, Literal, Term, minimize, var
 from .errors import ConfigError, ValidationError
@@ -22,6 +29,7 @@ from .learner import (
     LearnConfig,
     _cover_set,
     ground_bottom_clause,
+    implicit_bias,
     score,
 )
 from .relstore import DatabaseInstance, ExampleSet
@@ -107,11 +115,18 @@ def lgg_learn(
     `bias.predicates`: the mode definitions and the head mode are ignored.
     The fold starts from the seed's ground bottom clause itself, which is
     its own core: its body holds no duplicate, and a ground literal maps
-    only onto itself. Refuses databases above `_GUARD` tuples: repeated
-    generalization grows clauses multiplicatively and evaluation cost
-    becomes prohibitive well before memory does. A shared `cache`, whose
-    universe should hold every training example, also keeps each ground
-    bottom clause and pairwise lgg for the later runs that share it.
+    only onto itself. It keeps a step's lgg while it scores higher than the
+    clause so far, and stops at the first that does not, or, before
+    building the step, at an example whose ground bottom clause the clause
+    subsumes. That stop is exact: if θ maps the clause into the bottom
+    clause, X ↦ var(X, Xθ) maps it into their lgg, and projecting each
+    variable pair onto its first term maps the lgg back, so the two are
+    equivalent and score the same. Refuses databases above `_GUARD`
+    tuples: repeated generalization grows clauses multiplicatively and
+    evaluation cost becomes prohibitive well before memory does. A shared
+    `cache`, whose universe should hold every training example, also keeps
+    the saturation bias, each ground bottom clause and each step's lgg, or
+    `None` for a stop, for the later runs that share it.
     """
     total = db.total_tuples()
     if total > _GUARD:
@@ -127,6 +142,10 @@ def lgg_learn(
     if not any(d.relation == target for d in predicates):
         raise ValidationError(f"no predicate declaration for target {target}")
     cache = CoverageCache.of(db, cache, examples.positives, examples.negatives)
+    saturation = cache.memo(
+        ("implicit bias", target, predicates),
+        lambda: implicit_bias(db, target, predicates),
+    )
     # one token per distinct saturation input, so the per-example keys
     # below hash the predicate declarations once per call, not per lookup
     inputs = cache.memo(
@@ -137,8 +156,17 @@ def lgg_learn(
     def ground(example: tuple[str, ...]) -> Clause:
         return cache.memo(
             ("ground", inputs, example),
-            lambda: ground_bottom_clause(example, db, target, predicates, cfg),
+            lambda: ground_bottom_clause(example, db, saturation, cfg),
         )
+
+    def step(clause: Clause, example: tuple[str, ...], bottom: Clause) -> Clause | None:
+        # None when `clause` subsumes `bottom`. The subsumption implies that
+        # `clause` covers `example`, a set lookup into the pass that scored
+        # `clause`, so an uncovered example needs no search. `subsumes` is
+        # looked up on its module, where the bench's tracer counts it.
+        if cache.covers(clause, example) and clauses.subsumes(clause, bottom):
+            return None
+        return lgg_clauses(clause, bottom)
 
     def learn_one(uncovered: list[tuple[str, ...]], rng: random.Random) -> Clause:
         seed = uncovered[0]
@@ -150,8 +178,10 @@ def lgg_learn(
         for example in fold[1:]:
             bottom = ground(example)
             candidate = cache.memo(
-                ("lgg", clause, bottom), lambda: lgg_clauses(clause, bottom)
+                ("lgg", clause, bottom), lambda: step(clause, example, bottom)
             )
+            if candidate is None:
+                break
             cand_score = score(candidate, uncovered, examples.negatives, db, cache)
             if cand_score > best:
                 clause, best = candidate, cand_score

@@ -16,9 +16,16 @@ from typing import Iterator
 
 from automode import fixtures
 from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl, induce_bias
-from automode.clauses import Clause, Literal, Term, const, covers, var
+from automode.clauses import Clause, HornDefinition, Literal, Term, const, covers, var
 from automode.errors import LoadError, ValidationError
-from automode.learner import ground_bottom_clause
+from automode.learner import (
+    CoverageCache,
+    _cover_set,
+    ground_bottom_clause,
+    implicit_bias,
+    score,
+)
+from automode.lgg import lgg_clauses
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 
 
@@ -185,6 +192,38 @@ def lgg_product_oracle(c1: Clause, c2: Clause) -> Clause:
                 if lit not in body:
                     body.append(lit)
     return Clause(head, tuple(body))
+
+
+def lgg_learn_oracle(
+    db: DatabaseInstance,
+    examples: ExampleSet,
+    bias: BiasSpec,
+    cfg,
+    cache: CoverageCache | None = None,
+) -> HornDefinition:
+    """`lgg.lgg_learn` with a fold that never stops early: every step's
+    lgg is built, deep-reduced and scored, and the fold stops at the first
+    that does not score higher than the clause so far. Nothing but coverage
+    is memoized, in `cache`."""
+    cache = CoverageCache.of(db, cache, examples.positives, examples.negatives)
+    saturation = implicit_bias(db, examples.target.name, bias.predicates)
+
+    def learn_one(uncovered: list, rng: random.Random) -> Clause:
+        seed = uncovered[0]
+        sampled = set(rng.sample(uncovered, min(cfg.sample_size, len(uncovered))))
+        sampled.add(seed)
+        fold = [e for e in uncovered[1:] if e in sampled]
+        clause = ground_bottom_clause(seed, db, saturation, cfg)
+        best = score(clause, uncovered, examples.negatives, db, cache)
+        for example in fold:
+            candidate = lgg_clauses(clause, ground_bottom_clause(example, db, saturation, cfg))
+            cand_score = score(candidate, uncovered, examples.negatives, db, cache)
+            if cand_score <= best:
+                break
+            clause, best = candidate, cand_score
+        return clause
+
+    return _cover_set(db, examples, cfg, learn_one, cache)
 
 
 def fold_oracle(clause: Clause) -> Clause:
@@ -730,12 +769,13 @@ def ground_clause_pairs(cfg) -> Iterator[tuple[Clause, Clause]]:
     each before its example's clause."""
     previous = None
     for db, example, target, predicates in ground_cases():
-        clause = ground_bottom_clause(example, db, target, predicates, cfg)
+        bias = implicit_bias(db, target, predicates)
+        clause = ground_bottom_clause(example, db, bias, cfg)
         if previous is not None and previous[0] is db:
             yield previous[1], clause
         else:
             for row in sorted(db.relation_rows(target))[:2]:
-                yield ground_bottom_clause(row, db, target, predicates, cfg), clause
+                yield ground_bottom_clause(row, db, bias, cfg), clause
         previous = db, clause
 
 

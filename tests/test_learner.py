@@ -35,6 +35,7 @@ from automode.learner import (
     build_bottom_clause,
     generalize_clause,
     ground_bottom_clause,
+    implicit_bias,
     learn_definition,
     score,
 )
@@ -189,9 +190,8 @@ class TestBottomClause:
     def test_ground_bottom_clause_is_unchanged(self, small_db, auto_bias):
         # lgg saturates under implicit modes with no '#', so the shared
         # phase still reaches john's inPhase tuple
-        clause = ground_bottom_clause(
-            ("alice", "bob"), small_db, "advisedBy", auto_bias.predicates, LearnConfig()
-        )
+        bias = implicit_bias(small_db, "advisedBy", auto_bias.predicates)
+        clause = ground_bottom_clause(("alice", "bob"), small_db, bias, LearnConfig())
         assert str(clause) == (
             'advisedBy("alice","bob") :- student("alice"), professor("bob"), '
             'inPhase("alice","post_quals"), hasPosition("bob","assistant_prof"), '
@@ -215,7 +215,7 @@ class TestBottomClause:
         ]
         bodies.append(
             ground_bottom_clause(
-                ("alice", "bob"), db, "advisedBy", auto_bias.predicates, cfg
+                ("alice", "bob"), db, implicit_bias(db, "advisedBy", auto_bias.predicates), cfg
             ).body
         )
         for body in bodies:

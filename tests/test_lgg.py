@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from automode import fixtures
-from automode.biasgen import induce_bias
+from automode import evaluation, fixtures, learner, lgg
+from automode.biasgen import generate_modes, induce_bias
 from automode.clauses import (
     Clause,
     Literal,
     const,
+    covered_examples,
     covers,
     covers_definition,
     minimize,
@@ -21,7 +23,8 @@ from automode.clauses import (
     var,
 )
 from automode.errors import ConfigError, ValidationError
-from automode.learner import CoverageCache, LearnConfig, _implicit_bias, ground_bottom_clause
+from automode.evaluation import cross_validate
+from automode.learner import CoverageCache, LearnConfig, ground_bottom_clause, implicit_bias
 from automode.lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl
@@ -33,7 +36,12 @@ from oracles import (
     ground_clause_pairs,
     implicit_bias_oracle,
     isomorphic,
+    lgg_learn_oracle,
     lgg_product_oracle,
+    random_clause,
+    random_db,
+    random_generalization,
+    random_task,
 )
 
 
@@ -120,6 +128,35 @@ class TestLggClauses:
             c1, c2 = clause(), clause()
             assert lgg_clauses(c1, c2, reduce=False) == lgg_product_oracle(c1, c2)
 
+    def test_lgg_with_a_subsumed_clause_is_equivalent_to_the_general_one(self):
+        # Plotkin's lemma, which lets lgg_learn stop a fold without building
+        # the step's lgg: when c subsumes d, lgg(c, d) and c subsume each
+        # other, so they cover the same examples
+        rng = random.Random(24)
+        pool = [var(f"w{i}") for i in range(6)]
+        checked = 0
+        while checked < 200:
+            db = random_db(rng, max_relations=3, max_arity=2, max_tuples=20, pool=5)
+            specific = random_clause(rng, db, max_body=5)
+            if not specific.body:
+                continue
+            general = random_generalization(rng, specific, pool)
+            assert subsumes(general, specific)
+            examples = list(product([f"c{i}" for i in range(5)], repeat=len(general.head.args)))
+            for out in (lgg_clauses(general, specific), lgg_clauses(general, specific, reduce=False)):
+                assert subsumes(out, general) and subsumes(general, out)
+                assert covered_examples(out, examples, db) == covered_examples(general, examples, db)
+            checked += 1
+        # a fold's clause against the ground bottom clauses it generalizes
+        pairs = 0
+        for c1, c2 in ground_clause_pairs(LearnConfig(iterations=1, per_relation_cap=3)):
+            general = lgg_clauses(c1, c2)
+            for specific in (c1, c2):
+                out = lgg_clauses(general, specific)
+                assert subsumes(out, general) and subsumes(general, out)
+                pairs += 1
+        assert pairs >= 300
+
     def test_incompatible_heads_rejected(self):
         with pytest.raises(ValidationError):
             lgg_clauses(parse_clause("t(x)."), parse_clause("s(x)."))
@@ -146,24 +183,22 @@ class TestGroundBottom:
     def test_ground_bottom_matches_worked_clause(self):
         db = fixtures.small_database_registered()
         bias = induce_bias(db, "advisedBy")
-        clause = ground_bottom_clause(
-            ("alice", "bob"), db, "advisedBy", bias.predicates, LearnConfig(iterations=1)
-        )
+        saturation = implicit_bias(db, "advisedBy", bias.predicates)
+        clause = ground_bottom_clause(("alice", "bob"), db, saturation, LearnConfig(iterations=1))
         assert isomorphic(clause, parse_clause(WORKED_C1_TEXT))
         assert covers(clause, ("alice", "bob"), db)
 
     def test_matches_ground_saturation_oracle(self):
         nonempty = capped = 0
         for db, example, target, predicates in ground_cases():
+            bias = implicit_bias(db, target, predicates)
             for cfg in _GROUND_CONFIGS:
-                clause = ground_bottom_clause(example, db, target, predicates, cfg)
+                clause = ground_bottom_clause(example, db, bias, cfg)
                 assert clause == ground_bottom_oracle(example, db, target, predicates, cfg)
                 nonempty += bool(clause.body)
                 if cfg.per_relation_cap < 100:
                     uncapped = replace(cfg, per_relation_cap=10**6)
-                    capped += clause != ground_bottom_clause(
-                        example, db, target, predicates, uncapped
-                    )
+                    capped += clause != ground_bottom_clause(example, db, bias, uncapped)
         assert nonempty >= 50 and capped >= 20
 
     def test_implicit_bias_matches_its_own_loop_oracle(self):
@@ -171,13 +206,14 @@ class TestGroundBottom:
         # threshold of 1 are the ones the lgg learner used to build itself
         for db, _, target, predicates in ground_cases():
             want = implicit_bias_oracle(db, target, predicates)
-            assert _implicit_bias(db, target, predicates) == want
+            assert implicit_bias(db, target, predicates) == want
 
     def test_is_its_own_deep_reduction(self):
         # the licence for starting each lgg fold from the seed's clause as it is
         for db, example, target, predicates in ground_cases():
+            bias = implicit_bias(db, target, predicates)
             for cfg in _GROUND_CONFIGS:
-                clause = ground_bottom_clause(example, db, target, predicates, cfg)
+                clause = ground_bottom_clause(example, db, bias, cfg)
                 assert minimize(clause, deep=True) == clause
 
 
@@ -237,6 +273,102 @@ class TestLggLearn:
             assert lgg_learn(db, ex, bias, cfg, cache=shared) == fresh[cap]
         assert fresh[1] != fresh[100]
 
+    def test_learns_what_the_unstopped_fold_learns(self):
+        # the golden databases, the demo fixture among them, and random
+        # tasks; random_task seeds 8 and 21 do not finish within 40 s here
+        for db, ex in _oracle_tasks():
+            bias = induce_bias(db, ex.target.name)
+            cfg = LearnConfig(iterations=1)
+            assert lgg_learn(db, ex, bias, cfg) == lgg_learn_oracle(db, ex, bias, cfg)
+
+    def test_cross_validate_folds_learn_what_the_unstopped_fold_learns(self, monkeypatch):
+        # every fold of one 5-fold run shares its cache, the stop decisions
+        # of the ("lgg", clause, bottom) memo included; a task needs five
+        # positives, and seed 43's third fold does not finish within a minute
+        for seed in (1, 4, 5, 7, 9, 10, 11, 12):
+            db, ex = random_task(random.Random(seed))
+            bias = induce_bias(db, ex.target.name)
+            runs = []
+            for learn in (lgg_learn, lgg_learn_oracle):
+                learned = []
+
+                def recording(*args, cache, learn=learn, learned=learned):
+                    learned.append(learn(*args, cache=cache))
+                    return learned[-1]
+
+                monkeypatch.setattr(evaluation, "lgg_learn", recording)
+                report = cross_validate(
+                    db, ex, bias, LearnConfig(iterations=1), 5, 1, "lgg"
+                ).to_dict()
+                del report["mean_wall_ms"]
+                for fold in report["per_fold"]:
+                    del fold["wall_ms"]
+                runs.append((learned, report))
+            assert len(runs[0][0]) == 5 and runs[0] == runs[1]
+
+    def test_step_on_a_subsumed_example_builds_no_lgg(self, monkeypatch):
+        # the first step generalizes t(alice) and t(bob) to t(v) :- p(v),
+        # which subsumes carol's ground bottom clause: the fold stops there
+        schemas = (RelationSchema("p", ("a",)), RelationSchema("t", ("a",)))
+        people = [("alice",), ("bob",), ("carol",)]
+        db = DatabaseInstance.build(schemas, {"p": people, "t": people})
+        bias = BiasSpec(
+            (PredicateDecl("p", ("T1",)), PredicateDecl("t", ("T1",))),
+            (),
+            ModeDecl("t", ("+",)),
+        )
+        ex = ExampleSet(schemas[1], tuple(people), ())
+        calls = []
+
+        def counting(c1, c2, reduce=True):
+            calls.append(c2.head)
+            return lgg_clauses(c1, c2, reduce)
+
+        monkeypatch.setattr(lgg, "lgg_clauses", counting)
+        definition = lgg_learn(db, ex, bias, LearnConfig())
+        assert calls == [parse_clause('t("bob").').head]
+        assert definition.clauses == (parse_clause("t(v0) :- p(v0)."),)
+        assert definition == lgg_learn_oracle(db, ex, bias, LearnConfig())
+
+    def test_covered_example_still_generalizes_when_not_subsumed(self):
+        # t(v) :- r(v,"k") covers e3, but under a cap of one row per
+        # relation e3's ground bottom clause holds only r("e3","a"): the
+        # step is built, and its lgg also covers e4
+        schemas = (RelationSchema("r", ("a", "b")), RelationSchema("t", ("a",)))
+        people = [("s1",), ("e2",), ("e3",), ("e4",)]
+        rows = [("s1", "k"), ("e2", "k"), ("e3", "a"), ("e3", "k"), ("e4", "m")]
+        db = DatabaseInstance.build(schemas, {"r": rows, "t": people})
+        bias = BiasSpec(
+            (PredicateDecl("r", ("T1", "T2")), PredicateDecl("t", ("T1",))),
+            (),
+            ModeDecl("t", ("+",)),
+        )
+        ex = ExampleSet(schemas[1], tuple(people), ())
+        cfg = LearnConfig(iterations=1, per_relation_cap=1)
+        definition = lgg_learn(db, ex, bias, cfg)
+        assert definition.clauses == (parse_clause("t(v1) :- r(v1,v2)."),)
+        assert definition == lgg_learn_oracle(db, ex, bias, cfg)
+
+    def test_implicit_bias_is_built_once_per_cache(self, monkeypatch):
+        db = fixtures.small_database_registered()
+        ex = fixtures.small_examples()
+        bias = induce_bias(db, "advisedBy")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return generate_modes(*args)
+
+        monkeypatch.setattr(learner, "generate_modes", counting)
+        lgg_learn(db, ex, bias, LearnConfig())
+        assert len(calls) == 1
+        shared = CoverageCache(db, ex.positives + ex.negatives)
+        for cfg in (LearnConfig(), LearnConfig(iterations=1)):
+            lgg_learn(db, ex, bias, cfg, cache=shared)
+        assert len(calls) == 2
+        cross_validate(db, ex, bias, LearnConfig(), 2, 1, "lgg")
+        assert len(calls) == 3
+
     def test_guard_refuses_large_databases(self):
         # one tuple above the fixed guard of 10,000
         schemas = (RelationSchema("r", ("a",)), RelationSchema("t", ("a",)))
@@ -259,3 +391,10 @@ class TestLggLearn:
         bias = BiasSpec((PredicateDecl("student", ("T1",)),), (), ModeDecl("student", ("+",)))
         with pytest.raises(ValidationError, match="no predicate declaration"):
             lgg_learn(db, ex, bias, LearnConfig())
+
+
+def _oracle_tasks():
+    yield fixtures.small_database_registered(), fixtures.small_examples()
+    yield fixtures.typed_database_registered(), fixtures.typed_examples()
+    for seed in (57, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 43):
+        yield random_task(random.Random(seed))

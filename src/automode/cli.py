@@ -43,6 +43,9 @@ def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "discover-inds" and args.examples is not None and not args.target:
+            # the examples are read as the target relation's rows
+            parser.error("discover-inds: --examples requires --target")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -135,7 +138,7 @@ def _learn_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_discover_inds(args: argparse.Namespace) -> int:
-    db = _load(args, register=args.examples is not None and args.target is not None)
+    db = _load(args, register=args.examples is not None)
     started = time.perf_counter()
     inds = discover_inds(db, args.alpha)
     _note(f"discovered {len(inds.inds)} INDs in {_ms(started)} ms")

@@ -5,18 +5,21 @@ R[A] also appears in S[B]; the error of an approximate IND is the fraction
 of distinct R[A] values that would have to be removed for it to hold.
 
 Discovery reads an inverted index of values (De Marchi, Lopes & Petit,
-JIIS 2009): each distinct value maps to the columns that hold it, so the
-overlap of a left column with every other column is one count over the
-holder lists of its values, which reach only the columns sharing a value
-with it. error = (|left| - overlap) / |left| is the same fraction of the
-same integers as a set difference, so errors are exact.
+JIIS 2009): each distinct value maps to the columns that hold it. The
+index grows one column at a time, and before a column joins the holder
+lists of its values, one count over those lists gives its overlap with
+every earlier column, so each unordered pair is counted once. Both
+directions read that one integer: error = (|left| - overlap) / |left| is
+the same fraction of the same integers as a set difference, so errors are
+exact.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .errors import ValidationError
 from .relstore import AttributeRef, DatabaseInstance, all_attributes
@@ -64,34 +67,28 @@ def discover_inds(db: DatabaseInstance, alpha: float) -> IndSet:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must be in [0,1], got {alpha}")
-    # one transposition per relation gives each column's distinct values;
-    # a relation with no rows has `arity` empty columns
-    by_relation = {
-        s.name: list(map(frozenset, zip(*db.rows[s.name]))) or [frozenset()] * s.arity
-        for s in db.schemas
-    }
     # sorted, so pairs are generated in the IndSet's canonical order
     attrs = sorted(all_attributes(db))
-    columns = [by_relation[a.relation][a.position] for a in attrs]
-    holders: dict[str, list[int]] = {}
+    columns = [frozenset(map(itemgetter(a.position), db.rows[a.relation])) for a in attrs]
+    # earlier[i][j] = |columns[i] & columns[j]| for j < i, where nonzero
+    holders: defaultdict[str, list[int]] = defaultdict(list)
+    earlier: list[Counter[int]] = []
     for i, column in enumerate(columns):
-        for value in column:
-            holders.setdefault(value, []).append(i)
+        lists = list(map(holders.__getitem__, column))
+        earlier.append(Counter(chain.from_iterable(lists)))
+        any(map(list.append, lists, repeat(i)))  # append returns None: drains the map
     found: list[UnaryInd] = []
     for i, (lhs, left) in enumerate(zip(attrs, columns)):
         if not left:
             continue
-        # a list: most pairs share no value, and a Counter would answer
-        # each of them through a Python-level __missing__ call
-        overlap = [0] * len(attrs)
-        for j, shared in Counter(
-            chain.from_iterable(map(holders.__getitem__, left))
-        ).items():
-            overlap[j] = shared
         size = len(left)
+        row = earlier[i]
         for j, rhs in enumerate(attrs):
             if j != i:
-                error = (size - overlap[j]) / size
+                # dict.get: a missing Counter key would go through a
+                # Python-level __missing__ call, and most pairs share no value
+                shared = row.get(j, 0) if j < i else earlier[j].get(i, 0)
+                error = (size - shared) / size
                 if error <= alpha:
                     found.append(UnaryInd(lhs, rhs, error))
     return IndSet(tuple(found), alpha)

@@ -245,6 +245,22 @@ class TestDiscoverInds:
         assert manifest["config"]["alpha"] == 0.5
         assert manifest["inputs"]
 
+    def test_examples_without_target_is_usage_error(self, fixture_dir, capsys):
+        # examples are registered as the target's rows, so without --target
+        # they could only be dropped in silence
+        rc = dispatch(
+            [
+                "discover-inds",
+                *_data_args(fixture_dir, False),
+                "--examples",
+                str(fixture_dir["examples"]),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--target" in err
+        assert "Traceback" not in err
+
     def test_stdout_when_no_out(self, fixture_dir, capsys):
         # --target alone marks the relation as examples-backed
         rc = dispatch(

@@ -105,6 +105,44 @@ class TestDiscovery:
             )
             assert discover_inds(db, 0.5) == discover_inds(doubled, 0.5)
 
+    def test_emitted_in_canonical_order(self):
+        # the oracle tests compare sets: this pins the lhs-major order the
+        # docstring promises
+        checked = 0
+        for make, seed in ((random_db, 41), (random_wide_db, 43)):
+            rng = random.Random(seed)
+            for _ in range(40):
+                db = make(rng)
+                for alpha in (0.0, 0.25, 0.5, 1.0):
+                    inds = discover_inds(db, alpha).inds
+                    assert inds == tuple(sorted(inds, key=lambda i: (i.lhs, i.rhs)))
+                    checked += len(inds) > 1
+        assert checked >= 100
+
+    def test_one_count_serves_both_directions(self):
+        # e sorts first and has no rows: its columns are right-hand sides
+        # only, sharing nothing; r -> s reads the overlap counted for s
+        # against the earlier r, and s -> r reads that same count
+        db = DatabaseInstance.build(
+            (
+                RelationSchema("r", ("a",)),
+                RelationSchema("s", ("b",)),
+                RelationSchema("e", ("c", "d")),
+            ),
+            {"r": [("x",), ("y",)], "s": [("x",), ("y",), ("z",), ("w",)], "e": []},
+        )
+        r, s = _attr("r", 0, "a"), _attr("s", 0, "b")
+        e0, e1 = _attr("e", 0, "c"), _attr("e", 1, "d")
+        assert discover_inds(db, 1.0).inds == (
+            UnaryInd(r, e0, 1.0),
+            UnaryInd(r, e1, 1.0),
+            UnaryInd(r, s, 0.0),
+            UnaryInd(s, e0, 1.0),
+            UnaryInd(s, e1, 1.0),
+            UnaryInd(s, r, 0.5),
+        )
+        assert discover_inds(db, 0.4).inds == (UnaryInd(r, s, 0.0),)
+
     def test_deterministic_order(self):
         db = fixtures.typed_database_registered()
         assert discover_inds(db, 0.5) == discover_inds(db, 0.5)

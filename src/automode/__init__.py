@@ -11,7 +11,6 @@ from .clauses import (
     const,
     conforms,
     covers,
-    covers_definition,
     minimize,
     parse_clause,
     render_clause,
@@ -33,11 +32,9 @@ from .lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
 from .profiler import IndSet, UnaryInd, dedupe_bidirectional, discover_inds
 from .relstore import (
     AttributeRef,
-    AttributeStats,
     DatabaseInstance,
     ExampleSet,
     RelationSchema,
-    attribute_stats,
     load_database,
     load_examples,
     load_schema,

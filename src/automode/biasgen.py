@@ -95,14 +95,6 @@ class BiasSpec:
     def declarations_for(self, relation: str) -> tuple[PredicateDecl, ...]:
         return tuple(d for d in self.predicates if d.relation == relation)
 
-    def position_types(self, relation: str, position: int) -> frozenset[str]:
-        """Union of the types any declaration allows at one argument slot."""
-        return frozenset(
-            d.types[position]
-            for d in self.predicates
-            if d.relation == relation and position < len(d.types)
-        )
-
 
 @dataclass(frozen=True)
 class TypeGraph:

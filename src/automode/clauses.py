@@ -329,12 +329,6 @@ def _extend(
     return out
 
 
-def covers_definition(
-    definition: HornDefinition, example: tuple[str, ...], db: "DatabaseInstance"
-) -> bool:
-    return any(covers(c, example, db) for c in definition.clauses)
-
-
 # -- whole-clause evaluation --------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from .learner import CoverageCache, LearnConfig
 from .fixtures import materialize_small
 from .profiler import discover_inds, format_ind_set
 from .relstore import (
+    DatabaseInstance,
     ExampleSet,
     RelationSchema,
     example_arity,
@@ -138,7 +139,7 @@ def _learn_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_discover_inds(args: argparse.Namespace) -> int:
-    db = _load(args, register=args.examples is not None)
+    db = _load(args)
     started = time.perf_counter()
     inds = discover_inds(db, args.alpha)
     _note(f"discovered {len(inds.inds)} INDs in {_ms(started)} ms")
@@ -152,7 +153,7 @@ def _cmd_discover_inds(args: argparse.Namespace) -> int:
 
 
 def _cmd_induce_bias(args: argparse.Namespace) -> int:
-    db = _load(args, register=True)
+    db = _load(args)
     started = time.perf_counter()
     bias = induce_bias(db, args.target, args.alpha, args.constant_threshold)
     _note(f"bias induction took {_ms(started)} ms")
@@ -167,10 +168,9 @@ def _cmd_induce_bias(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     bias = _read_bias(args.bias, args.target)
-    target = bias.head_mode.relation
-    db = load_database(args.schema, args.facts, examples_backed=(target,))
-    schema = _target_schema(db, target, len(bias.head_mode.symbols))
-    examples = load_examples(args.examples, schema)
+    db, examples = _load_inputs(
+        args, bias.head_mode.relation, len(bias.head_mode.symbols)
+    )
     db = register_target(db, examples)
     check_bias_fits(bias, db)
     cfg = _config(args)
@@ -209,16 +209,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.constant_threshold < 1:
         raise ConfigError("constant threshold must be >= 1")
     bias = _read_bias(args.bias, args.target) if args.bias is not None else None
-    db = load_database(args.schema, args.facts, examples_backed=(args.target,))
-    schema = _target_schema(db, args.target, example_arity(args.examples, args.target))
-    examples = load_examples(args.examples, schema)
+    db, examples = _load_inputs(args, args.target)
     if not examples.negatives:
         # drawn before registering, which would replace the stored target
         # rows with the positives: stored members stay in the domains
         negatives = generate_negatives(
-            db, examples.positives, schema, args.neg_ratio, args.seed
+            db, examples.positives, examples.target, args.neg_ratio, args.seed
         )
-        examples = ExampleSet(schema, examples.positives, negatives)
+        examples = ExampleSet(examples.target, examples.positives, negatives)
         _note(f"generated {len(negatives)} closed-world negatives")
     db = register_target(db, examples)
     if bias is None:
@@ -281,14 +279,30 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _load(args: argparse.Namespace, register: bool):
-    backed = (args.target,) if args.target else ()
-    db = load_database(args.schema, args.facts, examples_backed=backed)
-    if register:
-        schema = _target_schema(db, args.target, example_arity(args.examples, args.target))
-        examples = load_examples(args.examples, schema)
-        db = register_target(db, examples)
-    return db
+def _load(args: argparse.Namespace) -> DatabaseInstance:
+    """The database, with the examples, when given, registered as the rows
+    of the target."""
+    if args.examples is None:
+        backed = (args.target,) if args.target else ()
+        return load_database(args.schema, args.facts, examples_backed=backed)
+    return register_target(*_load_inputs(args, args.target))
+
+
+def _load_inputs(
+    args: argparse.Namespace, target: str, arity: int | None = None
+) -> tuple[DatabaseInstance, ExampleSet]:
+    """The database, whose `target` may have no facts file, and the examples
+    of `target`, which the caller registers. An undeclared target takes
+    `arity` values; without one, the examples file must hold an example of
+    `target`, and the first gives the arity."""
+    db = load_database(args.schema, args.facts, examples_backed=(target,))
+    if arity is None:
+        arity = example_arity(args.examples, target)
+    if db.has_relation(target):
+        schema = db.schema(target)
+    else:
+        schema = RelationSchema(target, tuple(f"a{i}" for i in range(arity)))
+    return db, load_examples(args.examples, schema)
 
 
 def _read_bias(path: Path, target: str | None) -> BiasSpec:
@@ -298,12 +312,6 @@ def _read_bias(path: Path, target: str | None) -> BiasSpec:
     if target and target != head:
         raise LoadError(f"--target {target} does not match the bias head {head}")
     return bias
-
-
-def _target_schema(db, target: str, arity: int) -> RelationSchema:
-    if db.has_relation(target):
-        return db.schema(target)
-    return RelationSchema(target, tuple(f"a{i}" for i in range(arity)))
 
 
 def _config(args: argparse.Namespace) -> LearnConfig:

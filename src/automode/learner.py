@@ -234,8 +234,8 @@ class _SaturationState:
         self.bias = bias
         self.var_map: dict[str, Term] = {}
         self.prov: dict[str, frozenset[str]] = {}
-        # `bias.position_types` for every declared slot, built once: that
-        # method scans all predicates, and saturation asks per tuple value
+        # the union of the types any declaration allows at each argument
+        # slot, built once: saturation asks per tuple value
         slots: dict[tuple[str, int], set[str]] = {}
         for d in bias.predicates:
             for pos, t in enumerate(d.types):

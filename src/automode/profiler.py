@@ -37,10 +37,6 @@ class UnaryInd:
         if not 0.0 <= self.error <= 1.0:
             raise ValidationError(f"IND error out of range: {self.error}")
 
-    @property
-    def exact(self) -> bool:
-        return self.error == 0.0
-
     def __str__(self) -> str:
         return f"{self.lhs} <= {self.rhs} err={self.error:.6f}"
 

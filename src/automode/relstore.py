@@ -3,6 +3,11 @@
 Databases are plain files: a schema listing (`name(attr1,attr2,...)`, one per
 line) plus one CSV per relation. All values are opaque, case-sensitive
 strings; there are no NULLs and duplicate rows collapse to one.
+
+Each row is checked once for its arity and for empty values: the facts
+reader checks the rows of a file and names the line of a bad one, and
+`DatabaseInstance.build` and `with_relation` check the rows their callers
+hand them.
 """
 
 from __future__ import annotations
@@ -62,21 +67,14 @@ class RelationSchema:
 
 
 @dataclass(frozen=True)
-class AttributeStats:
-    attribute: AttributeRef
-    distinct_count: int
-    distinct_values: frozenset[str]
-
-
-@dataclass(frozen=True)
 class DatabaseInstance:
     """An immutable set of relations.
 
     `rows` maps each relation name to its deduplicated tuples in sorted
-    order, one entry per schema. Its only other state is three lookups,
-    built on first use: `_schema_by_name` behind `schema`, and over `rows`,
-    `_fact_sets` behind `fact_set` and `_pos_index` behind `matching_rows`.
-    Instances are safe for concurrent reads.
+    order, one entry per schema. Its only other state is two lookups over
+    `rows`, built on first use: `_fact_sets` behind `fact_set` and
+    `_pos_index` behind `matching_rows`. Instances are safe for concurrent
+    reads.
     """
 
     schemas: tuple[RelationSchema, ...]
@@ -102,10 +100,10 @@ class DatabaseInstance:
     # -- lookups --------------------------------------------------------
 
     def schema(self, relation: str) -> RelationSchema:
-        found = self._schema_by_name.get(relation)
-        if found is None:
-            raise ValidationError(f"unknown relation: {relation}")
-        return found
+        for schema in self.schemas:
+            if schema.name == relation:
+                return schema
+        raise ValidationError(f"unknown relation: {relation}")
 
     def has_relation(self, relation: str) -> bool:
         return relation in self.rows
@@ -117,10 +115,6 @@ class DatabaseInstance:
 
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.rows.values())
-
-    @cached_property
-    def _schema_by_name(self) -> dict[str, RelationSchema]:
-        return {s.name: s for s in self.schemas}
 
     @cached_property
     def _fact_sets(self) -> dict[str, frozenset[tuple[str, ...]]]:
@@ -178,18 +172,23 @@ class DatabaseInstance:
         return DatabaseInstance(schemas + (schema,), rows)
 
 
-def _validated_rows(
-    schema: RelationSchema, raw: object
-) -> tuple[tuple[str, ...], ...]:
-    """`raw` deduplicated and sorted; raises on a wrong arity or an empty value.
+def _sorted_rows(raw: object) -> tuple[tuple[str, ...], ...]:
+    """`raw` deduplicated and sorted, unchecked.
 
     The dedupe keeps input order, so a file already written sorted (as
     `dump_database` writes it) reaches the sort as one ascending run, which
     Timsort merges in a single linear pass; a set would hand it the rows in
     hash order."""
-    deduped = sorted(dict.fromkeys(map(tuple, raw)))
+    return tuple(sorted(dict.fromkeys(map(tuple, raw))))
+
+
+def _validated_rows(
+    schema: RelationSchema, raw: object
+) -> tuple[tuple[str, ...], ...]:
+    """`raw` deduplicated and sorted; raises on a wrong arity or an empty value."""
+    rows = _sorted_rows(raw)
     arity = schema.arity
-    for row in deduped:
+    for row in rows:
         if len(row) != arity:
             raise ValidationError(
                 f"relation {schema.name}: row {row!r} does not match "
@@ -199,7 +198,7 @@ def _validated_rows(
             raise ValidationError(
                 f"relation {schema.name}: empty value in row {row!r}"
             )
-    return tuple(deduped)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -265,6 +264,9 @@ def load_database(
 
     Relations named in `examples_backed` may have no facts file; they load
     empty and are expected to receive their rows from training examples.
+    The reader has checked every row it returns, and the schema file
+    declares each relation once, so the instance is built from them
+    without `DatabaseInstance.build`'s checks.
     """
     schemas = load_schema(schema_file)
     facts = Path(facts_dir)
@@ -274,19 +276,21 @@ def load_database(
     for p in sorted(facts.glob("*.csv")):
         if p.stem not in declared:
             raise LoadError(f"facts file {p.name} has no declared relation")
-    tuples: dict[str, list[tuple[str, ...]]] = {}
+    rows: dict[str, tuple[tuple[str, ...], ...]] = {}
     for schema in schemas:
         path = facts / f"{schema.name}.csv"
         if not path.is_file():
             if schema.name in examples_backed:
-                tuples[schema.name] = []
+                rows[schema.name] = ()
                 continue
             raise LoadError(f"missing facts file for relation {schema.name}: {path}")
-        tuples[schema.name] = _read_facts_csv(path, schema)
-    return DatabaseInstance.build(schemas, tuples)
+        rows[schema.name] = _sorted_rows(_read_facts_csv(path, schema))
+    return DatabaseInstance(schemas, rows)
 
 
 def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]:
+    """The rows of the facts file `path`, each of `schema`'s arity with no
+    empty value; a `LoadError` names the line of the first that is not."""
     arity = schema.arity
     header_seen = False
     out: list[tuple[str, ...]] = []
@@ -360,14 +364,6 @@ def example_arity(examples_file: Path, target: str) -> int:
 def register_target(db: DatabaseInstance, examples: ExampleSet) -> DatabaseInstance:
     """Back the target relation with the positive examples as its rows."""
     return db.with_relation(examples.target, examples.positives)
-
-
-def attribute_stats(db: DatabaseInstance, attr: AttributeRef) -> AttributeStats:
-    schema = db.schema(attr.relation)
-    if attr.position >= schema.arity or schema.attributes[attr.position] != attr.name:
-        raise ValidationError(f"unknown attribute: {attr}")
-    values = frozenset(row[attr.position] for row in db.rows[attr.relation])
-    return AttributeStats(attr, len(values), values)
 
 
 def all_attributes(db: DatabaseInstance) -> tuple[AttributeRef, ...]:

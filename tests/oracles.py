@@ -289,16 +289,23 @@ def ground_bottom_oracle(
             symbols = tuple("+" if i == plus else "-" for i in range(s.arity))
             modes.append(ModeDecl(s.name, symbols))
     bias = BiasSpec(tuple(predicates), tuple(modes), ModeDecl(target, ("+",) * schema.arity))
+
+    def slot_types(relation, pos):
+        # the union of the types any declaration allows at the slot
+        return frozenset(
+            d.types[pos] for d in predicates if d.relation == relation and pos < len(d.types)
+        )
+
     prov: dict[str, frozenset[str]] = {}
     for pos, value in enumerate(example):
-        types = bias.position_types(target, pos)
+        types = slot_types(target, pos)
         prov[value] = prov[value] & types if value in prov else types
 
     def try_mode(relation, row, symbols):
         pending: dict[str, frozenset[str]] = {}
         minted: list[str] = []
         for pos, (value, sym) in enumerate(zip(row, symbols)):
-            types_here = bias.position_types(relation, pos)
+            types_here = slot_types(relation, pos)
             previous = pending.get(value, prov.get(value))
             if previous is None:
                 if sym == "+":

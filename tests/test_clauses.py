@@ -9,14 +9,12 @@ import pytest
 from automode import clauses, fixtures, learner
 from automode.clauses import (
     Clause,
-    HornDefinition,
     Literal,
     Term,
     canonical_text,
     conforms,
     const,
     covers,
-    covers_definition,
     minimize,
     parse_clause,
     render_clause,
@@ -211,32 +209,6 @@ class TestCovers:
                     clause.head, clause.body[:drop] + clause.body[drop + 1 :]
                 )
                 assert covers(weaker, example, db)
-
-
-class TestDefinitionCoverage:
-    def test_empty_definition_covers_nothing(self):
-        db = fixtures.small_database()
-        assert not covers_definition(HornDefinition(()), ("alice", "bob"), db)
-
-    def test_single_clause_definition(self, worked_clause):
-        db = fixtures.small_database()
-        definition = HornDefinition((worked_clause,))
-        covered = [
-            e
-            for e in (("alice", "bob"), ("alice", "mary"), ("john", "bob"), ("john", "mary"))
-            if covers_definition(definition, e, db)
-        ]
-        assert covered == [("alice", "bob"), ("john", "mary")]
-
-    def test_union_semantics(self, worked_clause):
-        db = fixtures.small_database()
-        only_students = parse_clause("advisedBy(x,y) :- student(x), professor(y).")
-        union = HornDefinition((worked_clause, only_students))
-        pairs = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
-        for example in pairs:
-            assert covers_definition(union, example, db) == (
-                covers(worked_clause, example, db) or covers(only_students, example, db)
-            )
 
 
 class TestConforms:

@@ -679,11 +679,12 @@ class TestLearnDefinition:
         assert isomorphic(definition.clauses[0], worked_clause)
 
     def test_leaves_only_its_indexes_on_the_database(self, small_db, auto_bias):
-        # what a run memoizes lives in its CoverageCache, not on the database
+        # what a run memoizes lives in its CoverageCache, not on the database;
+        # both indexes are built first, whichever of them learning reads
+        small_db.fact_set("student")
+        small_db.matching_rows("student", {0: "alice"})
         learn_definition(small_db, fixtures.small_examples(), auto_bias, LearnConfig())
-        assert set(vars(small_db)) <= {
-            "schemas", "rows", "_schema_by_name", "_fact_sets", "_pos_index"
-        }
+        assert set(vars(small_db)) == {"schemas", "rows", "_fact_sets", "_pos_index"}
 
     def test_empty_positives_give_empty_definition(self, small_db, auto_bias):
         ex = ExampleSet(small_db.schema("advisedBy"), (), ())

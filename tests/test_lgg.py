@@ -16,14 +16,13 @@ from automode.clauses import (
     const,
     covered_examples,
     covers,
-    covers_definition,
     minimize,
     parse_clause,
     subsumes,
     var,
 )
 from automode.errors import ConfigError, ValidationError
-from automode.evaluation import cross_validate
+from automode.evaluation import cross_validate, precision_recall
 from automode.learner import CoverageCache, LearnConfig, ground_bottom_clause, implicit_bias
 from automode.lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
@@ -228,8 +227,7 @@ class TestLggLearn:
         ex = fixtures.small_examples()
         bias = induce_bias(db, "advisedBy")
         definition = lgg_learn(db, ex, bias, LearnConfig())
-        assert all(covers_definition(definition, p, db) for p in ex.positives)
-        assert not any(covers_definition(definition, n, db) for n in ex.negatives)
+        assert precision_recall(definition, ex.positives, ex.negatives, db) == (1.0, 1.0)
 
     def test_single_positive_returns_its_reduced_bottom(self):
         db = fixtures.small_database_registered()

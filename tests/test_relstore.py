@@ -1,8 +1,9 @@
-"""Loading, validation, indexing, and stats."""
+"""Loading, validation and indexing."""
 
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 import time
@@ -17,7 +18,6 @@ from automode.relstore import (
     DatabaseInstance,
     ExampleSet,
     RelationSchema,
-    attribute_stats,
     dump_database,
     dump_examples,
     load_database,
@@ -104,8 +104,6 @@ class TestLoadDatabase:
         _write(facts / "student.csv", "stud\nalice\nalice\n")
         db = load_database(schema, facts)
         assert db.relation_rows("student") == (("alice",),)
-        stats = attribute_stats(db, AttributeRef("student", 0, "stud"))
-        assert stats.distinct_count == 1
 
     def test_arity_mismatch_names_relation_and_line(self, workspace):
         _, schema, facts = workspace
@@ -146,11 +144,16 @@ class TestLoadDatabase:
             load_database(schema, facts)
 
     def test_reader_agrees_with_oracle_on_random_files(self, tmp_path):
+        # and a loaded file stores the rows `build` stores from the reader's
+        # rows: the loader skips `build`'s checks, which must then all pass
         rng = random.Random(53)
         outcomes = {"loaded": 0, "header": 0, "arity": 0, "empty": 0}
         for i in range(400):
             schema = RelationSchema("r", tuple(f"a{j}" for j in range(rng.randint(1, 3))))
-            path = tmp_path / f"r{i}.csv"
+            (tmp_path / f"db{i}" / "facts").mkdir(parents=True)
+            schema_file = tmp_path / f"db{i}" / "schema.txt"
+            _write(schema_file, f"r({','.join(schema.attributes)})\n")
+            path = tmp_path / f"db{i}" / "facts" / "r.csv"
             path.write_bytes(random_facts_csv(rng, schema).encode("utf-8"))
             try:
                 expected = facts_csv_oracle(path, schema)
@@ -165,8 +168,12 @@ class TestLoadDatabase:
                     else "empty"
                 )
                 outcomes[kind] += 1
+                with pytest.raises(LoadError, match=re.escape(message)):
+                    load_database(schema_file, path.parent)
                 continue
             assert relstore._read_facts_csv(path, schema) == expected
+            db = load_database(schema_file, path.parent)
+            assert db == DatabaseInstance.build((schema,), {"r": expected})
             outcomes["loaded"] += 1
         assert all(count >= 30 for count in outcomes.values()), outcomes
 
@@ -242,37 +249,6 @@ class TestExamples:
         assert time.perf_counter() - start < 5.0
         assert len(ex.positives) == 30_000 and len(ex.negatives) == 10_000
         assert ex.negatives[:2] == (("s0", "p0"), ("s4", "p4"))
-
-
-class TestStats:
-    def test_fixture_columns(self):
-        db = fixtures.small_database()
-        phase = attribute_stats(db, AttributeRef("inPhase", 1, "phase"))
-        assert phase.distinct_count == 1
-        assert phase.distinct_values == frozenset({"post_quals"})
-        author = attribute_stats(db, AttributeRef("publication", 1, "author"))
-        assert author.distinct_count == 4
-        assert author.distinct_values == frozenset({"alice", "bob", "john", "mary"})
-
-    def test_empty_relation_has_zero(self):
-        db = fixtures.small_database()
-        stats = attribute_stats(db, AttributeRef("advisedBy", 0, "stud"))
-        assert stats.distinct_count == 0
-
-    def test_unknown_attribute_rejected(self):
-        db = fixtures.small_database()
-        with pytest.raises(ValidationError):
-            attribute_stats(db, AttributeRef("student", 3, "nope"))
-
-    def test_distinct_count_bounded_by_rows(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            db = random_db(rng)
-            for schema in db.schemas:
-                for ref in schema.attribute_refs():
-                    stats = attribute_stats(db, ref)
-                    assert stats.distinct_count <= len(db.rows[schema.name])
-                    assert stats.distinct_count == len(stats.distinct_values)
 
 
 @dataclass(frozen=True, order=True)
@@ -466,10 +442,9 @@ class TestIndexAndRoundTrip:
         assert again == ex
 
     def test_build_rejects_mismatched_tuple(self):
-        with pytest.raises(ValidationError):
-            DatabaseInstance.build(
-                (RelationSchema("r", ("a", "b")),), {"r": [("x",)]}
-            )
+        for bad, message in (([("x",)], "arity"), ([("x", "y"), ("x", "")], "empty value")):
+            with pytest.raises(ValidationError, match=message):
+                DatabaseInstance.build((RelationSchema("r", ("a", "b")),), {"r": bad})
 
 
 class TestRowOrder:

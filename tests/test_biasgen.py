@@ -17,6 +17,7 @@ from automode.biasgen import (
     induce_bias,
     read_bias,
     write_bias,
+    _few_distinct,
 )
 from automode.errors import ConfigError, LoadError, ValidationError
 from automode.profiler import dedupe_bidirectional, discover_inds
@@ -161,6 +162,46 @@ class TestGeneratePredicates:
             )
         )
         assert len([d for d in decls if d.relation == "two"]) == 4
+
+
+class TestFewDistinct:
+    """`_few_distinct` is the distinct-value count behind constant
+    eligibility: a column qualifies when it holds at least one and fewer
+    than `threshold` distinct values."""
+
+    def test_fixture_columns(self):
+        db = fixtures.small_database()
+        phases = db.relation_rows("inPhase")
+        assert {row[1] for row in phases} == {"post_quals"}
+        assert _few_distinct(phases, 1, 2)
+        assert not _few_distinct(phases, 1, 1)
+        authors = db.relation_rows("publication")
+        assert {row[1] for row in authors} == {"alice", "bob", "john", "mary"}
+        assert _few_distinct(authors, 1, 5)
+        assert not _few_distinct(authors, 1, 4)
+
+    def test_matches_distinct_count(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            db = random_db(rng)
+            for schema in db.schemas:
+                rows = db.relation_rows(schema.name)
+                for ref in schema.attribute_refs():
+                    distinct = len({row[ref.position] for row in rows})
+                    assert distinct <= len(rows)
+                    for threshold in (1, 2, 3, 5):
+                        assert _few_distinct(rows, ref.position, threshold) == (
+                            0 < distinct < threshold
+                        )
+
+    def test_stops_at_threshold_th_value(self):
+        def rows():
+            yield ("a",)
+            yield ("a",)
+            yield ("b",)
+            raise AssertionError("read past the threshold-th distinct value")
+
+        assert not _few_distinct(rows(), 0, 2)
 
 
 class TestGenerateModes:

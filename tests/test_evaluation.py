@@ -11,7 +11,7 @@ import pytest
 
 from automode import evaluation, fixtures
 from automode.biasgen import induce_bias, read_bias
-from automode.clauses import HornDefinition, parse_clause
+from automode.clauses import HornDefinition, covers, parse_clause
 from automode.errors import ConfigError, ValidationError
 from automode.evaluation import (
     _BUILT_POOL_FACTOR,
@@ -198,6 +198,40 @@ class TestPrecisionRecall:
         db = self._unary_db([])
         with pytest.raises(ValidationError):
             precision_recall(HornDefinition(()), (("a",),), (("a",),), db)
+
+
+class TestDefinitionCoverage:
+    """A definition covers an example when one of its clauses does; read
+    through `precision_recall` on a single positive, whose recall is 1.0
+    exactly when the definition covers it."""
+
+    @staticmethod
+    def _covers(definition, example, db):
+        return precision_recall(definition, (example,), (), db)[1] == 1.0
+
+    def test_empty_definition_covers_nothing(self):
+        db = fixtures.small_database()
+        assert not self._covers(HornDefinition(()), ("alice", "bob"), db)
+
+    def test_single_clause_definition(self, worked_clause):
+        db = fixtures.small_database()
+        definition = HornDefinition((worked_clause,))
+        covered = [
+            e
+            for e in (("alice", "bob"), ("alice", "mary"), ("john", "bob"), ("john", "mary"))
+            if self._covers(definition, e, db)
+        ]
+        assert covered == [("alice", "bob"), ("john", "mary")]
+
+    def test_union_semantics(self, worked_clause):
+        db = fixtures.small_database()
+        only_students = parse_clause("advisedBy(x,y) :- student(x), professor(y).")
+        union = HornDefinition((worked_clause, only_students))
+        pairs = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        for example in pairs:
+            assert self._covers(union, example, db) == (
+                covers(worked_clause, example, db) or covers(only_students, example, db)
+            )
 
 
 class TestSplit:

@@ -29,6 +29,7 @@ from .relstore import (
     ExampleSet,
     RelationSchema,
     example_arity,
+    facts_files,
     load_database,
     load_examples,
     read_input,
@@ -200,7 +201,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         args,
         args.out,
         {**_config_dict(args), "deep_reduce": args.deep_reduce},
-        extra_inputs=[args.bias],
+        extra_inputs=(args.bias,),
     )
     return 0
 
@@ -242,7 +243,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         args,
         args.report,
         {**_config_dict(args), "folds": args.folds, "neg_ratio": args.neg_ratio},
-        extra_inputs=[args.bias] if args.bias else [],
+        extra_inputs=(args.bias,),
     )
     print(
         f"mean_precision={report.mean_precision:.6f} "
@@ -336,21 +337,16 @@ def _write_manifest(
     args: argparse.Namespace,
     out_path: Path,
     config: dict,
-    extra_inputs: list[Path] | None = None,
+    extra_inputs: tuple[Path | None, ...] = (),
 ) -> None:
-    inputs: list[Path] = []
-    for name in ("schema", "examples"):
-        p = getattr(args, name, None)
-        if p is not None:
-            inputs.append(Path(p))
-    facts = getattr(args, "facts", None)
-    if facts is not None:
-        inputs.extend(sorted(Path(facts).glob("*.csv")))
-    inputs.extend(extra_inputs or [])
+    # the facts directory's files as the loader read them; an optional
+    # input not given is None
+    files = facts_files(args.facts).values()
+    inputs = (args.schema, args.examples, *files, *extra_inputs)
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
+        "inputs": {str(p): _sha256(p) for p in inputs if p is not None and p.is_file()},
         "tool_version": __version__,
     }
     Path(str(out_path) + ".manifest.json").write_text(

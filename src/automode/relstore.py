@@ -1,8 +1,9 @@
 """Loading, validation, and indexing of relational data and training examples.
 
 Databases are plain files: a schema listing (`name(attr1,attr2,...)`, one per
-line) plus one CSV per relation. All values are opaque, case-sensitive
-strings; there are no NULLs and duplicate rows collapse to one.
+line) plus a facts directory whose `*.csv` entries each name a declared
+relation. All values are opaque, case-sensitive strings; there are no NULLs
+and duplicate rows collapse to one.
 
 Each row is checked once for its arity and for empty values: the facts
 reader checks the rows of a file and names the line of a bad one, and
@@ -12,6 +13,7 @@ hand them.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -224,10 +226,12 @@ class ExampleSet:
 
 
 def read_input(path: Path, what: str) -> str:
-    """The text of the UTF-8 input file `path`; `what` names the file in
-    the `LoadError` raised when it is missing, a directory or unreadable."""
+    """The text of the UTF-8 input file `path`, read as bytes and decoded
+    once (the readers' `str.splitlines` breaks at `\\r\\n`, `\\r` and
+    `\\n` alike); `what` names the file in the `LoadError` raised when it
+    is missing, a directory or unreadable."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except (FileNotFoundError, IsADirectoryError):
         raise LoadError(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -262,6 +266,8 @@ def load_database(
 ) -> DatabaseInstance:
     """Load `<facts_dir>/<relation>.csv` for every declared relation.
 
+    Every `*.csv` entry of `facts_dir` must name a declared relation, and a
+    relation's file counts only if it is a regular file or a link to one.
     Relations named in `examples_backed` may have no facts file; they load
     empty and are expected to receive their rows from training examples.
     The reader has checked every row it returns, and the schema file
@@ -270,22 +276,40 @@ def load_database(
     """
     schemas = load_schema(schema_file)
     facts = Path(facts_dir)
-    if not facts.is_dir():
-        raise LoadError(f"facts directory not found: {facts}")
+    files = facts_files(facts)
     declared = {s.name for s in schemas}
-    for p in sorted(facts.glob("*.csv")):
-        if p.stem not in declared:
-            raise LoadError(f"facts file {p.name} has no declared relation")
+    for name in files:
+        if name.removesuffix(".csv") not in declared:
+            raise LoadError(f"facts file {name} has no declared relation")
     rows: dict[str, tuple[tuple[str, ...], ...]] = {}
     for schema in schemas:
-        path = facts / f"{schema.name}.csv"
-        if not path.is_file():
+        name = f"{schema.name}.csv"
+        if files.get(name) is None:
             if schema.name in examples_backed:
                 rows[schema.name] = ()
                 continue
-            raise LoadError(f"missing facts file for relation {schema.name}: {path}")
-        rows[schema.name] = _sorted_rows(_read_facts_csv(path, schema))
+            raise LoadError(f"missing facts file for relation {schema.name}: {facts / name}")
+        rows[schema.name] = _sorted_rows(_read_facts_csv(files[name], schema))
     return DatabaseInstance(schemas, rows)
+
+
+def facts_files(facts: Path) -> dict[str, Path | None]:
+    """Each `*.csv` entry of the directory `facts`, by name in sorted order
+    and from one listing: its path if it is a regular file or a link to
+    one, else None (a directory, or a link that leads to no file)."""
+    try:
+        with os.scandir(facts) as listing:
+            entries = sorted((e.name, e) for e in listing if e.name.endswith(".csv"))
+    except (FileNotFoundError, NotADirectoryError):
+        raise LoadError(f"facts directory not found: {facts}") from None
+    except OSError as exc:
+        raise LoadError(f"cannot read facts directory {facts}: {exc}") from exc
+    # the listing knows a regular file; a link or another kind costs one
+    # stat, and one that cannot be followed is no file
+    return {
+        name: facts / name if e.is_file(follow_symlinks=False) or os.path.isfile(e) else None
+        for name, e in entries
+    }
 
 
 def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]:
@@ -336,8 +360,8 @@ def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleS
                 f"{path}:{lineno}: example relation {rel} is not the target "
                 f"{target.name}"
             )
-        values = tuple(v.strip() for v in args.split(","))
-        if len(values) != target.arity or any(v == "" for v in values):
+        values = tuple(map(str.strip, args.split(",")))
+        if len(values) != target.arity or "" in values:
             raise LoadError(
                 f"{path}:{lineno}: expected {target.arity} values, got {args!r}"
             )
@@ -352,10 +376,8 @@ def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleS
 def example_arity(examples_file: Path, target: str) -> int:
     """The number of values in the first example of `target` in the file."""
     for raw in read_input(examples_file, "examples file").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _EXAMPLE_LINE.match(line)
+        # a blank or comment line never matches
+        m = _EXAMPLE_LINE.match(raw.strip())
         if m and m.group(2) == target:
             return len(m.group(3).split(","))
     raise LoadError(f"{examples_file}: no examples of target {target}")

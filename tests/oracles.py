@@ -26,7 +26,7 @@ from automode.learner import (
     score,
 )
 from automode.lgg import lgg_clauses
-from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
+from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, load_schema
 
 
 def active_domain(db: DatabaseInstance, extra=()) -> list[str]:
@@ -601,6 +601,31 @@ def facts_csv_oracle(path: Path, schema: RelationSchema) -> list[tuple[str, ...]
             raise LoadError(f"{path}:{lineno}: empty value is not allowed")
         out.append(cells)
     return out
+
+
+def facts_dir_oracle(
+    schema_file: Path, facts_dir: Path, examples_backed: tuple[str, ...] = ()
+) -> DatabaseInstance:
+    """`load_database` as it decided a facts directory's layout through
+    path tests: `is_dir` on the directory, every `glob("*.csv")` match in
+    sorted order must name a declared relation, and `is_file` on each
+    relation's `<name>.csv`; rows from `facts_csv_oracle`."""
+    schemas = load_schema(schema_file)
+    facts = Path(facts_dir)
+    if not facts.is_dir():
+        raise LoadError(f"facts directory not found: {facts}")
+    declared = {s.name for s in schemas}
+    for p in sorted(facts.glob("*.csv")):
+        if p.stem not in declared:
+            raise LoadError(f"facts file {p.name} has no declared relation")
+    rows = {}
+    for schema in schemas:
+        path = facts / f"{schema.name}.csv"
+        if path.is_file():
+            rows[schema.name] = facts_csv_oracle(path, schema)
+        elif schema.name not in examples_backed:
+            raise LoadError(f"missing facts file for relation {schema.name}: {path}")
+    return DatabaseInstance.build(schemas, rows)
 
 
 _ORACLE_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"

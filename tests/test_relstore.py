@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -29,6 +30,7 @@ from automode.relstore import (
 from oracles import (
     examples_oracle,
     facts_csv_oracle,
+    facts_dir_oracle,
     random_db,
     random_examples_text,
     random_facts_csv,
@@ -47,6 +49,67 @@ def workspace(tmp_path):
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
+
+
+def _facts_layout(rng, root, drawn):
+    """A schema of one to three relations under `root`, some of them
+    examples-backed, and `root/facts`: missing, a regular file, or a
+    directory where each relation's `<name>.csv` is a file, a link to one,
+    absent, a directory, a dangling or a looping link, beside undeclared
+    entries drawn at random. `drawn` counts what was made."""
+    root.mkdir()
+    schemas = [
+        RelationSchema(f"r{j}", tuple(f"a{k}" for k in range(rng.randint(1, 2))))
+        for j in range(rng.randint(1, 3))
+    ]
+    schema_file = root / "schema.txt"
+    _write(schema_file, "".join(f"{s.name}({','.join(s.attributes)})\n" for s in schemas))
+    backed = tuple(s.name for s in schemas if rng.random() < 0.5)
+    facts = root / "facts"
+    shape = rng.random()
+    if shape < 0.18:
+        if shape < 0.09:
+            _write(facts, "a regular file\n")
+        drawn["facts a file" if shape < 0.09 else "facts missing"] += 1
+        return schema_file, facts, backed
+    facts.mkdir()
+    for s in schemas:
+        entry = facts / f"{s.name}.csv"
+        text = ",".join(s.attributes) + "\n" + "".join(
+            ",".join(rng.choice("xyz") for _ in s.attributes) + "\n"
+            for _ in range(rng.randint(0, 3))
+        )
+        kind = rng.choices(
+            ("file", "link", "absent", "directory", "dangling link", "looping link"),
+            weights=(8, 2, 3, 3, 1, 1),
+        )[0]
+        if kind in ("absent", "directory"):
+            kind = f"{'backed' if s.name in backed else 'unbacked'} {kind}"
+        drawn[kind] += 1
+        if kind == "file":
+            _write(entry, text)
+        elif kind == "link":
+            _write(root / f"{s.name}.data", text)
+            entry.symlink_to(root / f"{s.name}.data")
+        elif kind.endswith("directory"):
+            entry.mkdir()
+        elif kind == "dangling link":
+            entry.symlink_to(root / "nowhere")
+        elif kind == "looping link":
+            entry.symlink_to(entry.name)
+    extras = {
+        "undeclared file": lambda: _write(facts / "u.csv", "a\nx\n"),
+        "undeclared directory": lambda: (facts / "v.csv").mkdir(),
+        "undeclared dangling link": lambda: (facts / "gone.csv").symlink_to(root / "nowhere"),
+        "hidden file": lambda: _write(facts / ".hidden.csv", "a\nx\n"),
+        "other case": lambda: _write(facts / "X.CSV", "a\nx\n"),
+        "other suffix": lambda: _write(facts / "notes.txt", "notes\n"),
+    }
+    for kind, make in extras.items():
+        if rng.random() < 0.12:
+            make()
+            drawn[kind] += 1
+    return schema_file, facts, backed
 
 
 class TestSchemaFile:
@@ -81,6 +144,31 @@ class TestSchemaFile:
         _write(schema, line + "\n")
         with pytest.raises(LoadError, match="cannot parse schema line"):
             load_schema(schema)
+
+
+class TestReadInput:
+    # bytes decoded once must give text mode's lines and its decode errors
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"a\r\nb\rc\n\r\n\nd",
+            "\u00e9\r\u2028x\x1c".encode(),
+            b"ok\n\xff\n",
+            b"abc\xe2\x82",
+            b"\xc3(",
+        ],
+    )
+    def test_lines_and_errors_match_text_mode(self, tmp_path, data):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        try:
+            expected = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            with pytest.raises(LoadError) as got:
+                relstore.read_input(path, "facts file")
+            assert str(got.value) == f"cannot read facts file {path}: {exc}"
+            return
+        assert relstore.read_input(path, "facts file").splitlines() == expected
 
 
 class TestLoadDatabase:
@@ -128,6 +216,47 @@ class TestLoadDatabase:
             load_database(schema, facts)
         db = load_database(schema, facts, examples_backed=("advisedBy",))
         assert db.relation_rows("advisedBy") == ()
+
+    def test_listing_agrees_with_path_tests_on_random_layouts(self, tmp_path):
+        # the directory is listed once; every outcome must be the one the
+        # is_dir / glob / is_file rules give, message for message, and the
+        # facts files a manifest hashes must be the glob's regular files
+        rng = random.Random(61)
+        outcomes = {"loaded": 0, "not found": 0, "undeclared": 0, "missing": 0}
+        drawn = Counter()
+        for i in range(300):
+            schema_file, facts, backed = _facts_layout(rng, tmp_path / f"db{i}", drawn)
+            try:
+                expected = facts_dir_oracle(schema_file, facts, backed)
+            except LoadError as exc:
+                with pytest.raises(LoadError) as got:
+                    load_database(schema_file, facts, backed)
+                message = str(exc)
+                assert str(got.value) == message
+                outcomes[
+                    "not found" if "directory not found" in message
+                    else "undeclared" if "no declared relation" in message
+                    else "missing"
+                ] += 1
+                continue
+            assert load_database(schema_file, facts, backed) == expected
+            hashed = [p for p in relstore.facts_files(facts).values() if p]
+            assert hashed == [p for p in sorted(facts.glob("*.csv")) if p.is_file()]
+            outcomes["loaded"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+        assert len(drawn) == 16 and min(drawn.values()) >= 20, drawn
+
+    def test_unlistable_facts_directory_is_load_error(self, workspace, monkeypatch):
+        _, schema, facts = workspace
+        _write(schema, "student(stud)\n")
+        _write(facts / "student.csv", "stud\nalice\n")
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(relstore.os, "scandir", refuse)
+        with pytest.raises(LoadError, match=f"cannot read facts directory {re.escape(str(facts))}"):
+            load_database(schema, facts)
 
     def test_header_must_match_schema(self, workspace):
         _, schema, facts = workspace

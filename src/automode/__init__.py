@@ -28,7 +28,7 @@ from .learner import (
     learn_definition,
     score,
 )
-from .lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
+from .lgg import lgg_clauses, lgg_learn
 from .profiler import IndSet, UnaryInd, dedupe_bidirectional, discover_inds
 from .relstore import (
     AttributeRef,

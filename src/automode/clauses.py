@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
 from itertools import compress, starmap
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import ValidationError
@@ -351,10 +351,11 @@ def covered_examples(
     the factors that hold it. Every factor left afterwards is over head
     variables only: those over the same variables are intersected, and the
     example rows are then filtered by each merged factor in turn, so no
-    join runs without a shared variable. Rows are projected, filtered and
-    collected by `itemgetter`, `compress` and `map` rather than per-row
-    Python code. An example whose arity is not the head's raises
-    `ValidationError`.
+    join runs without a shared variable. A ground body literal constrains
+    no variable and is no factor: it is one membership test in its stored
+    row set. Rows are projected, filtered and collected by `itemgetter`,
+    `compress` and `map` rather than per-row Python code. An example whose
+    arity is not the head's raises `ValidationError`.
     """
     for lit in clause.body:
         if not db.has_relation(lit.relation):
@@ -383,6 +384,11 @@ def covered_examples(
     ]
     for lit in clause.body:
         factor_vars = tuple(dict.fromkeys(lit.variables()))
+        if not factor_vars:
+            # a ground literal constrains no variable: one membership test
+            if tuple(map(_SYMBOL, lit.args)) not in db.fact_set(lit.relation):
+                return frozenset()
+            continue
         if len(factor_vars) == len(lit.args):
             # distinct variables only: the stored row set is the factor
             rows = db.fact_set(lit.relation)
@@ -391,8 +397,7 @@ def covered_examples(
             rows = _literal_rows(lit, factor_vars, db.matching_rows(lit.relation, bound))
         if not rows:
             return frozenset()  # no stored tuple matches: covers nothing
-        if factor_vars:
-            factors.append((factor_vars, rows))
+        factors.append((factor_vars, rows))
     _reduce_domains(factors)
     keep = set(head_vars)
     while (v := _cheapest_variable(factors, keep)) is not None:
@@ -425,6 +430,7 @@ def covered_examples(
 
 
 _NO_POSITION = itemgetter(slice(0, 0))  # any row's empty projection, ()
+_SYMBOL = attrgetter("symbol")
 
 
 def _project(rows: Iterable[tuple[str, ...]], positions: tuple[int, ...]):
@@ -659,51 +665,67 @@ def _forward_check(
     occurs: dict[Term, list[int]],
     theta: dict[Term, Term],
 ) -> dict[Term, Term] | None:
-    if not pending:
-        return theta
-    # fail first: the fewest candidates, ties to the earliest pending literal
-    sizes = list(map(len, map(candidates.__getitem__, pending)))
-    i = sizes.index(min(sizes))
-    best = pending[i]
-    rest = pending[:i] + pending[i + 1 :]
-    lit = literals[best]
-    # the first position of each variable the branch binds
-    free: dict[Term, int] = {}
-    for pos, a in enumerate(lit.args):
-        if a.is_var and a not in theta:
-            free.setdefault(a, pos)
-    if not free:
-        # every target leaves the same subproblem: try it once
-        return _forward_check(literals, rest, candidates, occurs, theta)
-    # each pending literal sharing one of them keeps the candidates whose
-    # arguments there equal the target's at the branch literal's positions
-    affected = {k for a in free for k in occurs[a]}
-    checks = []
-    for k in rest:
-        if k in affected:
-            pairs = [(pos, free[a]) for pos, a in enumerate(literals[k].args) if a in free]
-            checks.append(
-                (k, itemgetter(*(p for p, _ in pairs)), itemgetter(*(q for _, q in pairs)))
-            )
-    for target in candidates[best]:
-        narrowed = candidates
-        for k, theirs, ours in checks:
-            want = ours(target.args)
-            kept = [t for t in narrowed[k] if theirs(t.args) == want]
-            if not kept:
+    # depth first over an explicit stack of open branch points, one per
+    # literal that binds a variable, so a body of any length fits in it:
+    # Python's recursion limit would stop a search at about 1,000 literals
+    stack = []
+    while True:
+        # fail first: the fewest candidates, ties to the earliest pending
+        # literal; one that binds nothing leaves the same subproblem under
+        # every target, so the search passes over it
+        while pending:
+            sizes = list(map(len, map(candidates.__getitem__, pending)))
+            i = sizes.index(min(sizes))
+            best = pending[i]
+            rest = pending[:i] + pending[i + 1 :]
+            # the first position of each variable the branch binds
+            free: dict[Term, int] = {}
+            for pos, a in enumerate(literals[best].args):
+                if a.is_var and a not in theta:
+                    free.setdefault(a, pos)
+            if free:
                 break
-            if len(kept) == len(narrowed[k]):
-                continue
-            if narrowed is candidates:
-                narrowed = list(candidates)
-            narrowed[k] = kept
+            pending = rest
         else:
-            extended = dict(theta)
-            extended.update((a, target.args[pos]) for a, pos in free.items())
-            solved = _forward_check(literals, rest, narrowed, occurs, extended)
-            if solved is not None:
-                return solved
-    return None
+            return theta
+        # each pending literal sharing one of them keeps the candidates whose
+        # arguments there equal the target's at the branch literal's positions
+        affected = {k for a in free for k in occurs[a]}
+        checks = []
+        for k in rest:
+            if k in affected:
+                pairs = [(pos, free[a]) for pos, a in enumerate(literals[k].args) if a in free]
+                checks.append(
+                    (k, itemgetter(*(p for p, _ in pairs)), itemgetter(*(q for _, q in pairs)))
+                )
+        stack.append((iter(candidates[best]), rest, candidates, checks, free, theta))
+        # the deepest open branch point's next target that leaves every
+        # pending literal a candidate; an exhausted branch point is closed
+        while stack:
+            targets, rest, candidates, checks, free, theta = stack[-1]
+            for target in targets:
+                narrowed = candidates
+                for k, theirs, ours in checks:
+                    want = ours(target.args)
+                    kept = [t for t in narrowed[k] if theirs(t.args) == want]
+                    if not kept:
+                        break
+                    if len(kept) == len(narrowed[k]):
+                        continue
+                    if narrowed is candidates:
+                        narrowed = list(candidates)
+                    narrowed[k] = kept
+                else:
+                    break
+            else:
+                stack.pop()
+                continue
+            theta = dict(theta)
+            theta.update((a, target.args[pos]) for a, pos in free.items())
+            pending, candidates = rest, narrowed
+            break
+        else:
+            return None
 
 
 # -- minimization -----------------------------------------------------------
@@ -729,43 +751,46 @@ def fold_singleton_literals(clause: Clause) -> Clause:
     produce whole families of such literals.
     """
     body = clause.body
+    # occurrences, not literals: a variable twice in one literal is no singleton
     counts: dict[Term, int] = {}
-    for arg in clause.head.variables():
-        counts[arg] = counts.get(arg, 0) + 1
+    for lit in (clause.head, *body):
+        for arg in lit.args:
+            if arg.is_var:
+                counts[arg] = counts.get(arg, 0) + 1
     holders: dict[Term, list[int]] = {}
     groups: dict[tuple[str, int], list[int]] = {}
     for i, lit in enumerate(body):
         groups.setdefault((lit.relation, len(lit.args)), []).append(i)
-        for arg in lit.variables():
-            counts[arg] = counts.get(arg, 0) + 1
-            holders.setdefault(arg, []).append(i)
+        for arg in lit.args:
+            if arg.is_var:
+                holders.setdefault(arg, []).append(i)
     # drop the lowest literal with a partner, as restarting from the first
-    # literal after each removal would: a literal gains a partner only when
-    # one of its variables becomes a singleton
-    pending = list(range(len(body)))
-    live = set(pending)
+    # literal after each removal would: only a literal holding a singleton
+    # can have one, and a literal gains a singleton only when one of its
+    # variables' counts falls to one
+    pending = [i for i, lit in enumerate(body) if 1 in map(counts.get, lit.args)]
+    live = set(range(len(body)))
     while pending:
         i = heappop(pending)
         if i not in live:
             continue
-        lit = body[i]
-        fixed = [
-            (pos, arg)
-            for pos, arg in enumerate(lit.args)
-            if not (arg.is_var and counts[arg] == 1)
-        ]
-        if len(fixed) == len(lit.args) or not any(
-            j != i and j in live and all(body[j].args[pos] == arg for pos, arg in fixed)
-            for j in groups[lit.relation, len(lit.args)]
-        ):
+        args = body[i].args
+        fixed = [pos for pos, arg in enumerate(args) if counts.get(arg) != 1]
+        key = itemgetter(*fixed) if fixed else _NO_POSITION
+        want = key(args)
+        for j in groups[body[i].relation, len(args)]:
+            if j != i and j in live and key(body[j].args) == want:
+                break
+        else:
             continue
         live.remove(i)
-        for arg in lit.variables():
-            counts[arg] -= 1
-            if counts[arg] == 1:
-                for j in holders[arg]:
-                    if j in live:
-                        heappush(pending, j)
+        for arg in args:
+            if arg.is_var:
+                counts[arg] -= 1
+                if counts[arg] == 1:
+                    for j in holders[arg]:
+                        if j in live:
+                            heappush(pending, j)
     return Clause(clause.head, tuple(body[i] for i in sorted(live)))
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Iterable
+from collections import defaultdict
+from itertools import chain, count
+from operator import attrgetter
 
 from . import clauses
 from .biasgen import BiasSpec
@@ -35,68 +37,48 @@ from .learner import (
 from .relstore import DatabaseInstance, ExampleSet
 
 _VAR_SUFFIX = re.compile(r"^v(\d+)$")
+_ARGS = attrgetter("args")
 # the most tuples `lgg_learn` accepts, well above what it can finish on
 _GUARD = 10_000
 
 
-class VarPairTable:
-    """One stable fresh variable per ordered pair of distinct terms."""
-
-    def __init__(self, reserved: Iterable[Term] = ()):
-        self._pairs: dict[tuple[Term, Term], Term] = {}
-        self._next = 0
-        for term in reserved:
-            m = _VAR_SUFFIX.match(term.symbol)
-            if term.is_var and m:
-                self._next = max(self._next, int(m.group(1)) + 1)
-
-    def variable_for(self, a: Term, b: Term) -> Term:
-        key = (a, b)
-        if key not in self._pairs:
-            self._pairs[key] = var(f"v{self._next}")
-            self._next += 1
-        return self._pairs[key]
-
-
-def lgg_terms(a: Term, b: Term, table: VarPairTable) -> Term:
-    """Identical terms stay; distinct pairs map to their shared variable."""
-    if a == b:
-        return a
-    return table.variable_for(a, b)
-
-
-def lgg_literals(a: Literal, b: Literal, table: VarPairTable) -> Literal:
-    """The generalization of two literals of one relation and arity."""
-    return Literal(a.relation, tuple(lgg_terms(x, y, table) for x, y in zip(a.args, b.args)))
-
-
 def lgg_clauses(c1: Clause, c2: Clause, reduce: bool = True) -> Clause:
-    """Pairwise generalization of compatible literals under one shared table.
+    """Pairwise generalization of compatible literals, built in one pass.
 
-    Each literal of `c1` meets only `c2`'s literals of its relation and
-    arity, in `c2`'s order: the pairs that generalize, met in the order of
-    the all-pairs loop, so the body and its variable names are that loop's.
-    The result subsumes both inputs; with `reduce` (the default) it is also
-    deep-reduced, which collapses the pairwise product back to its
-    non-redundant core.
+    One dict maps each ordered pair of terms to its generalization: an
+    identical pair to the term itself, seeded up front, and each distinct
+    pair, on its first lookup, to a fresh variable numbered after the
+    highest `v<N>` variable of either clause. Each literal of `c1` meets
+    only `c2`'s literals of its relation and arity, in `c2`'s order: the
+    pairs that generalize, met in the order of the all-pairs loop, so the
+    body and its variable names are that loop's. Each generalized literal
+    maps the dict over its argument pairs, and a dict keeps the first of
+    equal ones. The result subsumes both inputs; with `reduce` (the
+    default) it is also deep-reduced, which collapses the pairwise product
+    back to its non-redundant core.
     """
     if c1.head.relation != c2.head.relation or len(c1.head.args) != len(c2.head.args):
         raise ValidationError(
             f"incompatible heads: {c1.head} vs {c2.head}"
         )
-    table = VarPairTable(c1.variables() + c2.variables())
-    head = lgg_literals(c1.head, c2.head, table)
-    partners: dict[tuple[str, int], list[Literal]] = {}
+    terms = set(chain(c1.head.args, c2.head.args, *map(_ARGS, c1.body), *map(_ARGS, c2.body)))
+    numbers = count(
+        max(
+            (int(m.group(1)) + 1 for t in terms if t.is_var and (m := _VAR_SUFFIX.match(t.symbol))),
+            default=0,
+        )
+    )
+    names = defaultdict(lambda: var(f"v{next(numbers)}"), {(t, t): t for t in terms})
+    pair = names.__getitem__
+    head = Literal(c1.head.relation, tuple(map(pair, zip(c1.head.args, c2.head.args))))
+    partners: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
     for l2 in c2.body:
-        partners.setdefault((l2.relation, len(l2.args)), []).append(l2)
-    body: list[Literal] = []
-    seen: set[Literal] = set()
-    for l1 in c1.body:
-        for l2 in partners.get((l1.relation, len(l1.args)), ()):
-            lit = lgg_literals(l1, l2, table)
-            if lit not in seen:
-                seen.add(lit)
-                body.append(lit)
+        partners.setdefault((l2.relation, len(l2.args)), []).append(l2.args)
+    body = dict.fromkeys(
+        Literal(l1.relation, tuple(map(pair, zip(l1.args, args2))))
+        for l1 in c1.body
+        for args2 in partners.get((l1.relation, len(l1.args)), ())
+    )
     clause = Clause(head, tuple(body))
     return minimize(clause, deep=True) if reduce else clause
 

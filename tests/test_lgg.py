@@ -24,7 +24,7 @@ from automode.clauses import (
 from automode.errors import ConfigError, ValidationError
 from automode.evaluation import cross_validate, precision_recall
 from automode.learner import CoverageCache, LearnConfig, ground_bottom_clause, implicit_bias
-from automode.lgg import VarPairTable, lgg_clauses, lgg_learn, lgg_terms
+from automode.lgg import lgg_clauses, lgg_learn
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl
 
@@ -45,23 +45,25 @@ from oracles import (
 
 
 class TestLggTerms:
+    """How `lgg_clauses` generalizes each pair of terms, read off heads."""
+
     def test_identical_constants_retained(self):
-        table = VarPairTable()
-        assert lgg_terms(const("post_quals"), const("post_quals"), table) == const(
-            "post_quals"
-        )
+        out = lgg_clauses(parse_clause('t("post_quals").'), parse_clause('t("post_quals").'))
+        assert out.head.args == (const("post_quals"),)
 
     def test_distinct_constants_get_stable_variable(self):
-        table = VarPairTable()
-        first = lgg_terms(const("alice"), const("john"), table)
-        again = lgg_terms(const("alice"), const("john"), table)
+        out = lgg_clauses(
+            parse_clause('t("alice","john","alice").'),
+            parse_clause('t("john","alice","john").'),
+        )
+        first, other, again = out.head.args
         assert first.is_var and first == again
-        other = lgg_terms(const("john"), const("alice"), table)
-        assert other != first  # ordered pairs are distinct
+        assert other.is_var and other != first  # ordered pairs are distinct
 
     def test_identical_variable_passes_through(self):
-        table = VarPairTable()
-        assert lgg_terms(var("x"), var("x"), table) == var("x")
+        out = lgg_clauses(parse_clause('t(x,"a").'), parse_clause('t(x,"b").'))
+        assert out.head.args[0] == var("x")
+        assert out.head.args[1].is_var and out.head.args[1] != var("x")
 
 
 class TestLggClauses:

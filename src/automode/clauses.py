@@ -751,12 +751,6 @@ def fold_singleton_literals(clause: Clause) -> Clause:
     produce whole families of such literals.
     """
     body = clause.body
-    # occurrences, not literals: a variable twice in one literal is no singleton
-    counts: dict[Term, int] = {}
-    for lit in (clause.head, *body):
-        for arg in lit.args:
-            if arg.is_var:
-                counts[arg] = counts.get(arg, 0) + 1
     holders: dict[Term, list[int]] = {}
     groups: dict[tuple[str, int], list[int]] = {}
     for i, lit in enumerate(body):
@@ -764,6 +758,12 @@ def fold_singleton_literals(clause: Clause) -> Clause:
         for arg in lit.args:
             if arg.is_var:
                 holders.setdefault(arg, []).append(i)
+    # occurrences, not literals: a variable twice in one literal is no
+    # singleton, and its holders list that literal twice
+    counts = {arg: len(held) for arg, held in holders.items()}
+    for arg in clause.head.args:
+        if arg.is_var:
+            counts[arg] = counts.get(arg, 0) + 1
     # drop the lowest literal with a partner, as restarting from the first
     # literal after each removal would: only a literal holding a singleton
     # can have one, and a literal gains a singleton only when one of its
@@ -837,7 +837,7 @@ def _deep_reduce(clause: Clause) -> Clause:
             continue
         theta = None
         # without another target for the literal itself, no search can succeed
-        if any(t in alive for t in consistent[lit]):
+        if not alive.isdisjoint(consistent[lit]):
             # θ can map every literal outside lit's group, joined to it
             # through variables outside the head, onto itself; the group goes
             # in body order, which breaks the search's ties and so picks θ
@@ -850,7 +850,7 @@ def _deep_reduce(clause: Clause) -> Clause:
                             linked.add(k)
                             stack.append(k)
             ordered = sorted(linked, key=rank.__getitem__)
-            candidates = [[t for t in consistent[k] if t in alive] for k in ordered]
+            candidates = [list(filter(alive.__contains__, consistent[k])) for k in ordered]
             theta = _embed(ordered, candidates, head_theta)
         if theta is None:
             alive.add(lit)
@@ -859,9 +859,7 @@ def _deep_reduce(clause: Clause) -> Clause:
         del body[i]
         group = linked
         group.discard(lit)
-        image = {
-            Literal(k.relation, tuple(theta.get(a, a) for a in k.args)) for k in group
-        }
+        image = {Literal(k.relation, tuple(map(theta.get, k.args, k.args))) for k in group}
     return Clause(clause.head, tuple(body))
 
 

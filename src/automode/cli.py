@@ -295,15 +295,19 @@ def _load_inputs(
     """The database, whose `target` may have no facts file, and the examples
     of `target`, which the caller registers. An undeclared target takes
     `arity` values; without one, the examples file must hold an example of
-    `target`, and the first gives the arity."""
+    `target`, and the first gives an undeclared target's arity. The file is
+    read once for a declared target and twice for an undeclared one."""
     db = load_database(args.schema, args.facts, examples_backed=(target,))
-    if arity is None:
-        arity = example_arity(args.examples, target)
     if db.has_relation(target):
         schema = db.schema(target)
     else:
+        if arity is None:
+            arity = example_arity(args.examples, target)
         schema = RelationSchema(target, tuple(f"a{i}" for i in range(arity)))
-    return db, load_examples(args.examples, schema)
+    examples = load_examples(args.examples, schema)
+    if arity is None and not (examples.positives or examples.negatives):
+        raise LoadError(f"{args.examples}: no examples of target {target}")
+    return db, examples
 
 
 def _read_bias(path: Path, target: str | None) -> BiasSpec:

@@ -328,6 +328,22 @@ class TestMinimize:
                 shrunk += len(reduced.body) < len(raw.body)
         assert shrunk >= 60
 
+    def test_deep_reduce_of_a_chain_longer_than_the_recursion_limit(self):
+        # the search binds one chain literal per branch point, 1,100 deep:
+        # e(v0,v0) is each one's image under v_i -> v0
+        loop = Literal("e", (var("v0"), var("v0")))
+        clause = Clause(_CHAIN_HEAD, _chain(1100) + (loop,))
+        assert minimize(clause, deep=True) == Clause(_CHAIN_HEAD, (loop,))
+
+
+_CHAIN_HEAD = Literal("t", (var("v0"),))
+
+
+def _chain(n: int) -> tuple[Literal, ...]:
+    """e(v0,v1), e(v1,v2), ..., e(v<n-1>,v<n>)."""
+    return tuple(Literal("e", (var(f"v{i}"), var(f"v{i + 1}"))) for i in range(n))
+
+
 
 def _record_searches(monkeypatch) -> list[Literal]:
     """Record the literal each deep-reduction search tests: the one its
@@ -349,6 +365,12 @@ class TestSubsumes:
         general = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
         assert subsumes(general, worked_clause)
         assert not subsumes(worked_clause, general)
+
+    def test_chain_longer_than_the_recursion_limit_subsumes_itself(self):
+        clause = Clause(_CHAIN_HEAD, _chain(1100))
+        assert subsumes(clause, clause)
+        shorter = Clause(_CHAIN_HEAD, _chain(1099))
+        assert subsumes(shorter, clause) and not subsumes(clause, shorter)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = random.Random(53)

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from automode import cli
+from automode import cli, relstore
 from automode.cli import dispatch
 from automode.fixtures import materialize_small
 
@@ -219,6 +219,32 @@ class TestUndeclaredTarget:
         rc = dispatch(["induce-bias", *_data_args(fixture_dir), "--out", str(out)])
         assert rc == 1
         assert "no examples of target advisedBy" in capsys.readouterr().err
+
+
+class TestDeclaredTarget:
+    def test_evaluate_reads_the_examples_file_once(self, fixture_dir, tmp_path, monkeypatch):
+        reads = []
+        original = relstore.read_input
+
+        def counting(path, what):
+            reads.append(path)
+            return original(path, what)
+
+        monkeypatch.setattr(relstore, "read_input", counting)
+        report = tmp_path / "r.json"
+        rc = dispatch(
+            ["evaluate", *_data_args(fixture_dir), "--folds", "2", "--report", str(report)]
+        )
+        assert rc == 0
+        assert reads.count(fixture_dir["examples"]) == 1
+
+    def test_no_target_example_is_load_error(self, fixture_dir, tmp_path, capsys):
+        fixture_dir["examples"].write_text("# none\n", encoding="utf-8")
+        out = tmp_path / "bias.txt"
+        rc = dispatch(["induce-bias", *_data_args(fixture_dir), "--out", str(out)])
+        assert rc == 1
+        assert "no examples of target advisedBy" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiscoverInds:

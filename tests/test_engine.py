@@ -20,10 +20,12 @@ from automode.learner import (
     LearnConfig,
     build_bottom_clause,
     generalize_clause,
+    ground_bottom_clause,
+    implicit_bias,
     learn_definition,
     score,
 )
-from automode.lgg import lgg_learn
+from automode.lgg import lgg_clauses, lgg_learn
 from automode.biasgen import induce_bias
 from automode.evaluation import generate_negatives, precision_recall
 from automode.errors import ValidationError
@@ -33,6 +35,8 @@ from oracles import (
     cheapest_variable_oracle,
     covers_oracle,
     fold_oracle,
+    ground_cases,
+    ground_clause_pairs,
     random_clause,
     random_clause_over,
     random_db,
@@ -315,6 +319,37 @@ class TestCoveredExamples:
             seen["not"] += len({tuple(e) for e in universe} - want)
         assert min(seen.values()) >= 50, seen
 
+    def test_ground_clauses_match_substitution_oracle(self):
+        # ground bottom clauses, whose every body literal is one membership
+        # test, on the database they were saturated from and with one of
+        # their body facts deleted from it
+        rng = random.Random(251)
+        seen = {"covered": 0, "not covered": 0, "fact deleted": 0}
+        for db, example, target, predicates in ground_cases():
+            bias = implicit_bias(db, target, predicates)
+            clause = ground_bottom_clause(example, db, bias, LearnConfig(iterations=1))
+            arity = len(example)
+            universe = sorted(
+                {example, *db.relation_rows(target)}
+                | {random_example(rng, arity, pool=6) for _ in range(3)}
+            )
+            cases = [(db, False)]
+            if clause.body:
+                lit = rng.choice(clause.body)
+                fact = tuple(a.symbol for a in lit.args)
+                rows = [row for row in db.relation_rows(lit.relation) if row != fact]
+                cases.append((db.with_relation(db.schema(lit.relation), rows), True))
+            for base, deleted in cases:
+                joined = covered_examples(clause, universe, base)
+                want = frozenset(e for e in universe if covers_oracle(clause, e, base))
+                assert joined == want, (str(clause), deleted)
+                seen["covered"] += len(want)
+                seen["not covered"] += len(universe) - len(want)
+                seen["fact deleted"] += deleted
+            with pytest.raises(ValidationError, match="arity"):
+                covered_examples(clause, [example + ("c0",)], db)
+        assert min(seen.values()) >= 100, seen
+
 
 class TestCoverageCache:
     def test_agrees_with_oracle_inside_and_outside_the_universe(self, monkeypatch):
@@ -567,6 +602,26 @@ class TestSingletonFold:
                         checked += 1
                         shrunk += len(folded.body) < len(clause.body)
         assert checked >= 2000 and shrunk >= 500, (checked, shrunk)
+
+    def test_matches_restart_oracle_on_lgg_products(self):
+        # what deep reduction folds in the lgg learner: the raw pairwise
+        # products of a fold's first step, and of a reduced result against
+        # each of the ground clauses it generalizes
+        checked = shrunk = 0
+        for iterations in (1, 2):
+            cfg = LearnConfig(iterations=iterations, per_relation_cap=3)
+            for c1, c2 in ground_clause_pairs(cfg):
+                pairs = [(c1, c2)]
+                if c1.body and c2.body:
+                    learned = lgg_clauses(c1, c2)
+                    pairs += [(learned, c1), (learned, c2)]
+                for a, b in pairs:
+                    raw = lgg_clauses(a, b, reduce=False)
+                    folded = fold_singleton_literals(raw)
+                    assert folded == fold_oracle(raw)
+                    checked += 1
+                    shrunk += len(folded.body) < len(raw.body)
+        assert checked >= 1500 and shrunk >= 800, (checked, shrunk)
 
 
 class TestPlantedRule:

@@ -646,7 +646,9 @@ def _embed(
     Forward checking (Maloberti & Sebag's θ-subsumption as a CSP): binding
     a literal re-filters only the pending literals that share one of its
     newly bound variables, and the search branches on the literal with the
-    fewest candidates left.
+    fewest candidates left. It runs depth first over an explicit stack of
+    open branch points, one per literal that binds a variable, so no
+    recursion limit bounds the body's length.
     """
     if not all(candidates):
         return None
@@ -655,19 +657,7 @@ def _embed(
         for a in lit.args:
             if a.is_var and a not in theta:
                 occurs.setdefault(a, []).append(k)
-    return _forward_check(literals, list(range(len(literals))), candidates, occurs, theta)
-
-
-def _forward_check(
-    literals: list[Literal],
-    pending: list[int],
-    candidates: list[list[Literal]],
-    occurs: dict[Term, list[int]],
-    theta: dict[Term, Term],
-) -> dict[Term, Term] | None:
-    # depth first over an explicit stack of open branch points, one per
-    # literal that binds a variable, so a body of any length fits in it:
-    # Python's recursion limit would stop a search at about 1,000 literals
+    pending = list(range(len(literals)))
     stack = []
     while True:
         # fail first: the fewest candidates, ties to the earliest pending

@@ -19,8 +19,7 @@ from __future__ import annotations
 import random
 import re
 from collections import defaultdict
-from itertools import chain, count
-from operator import attrgetter
+from itertools import count
 
 from . import clauses
 from .biasgen import BiasSpec
@@ -37,7 +36,6 @@ from .learner import (
 from .relstore import DatabaseInstance, ExampleSet
 
 _VAR_SUFFIX = re.compile(r"^v(\d+)$")
-_ARGS = attrgetter("args")
 # the most tuples `lgg_learn` accepts, well above what it can finish on
 _GUARD = 10_000
 
@@ -61,13 +59,9 @@ def lgg_clauses(c1: Clause, c2: Clause, reduce: bool = True) -> Clause:
         raise ValidationError(
             f"incompatible heads: {c1.head} vs {c2.head}"
         )
-    terms = set(chain(c1.head.args, c2.head.args, *map(_ARGS, c1.body), *map(_ARGS, c2.body)))
-    numbers = count(
-        max(
-            (int(m.group(1)) + 1 for t in terms if t.is_var and (m := _VAR_SUFFIX.match(t.symbol))),
-            default=0,
-        )
-    )
+    terms = {t for lit in (c1.head, c2.head, *c1.body, *c2.body) for t in lit.args}
+    taken = [int(m[1]) for t in terms if t.is_var and (m := _VAR_SUFFIX.match(t.symbol))]
+    numbers = count(max(taken, default=-1) + 1)
     names = defaultdict(lambda: var(f"v{next(numbers)}"), {(t, t): t for t in terms})
     pair = names.__getitem__
     head = Literal(c1.head.relation, tuple(map(pair, zip(c1.head.args, c2.head.args))))

@@ -344,7 +344,6 @@ def _chain(n: int) -> tuple[Literal, ...]:
     return tuple(Literal("e", (var(f"v{i}"), var(f"v{i + 1}"))) for i in range(n))
 
 
-
 def _record_searches(monkeypatch) -> list[Literal]:
     """Record the literal each deep-reduction search tests: the one its
     `clauses._embed` call does not offer as its own target."""

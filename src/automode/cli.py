@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .biasgen import BiasSpec, check_bias_fits, induce_bias, read_bias, write_bias
-from .errors import AutomodeError, ConfigError, LoadError
+from .errors import AutomodeError, ConfigError, LoadError, ValidationError
 from .clauses import HornDefinition, minimize
 from .evaluation import cross_validate, generate_negatives, learner_for, precision_recall
 from .learner import CoverageCache, LearnConfig
@@ -27,8 +27,6 @@ from .profiler import discover_inds, format_ind_set
 from .relstore import (
     DatabaseInstance,
     ExampleSet,
-    RelationSchema,
-    example_arity,
     facts_files,
     load_database,
     load_examples,
@@ -169,9 +167,7 @@ def _cmd_induce_bias(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     bias = _read_bias(args.bias, args.target)
-    db, examples = _load_inputs(
-        args, bias.head_mode.relation, len(bias.head_mode.symbols)
-    )
+    db, examples = _load_inputs(args, bias.head_mode.relation)
     db = register_target(db, examples)
     check_bias_fits(bias, db)
     cfg = _config(args)
@@ -289,30 +285,26 @@ def _load(args: argparse.Namespace) -> DatabaseInstance:
     return register_target(*_load_inputs(args, args.target))
 
 
-def _load_inputs(
-    args: argparse.Namespace, target: str, arity: int | None = None
-) -> tuple[DatabaseInstance, ExampleSet]:
+def _load_inputs(args: argparse.Namespace, target: str) -> tuple[DatabaseInstance, ExampleSet]:
     """The database, whose `target` may have no facts file, and the examples
-    of `target`, which the caller registers. An undeclared target takes
-    `arity` values; without one, the examples file must hold an example of
-    `target`, and the first gives an undeclared target's arity. The file is
-    read once for a declared target and twice for an undeclared one."""
+    of `target`, which the caller registers. The examples file must hold an
+    example of `target`; the first gives an undeclared target's arity."""
     db = load_database(args.schema, args.facts, examples_backed=(target,))
-    if db.has_relation(target):
-        schema = db.schema(target)
-    else:
-        if arity is None:
-            arity = example_arity(args.examples, target)
-        schema = RelationSchema(target, tuple(f"a{i}" for i in range(arity)))
-    examples = load_examples(args.examples, schema)
-    if arity is None and not (examples.positives or examples.negatives):
+    examples = load_examples(
+        args.examples, db.schema(target) if db.has_relation(target) else target
+    )
+    if not (examples.positives or examples.negatives):
         raise LoadError(f"{args.examples}: no examples of target {target}")
     return db, examples
 
 
 def _read_bias(path: Path, target: str | None) -> BiasSpec:
     """The bias file at `path`, whose head must be `target` when one is given."""
-    bias = read_bias(read_input(path, "bias file"))
+    text = read_input(path, "bias file")
+    try:
+        bias = read_bias(text)
+    except (LoadError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     head = bias.head_mode.relation
     if target and target != head:
         raise LoadError(f"--target {target} does not match the bias head {head}")

@@ -241,7 +241,7 @@ def read_input(path: Path, what: str) -> str:
 def load_schema(schema_file: Path | str) -> tuple[RelationSchema, ...]:
     """Parse a schema file: one `name(a,b,...)` per line, `#` comments."""
     path = Path(schema_file)
-    schemas: list[RelationSchema] = []
+    schemas: dict[str, RelationSchema] = {}
     for lineno, raw in enumerate(read_input(path, "schema file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -250,13 +250,13 @@ def load_schema(schema_file: Path | str) -> tuple[RelationSchema, ...]:
         if not m:
             raise LoadError(f"{path}:{lineno}: cannot parse schema line {raw!r}")
         name, attrs = m.group(1), tuple(map(str.strip, m.group(2).split(",")))
+        if name in schemas:
+            raise LoadError(f"{path}:{lineno}: relation {name} is declared twice")
         try:
-            schemas.append(RelationSchema(name, attrs))
+            schemas[name] = RelationSchema(name, attrs)
         except ValidationError as exc:
             raise LoadError(f"{path}:{lineno}: {exc}") from exc
-    if len({s.name for s in schemas}) != len(schemas):
-        raise LoadError(f"{path}: duplicate relation declaration")
-    return tuple(schemas)
+    return tuple(schemas.values())
 
 
 def load_database(
@@ -342,9 +342,17 @@ def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]
     return out
 
 
-def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleSet:
-    """Parse `+ rel(a,b)` / `- rel(a,b)` lines into an ExampleSet."""
+def load_examples(examples_file: Path | str, target: RelationSchema | str) -> ExampleSet:
+    """Parse `+ rel(a,b)` / `- rel(a,b)` lines into an ExampleSet.
+
+    `target` is the target's schema, or the bare name of a target the
+    database schema does not declare: its first example then fixes its
+    arity, its attributes are named `a0, a1, ...`, and a file with no
+    example of it is a `LoadError`. Every other line must be blank, a `#`
+    comment or an example of the target of that arity."""
     path = Path(examples_file)
+    name = target if isinstance(target, str) else target.name
+    arity = None if isinstance(target, str) else target.arity
     positives: dict[tuple[str, ...], None] = {}
     negatives: dict[tuple[str, ...], None] = {}
     for lineno, raw in enumerate(read_input(path, "examples file").splitlines(), 1):
@@ -355,32 +363,28 @@ def load_examples(examples_file: Path | str, target: RelationSchema) -> ExampleS
         if not m:
             raise LoadError(f"{path}:{lineno}: cannot parse example line {raw!r}")
         label, rel, args = m.groups()
-        if rel != target.name:
+        if rel != name:
             raise LoadError(
                 f"{path}:{lineno}: example relation {rel} is not the target "
-                f"{target.name}"
+                f"{name}"
             )
         values = tuple(map(str.strip, args.split(",")))
-        if len(values) != target.arity or "" in values:
+        if arity is None:
+            arity = len(values)
+        if len(values) != arity or "" in values:
             raise LoadError(
-                f"{path}:{lineno}: expected {target.arity} values, got {args!r}"
+                f"{path}:{lineno}: expected {arity} values, got {args!r}"
             )
         # a dict keeps each example once, at its first occurrence
         (positives if label == "+" else negatives)[values] = None
+    if arity is None:
+        raise LoadError(f"{path}: no examples of target {name}")
+    if isinstance(target, str):
+        target = RelationSchema(name, tuple(f"a{i}" for i in range(arity)))
     try:
         return ExampleSet(target, tuple(positives), tuple(negatives))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def example_arity(examples_file: Path, target: str) -> int:
-    """The number of values in the first example of `target` in the file."""
-    for raw in read_input(examples_file, "examples file").splitlines():
-        # a blank or comment line never matches
-        m = _EXAMPLE_LINE.match(raw.strip())
-        if m and m.group(2) == target:
-            return len(m.group(3).split(","))
-    raise LoadError(f"{examples_file}: no examples of target {target}")
 
 
 def register_target(db: DatabaseInstance, examples: ExampleSet) -> DatabaseInstance:

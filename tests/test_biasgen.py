@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -314,6 +315,30 @@ class TestBiasSpec:
                 (ModeDecl("student", ("-",)),),
                 ModeDecl("student", ("+",)),
             )
+
+    def test_bias_without_modes_rejected(self):
+        with pytest.raises(LoadError, match="^bias file declares no modes$"):
+            read_bias("PREDICATES:\nstudent(T1)\n")
+
+    def test_bad_mode_symbol_rejected(self):
+        with pytest.raises(ValidationError, match=re.escape("invalid mode symbols ['*']")):
+            ModeDecl("inPhase", ("+", "*"))
+
+    @pytest.mark.parametrize(
+        "predicates, modes, head, message",
+        [
+            ((PredicateDecl("student", ("T1",)),), (), ModeDecl("student", ("-",)),
+             "the head mode must be all '+'"),
+            ((PredicateDecl("student", ("T1",)),) * 2, (), ModeDecl("student", ("+",)),
+             "duplicate predicate declaration"),
+            ((PredicateDecl("student", ("T1",)), PredicateDecl("inPhase", ("T1", "T2"))),
+             (ModeDecl("inPhase", ("+", "-")),) * 2, ModeDecl("student", ("+",)),
+             "duplicate mode declaration"),
+        ],
+    )
+    def test_malformed_spec_rejected(self, predicates, modes, head, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            BiasSpec(predicates, modes, head)
 
     def test_whitespace_around_an_item_is_stripped(self, manual_bias):
         text = MANUAL_BIAS_TEXT.replace("inPhase(T1,T2)", "inPhase(T1,\tT2)")

@@ -9,6 +9,7 @@ import pytest
 
 from automode import cli, relstore
 from automode.cli import dispatch
+from automode.clauses import minimize, parse_clause
 from automode.fixtures import materialize_small
 
 from conftest import MANUAL_BIAS_TEXT
@@ -194,35 +195,114 @@ class TestExitCodes:
         assert not files["out"].exists()
 
 
+def _undeclare(paths):
+    """Drop the target's declaration from the fixture's schema file."""
+    lines = paths["schema"].read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines if not line.startswith("advisedBy(")]
+    paths["schema"].write_text("\n".join(kept) + "\n", encoding="utf-8")
+
+
+def _command_args(command, paths, tmp_path):
+    """`command` on the fixture's inputs, with its output under `tmp_path`
+    and, for `learn`, the hand-written bias."""
+    if command == "learn":
+        bias = tmp_path / "manual.txt"
+        bias.write_text(MANUAL_BIAS_TEXT, encoding="utf-8")
+        extra = ["--bias", str(bias), "--out", str(tmp_path / "out")]
+    elif command == "evaluate":
+        extra = ["--folds", "2", "--report", str(tmp_path / "out")]
+    else:
+        extra = ["--out", str(tmp_path / "out")]
+    return [command, *_data_args(paths), *extra]
+
+
+COMMANDS = ["discover-inds", "induce-bias", "learn", "evaluate"]
+
+
 class TestUndeclaredTarget:
     """A target the schema does not declare takes its arity from the first
     example of it."""
 
-    @staticmethod
-    def _undeclare(paths, examples_text):
-        lines = paths["schema"].read_text(encoding="utf-8").splitlines()
-        kept = [line for line in lines if not line.startswith("advisedBy(")]
-        paths["schema"].write_text("\n".join(kept) + "\n", encoding="utf-8")
-        paths["examples"].write_text(examples_text, encoding="utf-8")
-
     def test_arity_from_the_first_target_example(self, fixture_dir, tmp_path):
         text = "# comment\n\n" + fixture_dir["examples"].read_text(encoding="utf-8")
-        self._undeclare(fixture_dir, text)
+        _undeclare(fixture_dir)
+        fixture_dir["examples"].write_text(text, encoding="utf-8")
         out = tmp_path / "bias.txt"
         rc = dispatch(["induce-bias", *_data_args(fixture_dir), "--out", str(out)])
         assert rc == 0
         assert "advisedBy(+,+)" in out.read_text(encoding="utf-8")
 
-    def test_no_target_example_is_load_error(self, fixture_dir, tmp_path, capsys):
-        self._undeclare(fixture_dir, "# none\n+ advisedByX(a,b)\n- other(a,b)\n")
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_line_of_another_relation_fails_on_its_line(
+        self, fixture_dir, tmp_path, capsys, declared
+    ):
+        if not declared:
+            _undeclare(fixture_dir)
+        fixture_dir["examples"].write_text(
+            "# none\n+ advisedByX(a,b)\n- other(a,b)\n", encoding="utf-8"
+        )
         out = tmp_path / "bias.txt"
         rc = dispatch(["induce-bias", *_data_args(fixture_dir), "--out", str(out)])
+        err = capsys.readouterr().err
         assert rc == 1
-        assert "no examples of target advisedBy" in capsys.readouterr().err
+        assert (
+            f"{fixture_dir['examples']}:2: example relation advisedByX is not "
+            "the target advisedBy"
+        ) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_learn_checks_the_examples_arity_against_the_bias_head(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        # the examples give an undeclared target its arity, and the bias
+        # is checked against it
+        _undeclare(fixture_dir)
+        bias = tmp_path / "bias.txt"
+        bias.write_text(
+            "PREDICATES:\nadvisedBy(T1,T1,T1)\npublication(T4,T1)\n"
+            "MODES:\nadvisedBy(+,+,+)\npublication(-,+)\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "model.dl"
+        rc = dispatch(
+            ["learn", *_data_args(fixture_dir), "--bias", str(bias), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert (
+            "bias declaration advisedBy(T1,T1,T1): relation advisedBy has arity 2"
+        ) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_outputs_equal_the_declared_runs(self, fixture_dir, tmp_path):
+        # the induced bias and the learned clauses do not depend on whether
+        # the schema declares the target
+        outputs = []
+        for name in ("declared", "undeclared"):
+            if name == "undeclared":
+                _undeclare(fixture_dir)
+            bias, model = tmp_path / f"{name}.txt", tmp_path / f"{name}.dl"
+            data = _data_args(fixture_dir)
+            assert dispatch(["induce-bias", *data, "--out", str(bias)]) == 0
+            assert dispatch(["learn", *data, "--bias", str(bias), "--out", str(model)]) == 0
+            clauses = [
+                l for l in model.read_text().splitlines() if not l.startswith("# wall_ms")
+            ]
+            outputs.append((bias.read_text(), clauses))
+        assert outputs[0] == outputs[1]
 
 
-class TestDeclaredTarget:
-    def test_evaluate_reads_the_examples_file_once(self, fixture_dir, tmp_path, monkeypatch):
+class TestExamplesFile:
+    @pytest.mark.parametrize("declared", [True, False])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reads_the_examples_file_once(
+        self, fixture_dir, tmp_path, monkeypatch, command, declared
+    ):
+        # the manifest hashes the file afterwards, outside `read_input`
+        if not declared:
+            _undeclare(fixture_dir)
         reads = []
         original = relstore.read_input
 
@@ -231,20 +311,22 @@ class TestDeclaredTarget:
             return original(path, what)
 
         monkeypatch.setattr(relstore, "read_input", counting)
-        report = tmp_path / "r.json"
-        rc = dispatch(
-            ["evaluate", *_data_args(fixture_dir), "--folds", "2", "--report", str(report)]
-        )
-        assert rc == 0
+        assert dispatch(_command_args(command, fixture_dir, tmp_path)) == 0
         assert reads.count(fixture_dir["examples"]) == 1
 
-    def test_no_target_example_is_load_error(self, fixture_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("declared", [True, False])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_target_example_is_load_error(
+        self, fixture_dir, tmp_path, capsys, command, declared
+    ):
+        if not declared:
+            _undeclare(fixture_dir)
         fixture_dir["examples"].write_text("# none\n", encoding="utf-8")
-        out = tmp_path / "bias.txt"
-        rc = dispatch(["induce-bias", *_data_args(fixture_dir), "--out", str(out)])
+        rc = dispatch(_command_args(command, fixture_dir, tmp_path))
+        err = capsys.readouterr().err
         assert rc == 1
-        assert "no examples of target advisedBy" in capsys.readouterr().err
-        assert not out.exists()
+        assert f"{fixture_dir['examples']}: no examples of target advisedBy" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDiscoverInds:
@@ -448,6 +530,62 @@ class TestLearn:
         text = model.read_text(encoding="utf-8")
         assert "publication(" in text
         assert "inPhase" not in text and "hasPosition" not in text
+
+    def test_deep_reduce_replaces_each_clause_by_its_core(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        # the fixture's clause is its own core, so the reduced calls are
+        # recorded to show the branch ran on the learned clauses
+        bias_file = tmp_path / "bias.txt"
+        assert dispatch(
+            ["induce-bias", *_data_args(fixture_dir), "--out", str(bias_file)]
+        ) == 0
+        reduced = []
+
+        def recording(clause, deep=False):
+            reduced.append((clause, deep))
+            return minimize(clause, deep=deep)
+
+        monkeypatch.setattr(cli, "minimize", recording)
+        runs = []
+        for flags in ((), ("--deep-reduce",)):
+            model = tmp_path / f"model{len(flags)}.dl"
+            args = [*_data_args(fixture_dir), "--bias", str(bias_file), "--out", str(model)]
+            assert dispatch(["learn", *args, *flags]) == 0
+            lines = model.read_text(encoding="utf-8").splitlines()
+            runs.append(
+                (
+                    [parse_clause(l) for l in lines if not l.startswith("#")],
+                    [l for l in lines if l.startswith("# train_")],
+                )
+            )
+        (plain, plain_scores), (deep, deep_scores) = runs
+        assert plain and reduced == [(c, True) for c in plain]
+        assert deep == [minimize(c, deep=True) for c in plain]
+        assert deep_scores == plain_scores
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("PREDICATES:\nadvisedBy(T1,T1)\nbogus line\n",
+             "bias line 3: cannot parse 'bogus line'"),
+            ("PREDICATES:\nadvisedBy(T1,T1)\nMODES:\nadvisedBy(+,-)\n",
+             "the head mode must be all '+'"),
+        ],
+        ids=["unparsable-line", "head-mode"],
+    )
+    def test_bias_file_errors_name_the_file(
+        self, fixture_dir, tmp_path, capsys, text, message
+    ):
+        bias_file = tmp_path / "bad.txt"
+        bias_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "model.dl"
+        rc = dispatch(
+            ["learn", *_data_args(fixture_dir), "--bias", str(bias_file), "--out", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bias_file}: {message}\n"
+        assert not out.exists()
 
     def test_models_identical_modulo_wall_time(self, fixture_dir, tmp_path):
         bias_file = tmp_path / "bias.txt"

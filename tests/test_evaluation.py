@@ -97,6 +97,14 @@ class TestGenerateNegatives:
         with pytest.raises(ValidationError):
             generate_negatives(db, (("only",),), schemas[0], 2, seed=1)
 
+    def test_no_positives_is_an_error(self):
+        schemas = (RelationSchema("t", ("a",)),)
+        db = DatabaseInstance.build(schemas, {"t": [("x",)]})
+        with pytest.raises(
+            ValidationError, match="^cannot generate negatives without positives$"
+        ):
+            generate_negatives(db, (), schemas[0], 2, seed=1)
+
     def test_deterministic_given_seed(self):
         schemas = (RelationSchema("t", ("a", "b")),)
         db = DatabaseInstance.build(schemas, {"t": []})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,12 @@ class TestBottomClause:
         for body in bodies:
             assert body and all(l.relation != "advisedBy" for l in body)
 
+    def test_example_of_the_wrong_arity_rejected(self, small_db, manual_bias):
+        with pytest.raises(
+            ValidationError, match="^example arity 1 does not match target advisedBy$"
+        ):
+            build_bottom_clause(("john",), small_db, manual_bias, LearnConfig())
+
     def test_relation_without_modes_contributes_nothing(self, small_db):
         bias = read_bias(
             "PREDICATES:\nadvisedBy(T1,T1)\nstudent(T1)\nprofessor(T1)\n"
@@ -265,6 +272,14 @@ class TestArmg:
             "publication",
             "publication",
         ]
+
+    def test_head_that_cannot_cover_the_example_rejected(self, small_db):
+        clause = parse_clause("advisedBy(x,x) :- student(x).")
+        with pytest.raises(
+            ValidationError,
+            match=re.escape("head advisedBy(x,x) cannot cover ('john', 'mary') at all"),
+        ):
+            armg(clause, ("john", "mary"), small_db)
 
     def test_body_only_shrinks(self, small_db, worked_clause):
         out = armg(worked_clause, ("alice", "mary"), small_db)

@@ -385,6 +385,17 @@ class TestLggLearn:
         with pytest.raises(ConfigError, match="above the lgg guard of 10000"):
             lgg_learn(db, ex, bias, LearnConfig())
 
+    def test_unregistered_target_rejected(self):
+        db = DatabaseInstance.build((RelationSchema("r", ("a",)),), {"r": [("c0",)]})
+        ex = ExampleSet(RelationSchema("t", ("a",)), (("c0",),), ())
+        bias = BiasSpec(
+            (PredicateDecl("r", ("T1",)), PredicateDecl("t", ("T1",))),
+            (),
+            ModeDecl("t", ("+",)),
+        )
+        with pytest.raises(ValidationError, match="^target relation not registered: t$"):
+            lgg_learn(db, ex, bias, LearnConfig())
+
     def test_missing_target_declaration_rejected(self):
         db = fixtures.small_database_registered()
         ex = fixtures.small_examples()

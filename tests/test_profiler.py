@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -200,6 +201,21 @@ class TestIndErrors:
     def test_self_pair_rejected(self):
         with pytest.raises(ValidationError):
             UnaryInd(_attr("r1"), _attr("r1"), 0.0)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda a, b: UnaryInd(a, b, 1.5), "IND error out of range: 1.5"),
+            (lambda a, b: UnaryInd(a, b, -0.5), "IND error out of range: -0.5"),
+            (lambda a, b: IndSet((UnaryInd(a, b, 0.0), UnaryInd(a, b, 0.5)), 1.0),
+             "duplicate (lhs, rhs) pair in IndSet"),
+            (lambda a, b: IndSet((UnaryInd(a, b, 0.5),), 0.25),
+             "r1[a] <= r2[a] err=0.500000 exceeds alpha=0.25"),
+        ],
+    )
+    def test_invalid_ind_or_set_rejected(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(_attr("r1"), _attr("r2"))
 
     def test_line_format(self):
         ind = UnaryInd(

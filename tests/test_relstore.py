@@ -132,6 +132,13 @@ class TestSchemaFile:
         with pytest.raises(LoadError):
             load_schema(schema)
 
+    def test_duplicate_relation_names_its_second_line(self, workspace):
+        _, schema, _ = workspace
+        _write(schema, "r(a)\n# s\ns(b)\nr(c,d)\n")
+        with pytest.raises(LoadError) as got:
+            load_schema(schema)
+        assert str(got.value) == f"{schema}:4: relation r is declared twice"
+
     def test_whitespace_around_a_name_is_stripped(self, workspace):
         # a tab is whitespace like a space, as in a facts header
         _, schema, _ = workspace
@@ -359,8 +366,12 @@ class TestExamples:
             load_examples(f, self.TARGET)
 
     def test_reader_agrees_with_oracle_on_random_files(self, tmp_path):
+        # the target's attributes are those an undeclared target gets, so
+        # the bare name must load what the schema loads, unless the file
+        # holds no example
         rng = random.Random(59)
         outcomes = {"loaded": 0, "collapsed": 0, "conflict": 0}
+        empty = 0
         for i in range(300):
             target = RelationSchema("t", tuple(f"a{j}" for j in range(rng.randint(1, 2))))
             path = tmp_path / f"ex{i}.txt"
@@ -368,16 +379,53 @@ class TestExamples:
             try:
                 expected = examples_oracle(path, target)
             except ValidationError as exc:
-                with pytest.raises(ValidationError) as got:
-                    load_examples(path, target)
-                assert str(got.value) == str(exc)
+                for given in (target, "t"):
+                    with pytest.raises(ValidationError) as got:
+                        load_examples(path, given)
+                    assert str(got.value) == str(exc)
                 outcomes["conflict"] += 1
                 continue
             assert load_examples(path, target) == expected
+            if expected.positives or expected.negatives:
+                assert load_examples(path, "t") == expected
+            else:
+                with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: no examples of target t$"):
+                    load_examples(path, "t")
+                empty += 1
             outcomes["loaded"] += 1
             lines = path.read_text(encoding="utf-8").count("(")
             outcomes["collapsed"] += len(expected.positives + expected.negatives) < lines
-        assert all(count >= 30 for count in outcomes.values()), outcomes
+        assert all(count >= 30 for count in outcomes.values()) and empty >= 10, (outcomes, empty)
+
+    def test_undeclared_target_takes_the_first_examples_arity(self, tmp_path):
+        f = tmp_path / "ex.txt"
+        _write(f, "# c\n\n- advisedBy(a, b,c)\n+ advisedBy(d,e,f)\n")
+        ex = load_examples(f, "advisedBy")
+        assert ex.target == RelationSchema("advisedBy", ("a0", "a1", "a2"))
+        assert ex.positives == (("d", "e", "f"),)
+        assert ex.negatives == (("a", "b", "c"),)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "{f}: no examples of target advisedBy"),
+            ("# none\n\n", "{f}: no examples of target advisedBy"),
+            # a line of another relation fails on its line, as it does for
+            # a declared target, before or after the first example
+            ("+ other(a,b)\n", "{f}:1: example relation other is not the target advisedBy"),
+            ("+ advisedBy(a,b)\n- other(a,b)\n",
+             "{f}:2: example relation other is not the target advisedBy"),
+            ("+ advisedBy(a,b)\n+ advisedBy(c)\n", "{f}:2: expected 2 values, got 'c'"),
+            ("+ advisedBy(a,)\n", "{f}:1: expected 2 values, got 'a,'"),
+            ("bogus\n+ advisedBy(a,b)\n", "{f}:1: cannot parse example line 'bogus'"),
+        ],
+    )
+    def test_undeclared_target_errors(self, tmp_path, text, message):
+        f = tmp_path / "ex.txt"
+        _write(f, text)
+        with pytest.raises(LoadError) as got:
+            load_examples(f, "advisedBy")
+        assert str(got.value) == message.format(f=f)
 
     def test_large_file_loads_in_linear_time(self, tmp_path):
         # 40,000 distinct lines; a per-line scan of the examples kept so
@@ -592,6 +640,19 @@ class TestIndexAndRoundTrip:
             DatabaseInstance.build(
                 (RelationSchema("r", ("a", "b")),), {"r": [("x",)]}
             )
+
+    def test_zero_arity_schema_rejected(self):
+        with pytest.raises(ValidationError, match="^relation r: arity must be >= 1$"):
+            RelationSchema("r", ())
+
+    def test_build_rejects_duplicate_and_undeclared_relations(self):
+        r = RelationSchema("r", ("a",))
+        with pytest.raises(ValidationError, match="^duplicate relation name in schema$"):
+            DatabaseInstance.build((r, RelationSchema("r", ("b",))), {})
+        with pytest.raises(
+            ValidationError, match=re.escape("tuples for undeclared relations: ['s']")
+        ):
+            DatabaseInstance.build((r,), {"r": [("x",)], "s": [("y",)]})
 
     def test_build_rejects_empty_value(self):
         with pytest.raises(ValidationError, match="empty value"):

@@ -10,7 +10,7 @@ from .clauses import (
     Term,
     const,
     conforms,
-    covers,
+    covered_examples,
     minimize,
     parse_clause,
     render_clause,

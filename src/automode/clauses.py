@@ -7,8 +7,9 @@ one joined pass: each body literal becomes a factor read from the
 database's stored row sets and position index (never by scanning a
 relation), a worklist semi-join reduction shrinks the factors, variable
 elimination joins away the non-head variables, and each example is
-checked against what is left. `covers` is that pass over one example;
-batches of tests should share passes through `learner.CoverageCache`.
+checked against what is left. Learning reads it through
+`learner.CoverageCache`, which keeps one pass per clause over every example
+it will be asked about.
 `find_witness` serves armg's prefix decisions: an existential
 substitution search whose subgoals, split by shared unbound variables, are
 solved by fail-first backtracking over indexed candidate rows.
@@ -186,32 +187,6 @@ def _parse_literal(text: str, pos: int) -> tuple[Literal, int]:
 # -- coverage against a database ------------------------------------------
 
 
-def covers(clause: Clause, example: tuple[str, ...], db: "DatabaseInstance") -> bool:
-    """True iff some substitution maps the head onto `example` and every
-    body literal onto a stored tuple.
-
-    The example is bound into the clause first: each head variable becomes
-    its value, so a literal on a head variable starts from the position
-    index instead of its relation's whole row set, and `covered_examples`
-    runs over the one nullary example of the bound clause. Each call is a
-    joined pass of its own; tests of many examples should share one pass
-    through `learner.CoverageCache`.
-    """
-    example = tuple(example)
-    if len(example) != len(clause.head.args):
-        raise ValidationError(
-            f"example arity {len(example)} does not match head {clause.head}"
-        )
-    binding = _head_binding(clause.head, example)
-    values = {v: const(value) for v, value in (binding or {}).items()}
-    bound = Clause(
-        Literal(clause.head.relation, ()), apply_renaming(clause, values).body
-    )
-    # a head that cannot bind covers nothing, but a missing relation is
-    # still an error
-    return bool(covered_examples(bound, [()] if binding is not None else [], db))
-
-
 def find_witness(
     literals, binding: dict[Term, str], db: "DatabaseInstance"
 ) -> dict[Term, str] | None:
@@ -355,11 +330,16 @@ def covered_examples(
     no variable and is no factor: it is one membership test in its stored
     row set. Rows are projected, filtered and collected by `itemgetter`,
     `compress` and `map` rather than per-row Python code. An example whose
-    arity is not the head's raises `ValidationError`.
+    arity is not the head's, or a body literal whose arity is not its
+    relation's, raises `ValidationError`.
     """
+    arities = {schema.name: schema.arity for schema in db.schemas}
     for lit in clause.body:
-        if not db.has_relation(lit.relation):
+        arity = arities.get(lit.relation)
+        if arity is None:
             raise ValidationError(f"clause relation missing from database: {lit.relation}")
+        if arity != len(lit.args):
+            raise ValidationError(f"literal {lit} does not match arity {arity} of {lit.relation}")
     head = clause.head
     head_vars = tuple(dict.fromkeys(head.variables()))
     examples = list(map(tuple, examples))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -32,7 +31,6 @@ from .clauses import (
     covered_examples,
     find_witness,
     fold_singleton_literals,
-    covers,
     minimize,
     var,
 )
@@ -81,8 +79,8 @@ class CoverageCache:
 
     The examples to be queried are known up front (the universe): a clause
     is evaluated against all of them in one joined pass, kept per clause,
-    and each test is then a set lookup. An example outside the universe is
-    tested on its own by `covers`, without a memo.
+    and each test is then a set lookup. A test of an example outside the
+    universe raises `ValidationError`.
 
     `memo` stores the result of any other step that reads nothing but this
     database (`db`) and its key: bottom clauses, armg steps, scoring
@@ -99,7 +97,8 @@ class CoverageCache:
     `generalize_clause` and `score` only ask about training examples, and
     a clause's coverage of one example does not depend on which other
     examples were evaluated with it. Functions that take a cache get it
-    through `of`, which refuses a cache over another database.
+    through `of`, which refuses a cache over another database; a cache
+    whose universe lacks an example they ask about refuses that test.
     """
 
     def __init__(self, db: DatabaseInstance, universe=()):
@@ -129,19 +128,19 @@ class CoverageCache:
 
     def covers(self, clause: Clause, example: tuple[str, ...]) -> bool:
         if example not in self._universe:
-            return covers(clause, example, self.db)
+            raise ValidationError(f"example {example!r} is outside the cache's universe")
         return example in self._covered_set(clause)
 
     def count(self, clause: Clause, examples: Sequence[tuple[str, ...]]) -> int:
         """How many of `examples` the clause covers, a duplicate counted
-        each time it occurs. Examples inside the universe are looked up in
-        the clause's joined coverage in one C-level pass; when some lie
-        outside it, each example is tested through `covers`."""
+        each time it occurs, looked up in the clause's joined coverage in
+        one C-level pass."""
         if not examples:
             return 0  # nothing asked: no joined pass
-        if self._universe.issuperset(examples):
-            return sum(map(self._covered_set(clause).__contains__, examples))
-        return sum(map(partial(self.covers, clause), examples))
+        if not self._universe.issuperset(examples):
+            outside = next(e for e in examples if e not in self._universe)
+            raise ValidationError(f"example {outside!r} is outside the cache's universe")
+        return sum(map(self._covered_set(clause).__contains__, examples))
 
     def _covered_set(self, clause: Clause) -> frozenset[tuple[str, ...]]:
         covered = self._covered.get(clause)
@@ -444,19 +443,22 @@ def generalize_clause(
     returned folded (`fold_singleton_literals`) even when it is the bottom
     clause itself; the folded clause reuses the winner's cached coverage.
 
-    Before armg runs on a beam clause `b` and an example `e` of the cache's
-    universe, each distinct earlier result `c = armg(b, e')` is tried
-    (`_holds_for`): `c` must cover `e`, and each literal of `b` that `c`
-    leaves out must stay unsatisfiable under `e` together with the
-    literals of `c` before it that non-head variables join to it. Then
-    armg's greedy pass over `b` for `e` keeps exactly `c`'s literals, by
-    induction over `b`: satisfiability is closed under subsets, so a
-    literal of `c` is kept, as it and the kept prefix are a subset of `c`,
-    which covers `e`; and armg decides each variable-connected group on
-    its own, so the rest of that prefix, satisfiable too, cannot unblock a
-    left-out literal that its group blocks. So the reuse returns what armg
-    would, and any other case, a kept literal that `_connected_order`
-    dropped included, falls through to armg.
+    Every coverage test is a lookup in `cache`, whose universe must hold
+    `positives` and `negatives`.
+
+    Before armg runs on a beam clause `b` and a sampled example `e`, each
+    distinct earlier result `c = armg(b, e')` is tried (`_holds_for`): `c`
+    must cover `e`, and each literal of `b` that `c` leaves out must stay
+    unsatisfiable under `e` together with the literals of `c` before it
+    that non-head variables join to it. Then armg's greedy pass over `b`
+    for `e` keeps exactly `c`'s literals, by induction over `b`:
+    satisfiability is closed under subsets, so a literal of `c` is kept, as
+    it and the kept prefix are a subset of `c`, which covers `e`; and armg
+    decides each variable-connected group on its own, so the rest of that
+    prefix, satisfiable too, cannot unblock a left-out literal that its
+    group blocks. So the reuse returns what armg would, and any other case,
+    a kept literal that `_connected_order` dropped included, falls through
+    to armg.
     """
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
     cache = CoverageCache.of(db, cache, positives, negatives)
@@ -468,13 +470,11 @@ def generalize_clause(
         return value
 
     def generalized(b: Clause, e: tuple[str, ...]) -> Clause:
-        # armg's results for b, raw and folded; outside the universe a
-        # coverage test would be a joined pass of its own, so none is tried
+        # armg's results for b, raw and folded
         results = cache.memo(("armg results", b), dict)
-        if e in cache._universe:
-            for c, folded in results.items():
-                if _holds_for(b, c, folded, e, cache):
-                    return folded
+        for c, folded in results.items():
+            if _holds_for(b, c, folded, e, cache):
+                return folded
         c = armg(b, e, db)
         folded = results.get(c)
         if folded is None:
@@ -602,7 +602,7 @@ def learn_definition(
     `min_precision` and it covers at least the resolved minimum of
     positives; otherwise the seed is discarded as uncoverable, which bounds
     the loop by the number of positives. A shared `cache`, whose universe
-    should hold every training example, also keeps each bottom clause and
+    must hold every training example, also keeps each bottom clause and
     armg step for the later runs that share it.
     """
     cache = CoverageCache.of(db, cache, examples.positives, examples.negatives)

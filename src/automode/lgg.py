@@ -100,7 +100,7 @@ def lgg_learn(
     equivalent and score the same. Refuses databases above `_GUARD`
     tuples: repeated generalization grows clauses multiplicatively and
     evaluation cost becomes prohibitive well before memory does. A shared
-    `cache`, whose universe should hold every training example, also keeps
+    `cache`, whose universe must hold every training example, also keeps
     the saturation bias, each ground bottom clause and each step's lgg, or
     `None` for a stop, for the later runs that share it.
     """

@@ -16,7 +16,15 @@ from typing import Iterator
 
 from automode import fixtures
 from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl, induce_bias
-from automode.clauses import Clause, HornDefinition, Literal, Term, const, covers, var
+from automode.clauses import (
+    Clause,
+    HornDefinition,
+    Literal,
+    Term,
+    const,
+    covered_examples,
+    var,
+)
 from automode.errors import LoadError, ValidationError
 from automode.learner import (
     CoverageCache,
@@ -395,7 +403,7 @@ def blocking_drop_oracle(
     coverage pass per prefix, and repeat until the whole body covers it."""
     body, i = list(clause.body), 0
     while i < len(body):
-        if covers(Clause(clause.head, tuple(body[: i + 1])), example, db):
+        if covered_examples(Clause(clause.head, tuple(body[: i + 1])), [example], db):
             i += 1
         else:
             del body[i]  # every shorter prefix covers: the earliest blocking literal

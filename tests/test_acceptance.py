@@ -21,7 +21,7 @@ from automode.biasgen import induce_bias
 from automode.clauses import (
     Clause,
     conforms,
-    covers,
+    covered_examples,
     parse_clause,
     subsumes,
 )
@@ -139,8 +139,8 @@ def test_criterion_4_end_to_end_desk_scale():
 
     winner = None
     for clause in definition.clauses:
-        tp = sum(1 for p in examples.positives if covers(clause, p, db))
-        fp = sum(1 for n in examples.negatives if covers(clause, n, db))
+        tp = len(covered_examples(clause, examples.positives, db))
+        fp = len(covered_examples(clause, examples.negatives, db))
         if tp == 2 and fp == 0 and has_co_publication_join(clause):
             winner = clause
             break
@@ -215,9 +215,12 @@ def test_criterion_7a_covers_matches_oracle():
         db = random_db(rng)
         clause = random_clause(rng, db)
         example = random_example(rng, len(clause.head.args))
-        assert covers(clause, example, db) == covers_oracle(clause, example, db)
+        covered = example in covered_examples(clause, [example], db)
+        assert covered == covers_oracle(clause, example, db)
         agreements += 1
-    _report("7a", f"covers agreed with the substitution oracle on {agreements} cases")
+    _report(
+        "7a", f"covered_examples agreed with the substitution oracle on {agreements} cases"
+    )
 
 
 def test_criterion_7b_ind_discovery_matches_oracle():
@@ -244,15 +247,13 @@ def test_criterion_7c_armg_properties():
         clause = random_clause(rng, db, max_body=5, max_free_vars=3)
         example = random_example(rng, len(clause.head.args))
         head_only = Clause(clause.head, ())
-        if not covers(head_only, example, db):
+        if not covered_examples(head_only, [example], db):
             continue  # e.g. repeated head variable with unequal values
         out = armg(clause, example, db)
-        assert covers(out, example, db)
+        assert covered_examples(out, [example], db)
         assert set(out.body) <= set(clause.body)
-        for _ in range(8):
-            probe = random_example(rng, len(clause.head.args))
-            if covers(clause, probe, db):
-                assert covers(out, probe, db)
+        probes = [random_example(rng, len(clause.head.args)) for _ in range(8)]
+        assert covered_examples(clause, probes, db) <= covered_examples(out, probes, db)
         checked += 1
     _report("7c", f"armg soundness held on {checked} random cases")
 
@@ -299,7 +300,7 @@ def test_criterion_7e_conformance_of_bottom_and_learned_clauses():
         cfg = LearnConfig(iterations=rng.choice([1, 2]))
         for seed_example in positives:
             bottom = build_bottom_clause(seed_example, db, bias, cfg)
-            assert covers(bottom.clause, seed_example, db)
+            assert covered_examples(bottom.clause, [seed_example], db)
             assert conforms(bottom.clause, bias)
             bottoms += 1
         definition = learn_definition(db, examples, bias, cfg)

@@ -21,8 +21,8 @@ from automode.biasgen import (
     _few_distinct,
 )
 from automode.errors import ConfigError, LoadError, ValidationError
-from automode.profiler import dedupe_bidirectional, discover_inds
-from automode.relstore import DatabaseInstance, RelationSchema
+from automode.profiler import IndSet, UnaryInd, dedupe_bidirectional, discover_inds
+from automode.relstore import AttributeRef, DatabaseInstance, RelationSchema
 
 from conftest import MANUAL_BIAS_TEXT
 from oracles import dedupe_modes_oracle, random_db, random_wide_db, type_reachability_oracle
@@ -64,6 +64,15 @@ class TestTypeGraph:
         )
         assert _types(graph, "r1") == _types(graph, "r2")
         assert len(_types(graph, "r1")) == 1
+
+    def test_ind_on_an_attribute_outside_the_schema_rejected(self):
+        db = _single_column_db({"r1": ["x1"], "r2": ["x1"]})
+        ghost = AttributeRef("ghost", 0, "a")
+        inds = IndSet((UnaryInd(db.schemas[0].attribute_refs()[0], ghost, 0.0),), 0.0)
+        with pytest.raises(
+            ValidationError, match=re.escape("IND attribute missing from schema: r1[a] or ghost[a]")
+        ):
+            build_type_graph(db.schemas, inds)
 
     def test_approximate_types_cross_one_edge_only(self):
         # chain: ra approx-contained in rb, rb approx-contained in rc

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from automode import clauses, fixtures, learner
+from automode.biasgen import read_bias
 from automode.clauses import (
     Clause,
+    HornDefinition,
     Literal,
     Term,
     canonical_text,
     conforms,
     const,
-    covers,
+    covered_examples,
     minimize,
     parse_clause,
     render_clause,
@@ -124,53 +127,92 @@ class TestTextFormat:
         assert canonical_text(renamed) == canonical_text(worked_clause)
 
     @pytest.mark.parametrize(
-        "text",
-        ["not a clause", "t(x) :- .", "t(x) :- , ."],
-        ids=["garbage", "empty-body", "separators-only"],
+        "text, message",
+        [
+            ("not a clause", "clause must end with '.': 'not a clause'"),
+            ("t(x) :- .", "expected a body literal after ':-': 't(x) :- '"),
+            ("t(x) :- , .", "expected a body literal after ':-': 't(x) :- , '"),
+            ("t(x) foo.", "expected ':-' after the head literal: 't(x) foo'"),
+            ("t(x) :- p(x), 9.", "cannot parse literals at '9'"),
+            ("9(x).", "cannot parse literal at '9(x)'"),
+            ("t(9).", "cannot parse term at '9)'"),
+            ("t(x y).", "expected ',' or ')' at 'y)'"),
+        ],
+        ids=[
+            "garbage", "empty-body", "separators-only",
+            "no-neck", "bad-body", "bad-head", "bad-term", "no-separator",
+        ],
     )
-    def test_parse_rejects_garbage(self, text):
-        # a body lost after ':-' must not read back as a fact covering everything
-        with pytest.raises(ValidationError):
+    def test_parse_rejects_garbage(self, text, message):
+        # a body lost after ':-' must not read back as a fact covering
+        # everything; each error names the text it could not read
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             parse_clause(text)
+
+    def test_definition_rejects_clauses_of_different_heads(self):
+        unary, binary = parse_clause("t(x) :- p(x)."), parse_clause("t(x,y) :- p(x).")
+        with pytest.raises(
+            ValidationError,
+            match=r"^clauses disagree on the head relation: \{\('t', [12]\), \('t', [12]\)\}$",
+        ):
+            HornDefinition((unary, binary))
 
 
 class TestCovers:
+    """Coverage through `covered_examples`, the package's one evaluator."""
+
     def test_worked_clause_covers_its_seed(self, worked_clause):
         db = fixtures.small_database()
-        assert covers(worked_clause, ("alice", "bob"), db)
+        assert covered_examples(worked_clause, [("alice", "bob")], db)
 
     def test_worked_clause_covers_second_positive(self, worked_clause):
         db = fixtures.small_database()
-        assert covers(worked_clause, ("john", "mary"), db)
+        assert covered_examples(worked_clause, [("john", "mary")], db)
 
     def test_worked_clause_rejects_cross_pairs(self, worked_clause):
         db = fixtures.small_database()
-        assert not covers(worked_clause, ("alice", "mary"), db)
-        assert not covers(worked_clause, ("john", "bob"), db)
+        assert not covered_examples(worked_clause, [("alice", "mary"), ("john", "bob")], db)
 
     def test_missing_relation_is_an_error(self, worked_clause):
         db = fixtures.small_database()
         clause = Clause(worked_clause.head, (Literal("ghost", (var("x"),)),))
         with pytest.raises(ValidationError):
-            covers(clause, ("alice", "bob"), db)
+            covered_examples(clause, [("alice", "bob")], db)
 
     def test_arity_mismatch_is_an_error(self, worked_clause):
         db = fixtures.small_database()
         with pytest.raises(ValidationError):
-            covers(worked_clause, ("alice",), db)
+            covered_examples(worked_clause, [("alice",)], db)
+
+    @pytest.mark.parametrize(
+        "text, literal",
+        [
+            # too few arguments: read as given, it would cover every example
+            ("advisedBy(x,y) :- publication(z).", "publication(z)"),
+            # too many: read as given, it would index past the stored rows
+            ('advisedBy(x,y) :- inPhase(x,"post_quals",y).', 'inPhase(x,"post_quals",y)'),
+        ],
+        ids=["too-few", "too-many"],
+    )
+    def test_body_literal_of_another_arity_is_an_error(self, text, literal):
+        db = fixtures.small_database()
+        pairs = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        message = f"literal {literal} does not match arity 2 of {literal.split('(')[0]}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            covered_examples(parse_clause(text), pairs, db)
 
     def test_repeated_head_variable_binds_consistently(self):
         db = fixtures.small_database()
         clause = parse_clause("t(x,x) :- student(x).")
-        assert covers(clause, ("alice", "alice"), db)
-        assert not covers(clause, ("alice", "john"), db)
+        examples = [("alice", "alice"), ("alice", "john")]
+        assert covered_examples(clause, examples, db) == {("alice", "alice")}
 
     def test_matches_oracle_spot_checks(self, worked_clause):
         db = fixtures.small_database()
-        for example in (("alice", "bob"), ("john", "mary"), ("alice", "mary")):
-            assert covers(worked_clause, example, db) == covers_oracle(
-                worked_clause, example, db
-            )
+        examples = [("alice", "bob"), ("john", "mary"), ("alice", "mary")]
+        assert covered_examples(worked_clause, examples, db) == {
+            e for e in examples if covers_oracle(worked_clause, e, db)
+        }
 
     def test_invariant_under_body_reordering_and_renaming(self):
         rng = random.Random(41)
@@ -178,10 +220,10 @@ class TestCovers:
             db = random_db(rng)
             clause = random_clause(rng, db)
             example = random_example(rng, len(clause.head.args))
-            base = covers(clause, example, db)
+            base = covered_examples(clause, [example], db)
             shuffled = list(clause.body)
             rng.shuffle(shuffled)
-            assert covers(Clause(clause.head, tuple(shuffled)), example, db) == base
+            assert covered_examples(Clause(clause.head, tuple(shuffled)), [example], db) == base
             renaming = {v: var(f"z{i}") for i, v in enumerate(clause.variables())}
             renamed = Clause(
                 Literal(
@@ -193,7 +235,7 @@ class TestCovers:
                     for l in clause.body
                 ),
             )
-            assert covers(renamed, example, db) == base
+            assert covered_examples(renamed, [example], db) == base
 
     def test_removing_a_literal_never_shrinks_coverage(self):
         rng = random.Random(43)
@@ -203,12 +245,12 @@ class TestCovers:
             if not clause.body:
                 continue
             example = random_example(rng, len(clause.head.args))
-            if covers(clause, example, db):
+            if covered_examples(clause, [example], db):
                 drop = rng.randrange(len(clause.body))
                 weaker = Clause(
                     clause.head, clause.body[:drop] + clause.body[drop + 1 :]
                 )
-                assert covers(weaker, example, db)
+                assert covered_examples(weaker, [example], db)
 
 
 class TestConforms:
@@ -234,6 +276,29 @@ class TestConforms:
     def test_unknown_relation_rejected(self, manual_bias):
         clause = parse_clause("advisedBy(x,y) :- ghost(x).")
         assert not conforms(clause, manual_bias)
+
+    def test_mode_of_another_length_rejected(self, manual_bias):
+        assert conforms(parse_clause("advisedBy(x,y) :- student(x)."), manual_bias)
+        assert not conforms(parse_clause("advisedBy(x,y) :- student(x,y)."), manual_bias)
+
+    def test_variable_at_a_constant_position_rejected(self):
+        bias = read_bias(
+            "PREDICATES:\nadvisedBy(T1,T3)\ninPhase(T1,T2)\n"
+            "MODES:\nadvisedBy(+,+)\ninPhase(+,#)\n"
+        )
+        assert conforms(parse_clause('advisedBy(x,y) :- inPhase(x,"post_quals").'), bias)
+        assert not conforms(parse_clause("advisedBy(x,y) :- inPhase(x,u)."), bias)
+
+    def test_literal_without_a_declaration_of_its_arity_rejected(self):
+        # the mode student(+,+) admits the literal; no declaration types it
+        bias = read_bias(
+            "PREDICATES:\nadvisedBy(T1,T1)\nstudent(T1)\n"
+            "MODES:\nadvisedBy(+,+)\nstudent(+,+)\n"
+        )
+        assert not conforms(parse_clause("advisedBy(x,y) :- student(x,y)."), bias)
+        # nor one for a head of another arity
+        assert not conforms(parse_clause("advisedBy(x)."), bias)
+        assert conforms(parse_clause("advisedBy(x,y)."), bias)
 
 
 class TestMinimize:

@@ -1,7 +1,7 @@
 """The clause-evaluation engine: witness search and joined evaluation.
 
-These are the load-bearing fast paths behind covers/armg/scoring, so each
-is checked against an independent route on random inputs.
+These are the load-bearing fast paths behind coverage, armg and scoring, so
+each is checked against an independent route on random inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from math import prod
 import pytest
 
 from automode import clauses, fixtures, learner
-from automode.clauses import covered_examples, covers, find_witness, parse_clause
+from automode.clauses import covered_examples, find_witness, parse_clause
 from automode.clauses import Clause, HornDefinition, Literal, const, fold_singleton_literals, var
 from automode.clauses import _head_binding
 from automode.learner import (
@@ -158,7 +158,7 @@ class TestFindWitness:
             if binding is None:
                 continue
             witness = find_witness(list(clause.body), binding, db)
-            assert (witness is not None) == covers(clause, example, db)
+            assert (witness is not None) == bool(covered_examples(clause, [example], db))
             if witness is None:
                 continue
             found += 1
@@ -248,15 +248,12 @@ class TestCoveredExamples:
         clause = parse_clause("t(x) :- p(x), missing(x).")
         with pytest.raises(ValidationError, match="missing"):
             covered_examples(clause, [("c1",)], db)
-        with pytest.raises(ValidationError, match="missing"):
-            covers(clause, ("c1",), db)
         # so does a head that cannot bind the example
         with pytest.raises(ValidationError, match="missing"):
-            covers(parse_clause('t("c2") :- p(x), missing(x).'), ("c1",), db)
+            covered_examples(parse_clause('t("c2") :- p(x), missing(x).'), [("c1",)], db)
 
-    def test_single_example_covers_matches_the_joined_pass(self):
-        # covers binds the example into the clause before its pass; heads
-        # with a repeated variable or a constant may not bind at all
+    def test_single_example_matches_substitution_oracle(self):
+        # heads with a repeated variable or a constant may not bind at all
         rng = random.Random(233)
         seen = {"covered": 0, "not covered": 0, "head does not bind": 0}
         for _ in range(300):
@@ -268,8 +265,10 @@ class TestCoveredExamples:
                 clause = Clause(Literal("t", tuple(args)), clause.body)
             example = random_example(rng, len(clause.head.args), pool=4)
             want = covers_oracle(clause, example, db)
-            assert covers(clause, example, db) == want, (str(clause), example)
-            assert want == (example in covered_examples(clause, [example], db))
+            assert want == (example in covered_examples(clause, [example], db)), (
+                str(clause),
+                example,
+            )
             if _head_binding(clause.head, example) is None:
                 seen["head does not bind"] += 1
             else:
@@ -351,22 +350,43 @@ class TestCoveredExamples:
         assert min(seen.values()) >= 100, seen
 
 
+_CACHE_CALLS = ["score", "generalize_clause", "learn_definition", "lgg_learn", "precision_recall"]
+
+
+def _cache_call(call):
+    """The fixture's database and examples, and a function that runs `call`
+    on them with the given `CoverageCache`."""
+    db = fixtures.small_database_registered()
+    ex = fixtures.small_examples()
+    bias = induce_bias(db, "advisedBy")
+    cfg = LearnConfig()
+    clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
+    run = {
+        "score": lambda cache: score(clause, ex.positives, ex.negatives, db, cache),
+        "generalize_clause": lambda cache: generalize_clause(
+            build_bottom_clause(ex.positives[0], db, bias, cfg).clause,
+            ex.positives, ex.negatives, db, cfg, cache=cache,
+        ),
+        "learn_definition": lambda cache: learn_definition(db, ex, bias, cfg, cache=cache),
+        "lgg_learn": lambda cache: lgg_learn(db, ex, bias, cfg, cache=cache),
+        "precision_recall": lambda cache: precision_recall(
+            HornDefinition((clause,)), ex.positives, ex.negatives, db, cache
+        ),
+    }[call]
+    return db, ex, run
+
+
 class TestCoverageCache:
-    def test_agrees_with_oracle_inside_and_outside_the_universe(self, monkeypatch):
+    def test_agrees_with_oracle_inside_and_refuses_outside_the_universe(self, monkeypatch):
         db = fixtures.small_database()
-        joined, single = [], []
-        evaluate, test_one = learner.covered_examples, learner.covers
+        joined = []
+        evaluate = learner.covered_examples
 
         def recording_joined(clause, examples, db):
             joined.append(clause)
             return evaluate(clause, examples, db)
 
-        def recording_single(clause, example, db):
-            single.append(example)
-            return test_one(clause, example, db)
-
         monkeypatch.setattr(learner, "covered_examples", recording_joined)
-        monkeypatch.setattr(learner, "covers", recording_single)
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
         outside = [("alice", "alice"), ("bob", "mary"), ("john", "p2")]
         cache = learner.CoverageCache(db, universe)
@@ -380,23 +400,26 @@ class TestCoverageCache:
         for _ in range(2):
             for text in texts:
                 clause = parse_clause(text)
-                for example in universe + outside:
+                for example in universe:
                     want = covers_oracle(clause, example, db)
                     assert cache.covers(clause, example) == want, (text, example)
                     covered += want
+                for example in outside:
+                    with pytest.raises(ValidationError, match="outside the cache's universe"):
+                        cache.covers(clause, example)
         assert covered >= 10
-        # one joined pass per clause; every outside test runs on its own
+        # one joined pass per clause
         assert joined == [parse_clause(t) for t in texts]
-        assert single == outside * len(texts) * 2
 
     @pytest.mark.parametrize("in_universe", [True, False])
     def test_wrong_arity_example_is_rejected(self, in_universe):
-        # the joined pass over the universe and the test outside it agree
+        # the joined pass over the universe refuses the example's arity,
+        # and a cache without it refuses to test it at all
         db = fixtures.small_database()
         clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
         example = ("alice",)
         cache = learner.CoverageCache(db, [example] if in_universe else [])
-        with pytest.raises(ValidationError, match="arity"):
+        with pytest.raises(ValidationError, match="arity" if in_universe else "outside"):
             cache.covers(clause, example)
 
     def test_equivalent_clause_reuses_joined_coverage(self, monkeypatch):
@@ -417,42 +440,31 @@ class TestCoverageCache:
         folded = fold_singleton_literals(clause)
         assert folded != clause
         cache.share_coverage(clause, folded)  # nothing cached yet: no-op
-        assert [cache.covers(clause, e) for e in universe] == [
-            covers(clause, e, db) for e in universe
-        ]
+        want = covered_examples(clause, universe, db)
+        assert [cache.covers(clause, e) for e in universe] == [e in want for e in universe]
         cache.share_coverage(clause, folded)
-        assert [cache.covers(folded, e) for e in universe] == [
-            covers(folded, e, db) for e in universe
-        ]
+        want = covered_examples(folded, universe, db)
+        assert [cache.covers(folded, e) for e in universe] == [e in want for e in universe]
         assert joined == [clause]
 
-    @pytest.mark.parametrize(
-        "call",
-        ["score", "generalize_clause", "learn_definition", "lgg_learn", "precision_recall"],
-    )
+    @pytest.mark.parametrize("call", _CACHE_CALLS)
     def test_cache_over_another_database_is_rejected(self, call):
-        db = fixtures.small_database_registered()
-        ex = fixtures.small_examples()
-        bias = induce_bias(db, "advisedBy")
-        cfg = LearnConfig()
-        clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
-        run = {
-            "score": lambda cache: score(clause, ex.positives, ex.negatives, db, cache),
-            "generalize_clause": lambda cache: generalize_clause(
-                build_bottom_clause(ex.positives[0], db, bias, cfg).clause,
-                ex.positives, ex.negatives, db, cfg, cache=cache,
-            ),
-            "learn_definition": lambda cache: learn_definition(db, ex, bias, cfg, cache=cache),
-            "lgg_learn": lambda cache: lgg_learn(db, ex, bias, cfg, cache=cache),
-            "precision_recall": lambda cache: precision_recall(
-                HornDefinition((clause,)), ex.positives, ex.negatives, db, cache
-            ),
-        }[call]
+        db, ex, run = _cache_call(call)
         universe = ex.positives + ex.negatives
         other = CoverageCache(fixtures.typed_database_registered(), universe)
         with pytest.raises(ValidationError, match="another database"):
             run(other)
         assert run(CoverageCache(db, universe)) == run(None)
+
+    @pytest.mark.parametrize("call", _CACHE_CALLS)
+    def test_cache_without_the_examples_is_rejected(self, call):
+        # no coverage test falls back to a pass of its own: a cache whose
+        # universe lacks the examples asked about refuses the run
+        db, ex, run = _cache_call(call)
+        for universe in ((), ex.positives):
+            with pytest.raises(ValidationError, match="outside the cache's universe"):
+                run(CoverageCache(db, universe))
+        assert run(CoverageCache(db, ex.positives + ex.negatives)) == run(None)
 
     def test_default_universe_takes_lists_and_tuples(self):
         # lgg scores against its list of uncovered positives
@@ -470,15 +482,14 @@ class TestCoverageCounts:
         'advisedBy(x,"mary") :- student(x).',
     )
 
-    def test_counts_match_the_oracle_inside_outside_and_duplicated(self):
+    def test_counts_match_the_oracle_and_refuse_examples_outside(self):
         db = fixtures.small_database()
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary", "alice")]
-        outside = [("alice", "alice"), ("bob", "mary"), ("john", "p2")]
+        outside = [("bob", "mary"), ("john", "p2")]
         cache = CoverageCache(db, universe)
         groups = {
             "inside": (universe[:4], universe[4:]),
-            "partly outside": (universe[:3] + outside, outside[:1] + universe[3:]),
-            "duplicated": (universe + universe[:3], outside * 2 + universe[3:] * 2),
+            "duplicated": (universe + universe[:3], universe[3:] * 2),
         }
         covered = 0
         for text in self.TEXTS:
@@ -492,6 +503,9 @@ class TestCoverageCounts:
                 assert counts == want
                 assert score(clause, positives, negatives, db, cache) == want[0] - want[1]
                 covered += sum(want)
+            for partly_outside in (universe[:3] + outside, outside[:1] + universe[3:]):
+                with pytest.raises(ValidationError, match="outside the cache's universe"):
+                    cache.count(clause, partly_outside)
         assert covered >= 20
 
     def test_random_tasks_count_like_the_oracle(self):
@@ -501,13 +515,16 @@ class TestCoverageCounts:
             clause = random_clause(rng, db)
             clause = Clause(Literal("t", (var("x0"), var("x1"))), clause.body)
             examples = ex.positives + ex.negatives
-            cache = CoverageCache(db, examples[: len(examples) // 2])
+            cache = CoverageCache(db, examples)
             positives, negatives = ex.positives * 2, ex.negatives
             want = tuple(
                 sum(covers_oracle(clause, e, db) for e in group)
                 for group in (positives, negatives)
             )
             assert (cache.count(clause, positives), cache.count(clause, negatives)) == want
+            half = CoverageCache(db, examples[: len(examples) // 2])
+            with pytest.raises(ValidationError, match="outside the cache's universe"):
+                half.count(clause, examples)
 
     @pytest.mark.parametrize("in_universe", [True, False])
     def test_wrong_arity_example_is_rejected(self, in_universe):
@@ -516,7 +533,7 @@ class TestCoverageCounts:
         example = ("alice",)
         valid = [("alice", "bob")]
         cache = CoverageCache(db, valid + [example] if in_universe else valid)
-        with pytest.raises(ValidationError, match="arity"):
+        with pytest.raises(ValidationError, match="arity" if in_universe else "outside"):
             cache.count(clause, [example])
 
 
@@ -561,9 +578,8 @@ class TestSingletonFold:
             clause = random_clause(rng, db)
             folded = fold_singleton_literals(clause)
             assert set(folded.body) <= set(clause.body)
-            for _ in range(6):
-                example = random_example(rng, len(clause.head.args))
-                assert covers(clause, example, db) == covers(folded, example, db)
+            examples = [random_example(rng, len(clause.head.args)) for _ in range(6)]
+            assert covered_examples(clause, examples, db) == covered_examples(folded, examples, db)
 
 
     def test_matches_restart_oracle(self):

@@ -19,7 +19,6 @@ from automode.clauses import (
     conforms,
     const,
     covered_examples,
-    covers,
     fold_singleton_literals,
     minimize,
     parse_clause,
@@ -250,7 +249,7 @@ class TestBottomClause:
         for bias in (manual_bias, auto_bias):
             for seed in (("alice", "bob"), ("john", "mary")):
                 bottom = build_bottom_clause(seed, small_db, bias, LearnConfig())
-                assert covers(bottom.clause, seed, small_db)
+                assert covered_examples(bottom.clause, [seed], small_db)
                 assert conforms(bottom.clause, bias)
 
 
@@ -264,7 +263,7 @@ class TestArmg:
             'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
         )
         generalized = armg(pinned, ("john", "mary"), small_db)
-        assert covers(generalized, ("john", "mary"), small_db)
+        assert covered_examples(generalized, [("john", "mary")], small_db)
         assert [l.relation for l in generalized.body] == [
             "student",
             "inPhase",
@@ -284,7 +283,7 @@ class TestArmg:
     def test_body_only_shrinks(self, small_db, worked_clause):
         out = armg(worked_clause, ("alice", "mary"), small_db)
         assert set(out.body) <= set(worked_clause.body)
-        assert covers(out, ("alice", "mary"), small_db)
+        assert covered_examples(out, [("alice", "mary")], small_db)
 
     @pytest.mark.parametrize(
         "text, kept",
@@ -310,7 +309,7 @@ class TestArmg:
     )
     def test_disconnected_literals_pruned(self, small_db, text, kept):
         out = armg(parse_clause(text), ("john", "mary"), small_db)
-        assert covers(out, ("john", "mary"), small_db)
+        assert covered_examples(out, [("john", "mary")], small_db)
         assert [str(l) for l in out.body] == kept
 
     def test_connected_order_matches_two_pass_oracle(self):
@@ -358,7 +357,7 @@ class TestArmg:
                 )
                 for _ in range(4):
                     example = random_example(rng, len(clause.head.args), pool=4)
-                    if not covers(Clause(clause.head, ()), example, shared):
+                    if not covered_examples(Clause(clause.head, ()), [example], shared):
                         continue  # repeated head variable with unequal values
                     fresh = DatabaseInstance.build(shared.schemas, shared.rows)
                     assert armg(clause, example, shared) == armg(clause, example, fresh)
@@ -497,7 +496,7 @@ class TestGeneralizeClause:
         ).clause
         cfg = LearnConfig(beam_width=1, sample_size=1)
         out = generalize_clause(bottom, ex.positives, ex.negatives, small_db, cfg)
-        assert covers(out, ("alice", "bob"), small_db)
+        assert covered_examples(out, [("alice", "bob")], small_db)
 
 
 class TestScoringEquivalent:
@@ -613,7 +612,7 @@ class TestArmgReuse:
             assert accepted == (drops[key] == set(result.body)), (clause, result, example)
             if accepted:
                 reuses.append((clause, folded, example, cache.db))
-            elif not covers(result, example, cache.db):
+            elif not covered_examples(result, [example], cache.db):
                 rejected["not covered"] += 1
             else:
                 rejected["a left-out literal is satisfiable"] += 1
@@ -642,39 +641,6 @@ class TestArmgReuse:
             assert folded == fold_singleton_literals(armg(clause, example, db))
         assert len(reuses) >= 50 and min(rejected.values()) >= 10, (len(reuses), rejected)
 
-    def test_cache_without_the_examples_reuses_nothing(self, monkeypatch, small_db):
-        # outside the universe a coverage test is a pass of its own: no
-        # reuse is tried there, and the clause learned is the same
-        ex = fixtures.small_examples()
-        pinned = parse_clause(
-            'advisedBy(x,y) :- student(x), inPhase(x,"pre_quals"), professor(y), '
-            'hasPosition(y,"assistant_prof"), publication(z,x), publication(z,y).'
-        )
-        holds, single, verified, tried = learner._holds_for, learner.covers, [], []
-
-        def verifying(*args):
-            verified.append(args)
-            return holds(*args)
-
-        def counting(*args):
-            tried.append(args)
-            return single(*args)
-
-        monkeypatch.setattr(learner, "_holds_for", verifying)
-        monkeypatch.setattr(learner, "covers", counting)
-        args = (pinned, ex.positives, ex.negatives, small_db, LearnConfig())
-        full = generalize_clause(*args)
-        assert verified and not tried  # inside the universe a reuse is tried
-        verified.clear()
-        outside = generalize_clause(*args, cache=CoverageCache(small_db))
-        calls = len(tried)
-        assert outside == full and not verified
-        # the same run with reuse turned off makes the same single-example tests
-        monkeypatch.setattr(learner, "_holds_for", lambda *a: False)
-        tried.clear()
-        assert generalize_clause(*args, cache=CoverageCache(small_db)) == outside
-        assert len(tried) == calls > 0
-
 
 class TestLearnDefinition:
     def test_fixture_learns_perfect_definition(self, small_db, auto_bias):
@@ -682,8 +648,8 @@ class TestLearnDefinition:
         definition = learn_definition(small_db, ex, auto_bias, LearnConfig())
         assert len(definition.clauses) == 1
         clause = definition.clauses[0]
-        assert all(covers(clause, p, small_db) for p in ex.positives)
-        assert not any(covers(clause, n, small_db) for n in ex.negatives)
+        assert covered_examples(clause, ex.positives, small_db) == set(ex.positives)
+        assert not covered_examples(clause, ex.negatives, small_db)
 
     def test_fixture_learns_the_worked_clause(self, small_db, auto_bias, worked_clause):
         # the bottom clause wins here, and its inPhase variant sharing only
@@ -741,8 +707,8 @@ class TestLearnDefinition:
                 lean = minimize(fat, deep=True)
                 assert len(lean.body) <= len(fat.body)
                 shrunk += len(lean.body) < len(fat.body)
-                for example in ex.positives + ex.negatives:
-                    assert covers(lean, example, db) == covers(fat, example, db)
+                examples = ex.positives + ex.negatives
+                assert covered_examples(lean, examples, db) == covered_examples(fat, examples, db)
         assert shrunk >= 2, shrunk
 
     def test_shared_cache_learns_what_fresh_caches_learn(self, small_db, manual_bias):

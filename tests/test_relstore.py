@@ -660,6 +660,19 @@ class TestIndexAndRoundTrip:
                 (RelationSchema("r", ("a", "b")),), {"r": [("x", "y"), ("x", "")]}
             )
 
+    @pytest.mark.parametrize("lookup", ["schema", "relation_rows", "fact_set"])
+    def test_lookup_of_an_unknown_relation_rejected(self, lookup):
+        db = fixtures.small_database()
+        with pytest.raises(ValidationError, match="^unknown relation: ghost$"):
+            getattr(db, lookup)("ghost")
+
+    def test_example_set_rejects_an_example_of_another_arity(self):
+        target = RelationSchema("t", ("a", "b"))
+        with pytest.raises(
+            ValidationError, match=re.escape("example ('x',) does not match arity of t")
+        ):
+            ExampleSet(target, (("x", "y"),), (("x",),))
+
 
 class TestRowOrder:
     """Rows come out deduplicated and sorted whatever order they go in."""

@@ -5,11 +5,12 @@ variables and string constants. Coverage has one evaluator,
 `covered_examples`, which tests a whole clause against a set of examples in
 one joined pass: each body literal becomes a factor read from the
 database's stored row sets and position index (never by scanning a
-relation), a worklist semi-join reduction shrinks the factors, variable
-elimination joins away the non-head variables, and each example is
-checked against what is left. Learning reads it through
+relation), a worklist semi-join reduction shrinks the factors smallest
+first, variable elimination joins away the non-head variables, and each
+example is checked against what is left. Learning reads it through
 `learner.CoverageCache`, which keeps one pass per clause over every example
-it will be asked about.
+it will be asked about; scoring asks about each clause's
+`canonical_variant`, so alphabetic variants share one pass.
 `find_witness` serves armg's prefix decisions: an existential
 substitution search whose subgoals, split by shared unbound variables, are
 solved by fail-first backtracking over indexed candidate rows.
@@ -111,13 +112,19 @@ def render_clause(clause: Clause) -> str:
 
 
 def canonical_text(clause: Clause) -> str:
-    """Render with variables renamed V0,V1,... in first-occurrence order."""
+    """Render `canonical_variant(clause)`."""
+    return render_clause(canonical_variant(clause))
+
+
+def canonical_variant(clause: Clause) -> Clause:
+    """The clause with its variables renamed V0,V1,... in first-occurrence
+    order, head first: alphabetic variants map to one clause."""
     mapping: dict[Term, Term] = {}
     for lit in (clause.head, *clause.body):
         for t in lit.args:
             if t.is_var and t not in mapping:
                 mapping[t] = var(f"V{len(mapping)}")
-    return render_clause(apply_renaming(clause, mapping))
+    return apply_renaming(clause, mapping)
 
 
 def apply_renaming(clause: Clause, mapping: dict[Term, Term]) -> Clause:
@@ -304,6 +311,18 @@ def _extend(
     return out
 
 
+def check_body(clause: Clause, db: "DatabaseInstance") -> None:
+    """Raise `ValidationError` unless each body literal names a relation of
+    `db` with its arity: the searches pair arguments with rows of any width."""
+    arities = {schema.name: schema.arity for schema in db.schemas}
+    for lit in clause.body:
+        arity = arities.get(lit.relation)
+        if arity is None:
+            raise ValidationError(f"clause relation missing from database: {lit.relation}")
+        if arity != len(lit.args):
+            raise ValidationError(f"literal {lit} does not match arity {arity} of {lit.relation}")
+
+
 # -- whole-clause evaluation --------------------------------------------------
 
 
@@ -321,25 +340,20 @@ def covered_examples(
     relation scan: a literal of distinct variables shares the stored row
     set (`db.fact_set`), one with constants starts from the position index
     (`db.matching_rows`), and only a repeated variable needs a row filter.
-    `_reduce_domains` shrinks the factors to their semi-join fixpoint;
-    non-head variables are then eliminated cheapest-first, each by joining
-    the factors that hold it. Every factor left afterwards is over head
-    variables only: those over the same variables are intersected, and the
-    example rows are then filtered by each merged factor in turn, so no
-    join runs without a shared variable. A ground body literal constrains
-    no variable and is no factor: it is one membership test in its stored
-    row set. Rows are projected, filtered and collected by `itemgetter`,
-    `compress` and `map` rather than per-row Python code. An example whose
-    arity is not the head's, or a body literal whose arity is not its
-    relation's, raises `ValidationError`.
+    `_reduce_domains` shrinks the factors to their semi-join fixpoint,
+    reading a stored relation's columns only from the rows that survive
+    the domains of the smaller factors; non-head variables are then
+    eliminated cheapest-first, each by joining the factors that hold it.
+    Every factor left afterwards is over head variables only: those over
+    the same variables are intersected, and the example rows are then
+    filtered by each merged factor in turn, so no join runs without a
+    shared variable. A ground body literal constrains no variable and is no
+    factor: it is one membership test in its stored row set. Rows are
+    projected, filtered and collected by `itemgetter`, `compress` and `map`
+    rather than per-row Python code. An example whose arity is not the
+    head's, or a clause `check_body` refuses, raises `ValidationError`.
     """
-    arities = {schema.name: schema.arity for schema in db.schemas}
-    for lit in clause.body:
-        arity = arities.get(lit.relation)
-        if arity is None:
-            raise ValidationError(f"clause relation missing from database: {lit.relation}")
-        if arity != len(lit.args):
-            raise ValidationError(f"literal {lit} does not match arity {arity} of {lit.relation}")
+    check_body(clause, db)
     head = clause.head
     head_vars = tuple(dict.fromkeys(head.variables()))
     examples = list(map(tuple, examples))
@@ -438,11 +452,15 @@ def _reduce_domains(factors) -> None:
     keeps only rows whose value for each variable appears in every other
     factor holding that variable.
 
-    A variable held by several factors gets a domain, the intersection of
-    their column values. A worklist (AC-3) refilters a factor only after one
-    of its variables' domains narrowed, and a factor that loses rows narrows
-    the domains of its variables in turn. Stored row sets are replaced, never
-    mutated, so factors may share them with the database.
+    A variable held by several factors gets a domain: the values that
+    every holder visited so far has in its column. A worklist (AC-3) visits
+    the factors smallest first. Each is filtered by the domains already
+    known, and only its surviving rows are read for its column values,
+    which set or narrow its variables' domains; a narrowed domain requeues
+    the variable's visited holders. The fixpoint is unique (Bernstein &
+    Chiu, JACM 1981), so the order changes the cost, not the result.
+    Stored row sets are replaced, never mutated, so factors may share them
+    with the database.
     """
     holders: dict[Term, list[int]] = {}
     for k, (factor_vars, _) in enumerate(factors):
@@ -452,36 +470,33 @@ def _reduce_domains(factors) -> None:
         [(itemgetter(i), v) for i, v in enumerate(factor_vars) if len(holders[v]) > 1]
         for factor_vars, _ in factors
     ]
-    columns = [
-        {v: set(map(column, rows)) for column, v in positions}
-        for positions, (_, rows) in zip(shared, factors)
-    ]
-    domains: dict[Term, set[str]] = {
-        v: set.intersection(*(columns[k][v] for k in ks))
-        for v, ks in holders.items()
-        if len(ks) > 1
-    }
-    pending = [
-        k
-        for k, values_by_var in enumerate(columns)
-        if any(len(values) > len(domains[v]) for v, values in values_by_var.items())
-    ]
+    domains: dict[Term, set[str]] = {}
+    # popped from the end: the smallest factor first
+    pending = sorted(
+        (k for k, positions in enumerate(shared) if positions),
+        key=lambda k: len(factors[k][1]),
+        reverse=True,
+    )
     queued = set(pending)
+    visited: set[int] = set()
     while pending:
         k = pending.pop()
         queued.discard(k)
         factor_vars, rows = factors[k]
         kept = rows
         for column, v in shared[k]:
-            kept = list(compress(kept, map(domains[v].__contains__, map(column, kept))))
-        kept = frozenset(kept)
-        if len(kept) == len(rows):
+            if v in domains:
+                kept = list(compress(kept, map(domains[v].__contains__, map(column, kept))))
+        if len(kept) < len(rows):
+            factors[k] = (factor_vars, frozenset(kept))
+        elif k in visited:
             continue
-        factors[k] = (factor_vars, kept)
+        visited.add(k)
         for column, v in shared[k]:
             values = set(map(column, kept))
-            if len(values) < len(domains[v]):
+            if v not in domains or len(values) < len(domains[v]):
                 domains[v] = values
+                # an unvisited holder is still queued
                 for j in holders[v]:
                     if j != k and j not in queued:
                         queued.add(j)

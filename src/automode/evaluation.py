@@ -130,12 +130,12 @@ def precision_recall(
     if set(test_pos) & set(test_neg):
         raise ValidationError("test sets overlap")
     cache = CoverageCache.of(db, cache, test_pos, test_neg)
-
-    def covered(example: tuple[str, ...]) -> bool:
-        return any(cache.covers(c, example) for c in definition.clauses)
-
-    tp = sum(1 for e in test_pos if covered(e))
-    fp = sum(1 for e in test_neg if covered(e))
+    missed_pos, missed_neg = test_pos, test_neg
+    for clause in definition.clauses:
+        missed_pos = cache.uncovered(clause, missed_pos)
+        missed_neg = cache.uncovered(clause, missed_neg)
+    tp = len(test_pos) - len(missed_pos)
+    fp = len(test_neg) - len(missed_neg)
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / len(test_pos) if test_pos else 0.0
     return precision, recall

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Callable, Sequence
 
 from .biasgen import BiasSpec, generate_modes
@@ -28,6 +28,8 @@ from .clauses import (
     _solve_component,
     apply_renaming,
     canonical_text,
+    canonical_variant,
+    check_body,
     covered_examples,
     find_witness,
     fold_singleton_literals,
@@ -79,8 +81,9 @@ class CoverageCache:
 
     The examples to be queried are known up front (the universe): a clause
     is evaluated against all of them in one joined pass, kept per clause,
-    and each test is then a set lookup. A test of an example outside the
-    universe raises `ValidationError`.
+    and each test is then a set lookup; `uncovered` and `count` answer a
+    whole list with one lookup of the clause. A test of an example outside
+    the universe raises `ValidationError`.
 
     `memo` stores the result of any other step that reads nothing but this
     database (`db`) and its key: bottom clauses, armg steps, scoring
@@ -133,14 +136,19 @@ class CoverageCache:
 
     def count(self, clause: Clause, examples: Sequence[tuple[str, ...]]) -> int:
         """How many of `examples` the clause covers, a duplicate counted
-        each time it occurs, looked up in the clause's joined coverage in
-        one C-level pass."""
+        each time it occurs."""
+        return len(examples) - len(self.uncovered(clause, examples))
+
+    def uncovered(self, clause: Clause, examples: Sequence[tuple[str, ...]]) -> list:
+        """The examples the clause does not cover, in order, duplicates
+        kept: one universe check and one lookup of the clause's joined
+        coverage, filtered in one C-level pass."""
         if not examples:
-            return 0  # nothing asked: no joined pass
+            return []  # nothing asked: no joined pass
         if not self._universe.issuperset(examples):
             outside = next(e for e in examples if e not in self._universe)
             raise ValidationError(f"example {outside!r} is outside the cache's universe")
-        return sum(map(self._covered_set(clause).__contains__, examples))
+        return list(filterfalse(self._covered_set(clause).__contains__, examples))
 
     def _covered_set(self, clause: Clause) -> frozenset[tuple[str, ...]]:
         covered = self._covered.get(clause)
@@ -346,8 +354,10 @@ def armg(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clau
     changes within the variable-connected component the new literal touches,
     so each decision is a local witness search. `_connected_order` then
     drops the kept literals that no chain of shared variables joins to the
-    head and orders the rest.
+    head and orders the rest. A clause `check_body` refuses raises
+    `ValidationError`.
     """
+    check_body(clause, db)
     binding = _head_binding(clause.head, example)
     if binding is None:
         raise ValidationError(f"head {clause.head} cannot cover {example} at all")
@@ -458,8 +468,9 @@ def generalize_clause(
     prefix, satisfiable too, cannot unblock a left-out literal that its
     group blocks. So the reuse returns what armg would, and any other case,
     a kept literal that `_connected_order` dropped included, falls through
-    to armg.
+    to armg. A bottom clause `check_body` refuses raises `ValidationError`.
     """
+    check_body(bottom, db)
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
     cache = CoverageCache.of(db, cache, positives, negatives)
 
@@ -490,9 +501,7 @@ def generalize_clause(
         candidates: list[Clause] = []
         seen: set[Clause] = set()
         for b in beam:
-            for e in sample:
-                if cache.covers(b, e):
-                    continue
+            for e in cache.uncovered(b, sample):
                 if _head_binding(b.head, e) is None:
                     continue  # head shape (e.g. repeated variable) cannot fit e
                 # armg keeps exactly the literals jointly satisfiable with
@@ -518,8 +527,12 @@ def generalize_clause(
 
 
 def _equivalent(clause: Clause, cache: CoverageCache) -> Clause:
-    """The clause's `_scoring_equivalent`, memoized in `cache`."""
-    return cache.memo(("equivalent", clause), lambda: _scoring_equivalent(clause))
+    """The clause's `_scoring_equivalent` as its `canonical_variant`,
+    memoized in `cache`: coverage does not depend on variable names, so
+    alphabetic variants share one joined pass."""
+    return cache.memo(
+        ("equivalent", clause), lambda: canonical_variant(_scoring_equivalent(clause))
+    )
 
 
 def _holds_for(
@@ -654,7 +667,7 @@ def _cover_set(
         precision = tp / (tp + fp) if tp + fp else 0.0
         if precision >= cfg.min_precision and tp >= min_positives:
             learned.append(clause)
-            uncovered = [e for e in uncovered if not cache.covers(clause, e)]
+            uncovered = cache.uncovered(clause, uncovered)
             if seed in uncovered:
                 uncovered.remove(seed)  # progress even if coverage went stale
         else:

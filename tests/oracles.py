@@ -94,6 +94,26 @@ def semijoin_fixpoint_oracle(factors) -> list:
     return out
 
 
+def pairwise_semijoin_oracle(factors) -> list[set]:
+    """Each factor's rows at the semi-join fixpoint, as sets: for every
+    ordered pair of factors and each variable both hold, drop the first's
+    rows whose value there has no partner in the second, and repeat whole
+    rounds until one drops nothing."""
+    out = [set(rows) for _, rows in factors]
+    changed = True
+    while changed:
+        changed = False
+        for i, (vars_i, _) in enumerate(factors):
+            for j, (vars_j, _) in enumerate(factors):
+                for v in (v for v in vars_i if i != j and v in vars_j):
+                    partners = {row[vars_j.index(v)] for row in out[j]}
+                    kept = {row for row in out[i] if row[vars_i.index(v)] in partners}
+                    if kept != out[i]:
+                        out[i] = kept
+                        changed = True
+    return out
+
+
 def inds_oracle(db: DatabaseInstance, alpha: float) -> set[tuple]:
     """Double loop over all attribute pairs, literally from the definition."""
     attrs = [

@@ -37,6 +37,7 @@ from oracles import (
     fold_oracle,
     ground_cases,
     ground_clause_pairs,
+    pairwise_semijoin_oracle,
     random_clause,
     random_clause_over,
     random_db,
@@ -350,6 +351,53 @@ class TestCoveredExamples:
         assert min(seen.values()) >= 100, seen
 
 
+class TestReduceDomains:
+    def test_matches_the_pairwise_semi_join_oracle(self):
+        # random factor lists, each factor over distinct variables, as
+        # covered_examples builds them; some share one stored row set under
+        # two variable tuples, as publication(v9,v1), publication(v9,v0) do
+        rng = random.Random(263)
+        variables = [var(f"v{i}") for i in range(5)]
+        values = [f"c{i}" for i in range(4)]
+
+        def rows(arity):
+            return frozenset(
+                tuple(rng.choice(values) for _ in range(arity))
+                for _ in range(rng.randint(0, 10))
+            )
+
+        seen = {"empty": 0, "stored set shared": 0, "lone variable": 0,
+                "three holders": 0, "narrowed": 0, "nonempty fixpoint": 0}
+        for _ in range(600):
+            factors = []
+            for _ in range(rng.randint(1, 6)):
+                factor_vars = tuple(rng.sample(variables, rng.randint(1, 3)))
+                factors.append((factor_vars, rows(len(factor_vars))))
+            stored = None
+            if rng.random() < 0.3:
+                # a mutable set: the reduction must replace it, not shrink it
+                stored = set(rows(2))
+                a, b, c = rng.sample(variables, 3)
+                factors += [((a, b), stored), ((a, c), stored)]
+                rng.shuffle(factors)
+            kept_stored = set(stored or ())
+            holders = [v for factor_vars, _ in factors for v in factor_vars]
+            want = pairwise_semijoin_oracle(factors)
+            sizes = [len(r) for _, r in factors]
+            reduced = list(factors)
+            clauses._reduce_domains(reduced)
+            assert [v for v, _ in reduced] == [v for v, _ in factors]
+            assert [set(r) for _, r in reduced] == want
+            assert stored is None or stored == kept_stored
+            seen["empty"] += 0 in sizes
+            seen["stored set shared"] += stored is not None
+            seen["lone variable"] += 1 in map(holders.count, holders)
+            seen["three holders"] += max(map(holders.count, holders)) >= 3
+            seen["narrowed"] += any(map(len, want)) and want != [set(r) for _, r in factors]
+            seen["nonempty fixpoint"] += all(want)
+        assert min(seen.values()) >= 100, seen
+
+
 _CACHE_CALLS = ["score", "generalize_clause", "learn_definition", "lgg_learn", "precision_recall"]
 
 
@@ -421,6 +469,49 @@ class TestCoverageCache:
         cache = learner.CoverageCache(db, [example] if in_universe else [])
         with pytest.raises(ValidationError, match="arity" if in_universe else "outside"):
             cache.covers(clause, example)
+
+    def test_uncovered_keeps_order_and_duplicates_in_one_pass_per_clause(self, monkeypatch):
+        db = fixtures.small_database()
+        joined = []
+        evaluate = learner.covered_examples
+
+        def recording(clause, examples, db):
+            joined.append(clause)
+            return evaluate(clause, examples, db)
+
+        monkeypatch.setattr(learner, "covered_examples", recording)
+        rng = random.Random(269)
+        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        cache = CoverageCache(db, universe)
+        texts = (
+            "advisedBy(x,y) :- publication(z,x), publication(z,y).",
+            'advisedBy(x,y) :- inPhase(x,"post_quals"), hasPosition(y,v).',
+            "advisedBy(x,x) :- student(x).",
+        )
+        duplicates = 0
+        for text in texts:
+            clause = parse_clause(text)
+            for _ in range(30):
+                asked = [rng.choice(universe) for _ in range(rng.randint(0, 8))]
+                want = [e for e in asked if not covers_oracle(clause, e, db)]
+                assert cache.uncovered(clause, asked) == want, (text, asked)
+                assert cache.count(clause, asked) == len(asked) - len(want)
+                duplicates += len(set(want)) < len(want)
+        assert duplicates >= 10
+        assert joined == [parse_clause(t) for t in texts]
+
+    def test_uncovered_refuses_an_example_outside_the_universe(self):
+        db = fixtures.small_database()
+        universe = [("alice", "bob"), ("john", "mary")]
+        cache = CoverageCache(db, universe)
+        clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
+        outside = ("alice", "mary")
+        with pytest.raises(ValidationError) as by_covers:
+            cache.covers(clause, outside)
+        with pytest.raises(ValidationError) as by_uncovered:
+            cache.uncovered(clause, [universe[0], outside, universe[1]])
+        assert str(by_uncovered.value) == str(by_covers.value)
+        assert "outside the cache's universe" in str(by_covers.value)
 
     def test_equivalent_clause_reuses_joined_coverage(self, monkeypatch):
         db = fixtures.small_database()

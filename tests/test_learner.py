@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from automode import clauses, fixtures, learner
-from automode.evaluation import generate_negatives
+from automode.evaluation import cross_validate, generate_negatives
 from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
 from automode.clauses import (
     Clause,
     Literal,
     apply_renaming,
+    canonical_text,
     conforms,
     const,
     covered_examples,
@@ -280,6 +281,26 @@ class TestArmg:
         ):
             armg(clause, ("john", "mary"), small_db)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                'advisedBy(x,y) :- publication(z), inPhase(x,"post_quals",y).',
+                "literal publication(z) does not match arity 2 of publication",
+            ),
+            (
+                "advisedBy(x,y) :- publication(z,x), missing(z,y).",
+                "clause relation missing from database: missing",
+            ),
+        ],
+        ids=["arity", "relation"],
+    )
+    def test_body_literal_the_database_cannot_hold_rejected(self, small_db, text, message):
+        # the witness search pairs a literal's arguments with rows of any
+        # width: armg checks the clause before it searches
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            armg(parse_clause(text), ("alice", "bob"), small_db)
+
     def test_body_only_shrinks(self, small_db, worked_clause):
         out = armg(worked_clause, ("alice", "mary"), small_db)
         assert set(out.body) <= set(worked_clause.body)
@@ -454,6 +475,18 @@ class TestGeneralizeClause:
         )
         assert score(out, ex.positives, ex.negatives, small_db) == 2
 
+    def test_wrong_arity_bottom_rejected_before_any_coverage_pass(self, small_db, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a coverage pass ran")
+
+        monkeypatch.setattr(learner, "covered_examples", no_pass)
+        ex = fixtures.small_examples()
+        bottom = parse_clause('advisedBy(x,y) :- publication(z), inPhase(x,"post_quals",y).')
+        message = "literal publication(z) does not match arity 2 of publication"
+        for positives, negatives in ((ex.positives, ex.negatives), ((), ())):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                generalize_clause(bottom, positives, negatives, small_db, LearnConfig())
+
     def test_armg_repairs_overly_specific_bottom(self, small_db):
         ex = fixtures.small_examples()
         pinned = parse_clause(
@@ -591,6 +624,27 @@ def _planted_task(out: Path, seed: int, **params):
     db = register_target(db, ex)
     negatives = generate_negatives(db, ex.positives, ex.target, 2, seed)
     return db, ExampleSet(ex.target, ex.positives, negatives)
+
+
+class TestAlphabeticVariants:
+    def test_cross_validation_joins_each_variant_once(self, monkeypatch, tmp_path):
+        # the bench's cv-shallow shape, on seeds whose folds learn clauses
+        # that differ only in their variable names: those share one pass
+        evaluate = learner.covered_examples
+        evaluated = []
+
+        def recording(clause, examples, db):
+            evaluated.append(clause)
+            return evaluate(clause, examples, db)
+
+        monkeypatch.setattr(learner, "covered_examples", recording)
+        for seed in (1, 3, 7):
+            evaluated.clear()
+            db, ex = _planted_task(tmp_path / str(seed), seed, profs=10)
+            bias = induce_bias(db, ex.target.name)
+            cross_validate(db, ex, bias, LearnConfig(iterations=1), 5, seed)
+            texts = [canonical_text(c) for c in evaluated]
+            assert texts and len(set(texts)) == len(texts), texts
 
 
 class TestArmgReuse:

@@ -24,7 +24,6 @@ from .clauses import (
     Term,
     _components,
     _head_binding,
-    _image,
     _solve_component,
     apply_renaming,
     canonical_text,
@@ -350,12 +349,16 @@ def armg(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clau
     A blocking atom is the earliest body literal whose prefix fails to
     cover the example; dropping them one at a time is equivalent to a single
     left-to-right pass that keeps each literal exactly when it is jointly
-    satisfiable with the literals kept so far. Joint satisfiability only
-    changes within the variable-connected component the new literal touches,
-    so each decision is a local witness search. `_connected_order` then
-    drops the kept literals that no chain of shared variables joins to the
-    head and orders the rest. A clause `check_body` refuses raises
-    `ValidationError`.
+    satisfiable with the literals kept so far. armg holds one satisfying
+    assignment of the kept prefix, starting from the head binding, and
+    first extends it by one row of the new literal. Only when no row fits
+    does it search, over the literal's group alone (the literals that
+    non-head variables join to it, as `_holds_for` takes it), and the
+    group's solution replaces the assignment's values for its variables.
+    The assignment only seeds later extensions: the kept literals do not
+    depend on it. `_connected_order` then drops the kept literals that no
+    chain of shared variables joins to the head and orders the rest. A
+    clause `check_body` refuses raises `ValidationError`.
     """
     check_body(clause, db)
     binding = _head_binding(clause.head, example)
@@ -363,36 +366,18 @@ def armg(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clau
         raise ValidationError(f"head {clause.head} cannot cover {example} at all")
 
     kept: list[Literal] = []
-    # per component: its variables, literals, and one satisfying assignment
-    components: list[tuple[set[Term], list[Literal], dict[Term, str]]] = []
+    assignment = binding  # satisfies every kept literal
     for lit in clause.body:
-        unbound = {a for a in lit.args if a.is_var and a not in binding}
-        if not unbound:
-            if _image(lit, binding) in db.fact_set(lit.relation):
-                kept.append(lit)
-            continue
-        merged_vars = set(unbound)
-        merged_lits = [lit]
-        combined = dict(binding)
-        untouched: list[tuple[set[Term], list[Literal], dict[Term, str]]] = []
-        for comp_vars, comp_lits, comp_witness in components:
-            if comp_vars & unbound:
-                merged_vars |= comp_vars
-                merged_lits.extend(comp_lits)
-                combined.update(comp_witness)
-            else:
-                untouched.append((comp_vars, comp_lits, comp_witness))
-        # cheapest first: extend the merged witness by a row of `lit`, a
-        # component of its own under `combined`; only a conflict forces
-        # re-solving the merged component
-        witness = _solve_component([lit], combined, db)
-        if witness is None:
-            witness = find_witness(merged_lits, binding, db)
-        if witness is not None:
-            kept.append(lit)
-            untouched.append((merged_vars, merged_lits, witness))
-            components = untouched
-        # otherwise lit is the blocking atom of the kept prefix: drop it
+        extended = _solve_component([lit], assignment, db)
+        if extended is None:
+            # the first group holds `lit`: the rest of the prefix cannot block it
+            group = _components([lit, *kept], binding)[0]
+            solved = find_witness(group, binding, db)
+            if solved is None:
+                continue  # lit is the blocking atom of the kept prefix: drop it
+            extended = {**assignment, **solved}
+        kept.append(lit)
+        assignment = extended
     return Clause(clause.head, tuple(_connected_order(clause.head, kept)))
 
 

@@ -383,12 +383,27 @@ class TestArmg:
                     fresh = DatabaseInstance.build(shared.schemas, shared.rows)
                     assert armg(clause, example, shared) == armg(clause, example, fresh)
 
+    def test_a_chain_extends_without_a_search(self, monkeypatch):
+        # each literal of the chain extends the assignment by its one row:
+        # armg keeps them all and never re-solves
+        def no_search(*args):
+            raise AssertionError("armg searched")
+
+        monkeypatch.setattr(learner, "find_witness", no_search)
+        db = DatabaseInstance.build(
+            (RelationSchema("e", ("a", "b")),),
+            {"e": [(f"c{i}", f"c{i + 1}") for i in range(200)]},
+        )
+        chain = tuple(Literal("e", (var(f"x{i}"), var(f"x{i + 1}"))) for i in range(200))
+        clause = Clause(Literal("t", (var("x0"),)), chain)
+        assert armg(clause, ("c0",), db) == clause
+
 
 class TestArmgMatchesItsDefinition:
     """armg against `armg_oracle`: the blocking-atom drop by one coverage
     pass per prefix, then the head-connected order."""
 
-    def test_random_clauses_with_constants(self):
+    def test_random_clauses_with_constants(self, monkeypatch):
         rng = random.Random(211)
         checked = dropped = 0
         while checked < 300:
@@ -402,6 +417,33 @@ class TestArmgMatchesItsDefinition:
             checked += 1
             dropped += 0 < len(out.body) < len(set(clause.body))
         assert dropped >= 100, dropped
+
+        # wide bodies over four values: the one-row extension often fails,
+        # so armg re-solves the literal's group, and a satisfiable re-solve
+        # must carry its values into the assignment that later literals extend
+        search = learner.find_witness
+        solved = refuted = 0
+
+        def recording(literals, binding, db):
+            nonlocal solved, refuted
+            found = search(literals, binding, db)
+            solved += found is not None and len(literals) >= 2
+            refuted += found is None
+            return found
+
+        monkeypatch.setattr(learner, "find_witness", recording)
+        rng = random.Random(223)
+        for _ in range(400):
+            db = random_db(rng, max_relations=3, max_arity=3, max_tuples=100, pool=4)
+            clause = random_clause(
+                rng, db, max_body=14, max_free_vars=6, allow_constants=False
+            )
+            example = random_example(rng, len(clause.head.args), pool=4)
+            if _head_binding(clause.head, example) is None:
+                continue  # repeated head variable with unequal values
+            out = armg(clause, example, db)
+            assert out == armg_oracle(clause, example, db), (clause, example)
+        assert solved >= 50 and refuted >= 50, (solved, refuted)
 
     @pytest.mark.parametrize("threshold", [5, 1])
     def test_bottom_clauses(self, threshold):

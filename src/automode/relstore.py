@@ -8,7 +8,12 @@ and duplicate rows collapse to one.
 Each row is checked once for its arity and for empty values: the facts
 reader checks the rows of a file and names the line of a bad one, and
 `DatabaseInstance.build` and `with_relation` check the rows their callers
-hand them.
+hand them. The facts reader takes one of two paths per file. A file that
+is ASCII with no whitespace and no line boundary but "\\n", as
+`dump_database` and the bench's generator write it, is split and checked
+in bulk, since no cell of it can need stripping. Every other file, and a
+file that fails a bulk check, is read line by line, stripping each cell;
+either path returns the same rows, and only the line loop raises.
 """
 
 from __future__ import annotations
@@ -175,20 +180,21 @@ class DatabaseInstance:
 
 
 def _sorted_rows(raw: object) -> tuple[tuple[str, ...], ...]:
-    """`raw` deduplicated and sorted, unchecked.
+    """The row tuples of `raw` deduplicated and sorted, unchecked.
 
     The dedupe keeps input order, so a file already written sorted (as
     `dump_database` writes it) reaches the sort as one ascending run, which
     Timsort merges in a single linear pass; a set would hand it the rows in
     hash order."""
-    return tuple(sorted(dict.fromkeys(map(tuple, raw))))
+    return tuple(sorted(dict.fromkeys(raw)))
 
 
 def _validated_rows(
     schema: RelationSchema, raw: object
 ) -> tuple[tuple[str, ...], ...]:
-    """`raw` deduplicated and sorted; raises on a wrong arity or an empty value."""
-    rows = _sorted_rows(raw)
+    """`raw`'s rows as tuples, deduplicated and sorted; raises on a wrong
+    arity or an empty value."""
+    rows = _sorted_rows(map(tuple, raw))
     arity = schema.arity
     for row in rows:
         if len(row) != arity:
@@ -312,13 +318,34 @@ def facts_files(facts: Path) -> dict[str, Path | None]:
     }
 
 
+# every ASCII character but "\n" that str.strip treats as whitespace or
+# str.splitlines as a line boundary
+_ASCII_BLANKS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]:
     """The rows of the facts file `path`, each of `schema`'s arity with no
-    empty value; a `LoadError` names the line of the first that is not."""
+    empty value; a `LoadError` names the line of the first that is not.
+
+    A file whose text is ASCII and holds no character of `_ASCII_BLANKS`
+    has no line boundary but "\\n" and no cell that `str.strip` changes, so
+    its non-empty lines split on "," are the rows the per-line loop would
+    keep. Such a file is split in one pass and checked with built-in calls.
+    Any other file, and one that fails a check, goes through the per-line
+    loop, which strips each cell and names the first bad line."""
     arity = schema.arity
+    text = read_input(path, "facts file")
+    if text.isascii() and not any(c in text for c in _ASCII_BLANKS):
+        rows = [tuple(line.split(",")) for line in text.split("\n") if line]
+        if not rows or (
+            rows[0] == schema.attributes
+            and all(map(arity.__eq__, map(len, rows)))
+            and all(map(all, rows))
+        ):
+            return rows[1:]
     header_seen = False
     out: list[tuple[str, ...]] = []
-    for lineno, line in enumerate(read_input(path, "facts file").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         cells = tuple(map(str.strip, line.split(",")))
         if cells == ("",):
             # a blank or whitespace-only line, skipped anywhere

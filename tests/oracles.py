@@ -943,21 +943,35 @@ def _padded(rng: random.Random, cell: str) -> str:
 
 
 def random_facts_csv(rng: random.Random, schema: RelationSchema) -> str:
-    """CSV text for `schema` with blank and whitespace-only lines anywhere,
-    mixed line boundaries and padded cells; at random the header does not
-    match, and one row has a wrong arity or an empty cell."""
-    lines = [rng.choice(_BLANKS) for _ in range(rng.randint(0, 2))]
+    """CSV text for `schema`: half the time with blank and whitespace-only
+    lines anywhere, mixed line boundaries and padded cells, else
+    whitespace-free ASCII whose only line boundary is "\\n" and whose only
+    blank lines are empty; at random the header does not match, and one row
+    has a wrong arity or an empty cell."""
+    if rng.random() < 0.5:
+        blanks, line_ends, values = _BLANKS, _LINE_ENDS, ("x", "y1", "a b", "z")
+
+        def pad(cell: str) -> str:
+            return _padded(rng, cell)
+
+    else:
+        blanks, line_ends, values = ("",), ("\n",), ("x", "y1", "z")
+
+        def pad(cell: str) -> str:
+            return cell
+
+    lines = [rng.choice(blanks) for _ in range(rng.randint(0, 2))]
     if rng.random() < 0.1:
-        return rng.choice(_LINE_ENDS).join(lines)
+        return rng.choice(line_ends).join(lines)
     header = list(schema.attributes)
     if rng.random() < 0.15:
         if rng.random() < 0.5:
             header[rng.randrange(len(header))] = "other"
         else:
             header.append("extra")
-    lines.append(",".join(_padded(rng, a) for a in header))
+    lines.append(",".join(map(pad, header)))
     rows = [
-        [rng.choice(("x", "y1", "a b", "z")) for _ in range(schema.arity)]
+        [rng.choice(values) for _ in range(schema.arity)]
         for _ in range(rng.randint(0, 6))
     ]
     fault = rng.random()
@@ -971,10 +985,19 @@ def random_facts_csv(rng: random.Random, schema: RelationSchema) -> str:
         rng.choice(rows)[rng.randrange(schema.arity)] = ""
     for row in rows:
         if rng.random() < 0.3:
-            lines.append(rng.choice(_BLANKS))
-        lines.append(",".join(_padded(rng, cell) for cell in row))
-    lines += [rng.choice(_BLANKS) for _ in range(rng.randint(0, 2))]
-    return "".join(line + rng.choice(_LINE_ENDS) for line in lines)
+            lines.append(rng.choice(blanks))
+        lines.append(",".join(map(pad, row)))
+    lines += [rng.choice(blanks) for _ in range(rng.randint(0, 2))]
+    return "".join(line + rng.choice(line_ends) for line in lines)
+
+
+def whitespace_free(text: str) -> bool:
+    """Whether every character of `text` is "\\n" or an ASCII character
+    that neither `str.strip` removes nor `str.splitlines` breaks at."""
+    return all(
+        c == "\n" or (c.isascii() and not c.isspace() and len(f"a{c}a".splitlines()) == 1)
+        for c in text
+    )
 
 
 def random_examples_text(rng: random.Random, target: RelationSchema) -> str:

@@ -36,6 +36,7 @@ from oracles import (
     random_facts_csv,
     random_string_db,
     random_string_examples,
+    whitespace_free,
 )
 
 
@@ -280,12 +281,16 @@ class TestLoadDatabase:
             load_database(schema, facts)
 
     def test_reader_agrees_with_oracle_on_random_files(self, tmp_path):
+        # counted over all draws and over the whitespace-free ones alone,
+        # which the reader may split and check in bulk
         rng = random.Random(53)
-        outcomes = {"loaded": 0, "header": 0, "arity": 0, "empty": 0}
-        for i in range(400):
+        kinds = ("loaded", "header", "arity", "empty")
+        outcomes = {"all": dict.fromkeys(kinds, 0), "whitespace-free": dict.fromkeys(kinds, 0)}
+        for i in range(800):
             schema = RelationSchema("r", tuple(f"a{j}" for j in range(rng.randint(1, 3))))
             path = tmp_path / f"r{i}.csv"
-            path.write_bytes(random_facts_csv(rng, schema).encode("utf-8"))
+            text = random_facts_csv(rng, schema)
+            path.write_bytes(text.encode("utf-8"))
             try:
                 expected = facts_csv_oracle(path, schema)
             except LoadError as exc:
@@ -298,11 +303,79 @@ class TestLoadDatabase:
                     else "arity" if "expects" in message
                     else "empty"
                 )
-                outcomes[kind] += 1
-                continue
-            assert relstore._read_facts_csv(path, schema) == expected
-            outcomes["loaded"] += 1
-        assert all(count >= 30 for count in outcomes.values()), outcomes
+            else:
+                assert relstore._read_facts_csv(path, schema) == expected
+                kind = "loaded"
+            outcomes["all"][kind] += 1
+            if whitespace_free(text):
+                outcomes["whitespace-free"][kind] += 1
+        assert all(
+            count >= 30 for counts in outcomes.values() for count in counts.values()
+        ), outcomes
+
+    def test_only_files_that_may_need_stripping_take_the_line_loop(
+        self, tmp_path, monkeypatch
+    ):
+        # the per-line loop is the reader's one `splitlines` call
+        calls = []
+
+        class Recording(str):
+            def splitlines(self, *args, **kwargs):
+                calls.append(True)
+                return super().splitlines(*args, **kwargs)
+
+        original = relstore.read_input
+        monkeypatch.setattr(relstore, "read_input", lambda p, what: Recording(original(p, what)))
+
+        def read(text, schema):
+            """The oracle's rows or message for `text`, which the reader
+            must match, and whether the reader took the per-line loop."""
+            path = tmp_path / "r.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = facts_csv_oracle(path, schema)
+            except LoadError as exc:
+                expected = str(exc)
+            calls.clear()
+            try:
+                got = relstore._read_facts_csv(path, schema)
+            except LoadError as exc:
+                got = str(exc)
+            assert got == expected, text
+            return expected, bool(calls)
+
+        rng = random.Random(67)
+        bulk = 0
+        for _ in range(300):
+            schema = RelationSchema("r", tuple(f"a{j}" for j in range(rng.randint(1, 3))))
+            text = random_facts_csv(rng, schema)
+            if whitespace_free(text):
+                expected, line_loop = read(text, schema)
+                if isinstance(expected, list):
+                    assert not line_loop, text
+                    bulk += 1
+        assert bulk >= 30
+        schema = RelationSchema("r", ("a0", "a1"))
+        base = "a0,a1\nx,y1\nz,x\n"
+        # every ASCII character but "\n" that str.strip removes or
+        # str.splitlines breaks at, and some non-ASCII ones
+        for c in " \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u3000\u00e9":
+            if len(f"a{c}a".splitlines()) > 1:
+                clean = [base.replace("\n", c, 1), base[:-1] + c]
+            elif c.isspace():
+                clean = [base.replace("x", f"{c}x", 1), base.replace("y1", f"y1{c}")]
+            else:
+                clean = [base.replace("z", f"z{c}")]
+            for text in clean:
+                expected, line_loop = read(text, schema)
+                assert isinstance(expected, list) and len(expected) == 2, text
+                assert line_loop, text
+            # and at a random place in a random file, where it may also
+            # split a line or a cell
+            for _ in range(20):
+                text = random_facts_csv(rng, schema)
+                at = rng.randint(0, len(text))
+                assert read(text[:at] + c + text[at:], schema)[1], (c, text)
 
     def test_loader_stores_what_build_stores_on_random_files(self, tmp_path):
         # the loader skips `build`'s checks on the reader's rows, so a file

@@ -11,9 +11,10 @@ example is checked against what is left. Learning reads it through
 `learner.CoverageCache`, which keeps one pass per clause over every example
 it will be asked about; scoring asks about each clause's
 `canonical_variant`, so alphabetic variants share one pass.
-`find_witness` serves armg's prefix decisions: an existential
-substitution search whose subgoals, split by shared unbound variables, are
-solved by fail-first backtracking over indexed candidate rows.
+`find_witness` serves armg's prefix decisions and its one-row extensions:
+one existential substitution search that splits its literals by shared
+unbound variables and solves each group by fail-first backtracking over
+indexed candidate rows, recursing once per branching literal.
 Clause-to-clause subsumption backs the deep reduction used to keep
 generalized clauses small.
 """
@@ -197,12 +198,18 @@ def _parse_literal(text: str, pos: int) -> tuple[Literal, int]:
 def find_witness(
     literals, binding: dict[Term, str], db: "DatabaseInstance"
 ) -> dict[Term, str] | None:
-    """A satisfying assignment for the conjunction under `binding`, or None.
+    """A satisfying assignment for the conjunction under `binding`, or None;
+    `binding` itself when nothing new is bound.
 
-    armg decides each kept prefix with it; coverage of examples goes
-    through `covered_examples` instead. Fully bound literals are membership
-    tests; the rest split into subproblems that share no unbound variable
-    and are solved independently.
+    armg decides each kept prefix with it and extends its assignment by
+    one row of a literal with a one-literal call; coverage of examples
+    goes through `covered_examples`. Fully bound literals are membership
+    tests. The rest split into groups that share no unbound variable,
+    solved smallest first, each under the bindings of those before it,
+    which it never reads. A group branches fail first on its literal with
+    the fewest matching rows, ties going to the earliest, and solves the
+    rest of the group by one recursive call per row: one stack frame per
+    branching literal.
     """
     pending: list[Literal] = []
     for lit in literals:
@@ -210,48 +217,32 @@ def find_witness(
             pending.append(lit)
         elif _image(lit, binding) not in db.fact_set(lit.relation):
             return None
-    if not pending:
-        return dict(binding)
-    components = _components(pending, binding)
-    components.sort(key=len)
-    out = dict(binding)
-    for component in components:
-        found = _solve_component(component, binding, db)
-        if found is None:
+    for group in sorted(_components(pending, binding), key=len):
+        candidates = []
+        for lit in group:
+            bound = {
+                pos: (binding[a] if a.is_var else a.symbol)
+                for pos, a in enumerate(lit.args)
+                if not a.is_var or a in binding
+            }
+            rows = db.matching_rows(lit.relation, bound)
+            if not rows:
+                return None
+            candidates.append(rows)
+        sizes = list(map(len, candidates))
+        best = sizes.index(min(sizes))
+        lit = group[best]
+        rest = group[:best] + group[best + 1 :]
+        for row in candidates[best]:
+            extended = _extend(lit, row, binding)
+            if extended is not None:
+                extended = find_witness(rest, extended, db)
+                if extended is not None:
+                    break
+        else:
             return None
-        out.update(found)
-    return out
-
-
-def _solve_component(
-    body: list[Literal], binding: dict[Term, str], db: "DatabaseInstance"
-) -> dict[Term, str] | None:
-    # fail first: branch on the literal with the fewest matching rows, then
-    # solve what remains under each row's extension of the binding
-    candidates = []
-    for lit in body:
-        bound = {
-            pos: (binding[a] if a.is_var else a.symbol)
-            for pos, a in enumerate(lit.args)
-            if not a.is_var or a in binding
-        }
-        rows = db.matching_rows(lit.relation, bound)
-        if not rows:
-            return None
-        candidates.append(rows)
-    best_index = min(range(len(body)), key=lambda i: len(candidates[i]))
-    lit = body[best_index]
-    rest = body[:best_index] + body[best_index + 1 :]
-    for row in candidates[best_index]:
-        extended = _extend(lit, row, binding)
-        if extended is None:
-            continue
-        if not rest:
-            return extended
-        solved = find_witness(rest, extended, db)
-        if solved is not None:
-            return solved
-    return None
+        binding = extended
+    return binding
 
 
 def _image(lit: Literal, binding: dict[Term, str]) -> tuple[str, ...]:

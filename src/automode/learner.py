@@ -24,7 +24,6 @@ from .clauses import (
     Term,
     _components,
     _head_binding,
-    _solve_component,
     apply_renaming,
     canonical_text,
     canonical_variant,
@@ -351,8 +350,9 @@ def armg(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clau
     left-to-right pass that keeps each literal exactly when it is jointly
     satisfiable with the literals kept so far. armg holds one satisfying
     assignment of the kept prefix, starting from the head binding, and
-    first extends it by one row of the new literal. Only when no row fits
-    does it search, over the literal's group alone (the literals that
+    first extends it by one row of the new literal, a one-literal
+    `find_witness` call. Only when no row fits does it search the
+    literal's group under the head binding (the literals that
     non-head variables join to it, as `_holds_for` takes it), and the
     group's solution replaces the assignment's values for its variables.
     The assignment only seeds later extensions: the kept literals do not
@@ -368,7 +368,7 @@ def armg(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clau
     kept: list[Literal] = []
     assignment = binding  # satisfies every kept literal
     for lit in clause.body:
-        extended = _solve_component([lit], assignment, db)
+        extended = find_witness([lit], assignment, db)
         if extended is None:
             # the first group holds `lit`: the rest of the prefix cannot block it
             group = _components([lit, *kept], binding)[0]
@@ -653,8 +653,10 @@ def _cover_set(
         if precision >= cfg.min_precision and tp >= min_positives:
             learned.append(clause)
             uncovered = cache.uncovered(clause, uncovered)
+            # armg and lgg generalize only clauses covering the seed; removing
+            # it anyway keeps the loop finite for a learn_one that does not
             if seed in uncovered:
-                uncovered.remove(seed)  # progress even if coverage went stale
+                uncovered.remove(seed)
         else:
             uncovered.remove(seed)
     return HornDefinition(tuple(learned))

@@ -430,6 +430,21 @@ def blocking_drop_oracle(
     return tuple(body)
 
 
+def linked_oracle(literals: list[Literal], binding) -> list[list[bool]]:
+    """For every pair of literals, whether a chain of variables that
+    `binding` leaves unbound links them: shared variables first, then
+    Warshall's transitive closure."""
+    free = [{a for a in lit.args if a.is_var and a not in binding} for lit in literals]
+    n = len(literals)
+    linked = [[i == j or not free[i].isdisjoint(free[j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if linked[i][k]:
+                for j in range(n):
+                    linked[i][j] = linked[i][j] or linked[k][j]
+    return linked
+
+
 def armg_oracle(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clause:
     """armg by its definition: the blocking-atom drop, then
     `connected_order_oracle`'s pruning and order."""

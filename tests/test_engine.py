@@ -14,7 +14,7 @@ import pytest
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, find_witness, parse_clause
 from automode.clauses import Clause, HornDefinition, Literal, const, fold_singleton_literals, var
-from automode.clauses import _head_binding
+from automode.clauses import _components, _head_binding
 from automode.learner import (
     CoverageCache,
     LearnConfig,
@@ -37,6 +37,7 @@ from oracles import (
     fold_oracle,
     ground_cases,
     ground_clause_pairs,
+    linked_oracle,
     pairwise_semijoin_oracle,
     random_clause,
     random_clause_over,
@@ -63,7 +64,8 @@ def witness_covers(clause, example, db) -> bool:
     binding = head_binding(clause, example)
     if binding is None:
         return False
-    return find_witness(list(clause.body), binding, db) is not None
+    # looked up on the module, so a wrapper there sees the top-level call
+    return clauses.find_witness(list(clause.body), binding, db) is not None
 
 
 def wide_body_cases():
@@ -181,16 +183,18 @@ class TestFindWitness:
             assert witness_covers(clause, example, db) == want
             refuted += not want
         assert refuted >= 50  # the generator produces plenty of failures
-        # wide bodies over a dense database, so components of 8 or more
-        # literals reach the search (a small pool keeps the oracle cheap)
+        # wide bodies over a dense database, so searches over 8 or more
+        # literals run (a small pool keeps the oracle cheap); the search
+        # recurses through the module attribute, so the wrapper records the
+        # literal count of the top-level call and of every recursive one
         widths: list[int] = []
-        solve = clauses._solve_component
+        search = clauses.find_witness
 
-        def recording(body, binding, db):
-            widths.append(len(body))
-            return solve(body, binding, db)
+        def recording(literals, binding, db):
+            widths.append(len(literals))
+            return search(literals, binding, db)
 
-        monkeypatch.setattr(clauses, "_solve_component", recording)
+        monkeypatch.setattr(clauses, "find_witness", recording)
         wide = wide_covered = 0
         for _ in range(400):
             db = random_db(rng, max_relations=3, max_arity=3, max_tuples=100, pool=4)
@@ -206,6 +210,57 @@ class TestFindWitness:
                 wide_covered += want
         assert wide >= 25
         assert wide_covered >= 10 and wide - wide_covered >= 10
+
+    def test_a_long_chain_stays_within_the_recursion_limit(self):
+        # one stack frame per branching literal: the 800-literal chain
+        # e(x0,x1), ..., e(x799,x800) over the rows e(c_i,c_{i+1})
+        n = 800
+        db = DatabaseInstance.build(
+            (RelationSchema("e", ("a", "b")),),
+            {"e": [(f"c{i}", f"c{i + 1}") for i in range(n)]},
+        )
+        chain = [Literal("e", (var(f"x{i}"), var(f"x{i + 1}"))) for i in range(n)]
+        witness = find_witness(chain, {var("x0"): "c0"}, db)
+        assert witness is not None
+        facts = db.fact_set("e")
+        for lit in chain:
+            assert tuple(witness[a] for a in lit.args) in facts
+
+
+class TestComponents:
+    def test_groups_match_a_connectivity_oracle(self):
+        # armg and `_holds_for` take `_components([lit, *prefix], binding)[0]`
+        # as lit's group: the first group must hold the first literal
+        rng = random.Random(241)
+        names = [var(f"v{i}") for i in range(8)]
+        split = joined = 0
+        for _ in range(300):
+            literals = list(dict.fromkeys(
+                Literal(rng.choice("pqr"), tuple(
+                    rng.choice(names) if rng.random() < 0.8 else const(rng.choice("ab"))
+                    for _ in range(rng.randint(1, 3))
+                ))
+                for _ in range(rng.randint(1, 10))
+            ))
+            binding = {v: "a" for v in names if rng.random() < 0.3}
+            groups = _components(literals, binding)
+            position = {lit: i for i, lit in enumerate(literals)}
+            # a partition of the input, each group in input order
+            members = [position[lit] for group in groups for lit in group]
+            assert sorted(members) == list(range(len(literals)))
+            home = {}
+            for k, group in enumerate(groups):
+                indices = [position[lit] for lit in group]
+                assert indices == sorted(indices)
+                home.update(dict.fromkeys(indices, k))
+            linked = linked_oracle(literals, binding)
+            for i in range(len(literals)):
+                for j in range(len(literals)):
+                    assert (home[i] == home[j]) == linked[i][j], (literals, binding)
+            assert groups[0][0] == literals[0]
+            split += len(groups) >= 2
+            joined += any(len(group) >= 3 for group in groups)
+        assert split >= 100 and joined >= 100, (split, joined)
 
 
 class TestCoveredExamples:

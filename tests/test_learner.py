@@ -384,10 +384,17 @@ class TestArmg:
                     assert armg(clause, example, shared) == armg(clause, example, fresh)
 
     def test_a_chain_extends_without_a_search(self, monkeypatch):
-        # each literal of the chain extends the assignment by its one row:
-        # armg keeps them all and never re-solves
-        def no_search(*args):
-            raise AssertionError("armg searched")
+        # each literal of the chain extends the assignment by its one row,
+        # a one-literal search: armg keeps them all and never re-solves
+        search = learner.find_witness
+        extensions = 0
+
+        def no_search(literals, binding, db):
+            nonlocal extensions
+            if len(literals) > 1:
+                raise AssertionError("armg searched")
+            extensions += 1
+            return search(literals, binding, db)
 
         monkeypatch.setattr(learner, "find_witness", no_search)
         db = DatabaseInstance.build(
@@ -397,6 +404,7 @@ class TestArmg:
         chain = tuple(Literal("e", (var(f"x{i}"), var(f"x{i + 1}"))) for i in range(200))
         clause = Clause(Literal("t", (var("x0"),)), chain)
         assert armg(clause, ("c0",), db) == clause
+        assert extensions == 200
 
 
 class TestArmgMatchesItsDefinition:
@@ -420,15 +428,18 @@ class TestArmgMatchesItsDefinition:
 
         # wide bodies over four values: the one-row extension often fails,
         # so armg re-solves the literal's group, and a satisfiable re-solve
-        # must carry its values into the assignment that later literals extend
+        # must carry its values into the assignment that later literals extend;
+        # only a search over two or more literals is surely a re-solve, since
+        # the one-row extension is a one-literal search too
         search = learner.find_witness
         solved = refuted = 0
 
         def recording(literals, binding, db):
             nonlocal solved, refuted
             found = search(literals, binding, db)
-            solved += found is not None and len(literals) >= 2
-            refuted += found is None
+            if len(literals) >= 2:
+                solved += found is not None
+                refuted += found is None
             return found
 
         monkeypatch.setattr(learner, "find_witness", recording)

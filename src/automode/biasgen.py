@@ -2,14 +2,16 @@
 
 Types are assigned on a directed graph whose nodes are the schema's
 attributes and whose edges are the surviving unary INDs (contained column
--> containing column). Every sink component of the condensation gets a
-fresh type, every remaining nontrivial strongly connected component gets a
-fresh shared type, and types then flow against edge direction to a
-fixpoint. A type may cross at most one approximate edge on its way to a
-node: containment errors compound, so a token that arrived over an
-approximate edge is never forwarded over another one. Nodes that stay
-empty because every incoming path is blocked by that rule receive their
-own fresh type, and propagation resumes until all nodes are typed.
+-> containing column), in two plain passes. First, Kosaraju's algorithm
+labels the strongly connected components, each named by its least
+attribute. A fresh type is minted at every sink component (no edge leaves
+it) and then at every other component of more than one attribute, each
+group in order of least attribute. Second, each type walks back against
+the edges from the attributes it was minted at. It may cross at most one
+approximate edge on the way: containment errors compound, so a type that
+arrived over an approximate edge is never carried over another one. An
+attribute that no type reaches under that rule gets a fresh type of its
+own, in schema order, which walks back the same way.
 
 Mode definitions let any attribute be a variable but force one argument of
 every body atom to be an already-bound variable, and allow constants only
@@ -98,6 +100,14 @@ class BiasSpec:
 
 @dataclass(frozen=True)
 class TypeGraph:
+    """The attributes, the surviving INDs between them, and the types
+    placed on each attribute.
+
+    `assignments[node][token]` is True when the token reached the node
+    only across an approximate edge, and False when it was minted there or
+    reached it over exact edges alone. `origins[token]` holds the nodes the
+    token was minted at; the test oracles re-derive placement from it."""
+
     nodes: tuple[AttributeRef, ...]
     edges: tuple[tuple[AttributeRef, AttributeRef, float], ...]
     assignments: dict[AttributeRef, dict[str, bool]]  # token -> crossed an approx edge
@@ -111,146 +121,98 @@ def build_type_graph(
     schemas: tuple[RelationSchema, ...], ind_set: IndSet
 ) -> TypeGraph:
     nodes = tuple(a for s in schemas for a in s.attribute_refs())
-    node_set = set(nodes)
     edges = tuple(
         sorted((i.lhs, i.rhs, i.error) for i in ind_set.inds)
     )
-    for src, dst, _ in edges:
-        if src not in node_set or dst not in node_set:
-            raise ValidationError(f"IND attribute missing from schema: {src} or {dst}")
-
     succ: dict[AttributeRef, list[AttributeRef]] = {n: [] for n in nodes}
-    for src, dst, _ in edges:
+    into: dict[AttributeRef, list[tuple[AttributeRef, bool]]] = {n: [] for n in nodes}
+    for src, dst, error in edges:
+        if src not in succ or dst not in succ:
+            raise ValidationError(f"IND attribute missing from schema: {src} or {dst}")
         succ[src].append(dst)
-    components = _strongly_connected(nodes, succ)
-    comp_of = {n: i for i, comp in enumerate(components) for n in comp}
-    out_degree = [0] * len(components)
-    for src, dst, _ in edges:
-        if comp_of[src] != comp_of[dst]:
-            out_degree[comp_of[src]] += 1
+        into[dst].append((src, error > 0))
 
-    def comp_key(i: int) -> tuple[str, int]:
-        first = min((n.relation, n.position) for n in components[i])
-        return first
+    components = _components(nodes, succ, into)
+    least = {n: c[0] for c in components for n in c}
+    leaving = {least[src] for src, dst, _ in edges if least[src] != least[dst]}
+    # sorted tuples compare by their distinct least nodes first
+    minted = sorted(c for c in components if c[0] not in leaving)
+    minted += sorted(c for c in components if c[0] in leaving and len(c) > 1)
 
     assignments: dict[AttributeRef, dict[str, bool]] = {n: {} for n in nodes}
     origins: dict[str, tuple[AttributeRef, ...]] = {}
-    counter = 0
-
-    def mint(members: tuple[AttributeRef, ...]) -> None:
-        nonlocal counter
-        counter += 1
-        token = f"T{counter}"
-        origins[token] = tuple(sorted(members))
-        for n in members:
-            assignments[n][token] = False
-
-    sinks = sorted((i for i in range(len(components)) if out_degree[i] == 0), key=comp_key)
-    for i in sinks:
-        mint(components[i])
-    cycles = sorted(
-        (i for i in range(len(components)) if out_degree[i] > 0 and len(components[i]) > 1),
-        key=comp_key,
-    )
-    for i in cycles:
-        mint(components[i])
-
-    while True:
-        _propagate(edges, assignments)
-        starved = [n for n in nodes if not assignments[n]]
-        if not starved:
-            break
-        for n in starved:
-            mint((n,))
+    for members in minted:
+        _place(members, into, assignments, origins)
+    for n in [n for n in nodes if not assignments[n]]:
+        _place((n,), into, assignments, origins)
     return TypeGraph(nodes, edges, assignments, origins)
 
 
-def _propagate(
-    edges: tuple[tuple[AttributeRef, AttributeRef, float], ...],
-    assignments: dict[AttributeRef, dict[str, bool]],
-) -> None:
-    # Least fixpoint over (token present, fewest approx crossings); an
-    # unflagged copy of a token dominates a flagged one. Tokens flow from
-    # an edge's dst to its src, so a worklist of nodes whose tokens changed
-    # revisits only the edges into them; the transfer over each edge is
-    # monotone, so the fixpoint does not depend on the order of visits.
-    into: dict[AttributeRef, list[tuple[AttributeRef, float]]] = {}
-    for src, dst, error in edges:
-        into.setdefault(dst, []).append((src, error))
-    pending = [n for n in into if assignments[n]]
-    queued = set(pending)
-    while pending:
-        dst = pending.pop()
-        queued.discard(dst)
-        tokens = assignments[dst]
-        for src, error in into[dst]:
-            held = assignments[src]
-            changed = False
-            for token, crossed in tokens.items():
-                if error > 0:
-                    if crossed:
-                        continue
-                    incoming = True
-                else:
-                    incoming = crossed
-                current = held.get(token)
-                if current is None or (current and not incoming):
-                    held[token] = incoming
-                    changed = True
-            if changed and src in into and src not in queued:
-                queued.add(src)
-                pending.append(src)
-
-
-def _strongly_connected(
+def _components(
     nodes: tuple[AttributeRef, ...],
     succ: dict[AttributeRef, list[AttributeRef]],
+    into: dict[AttributeRef, list[tuple[AttributeRef, bool]]],
 ) -> list[tuple[AttributeRef, ...]]:
-    """Tarjan's algorithm, iterative to stay independent of recursion depth."""
-    index: dict[AttributeRef, int] = {}
-    low: dict[AttributeRef, int] = {}
-    on_stack: set[AttributeRef] = set()
-    stack: list[AttributeRef] = []
-    components: list[tuple[AttributeRef, ...]] = []
-    counter = 0
-
+    """Kosaraju's strongly connected components, each sorted. Both passes
+    keep explicit stacks, so no graph is too deep for them."""
+    finished: list[AttributeRef] = []  # post-order of a DFS along the edges
+    seen: set[AttributeRef] = set()
     for root in nodes:
-        if root in index:
+        if root in seen:
             continue
-        work: list[tuple[AttributeRef, int]] = [(root, 0)]
-        while work:
-            node, child = work[-1]
-            if child == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for k in range(child, len(succ[node])):
-                nxt = succ[node][k]
-                if nxt not in index:
-                    work[-1] = (node, k + 1)
-                    work.append((nxt, 0))
-                    advanced = True
+        seen.add(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            node, pending = path[-1]
+            for nxt in pending:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    path.append((nxt, iter(succ[nxt])))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp: list[AttributeRef] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(tuple(comp))
+            else:
+                path.pop()
+                finished.append(node)
+    # flooding against the edges, latest-finished first, stays inside one
+    # component: every component it could enter was flooded before. The
+    # DFS left every node in `seen`; a flood takes out each node it reaches
+    components: list[tuple[AttributeRef, ...]] = []
+    for root in reversed(finished):
+        if root not in seen:
+            continue
+        seen.discard(root)
+        members = [root]
+        for node in members:
+            for src, _ in into[node]:
+                if src in seen:
+                    seen.discard(src)
+                    members.append(src)
+        components.append(tuple(sorted(members)))
     return components
+
+
+def _place(
+    members: tuple[AttributeRef, ...],
+    into: dict[AttributeRef, list[tuple[AttributeRef, bool]]],
+    assignments: dict[AttributeRef, dict[str, bool]],
+    origins: dict[str, tuple[AttributeRef, ...]],
+) -> None:
+    """Mint the next token at `members` and walk it back against the edges.
+
+    A token is flagged once it crosses an approximate edge and is never
+    carried over a second one; an unflagged arrival replaces a flagged one
+    and walks on, so each node is expanded at most twice."""
+    token = f"T{len(origins) + 1}"
+    origins[token] = members
+    stack = [(n, False) for n in members]
+    while stack:
+        node, crossed = stack.pop()
+        held = assignments[node].get(token)
+        if held is False or (held and crossed):
+            continue
+        assignments[node][token] = crossed
+        for src, approx in into[node]:
+            if not (crossed and approx):
+                stack.append((src, crossed or approx))
 
 
 def generate_predicates(graph: TypeGraph) -> tuple[PredicateDecl, ...]:

@@ -166,11 +166,11 @@ def _cmd_induce_bias(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    cfg = _config(args)
     bias = _read_bias(args.bias, args.target)
     db, examples = _load_inputs(args, bias.head_mode.relation)
     db = register_target(db, examples)
     check_bias_fits(bias, db)
-    cfg = _config(args)
     if args.generalizer == "lgg" and bias.modes:
         _note("mode definitions in the bias file are ignored by the lgg generalizer")
     # the training scores below read the coverage learning computed
@@ -203,6 +203,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    cfg = _config(args)
     if args.constant_threshold < 1:
         raise ConfigError("constant threshold must be >= 1")
     bias = _read_bias(args.bias, args.target) if args.bias is not None else None
@@ -222,7 +223,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _note(f"bias induction took {_ms(started)} ms")
     else:
         check_bias_fits(bias, db)
-    cfg = _config(args)
     report = cross_validate(
         db,
         examples,

@@ -94,25 +94,19 @@ def dedupe_bidirectional(ind_set: IndSet) -> IndSet:
     """Resolve mutual approximate INDs, keeping the lower-error direction.
 
     Mutual exact INDs are both kept (they define cycles that later share a
-    type). Equal nonzero errors keep the IND whose lhs sorts first by
-    (relation, position).
+    type). Equal nonzero errors keep the IND whose lhs sorts first.
     """
     by_key = {(i.lhs, i.rhs): i for i in ind_set.inds}
     kept: list[UnaryInd] = []
     for ind in ind_set.inds:
         reverse = by_key.get((ind.rhs, ind.lhs))
-        if reverse is None or ind.error == 0.0 or reverse.error == 0.0:
+        if (
+            reverse is None
+            or ind.error == 0.0
+            or reverse.error == 0.0
+            or (ind.error, ind.lhs) < (reverse.error, reverse.lhs)
+        ):
             kept.append(ind)
-            continue
-        if ind.error < reverse.error:
-            kept.append(ind)
-        elif ind.error == reverse.error:
-            if (ind.lhs.relation, ind.lhs.position) < (
-                reverse.lhs.relation,
-                reverse.lhs.position,
-            ):
-                kept.append(ind)
-        # else: the reverse survives on its own iteration
     return IndSet(tuple(sorted(kept)), ind_set.alpha)
 
 

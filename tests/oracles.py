@@ -34,6 +34,7 @@ from automode.learner import (
     score,
 )
 from automode.lgg import lgg_clauses
+from automode.profiler import IndSet, UnaryInd
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, load_schema
 
 
@@ -593,18 +594,16 @@ def isomorphic(c1: Clause, c2: Clause) -> bool:
 def type_reachability_oracle(graph) -> dict:
     """Recompute token placement as budgeted reachability: a token minted at
     node o lands on node v iff some directed path v -> ... -> o crosses at
-    most one approximate edge."""
-    succ: dict = {}
-    for src, dst, error in graph.edges:
-        succ.setdefault(src, []).append((dst, error > 0))
-    expected: dict = {node: set() for node in graph.nodes}
+    most one approximate edge, and is flagged there (True) iff every such
+    path crosses one."""
+    expected: dict = {node: {} for node in graph.nodes}
     for token, origins in graph.origins.items():
         # BFS over (node, approx-crossings-used) states, walking backward
         frontier = [(node, 0) for node in origins]
         seen = set(frontier)
         while frontier:
             node, used = frontier.pop()
-            expected[node].add(token)
+            expected[node][token] = expected[node].get(token, True) and used == 1
             for prev, approx in _incoming(graph.edges, node):
                 cost = used + (1 if approx else 0)
                 if cost <= 1 and (prev, cost) not in seen:
@@ -617,6 +616,73 @@ def _incoming(edges, node):
     for src, dst, error in edges:
         if dst == node:
             yield src, error > 0
+
+
+def type_origins_oracle(nodes, edges) -> dict:
+    """Which tokens are minted where, from the definitions: components by
+    mutual reachability, a sink is a component no edge leaves, and tokens
+    are numbered sinks first, then the other components of more than one
+    node, each group by least node, then the starved nodes in schema order.
+    A node is starved when no path from it reaches an origin of those
+    tokens across at most one approximate edge."""
+    reach = {}
+    for node in nodes:
+        seen = {node}
+        frontier = [node]
+        while frontier:
+            here = frontier.pop()
+            for src, dst, _ in edges:
+                if src == here and dst not in seen:
+                    seen.add(dst)
+                    frontier.append(dst)
+        reach[node] = seen
+    components = sorted(
+        {tuple(sorted(m for m in reach[n] if n in reach[m])) for n in nodes}
+    )
+    sinks, cycles = [], []
+    for comp in components:
+        if all(src not in comp or dst in comp for src, dst, _ in edges):
+            sinks.append(comp)
+        elif len(comp) > 1:
+            cycles.append(comp)
+    minted = {m for comp in sinks + cycles for m in comp}
+    starved = []
+    for node in nodes:
+        # (node, approximate edges crossed) states, walking along the edges
+        states = {(node, 0)}
+        frontier = [(node, 0)]
+        while frontier:
+            here, used = frontier.pop()
+            for src, dst, error in edges:
+                state = (dst, used + (error > 0))
+                if src == here and state[1] <= 1 and state not in states:
+                    states.add(state)
+                    frontier.append(state)
+        if not any(here in minted for here, _ in states):
+            starved.append((node,))
+    return {f"T{k}": comp for k, comp in enumerate(sinks + cycles + starved, 1)}
+
+
+def dedupe_bidirectional_oracle(ind_set):
+    """Mutual-IND resolution as first written: keep an IND without a
+    reverse or with an exact direction, else the lower error, and on equal
+    errors the IND whose lhs sorts first by (relation, position)."""
+    by_key = {(i.lhs, i.rhs): i for i in ind_set.inds}
+    kept = []
+    for ind in ind_set.inds:
+        reverse = by_key.get((ind.rhs, ind.lhs))
+        if reverse is None or ind.error == 0.0 or reverse.error == 0.0:
+            kept.append(ind)
+        elif ind.error < reverse.error:
+            kept.append(ind)
+        elif ind.error == reverse.error:
+            if (ind.lhs.relation, ind.lhs.position) < (
+                reverse.lhs.relation,
+                reverse.lhs.position,
+            ):
+                kept.append(ind)
+    return IndSet(tuple(sorted(kept)), ind_set.alpha)
+
 
 def facts_csv_oracle(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]:
     """The facts reader as first written: keep the numbered non-blank
@@ -735,6 +801,33 @@ def random_db(
             tuple(rng.choice(constants) for _ in range(schema.arity))
         )
     return DatabaseInstance.build(schemas, tuples)
+
+
+def random_ind_set(rng: random.Random) -> tuple[tuple[RelationSchema, ...], IndSet]:
+    """1-5 relations of arity 1-3 and INDs over their attributes with no
+    data behind them. Errors are drawn from {0, 0.25, 0.5}, so equal
+    nonzero errors are common. Given three attributes or more, a cycle of
+    2-4 of them is planted before the random edges, and a chain a -> b -> c
+    of two approximate edges after them, as the only edges out of a and b:
+    unless c reaches back to a or b, a is starved."""
+    schemas = tuple(
+        RelationSchema(f"r{i}", tuple(f"a{j}" for j in range(rng.randint(1, 3))))
+        for i in range(rng.randint(1, 5))
+    )
+    nodes = [a for s in schemas for a in s.attribute_refs()]
+    errors = (0.0, 0.0, 0.25, 0.5)
+    edges = []
+    if len(nodes) >= 3:
+        cycle = rng.sample(nodes, rng.randint(2, min(4, len(nodes))))
+        edges += [(a, b, rng.choice(errors)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    if len(nodes) >= 2:
+        for _ in range(rng.randint(0, 2 * len(nodes))):
+            edges.append((*rng.sample(nodes, 2), rng.choice(errors)))
+    if len(nodes) >= 3:
+        a, b, c = rng.sample(nodes, 3)
+        edges = [e for e in edges if e[0] not in (a, b)] + [(a, b, 0.25), (b, c, 0.5)]
+    inds = {(a, b): UnaryInd(a, b, error) for a, b, error in edges}
+    return schemas, IndSet(tuple(sorted(inds.values())), 1.0)
 
 
 def random_task(rng: random.Random) -> tuple[DatabaseInstance, ExampleSet]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,14 @@ from automode.profiler import IndSet, UnaryInd, dedupe_bidirectional, discover_i
 from automode.relstore import AttributeRef, DatabaseInstance, RelationSchema
 
 from conftest import MANUAL_BIAS_TEXT
-from oracles import dedupe_modes_oracle, random_db, random_wide_db, type_reachability_oracle
+from oracles import (
+    dedupe_modes_oracle,
+    random_db,
+    random_ind_set,
+    random_wide_db,
+    type_origins_oracle,
+    type_reachability_oracle,
+)
 
 
 def _single_column_db(columns: dict[str, list[str]]) -> DatabaseInstance:
@@ -124,10 +132,43 @@ class TestTypeGraph:
             graph = build_type_graph(
                 db.schemas, dedupe_bidirectional(discover_inds(db, 0.5))
             )
-            expected = type_reachability_oracle(graph)
-            assert {n: graph.types(n) for n in graph.nodes} == {
-                n: frozenset(v) for n, v in expected.items()
-            }
+            assert graph.assignments == type_reachability_oracle(graph)
+
+    def test_tokens_are_minted_where_the_oracle_mints_them(self):
+        rng = random.Random(89)
+        kinds: Counter[str] = Counter()
+        for k in range(360):
+            if k % 2:
+                schemas, inds = random_ind_set(rng)
+            else:
+                db = random_db(rng, max_relations=4)
+                alpha = (0.0, 0.5, 1.0)[k // 2 % 3]
+                schemas, inds = db.schemas, dedupe_bidirectional(discover_inds(db, alpha))
+            graph = build_type_graph(schemas, inds)
+            assert graph.origins == type_origins_oracle(graph.nodes, graph.edges)
+            assert graph.assignments == type_reachability_oracle(graph)
+            found = set()
+            for members in graph.origins.values():
+                leaves = any(s in members and d not in members for s, d, _ in graph.edges)
+                if len(members) > 1:
+                    found.add("non-sink cycle" if leaves else "multi-node sink")
+                elif leaves:
+                    # a minted single node with an edge out is no sink
+                    found.add("starved node")
+            kinds.update(found)
+        assert min(kinds[k] for k in ("non-sink cycle", "multi-node sink", "starved node")) >= 30
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_a_5000_attribute_chain_or_cycle_needs_no_recursion(self, closed):
+        schema = RelationSchema("wide", tuple(f"a{i}" for i in range(5000)))
+        refs = schema.attribute_refs()
+        pairs = list(zip(refs, refs[1:] + (refs[:1] if closed else ())))
+        graph = build_type_graph(
+            (schema,), IndSet(tuple(UnaryInd(a, b, 0.0) for a, b in pairs), 0.0)
+        )
+        # the chain's sink is its last attribute; the cycle is one sink
+        assert graph.origins == {"T1": refs if closed else refs[-1:]}
+        assert all(graph.assignments[n] == {"T1": False} for n in refs)
 
     def test_join_soundness_for_exact_inds(self):
         rng = random.Random(71)

@@ -148,6 +148,34 @@ class TestExitCodes:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["learn", "evaluate"])
+    def test_bad_learner_flag_fails_before_any_input_is_read(
+        self, fixture_dir, tmp_path, capsys, command
+    ):
+        bias = tmp_path / "b.txt"
+        bias.write_text(MANUAL_BIAS_TEXT, encoding="utf-8")
+        if command == "learn":
+            tail = ["--bias", str(bias), "--out", str(tmp_path / "m.dl")]
+        else:
+            tail = ["--report", str(tmp_path / "r.json")]
+        rc = dispatch(
+            [
+                command,
+                "--schema",
+                str(fixture_dir["schema"]),
+                "--facts",
+                str(tmp_path / "no-such-dir"),
+                "--examples",
+                str(fixture_dir["examples"]),
+                "--target",
+                "advisedBy",
+                "--beam-width",
+                "0",
+                *tail,
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: beam_width must be >= 1\n"
 
     @pytest.mark.parametrize(
         "command, name, problem",

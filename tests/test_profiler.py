@@ -18,7 +18,13 @@ from automode.profiler import (
 )
 from automode.relstore import AttributeRef, DatabaseInstance, RelationSchema
 
-from oracles import inds_oracle, random_db, random_wide_db
+from oracles import (
+    dedupe_bidirectional_oracle,
+    inds_oracle,
+    random_db,
+    random_ind_set,
+    random_wide_db,
+)
 
 
 def _ind(ind_set: IndSet, lhs: tuple[str, int], rhs: tuple[str, int]) -> UnaryInd | None:
@@ -186,6 +192,16 @@ class TestDedupe:
         a, b = _attr("r1"), _attr("r2")
         ind_set = IndSet(tuple(sorted([UnaryInd(a, b, 0.0), UnaryInd(b, a, 0.4)])), 0.5)
         assert len(dedupe_bidirectional(ind_set).inds) == 2
+
+    def test_matches_the_three_branch_rule(self):
+        rng = random.Random(101)
+        ties = 0
+        for _ in range(300):
+            _, ind_set = random_ind_set(rng)
+            assert dedupe_bidirectional(ind_set) == dedupe_bidirectional_oracle(ind_set)
+            by_key = {(i.lhs, i.rhs): i.error for i in ind_set.inds}
+            ties += any(0 < i.error == by_key.get((i.rhs, i.lhs)) for i in ind_set.inds)
+        assert ties >= 30
 
 
 class TestIndErrors:

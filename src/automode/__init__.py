@@ -8,7 +8,6 @@ from .clauses import (
     HornDefinition,
     Literal,
     Term,
-    const,
     conforms,
     covered_examples,
     minimize,

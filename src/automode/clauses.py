@@ -1,13 +1,15 @@
 """Clause representation and evaluation.
 
-A clause is one head literal plus an ordered body of literals over
-variables and string constants. Coverage has one evaluator,
-`covered_examples`, which tests a whole clause against a set of examples in
-one joined pass: each body literal becomes a factor read from the
-database's stored row sets and position index (never by scanning a
-relation), a worklist semi-join reduction shrinks the factors smallest
-first, variable elimination joins away the non-head variables, and each
-example is checked against what is left. Learning reads it through
+A clause is one head literal plus an ordered body of literals. A term is
+a variable (a `Term`) or a constant, which is its value, a plain string:
+a ground literal's `args` is a row, and `_extend` matches a literal's
+arguments against a stored row or another literal's alike. Coverage has
+one evaluator, `covered_examples`, which tests a whole clause against a
+set of examples in one joined pass: each body literal becomes a factor
+read from the database's stored row sets and position index (never by
+scanning a relation), a worklist semi-join reduction shrinks the factors
+smallest first, variable elimination joins away the non-head variables,
+and each example is checked against what is left. Learning reads it through
 `learner.CoverageCache`, which keeps one pass per clause over every example
 it will be asked about; scoring asks about each clause's
 `canonical_variant`, so alphabetic variants share one pass.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import prod
 from itertools import compress, starmap
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import ValidationError
@@ -37,24 +39,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Term(NamedTuple):
+    """A variable; a constant argument is its value, a plain `str`."""
+
     symbol: str
-    is_var: bool
 
 
 def var(name: str) -> Term:
-    return Term(name, True)
-
-
-def const(value: str) -> Term:
-    return Term(value, False)
+    return Term(name)
 
 
 class Literal(NamedTuple):
     relation: str
-    args: tuple[Term, ...]
+    args: tuple[Term | str, ...]
 
     def variables(self) -> tuple[Term, ...]:
-        return tuple(a for a in self.args if a.is_var)
+        return tuple(a for a in self.args if type(a) is Term)
 
     def __str__(self) -> str:
         return f"{self.relation}({','.join(_render_term(a) for a in self.args)})"
@@ -98,10 +97,10 @@ _TERM_RE = re.compile(r'\s*(?:"((?:[^"\\]|\\.)*)"|([A-Za-z_][A-Za-z0-9_]*))\s*')
 _LIT_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\(")
 
 
-def _render_term(t: Term) -> str:
-    if t.is_var:
+def _render_term(t: Term | str) -> str:
+    if type(t) is Term:
         return t.symbol
-    escaped = t.symbol.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = t.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
 
@@ -123,12 +122,12 @@ def canonical_variant(clause: Clause) -> Clause:
     mapping: dict[Term, Term] = {}
     for lit in (clause.head, *clause.body):
         for t in lit.args:
-            if t.is_var and t not in mapping:
+            if type(t) is Term and t not in mapping:
                 mapping[t] = var(f"V{len(mapping)}")
     return apply_renaming(clause, mapping)
 
 
-def apply_renaming(clause: Clause, mapping: dict[Term, Term]) -> Clause:
+def apply_renaming(clause: Clause, mapping: dict[Term, Term | str]) -> Clause:
     def sub(lit: Literal) -> Literal:
         return Literal(lit.relation, tuple(mapping.get(a, a) for a in lit.args))
 
@@ -174,13 +173,13 @@ def _parse_literal(text: str, pos: int) -> tuple[Literal, int]:
     if not m:
         raise ValidationError(f"cannot parse literal at {text[pos:]!r}")
     pos = m.end()
-    args: list[Term] = []
+    args: list[Term | str] = []
     while True:
         t = _TERM_RE.match(text, pos)
         if not t:
             raise ValidationError(f"cannot parse term at {text[pos:]!r}")
         if t.group(1) is not None:
-            args.append(const(t.group(1).replace('\\"', '"').replace("\\\\", "\\")))
+            args.append(t.group(1).replace('\\"', '"').replace("\\\\", "\\"))
         else:
             args.append(var(t.group(2)))
         pos = t.end()
@@ -213,17 +212,17 @@ def find_witness(
     """
     pending: list[Literal] = []
     for lit in literals:
-        if any(a.is_var and a not in binding for a in lit.args):
+        if any(type(a) is Term and a not in binding for a in lit.args):
             pending.append(lit)
-        elif _image(lit, binding) not in db.fact_set(lit.relation):
+        elif tuple(map(binding.get, lit.args, lit.args)) not in db.fact_set(lit.relation):
             return None
     for group in sorted(_components(pending, binding), key=len):
         candidates = []
         for lit in group:
             bound = {
-                pos: (binding[a] if a.is_var else a.symbol)
+                pos: binding.get(a, a)
                 for pos, a in enumerate(lit.args)
-                if not a.is_var or a in binding
+                if type(a) is not Term or a in binding
             }
             rows = db.matching_rows(lit.relation, bound)
             if not rows:
@@ -245,10 +244,6 @@ def find_witness(
     return binding
 
 
-def _image(lit: Literal, binding: dict[Term, str]) -> tuple[str, ...]:
-    return tuple(binding[a] if a.is_var else a.symbol for a in lit.args)
-
-
 def _components(
     literals: list[Literal], binding: dict[Term, str]
 ) -> list[list[Literal]]:
@@ -263,7 +258,7 @@ def _components(
     home: dict[Term, int] = {}
     for i, lit in enumerate(literals):
         for a in lit.args:
-            if a.is_var and a not in binding:
+            if type(a) is Term and a not in binding:
                 j = home.setdefault(a, i)
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -281,14 +276,16 @@ def _head_binding(head: Literal, example: tuple[str, ...]) -> dict[Term, str] | 
     return _extend(head, example, {})
 
 
-def _extend(
-    lit: Literal, row: tuple[str, ...], binding: dict[Term, str]
-) -> dict[Term, str] | None:
+def _extend(lit: Literal, row: tuple, binding: dict[Term, object]) -> dict | None:
+    """`binding` extended to map `lit`'s arguments onto `row`, or None.
+
+    `row` is a tuple of values: a stored row, or another literal's `args`,
+    whose variables then count as values too."""
     out = binding
     copied = False
     for term, value in zip(lit.args, row):
-        if not term.is_var:
-            if term.symbol != value:
+        if type(term) is not Term:
+            if term != value:
                 return None
             continue
         known = out.get(term)
@@ -339,9 +336,9 @@ def covered_examples(
     the same variables are intersected, and the example rows are then
     filtered by each merged factor in turn, so no join runs without a
     shared variable. A ground body literal constrains no variable and is no
-    factor: it is one membership test in its stored row set. Rows are
-    projected, filtered and collected by `itemgetter`, `compress` and `map`
-    rather than per-row Python code. An example whose arity is not the
+    factor: its `args` is a row, one membership test in its stored row
+    set. Rows are projected, filtered and collected by `itemgetter`,
+    `compress` and `map` rather than per-row Python code. An example whose arity is not the
     head's, or a clause `check_body` refuses, raises `ValidationError`.
     """
     check_body(clause, db)
@@ -371,14 +368,14 @@ def covered_examples(
         factor_vars = tuple(dict.fromkeys(lit.variables()))
         if not factor_vars:
             # a ground literal constrains no variable: one membership test
-            if tuple(map(_SYMBOL, lit.args)) not in db.fact_set(lit.relation):
+            if lit.args not in db.fact_set(lit.relation):
                 return frozenset()
             continue
         if len(factor_vars) == len(lit.args):
             # distinct variables only: the stored row set is the factor
             rows = db.fact_set(lit.relation)
         else:
-            bound = {pos: a.symbol for pos, a in enumerate(lit.args) if not a.is_var}
+            bound = {pos: a for pos, a in enumerate(lit.args) if type(a) is not Term}
             rows = _literal_rows(lit, factor_vars, db.matching_rows(lit.relation, bound))
         if not rows:
             return frozenset()  # no stored tuple matches: covers nothing
@@ -415,7 +412,6 @@ def covered_examples(
 
 
 _NO_POSITION = itemgetter(slice(0, 0))  # any row's empty projection, ()
-_SYMBOL = attrgetter("symbol")
 
 
 def _project(rows: Iterable[tuple[str, ...]], positions: tuple[int, ...]):
@@ -433,7 +429,7 @@ def _literal_rows(
     # bind each repeated variable consistently, projected onto factor_vars
     first = {v: lit.args.index(v) for v in factor_vars}
     for pos, a in enumerate(lit.args):
-        if a.is_var and first[a] != pos:
+        if type(a) is Term and first[a] != pos:
             rows = list(compress(rows, starmap(eq, map(itemgetter(pos, first[a]), rows))))
     return frozenset(_project(rows, tuple(first.values())))
 
@@ -448,8 +444,11 @@ def _reduce_domains(factors) -> None:
     the factors smallest first. Each is filtered by the domains already
     known, and only its surviving rows are read for its column values,
     which set or narrow its variables' domains; a narrowed domain requeues
-    the variable's visited holders. The fixpoint is unique (Bernstein &
-    Chiu, JACM 1981), so the order changes the cost, not the result.
+    the variable's visited holders. Right after a visit, a factor's values
+    at each shared variable are that variable's domain, so a requeued
+    factor always loses a row: no visit is wasted. The fixpoint is unique
+    (Bernstein & Chiu, JACM 1981), so the order changes the cost, not the
+    result.
     Stored row sets are replaced, never mutated, so factors may share them
     with the database.
     """
@@ -469,7 +468,6 @@ def _reduce_domains(factors) -> None:
         reverse=True,
     )
     queued = set(pending)
-    visited: set[int] = set()
     while pending:
         k = pending.pop()
         queued.discard(k)
@@ -480,9 +478,6 @@ def _reduce_domains(factors) -> None:
                 kept = list(compress(kept, map(domains[v].__contains__, map(column, kept))))
         if len(kept) < len(rows):
             factors[k] = (factor_vars, frozenset(kept))
-        elif k in visited:
-            continue
-        visited.add(k)
         for column, v in shared[k]:
             values = set(map(column, kept))
             if v not in domains or len(values) < len(domains[v]):
@@ -547,11 +542,14 @@ def subsumes(general: Clause, specific: Clause) -> bool:
 
 def subsumption_witness(
     general: Clause, specific: Clause
-) -> dict[Term, Term] | None:
+) -> dict[Term, Term | str] | None:
     """A substitution of `general`'s variables that maps its head onto
     `specific`'s head and every body literal into `specific`'s body, or
     None when there is none."""
-    theta = _unify_literal(general.head, specific.head, {})
+    head, target = general.head, specific.head
+    if head.relation != target.relation or len(head.args) != len(target.args):
+        return None
+    theta = _extend(head, target.args, {})
     if theta is None:
         return None
     candidates = _consistent_targets(general.body, specific.body, theta)
@@ -559,7 +557,7 @@ def subsumption_witness(
 
 
 def _consistent_targets(
-    literals: Iterable[Literal], targets: Iterable[Literal], theta: dict[Term, Term]
+    literals: Iterable[Literal], targets: Iterable[Literal], theta: dict[Term, Term | str]
 ) -> list[list[Literal]]:
     """For each literal, the targets it unifies with under `theta`, in
     their order.
@@ -572,17 +570,17 @@ def _consistent_targets(
     by_shape: dict[tuple[str, int], list[Literal]] = {}
     for t in targets:
         by_shape.setdefault((t.relation, len(t.args)), []).append(t)
-    indexes: dict[tuple, dict[tuple[Term, ...], list[Literal]]] = {}
+    indexes: dict[tuple, dict[tuple, list[Literal]]] = {}
     out = []
     for lit in literals:
         fixed: list[int] = []
-        key: list[Term] = []
+        key: list[Term | str] = []
         first: dict[Term, int] = {}
         repeats: list[tuple[int, int]] = []
         for pos, a in enumerate(lit.args):
-            if not a.is_var or a in theta:
+            if type(a) is not Term or a in theta:
                 fixed.append(pos)
-                key.append(theta[a] if a.is_var else a)
+                key.append(theta.get(a, a))
             elif first.setdefault(a, pos) != pos:
                 repeats.append((pos, first[a]))
         shape = (lit.relation, len(lit.args), tuple(fixed))
@@ -598,34 +596,11 @@ def _consistent_targets(
     return out
 
 
-def _unify_literal(
-    src: Literal, dst: Literal, theta: dict[Term, Term]
-) -> dict[Term, Term] | None:
-    if src.relation != dst.relation or len(src.args) != len(dst.args):
-        return None
-    out = theta
-    copied = False
-    for a, b in zip(src.args, dst.args):
-        if not a.is_var:
-            if a != b:
-                return None
-            continue
-        known = out.get(a)
-        if known is None:
-            if not copied:
-                out = dict(out)
-                copied = True
-            out[a] = b
-        elif known != b:
-            return None
-    return out
-
-
 def _embed(
     literals: list[Literal],
     candidates: list[list[Literal]],
-    theta: dict[Term, Term],
-) -> dict[Term, Term] | None:
+    theta: dict[Term, Term | str],
+) -> dict[Term, Term | str] | None:
     """An extension of `theta` mapping each literal onto one of its
     candidates, all of them consistent with `theta`, or None.
 
@@ -641,7 +616,7 @@ def _embed(
     occurs: dict[Term, list[int]] = {}
     for k, lit in enumerate(literals):
         for a in lit.args:
-            if a.is_var and a not in theta:
+            if type(a) is Term and a not in theta:
                 occurs.setdefault(a, []).append(k)
     pending = list(range(len(literals)))
     stack = []
@@ -657,7 +632,7 @@ def _embed(
             # the first position of each variable the branch binds
             free: dict[Term, int] = {}
             for pos, a in enumerate(literals[best].args):
-                if a.is_var and a not in theta:
+                if type(a) is Term and a not in theta:
                     free.setdefault(a, pos)
             if free:
                 break
@@ -732,14 +707,13 @@ def fold_singleton_literals(clause: Clause) -> Clause:
     for i, lit in enumerate(body):
         groups.setdefault((lit.relation, len(lit.args)), []).append(i)
         for arg in lit.args:
-            if arg.is_var:
+            if type(arg) is Term:
                 holders.setdefault(arg, []).append(i)
     # occurrences, not literals: a variable twice in one literal is no
     # singleton, and its holders list that literal twice
     counts = {arg: len(held) for arg, held in holders.items()}
-    for arg in clause.head.args:
-        if arg.is_var:
-            counts[arg] = counts.get(arg, 0) + 1
+    for arg in clause.head.variables():
+        counts[arg] = counts.get(arg, 0) + 1
     # drop the lowest literal with a partner, as restarting from the first
     # literal after each removal would: only a literal holding a singleton
     # can have one, and a literal gains a singleton only when one of its
@@ -761,7 +735,7 @@ def fold_singleton_literals(clause: Clause) -> Clause:
             continue
         live.remove(i)
         for arg in args:
-            if arg.is_var:
+            if type(arg) is Term:
                 counts[arg] -= 1
                 if counts[arg] == 1:
                     for j in holders[arg]:
@@ -789,8 +763,7 @@ def _deep_reduce(clause: Clause) -> Clause:
     # the singleton fold performs a cheap subset of the same removals;
     # reduction is confluent, so pre-folding changes nothing but speed
     clause = fold_singleton_literals(clause)
-    head_theta = _unify_literal(clause.head, clause.head, {})
-    assert head_theta is not None
+    head_theta = {v: v for v in clause.head.variables()}
     body = list(clause.body)
     # consistency under the fixed head never changes: compute it once
     consistent = dict(zip(body, _consistent_targets(body, body, head_theta)))
@@ -798,7 +771,7 @@ def _deep_reduce(clause: Clause) -> Clause:
     holders: dict[Term, list[Literal]] = {}
     for lit in body:
         for a in lit.args:
-            if a.is_var and a not in head_theta:
+            if type(a) is Term and a not in head_theta:
                 holders.setdefault(a, []).append(lit)
     alive = set(body)
     # the group of the last dropped literal, and θ's image of its survivors
@@ -862,13 +835,13 @@ def _mode_matches(lit: Literal, symbols: tuple[str, ...], seen: set[Term]) -> bo
         return False
     for arg, sym in zip(lit.args, symbols):
         if sym == "+":
-            if not (arg.is_var and arg in seen):
+            if arg not in seen:
                 return False
         elif sym == "-":
-            if not arg.is_var:
+            if type(arg) is not Term:
                 return False
         else:  # '#'
-            if arg.is_var:
+            if type(arg) is Term:
                 return False
     return True
 
@@ -892,7 +865,7 @@ def _type_licensed(clause: Clause, bias: "BiasSpec") -> bool:
             placed: list[Term] = []
             ok = True
             for arg, token in zip(lit.args, decl.types):
-                if not arg.is_var:
+                if type(arg) is not Term:
                     continue
                 current = assignment.get(arg)
                 if current is None:

@@ -210,8 +210,7 @@ def ground_bottom_clause(
     `bias`, built by `implicit_bias`, each variable put back to the
     constant it stands for."""
     bottom = build_bottom_clause(example, db, bias, cfg)
-    constants = {term: Term(value, False) for term, value in bottom.witness.items()}
-    return apply_renaming(bottom.clause, constants)
+    return apply_renaming(bottom.clause, bottom.witness)
 
 
 def implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
@@ -287,8 +286,7 @@ class _SaturationState:
         for value in minted:
             self.var_map[value] = var(f"v{len(self.var_map)}")
         args = tuple(
-            Term(value, False) if sym == "#" else self.var_map[value]
-            for value, sym in zip(row, symbols)
+            value if sym == "#" else self.var_map[value] for value, sym in zip(row, symbols)
         )
         return Literal(relation, args), minted
 
@@ -573,7 +571,7 @@ def _scoring_equivalent(clause: Clause) -> Clause:
         names: dict[Term, int] = {}
         shape = tuple(
             (lit.relation, tuple(
-                a if a in head or not a.is_var else names.setdefault(a, len(names))
+                a if a in head or type(a) is not Term else names.setdefault(a, len(names))
                 for a in lit.args
             ))
             for lit in group
@@ -627,11 +625,10 @@ def learn_definition(
             cache=cache,
         )
 
-    return _cover_set(db, examples, cfg, learn_one, cache)
+    return _cover_set(examples, cfg, learn_one=learn_one, cache=cache)
 
 
 def _cover_set(
-    db: DatabaseInstance,
     examples: ExampleSet,
     cfg: LearnConfig,
     learn_one: Callable[[list, random.Random], Clause],

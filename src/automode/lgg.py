@@ -60,12 +60,12 @@ def lgg_clauses(c1: Clause, c2: Clause, reduce: bool = True) -> Clause:
             f"incompatible heads: {c1.head} vs {c2.head}"
         )
     terms = {t for lit in (c1.head, c2.head, *c1.body, *c2.body) for t in lit.args}
-    taken = [int(m[1]) for t in terms if t.is_var and (m := _VAR_SUFFIX.match(t.symbol))]
+    taken = [int(m[1]) for t in terms if type(t) is Term and (m := _VAR_SUFFIX.match(t.symbol))]
     numbers = count(max(taken, default=-1) + 1)
     names = defaultdict(lambda: var(f"v{next(numbers)}"), {(t, t): t for t in terms})
     pair = names.__getitem__
     head = Literal(c1.head.relation, tuple(map(pair, zip(c1.head.args, c2.head.args))))
-    partners: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
+    partners: dict[tuple[str, int], list[tuple[Term | str, ...]]] = {}
     for l2 in c2.body:
         partners.setdefault((l2.relation, len(l2.args)), []).append(l2.args)
     body = dict.fromkeys(
@@ -165,4 +165,4 @@ def lgg_learn(
                 break
         return clause
 
-    return _cover_set(db, examples, cfg, learn_one, cache)
+    return _cover_set(examples, cfg, learn_one=learn_one, cache=cache)

@@ -21,7 +21,6 @@ from automode.clauses import (
     HornDefinition,
     Literal,
     Term,
-    const,
     covered_examples,
     var,
 )
@@ -51,10 +50,10 @@ def covers_oracle(clause: Clause, example: tuple[str, ...], db: DatabaseInstance
     active domain and test the body against the stored tuples."""
     binding: dict[Term, str] = {}
     for term, value in zip(clause.head.args, example):
-        if term.is_var:
+        if type(term) is Term:
             if binding.setdefault(term, value) != value:
                 return False
-        elif term.symbol != value:
+        elif term != value:
             return False
     free = [v for v in clause.variables() if v not in binding]
     domain = active_domain(db, example)
@@ -63,7 +62,7 @@ def covers_oracle(clause: Clause, example: tuple[str, ...], db: DatabaseInstance
         theta = dict(binding)
         theta.update(zip(free, combo))
         if all(
-            tuple(theta[a] if a.is_var else a.symbol for a in lit.args)
+            tuple(theta[a] if type(a) is Term else a for a in lit.args)
             in facts[lit.relation]
             for lit in clause.body
         ):
@@ -149,7 +148,7 @@ def subsumes_oracle(general: Clause, specific: Clause) -> bool:
         return False
     fixed: dict[Term, Term] = {}
     for a, b in zip(general.head.args, specific.head.args):
-        if a.is_var:
+        if type(a) is Term:
             if fixed.setdefault(a, b) != b:
                 return False
         elif a != b:
@@ -252,7 +251,7 @@ def lgg_learn_oracle(
             clause, best = candidate, cand_score
         return clause
 
-    return _cover_set(db, examples, cfg, learn_one, cache)
+    return _cover_set(examples, cfg, learn_one=learn_one, cache=cache)
 
 
 def fold_oracle(clause: Clause) -> Clause:
@@ -267,13 +266,13 @@ def fold_oracle(clause: Clause) -> Clause:
         counts: dict[Term, int] = {}
         for lit in (clause.head, *body):
             for arg in lit.args:
-                if arg.is_var:
+                if type(arg) is Term:
                     counts[arg] = counts.get(arg, 0) + 1
         for i, lit in enumerate(body):
             fixed = [
                 (pos, arg)
                 for pos, arg in enumerate(lit.args)
-                if not (arg.is_var and counts[arg] == 1)
+                if not (type(arg) is Term and counts[arg] == 1)
             ]
             if len(fixed) == len(lit.args):
                 continue
@@ -347,7 +346,7 @@ def ground_bottom_oracle(
                     return None
                 pending[value] = joined
         prov.update(pending)
-        return Literal(relation, tuple(Term(value, False) for value in row)), minted
+        return Literal(relation, tuple(row)), minted
 
     body: list[Literal] = []
     emitted: set[Literal] = set()
@@ -379,7 +378,7 @@ def ground_bottom_oracle(
                         added.extend(minted)
                     break  # first satisfied mode wins
         frontier = list(dict.fromkeys(added))
-    head = Literal(target, tuple(Term(v, False) for v in example))
+    head = Literal(target, tuple(example))
     return Clause(head, tuple(body))
 
 
@@ -435,7 +434,7 @@ def linked_oracle(literals: list[Literal], binding) -> list[list[bool]]:
     """For every pair of literals, whether a chain of variables that
     `binding` leaves unbound links them: shared variables first, then
     Warshall's transitive closure."""
-    free = [{a for a in lit.args if a.is_var and a not in binding} for lit in literals]
+    free = [{a for a in lit.args if type(a) is Term and a not in binding} for lit in literals]
     n = len(literals)
     linked = [[i == j or not free[i].isdisjoint(free[j]) for j in range(n)] for i in range(n)]
     for k in range(n):
@@ -463,8 +462,8 @@ def head_fit_oracle(head: Literal, example: tuple[str, ...]) -> bool:
         return False
     out: dict[Term, str] = {}
     for term, value in zip(head.args, example):
-        if not term.is_var:
-            if term.symbol != value:
+        if type(term) is not Term:
+            if term != value:
                 return False
             continue
         known = out.get(term)
@@ -567,10 +566,10 @@ def isomorphic(c1: Clause, c2: Clause) -> bool:
             new_map = dict(mapping)
             ok = True
             for a, b in zip(lit.args, cand.args):
-                if a.is_var != b.is_var:
+                if (type(a) is Term) != (type(b) is Term):
                     ok = False
                     break
-                if not a.is_var:
+                if type(a) is not Term:
                     if a != b:
                         ok = False
                         break
@@ -890,7 +889,7 @@ def random_clause(
             elif kind < 0.85 or not allow_constants:
                 args.append(rng.choice(free_pool))
             else:
-                args.append(const(rng.choice(constants)))
+                args.append(rng.choice(constants))
         body.append(Literal(schema.name, tuple(args)))
     head = Literal("t", tuple(rng.choice(head_vars) for _ in range(head_arity)))
     return Clause(head, tuple(body))
@@ -983,7 +982,7 @@ def random_generalization(rng: random.Random, specific: Clause, pool: list[Term]
         lit = rng.choice(specific.body)
         args = []
         for a in lit.args:
-            if a in head_vars or (not a.is_var and rng.random() < 0.5):
+            if a in head_vars or (type(a) is not Term and rng.random() < 0.5):
                 args.append(a)
                 continue
             choices = [v for v, t in theta.items() if t == a]

@@ -395,6 +395,15 @@ class TestBiasSpec:
         text = text.replace("publication(-,+)", "publication ( - ,\t+ )")
         assert read_bias(text) == manual_bias
 
+    def test_blank_lines_indentation_and_comments_are_skipped(self, manual_bias):
+        lines = ["# a hand-written bias", ""]
+        for line in MANUAL_BIAS_TEXT.splitlines():
+            lines += [f"  {line}\t", "", "  # the line above is kept"]
+        text = "\n".join(lines) + "\n\n"
+        assert read_bias(text) == manual_bias
+        # a '#' inside a mode line is a mode symbol, not a comment
+        assert read_bias(text).modes_for("inPhase")[1] == ModeDecl("inPhase", ("+", "#"))
+
     @pytest.mark.parametrize(
         "line",
         [

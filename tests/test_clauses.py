@@ -16,7 +16,6 @@ from automode.clauses import (
     Term,
     canonical_text,
     conforms,
-    const,
     covered_examples,
     minimize,
     parse_clause,
@@ -43,7 +42,8 @@ from oracles import (
 
 
 class TestValueSemantics:
-    """Terms, literals and clauses are plain tuples of their fields."""
+    """Variables, literals and clauses are plain tuples of their fields, and
+    a constant is its value."""
 
     def test_no_state_beyond_the_fields(self, worked_clause):
         for value in (var("x"), worked_clause.head, worked_clause):
@@ -51,15 +51,25 @@ class TestValueSemantics:
                 vars(value)
 
     def test_hash_is_the_tuple_hash(self):
-        assert hash(var("x")) == hash(("x", True))
-        lit = Literal("r", (var("x"), const("a")))
-        assert hash(lit) == hash(("r", (("x", True), ("a", False))))
+        assert hash(var("x")) == hash(("x",))
+        lit = Literal("r", (var("x"), "a"))
+        assert hash(lit) == hash(("r", (("x",), "a")))
 
-    def test_terms_sort_by_symbol_then_kind(self):
-        terms = [var("b"), const("b"), var("a"), const("c"), const("a")]
-        assert sorted(terms) == [
-            const("a"), var("a"), const("b"), var("b"), const("c")
-        ]
+    def test_variables_sort_by_name(self):
+        terms = [var("b"), var("c"), var("a")]
+        assert sorted(terms) == [var("a"), var("b"), var("c")]
+
+    def test_a_constant_spelling_a_variable_round_trips(self):
+        assert var("a") != "a"
+        clause = Clause(
+            Literal("r", ("x", var("x"))),
+            (Literal("p", (var("x"), 'say "hi"', "a\\b", "c,d", "e :- f")),),
+        )
+        text = 'r("x",x) :- p(x,"say \\"hi\\"","a\\\\b","c,d","e :- f").'
+        assert render_clause(clause) == text
+        assert parse_clause(text) == clause
+        head = parse_clause(text).head.args
+        assert head[0] == "x" and type(head[0]) is str and head[1] == var("x")
 
     def test_equal_clause_built_apart_reuses_cached_coverage(self, monkeypatch):
         joined = []
@@ -83,7 +93,7 @@ class TestValueSemantics:
 class TestTextFormat:
     def test_render_constants_quoted(self):
         clause = Clause(
-            Literal("inPhase", (var("x"), const("post_quals"))),
+            Literal("inPhase", (var("x"), "post_quals")),
             (Literal("student", (var("x"),)),),
         )
         assert render_clause(clause) == 'inPhase(x,"post_quals") :- student(x).'
@@ -92,7 +102,7 @@ class TestTextFormat:
         assert parse_clause(render_clause(worked_clause)) == worked_clause
 
     def test_round_trip_with_escapes(self):
-        clause = Clause(Literal("r", (const('a"b\\c'),)), ())
+        clause = Clause(Literal("r", ('a"b\\c',)), ())
         assert parse_clause(render_clause(clause)) == clause
         # constants with quotes, backslashes, separators and line breaks,
         # some holding ':-' or '.', in the head as well as in the body
@@ -105,7 +115,7 @@ class TestTextFormat:
             if rng.random() < 0.3:
                 k = rng.randint(0, len(value))
                 value = value[:k] + rng.choice((":-", ".")) + value[k:]
-            return const(value)
+            return value
 
         def literal(relation: str) -> Literal:
             return Literal(relation, tuple(term() for _ in range(rng.randint(1, 3))))
@@ -338,7 +348,7 @@ class TestMinimize:
     def test_deep_reduce_matches_restart_oracle(self, monkeypatch):
         searched = _record_searches(monkeypatch)
         rng = random.Random(59)
-        pool = [var(f"y{i}") for i in range(3)] + [const("a"), const("b")]
+        pool = [var(f"y{i}") for i in range(3)] + ["a", "b"]
         shrunk = 0
         for _ in range(200):
             head_vars = [var(f"x{i}") for i in range(rng.randint(1, 2))]
@@ -355,7 +365,7 @@ class TestMinimize:
         assert shrunk >= 50
         # wider bodies, too costly for the oracle: still no literal is
         # searched twice
-        pool = [var(f"y{i}") for i in range(5)] + [const("a"), const("b")]
+        pool = [var(f"y{i}") for i in range(5)] + ["a", "b"]
         pairs = []
         for _ in range(400):
             head_vars = [var(f"x{i}") for i in range(rng.randint(1, 2))]
@@ -452,7 +462,7 @@ class TestSubsumes:
         # so forward checking prunes and backtracks
         answers = {True: 0, False: 0}
         pool = [var(f"z{i}") for i in range(3)]
-        constants = [const("a"), const("b")]
+        constants = ["a", "b"]
         for _ in range(300):
             head_vars = [var(f"x{i}") for i in range(rng.randint(1, 2))]
             specific = random_clause_over(
@@ -491,13 +501,13 @@ class TestSubsumes:
         # subsumption_witness
         rng = random.Random(61)
         head_vars = [var("x0"), var("x1")]
-        pool = [var("y0"), var("y1"), const("a"), const("b")]
+        pool = [var("y0"), var("y1"), "a", "b"]
         seen = {"repeated": 0, "repeated found": 0, "bound": 0, "found": 0, "refused": 0}
         for _ in range(300):
             literals = random_clause_over(rng, head_vars, pool, 8).body
             # half of the literals also appear renamed among the targets, so
             # a repeated unbound variable often finds its target
-            renaming = {v: rng.choice(head_vars + pool) for v in pool if v.is_var}
+            renaming = {v: rng.choice(head_vars + pool) for v in pool if type(v) is Term}
             targets = list(random_clause_over(rng, head_vars, pool, 8).body) + [
                 Literal(lit.relation, tuple(renaming.get(a, a) for a in lit.args))
                 for lit in literals
@@ -507,18 +517,24 @@ class TestSubsumes:
             general = Literal("t", tuple(rng.choice(head_vars) for _ in head_vars))
             specific = Literal("t", tuple(rng.choice(head_vars + pool) for _ in head_vars))
             for theta in (
-                clauses._unify_literal(general, general, {}),
-                clauses._unify_literal(general, specific, {}),
+                clauses._extend(general, general.args, {}),
+                clauses._extend(general, specific.args, {}),
             ):
                 if theta is None:
                     continue
                 expected = [
-                    [t for t in targets if clauses._unify_literal(lit, t, theta) is not None]
+                    [
+                        t
+                        for t in targets
+                        if t.relation == lit.relation
+                        and len(t.args) == len(lit.args)
+                        and clauses._extend(lit, t.args, theta) is not None
+                    ]
                     for lit in literals
                 ]
                 assert clauses._consistent_targets(literals, targets, theta) == expected
                 for lit, found in zip(literals, expected):
-                    free = [a for a in lit.args if a.is_var and a not in theta]
+                    free = [a for a in lit.args if type(a) is Term and a not in theta]
                     seen["repeated"] += len(set(free)) < len(free)
                     seen["repeated found"] += len(set(free)) < len(free) and bool(found)
                     seen["bound"] += any(a in theta for a in lit.args)

@@ -13,7 +13,7 @@ import pytest
 
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, find_witness, parse_clause
-from automode.clauses import Clause, HornDefinition, Literal, const, fold_singleton_literals, var
+from automode.clauses import Clause, HornDefinition, Literal, Term, fold_singleton_literals, var
 from automode.clauses import _components, _head_binding
 from automode.learner import (
     CoverageCache,
@@ -52,10 +52,10 @@ def head_binding(clause, example):
     """The binding that maps the clause head onto `example`, or None."""
     binding = {}
     for term, value in zip(clause.head.args, example):
-        if term.is_var:
+        if type(term) is Term:
             if binding.setdefault(term, value) != value:
                 return None
-        elif term.symbol != value:
+        elif term != value:
             return None
     return binding
 
@@ -106,10 +106,10 @@ def shaped_head_cases():
             },
         )
         head_args = [
-            var(f"x{rng.randrange(3)}") if rng.random() < 0.8 else const(rng.choice(pool))
+            var(f"x{rng.randrange(3)}") if rng.random() < 0.8 else rng.choice(pool)
             for _ in range(rng.randint(1, 3))
         ]
-        head_vars = list(dict.fromkeys(a for a in head_args if a.is_var))
+        head_vars = list(dict.fromkeys(a for a in head_args if type(a) is Term))
         body = []
         free = iter(var(f"y{i}") for i in range(99))
 
@@ -133,7 +133,7 @@ def shaped_head_cases():
             if rng.random() < 0.5:
                 # a constant beside one head variable, or a repeated variable
                 v = rng.choice(head_vars)
-                second = const(rng.choice(pool)) if rng.random() < 0.5 else v
+                second = rng.choice(pool) if rng.random() < 0.5 else v
                 body.append(Literal(f"{rng.choice('pq')}2", (v, second)))
         rng.shuffle(body)
         clause = Clause(Literal("t", tuple(head_args)), tuple(body))
@@ -142,7 +142,7 @@ def shaped_head_cases():
             # most examples fit the head, so the body decides them
             value = {v: rng.choice(pool) for v in head_vars}
             if rng.random() < 0.7:
-                drawn.append(tuple(value[a] if a.is_var else a.symbol for a in head_args))
+                drawn.append(tuple(value[a] if type(a) is Term else a for a in head_args))
             else:
                 drawn.append(tuple(rng.choice(pool) for _ in head_args))
         universe = [list(e) for e in drawn + drawn[: rng.randint(0, 3)]]
@@ -167,7 +167,7 @@ class TestFindWitness:
             found += 1
             for lit in clause.body:
                 image = tuple(
-                    witness[a] if a.is_var else a.symbol for a in lit.args
+                    witness[a] if type(a) is Term else a for a in lit.args
                 )
                 assert image in db.fact_set(lit.relation)
         assert found >= 30
@@ -237,7 +237,7 @@ class TestComponents:
         for _ in range(300):
             literals = list(dict.fromkeys(
                 Literal(rng.choice("pqr"), tuple(
-                    rng.choice(names) if rng.random() < 0.8 else const(rng.choice("ab"))
+                    rng.choice(names) if rng.random() < 0.8 else rng.choice("ab")
                     for _ in range(rng.randint(1, 3))
                 ))
                 for _ in range(rng.randint(1, 10))
@@ -317,7 +317,7 @@ class TestCoveredExamples:
             clause = random_clause(rng, db)
             if rng.random() < 0.3:
                 args = list(clause.head.args)
-                args[rng.randrange(len(args))] = const(f"c{rng.randrange(4)}")
+                args[rng.randrange(len(args))] = f"c{rng.randrange(4)}"
                 clause = Clause(Literal("t", tuple(args)), clause.body)
             example = random_example(rng, len(clause.head.args), pool=4)
             want = covers_oracle(clause, example, db)
@@ -368,7 +368,7 @@ class TestCoveredExamples:
             assert joined == want, (str(clause), universe)
             head = clause.head.args
             seen["ternary"] += len(head) == 3
-            seen["constant"] += not all(a.is_var for a in head)
+            seen["constant"] += not all(type(a) is Term for a in head)
             seen["repeated"] += len(set(head)) < len(head)
             seen["covered"] += len(want)
             seen["not"] += len({tuple(e) for e in universe} - want)
@@ -391,7 +391,7 @@ class TestCoveredExamples:
             cases = [(db, False)]
             if clause.body:
                 lit = rng.choice(clause.body)
-                fact = tuple(a.symbol for a in lit.args)
+                fact = lit.args
                 rows = [row for row in db.relation_rows(lit.relation) if row != fact]
                 cases.append((db.with_relation(db.schema(lit.relation), rows), True))
             for base, deleted in cases:
@@ -734,7 +734,7 @@ class TestSingletonFold:
         shrunk = 0
         for _ in range(600):
             pool = [var(f"y{i}") for i in range(rng.randint(1, 10))]
-            pool += [const("c0"), const("c1")]
+            pool += ["c0", "c1"]
             relations = rng.choice(("pppqr", "ppppp", "pprrq", "rrrp"))
             clause = random_clause_over(rng, head_vars, pool, 14, relations)
             folded = fold_singleton_literals(clause)

@@ -15,10 +15,10 @@ from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, rea
 from automode.clauses import (
     Clause,
     Literal,
+    Term,
     apply_renaming,
     canonical_text,
     conforms,
-    const,
     covered_examples,
     fold_singleton_literals,
     minimize,
@@ -345,7 +345,7 @@ class TestArmg:
                 roll = rng.random()
                 if roll < 0.15:
                     return rng.choice(head.args)
-                return rng.choice(free) if roll < 0.85 else const(f"c{rng.randrange(3)}")
+                return rng.choice(free) if roll < 0.85 else f"c{rng.randrange(3)}"
 
             body = [
                 Literal(rng.choice("pqr"), tuple(term() for _ in range(rng.randint(1, 3))))
@@ -356,7 +356,7 @@ class TestArmg:
             for a, b in reversed(list(zip(chain, chain[1:]))):
                 body.insert(rng.randint(0, len(body)), Literal("s", (a, b)))
             if rng.random() < 0.3:  # an all-constant literal
-                body.insert(rng.randint(0, len(body)), Literal("q", (const("c0"),)))
+                body.insert(rng.randint(0, len(body)), Literal("q", ("c0",)))
             if body and rng.random() < 0.3:  # a duplicate literal
                 body.insert(rng.randint(0, len(body)), rng.choice(body))
             out = _connected_order(head, body)
@@ -495,7 +495,7 @@ class TestGeneralizeClause:
         # used to ask the joined coverage pass of the head-only clause
         rng = random.Random(251)
         db = random_db(rng)
-        terms = [var("x"), var("y"), var("z"), const("c0")]
+        terms = [var("x"), var("y"), var("z"), "c0"]
         rejected = {"arity": 0, "repeated variable": 0, "constant": 0}
         for _ in range(1000):
             head = Literal("t", tuple(rng.choice(terms) for _ in range(rng.randint(1, 3))))
@@ -512,7 +512,7 @@ class TestGeneralizeClause:
             assert fits == CoverageCache(db, [example]).covers(Clause(head, ()), example)
             if fits:
                 continue
-            if all(t.is_var for t in head.args):
+            if all(type(t) is Term for t in head.args):
                 rejected["repeated variable"] += 1
             else:
                 rejected["constant"] += 1
@@ -608,10 +608,10 @@ class TestScoringEquivalent:
                 ]
                 for s in schemas
             })
-            pool = [var(f"y{i}") for i in range(rng.randint(1, 2))] + [const("c0")]
+            pool = [var(f"y{i}") for i in range(rng.randint(1, 2))] + ["c0"]
             clause = random_clause_over(rng, head_vars, pool, 5, rng.choice(("pppqr", "ppqq", "pq")))
             if rng.random() < 0.5:
-                renamed = {v: var(f"z{v.symbol}") for v in pool if v.is_var}
+                renamed = {v: var(f"z{v.symbol}") for v in pool if type(v) is Term}
                 body, copy = list(clause.body), list(apply_renaming(clause, renamed).body)
                 merged = []
                 while body or copy:

@@ -290,10 +290,11 @@ def induce_bias(
     """
     if not db.has_relation(target):
         raise ValidationError(f"target relation not registered: {target}")
+    # first: it rejects a bad threshold before the costlier profiling
+    head, body = generate_modes(db, constant_threshold, target)
     inds = dedupe_bidirectional(discover_inds(db, alpha))
     graph = build_type_graph(db.schemas, inds)
     predicates = generate_predicates(graph)
-    head, body = generate_modes(db, constant_threshold, target)
     return BiasSpec(predicates, body, head)
 
 

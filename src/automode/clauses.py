@@ -29,12 +29,12 @@ from heapq import heappop, heappush
 from math import prod
 from itertools import compress, starmap
 from operator import eq, itemgetter
-from typing import AbstractSet, Iterable, NamedTuple, Sequence, TYPE_CHECKING
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .biasgen import BiasSpec
+    from .biasgen import BiasSpec, PredicateDecl
     from .relstore import DatabaseInstance
 
 
@@ -856,14 +856,17 @@ def _type_licensed(clause: Clause, bias: "BiasSpec") -> bool:
             return False
         options.append(decls)
     assignment: dict[Term, str] = {}
-
-    def assign(i: int) -> bool:
-        if i == len(literals):
-            return True
-        lit = literals[i]
-        for decl in options[i]:
-            placed: list[Term] = []
-            ok = True
+    # depth first over an explicit stack, so no recursion limit bounds the
+    # body's length: one entry per literal on the current path, holding its
+    # untried declarations and the variables its current one typed
+    stack: list[tuple[Iterator[PredicateDecl], list[Term]]] = [(iter(options[0]), [])]
+    while stack:
+        decls, placed = stack[-1]
+        lit = literals[len(stack) - 1]
+        for decl in decls:
+            for term in placed:
+                del assignment[term]
+            placed.clear()
             for arg, token in zip(lit.args, decl.types):
                 if type(arg) is not Term:
                     continue
@@ -872,12 +875,15 @@ def _type_licensed(clause: Clause, bias: "BiasSpec") -> bool:
                     assignment[arg] = token
                     placed.append(arg)
                 elif current != token:
-                    ok = False
                     break
-            if ok and assign(i + 1):
-                return True
+            else:
+                break
+        else:
             for term in placed:
                 del assignment[term]
-        return False
-
-    return assign(0)
+            stack.pop()
+            continue
+        if len(stack) == len(literals):
+            return True
+        stack.append((iter(options[len(stack)]), []))
+    return False

@@ -6,12 +6,13 @@ of distinct R[A] values that would have to be removed for it to hold.
 
 Discovery reads an inverted index of values (De Marchi, Lopes & Petit,
 JIIS 2009): each distinct value maps to the columns that hold it. The
-index grows one column at a time, and before a column joins the holder
-lists of its values, one count over those lists gives its overlap with
-every earlier column, so each unordered pair is counted once. Both
-directions read that one integer: error = (|left| - overlap) / |left| is
-the same fraction of the same integers as a set difference, so errors are
-exact.
+index grows one column at a time: a column's value set is built, one count
+over its values' holder lists gives its overlap with every earlier column,
+the column joins those lists, and only its size is kept. So one value set
+is alive at a time, each is counted while still warm in the cache, and each
+unordered pair is counted once. Both directions read that one integer:
+error = (|left| - overlap) / |left| is the same fraction of the same
+integers as a set difference, so errors are exact.
 """
 
 from __future__ import annotations
@@ -65,19 +66,22 @@ def discover_inds(db: DatabaseInstance, alpha: float) -> IndSet:
         raise ValidationError(f"alpha must be in [0,1], got {alpha}")
     # sorted, so pairs are generated in the IndSet's canonical order
     attrs = sorted(all_attributes(db))
-    columns = [frozenset(map(itemgetter(a.position), db.rows[a.relation])) for a in attrs]
-    # earlier[i][j] = |columns[i] & columns[j]| for j < i, where nonzero
+    # one column's value set at a time, built just before it is counted and
+    # indexed, then dropped: sizes[i] = |V(i)| for the value set V(i) of
+    # attrs[i], and earlier[i][j] = |V(i) & V(j)| for j < i, where nonzero
     holders: defaultdict[str, list[int]] = defaultdict(list)
     earlier: list[Counter[int]] = []
-    for i, column in enumerate(columns):
+    sizes: list[int] = []
+    for i, a in enumerate(attrs):
+        column = set(map(itemgetter(a.position), db.rows[a.relation]))
+        sizes.append(len(column))
         lists = list(map(holders.__getitem__, column))
         earlier.append(Counter(chain.from_iterable(lists)))
         any(map(list.append, lists, repeat(i)))  # append returns None: drains the map
     found: list[UnaryInd] = []
-    for i, (lhs, left) in enumerate(zip(attrs, columns)):
-        if not left:
+    for i, (lhs, size) in enumerate(zip(attrs, sizes)):
+        if not size:
             continue
-        size = len(left)
         row = earlier[i]
         for j, rhs in enumerate(attrs):
             if j != i:

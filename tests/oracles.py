@@ -512,6 +512,27 @@ def implicit_bias_oracle(db: DatabaseInstance, target: str, predicates: tuple) -
     return BiasSpec(tuple(predicates), tuple(modes), head)
 
 
+def type_licensed_oracle(clause: Clause, bias: BiasSpec) -> bool:
+    """`clauses._type_licensed` by enumeration: some choice of one
+    declaration of the literal's arity per literal gives every variable a
+    single type."""
+    literals = (clause.head, *clause.body)
+    options = [
+        [d for d in bias.declarations_for(lit.relation) if len(d.types) == len(lit.args)]
+        for lit in literals
+    ]
+    for choice in product(*options):
+        types: dict[Term, str] = {}
+        if all(
+            types.setdefault(a, token) == token
+            for lit, decl in zip(literals, choice)
+            for a, token in zip(lit.args, decl.types)
+            if type(a) is Term
+        ):
+            return True
+    return False
+
+
 def dedupe_modes_oracle(body) -> tuple:
     """The deduplication that ended `biasgen.generate_modes` as first
     written: each mode once, in order of first appearance."""

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from automode import fixtures
+from automode import biasgen, fixtures
 from automode.biasgen import (
     BiasSpec,
     ModeDecl,
@@ -336,6 +336,15 @@ class TestGenerateModes:
         db = fixtures.small_database_registered()
         with pytest.raises(ConfigError):
             generate_modes(db, 0, "advisedBy")
+
+    def test_induce_bias_checks_the_threshold_before_profiling(self, monkeypatch):
+        def unprofiled(*args):
+            raise AssertionError("discover_inds ran")
+
+        monkeypatch.setattr(biasgen, "discover_inds", unprofiled)
+        db = fixtures.small_database_registered()
+        with pytest.raises(ConfigError, match="^constant threshold must be >= 1$"):
+            induce_bias(db, "advisedBy", constant_threshold=0)
 
 
 class TestBiasSpec:

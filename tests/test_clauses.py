@@ -8,7 +8,7 @@ import re
 import pytest
 
 from automode import clauses, fixtures, learner
-from automode.biasgen import read_bias
+from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl, read_bias
 from automode.clauses import (
     Clause,
     HornDefinition,
@@ -38,6 +38,7 @@ from oracles import (
     random_value,
     reduction_oracle,
     subsumes_oracle,
+    type_licensed_oracle,
 )
 
 
@@ -309,6 +310,44 @@ class TestConforms:
         # nor one for a head of another arity
         assert not conforms(parse_clause("advisedBy(x)."), bias)
         assert conforms(parse_clause("advisedBy(x,y)."), bias)
+
+    def test_long_chains_typed_without_recursion(self):
+        # each literal of the chain opens one level of the type search: a
+        # level per call stack frame overflowed Python's limit near 1,000
+        n = 1200
+        body = "".join(f"e(x{k},x{k + 1}), " for k in range(n))
+        chain = parse_clause(f"t(x0) :- {body}f(x{n}).")
+        modes = "MODES:\nt(+)\ne(+,-)\nf(+)\n"
+        bias = read_bias("PREDICATES:\nt(T1)\ne(T2,T2)\ne(T1,T1)\nf(T1)\n" + modes)
+        assert conforms(chain, bias)
+        # every e must take T1 from the head, and f has T2 only: the
+        # search reaches the last literal before it fails, then backs out
+        # through every level
+        bias = read_bias("PREDICATES:\nt(T1)\ne(T1,T1)\ne(T2,T2)\nf(T2)\n" + modes)
+        assert not conforms(chain, bias)
+
+    def test_type_search_matches_enumeration(self):
+        rng = random.Random(61)
+        relations = {"t": 2, "p": 1, "q": 2, "r": 3}
+        pool = [var(f"v{k}") for k in range(4)] + ["c"]
+        licensed = 0
+        for _ in range(400):
+            predicates = {
+                PredicateDecl(name, tuple(rng.choice("ABC") for _ in range(arity)))
+                for name, arity in relations.items()
+                for _ in range(rng.randint(1, 3))
+            }
+            bias = BiasSpec(tuple(sorted(predicates)), (), ModeDecl("t", ("+", "+")))
+            head = Literal("t", (var("v0"), var("v1")))
+            body = tuple(
+                Literal(name, tuple(rng.choice(pool) for _ in range(relations[name])))
+                for name in rng.choices(["p", "q", "r"], k=rng.randint(0, 5))
+            )
+            clause = Clause(head, body)
+            want = type_licensed_oracle(clause, bias)
+            assert clauses._type_licensed(clause, bias) == want
+            licensed += want
+        assert 100 <= licensed <= 300
 
 
 class TestMinimize:

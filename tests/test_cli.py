@@ -7,10 +7,13 @@ import re
 
 import pytest
 
-from automode import cli, relstore
+from automode import cli, fixtures, relstore
+from automode.biasgen import generate_modes
 from automode.cli import dispatch
 from automode.clauses import minimize, parse_clause
+from automode.errors import AutomodeError
 from automode.fixtures import materialize_small
+from automode.profiler import discover_inds
 
 from conftest import MANUAL_BIAS_TEXT
 
@@ -147,6 +150,43 @@ class TestExitCodes:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("discover-inds", "--alpha", "1.5"),
+            ("discover-inds", "--alpha", "-0.25"),
+            ("induce-bias", "--alpha", "2"),
+            ("induce-bias", "--constant-threshold", "0"),
+            ("evaluate", "--alpha", "1.5"),
+            ("evaluate", "--constant-threshold", "-1"),
+        ],
+    )
+    def test_bad_bias_flag_fails_before_any_input_is_read(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for loader in ("load_database", "load_examples", "read_input"):
+            monkeypatch.setattr(cli, loader, unread)
+        db = fixtures.small_database_registered()
+        # the message the library raises for the same value after loading
+        with pytest.raises(AutomodeError) as library:
+            if flag == "--alpha":
+                discover_inds(db, float(value))
+            else:
+                generate_modes(db, int(value), "advisedBy")
+        out = {
+            "discover-inds": ["--out", str(tmp_path / "inds.txt")],
+            "induce-bias": ["--out", str(tmp_path / "bias.txt")],
+            "evaluate": ["--report", str(tmp_path / "r.json")],
+        }[command]
+        rc = dispatch([command, *_data_args(fixture_dir), flag, value, *out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {library.value}\n"
+        # nothing beside the fixture's inputs was written
+        assert list(tmp_path.iterdir()) == [tmp_path / "data"]
 
     @pytest.mark.parametrize("command", ["learn", "evaluate"])
     def test_bad_learner_flag_fails_before_any_input_is_read(

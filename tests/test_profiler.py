@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -149,6 +151,30 @@ class TestDiscovery:
             UnaryInd(s, r, 0.5),
         )
         assert discover_inds(db, 0.4).inds == (UnaryInd(r, s, 0.0),)
+
+    def test_holds_one_column_set_at_a_time(self):
+        # 80 columns over one pool of 300 values: building every column's
+        # value set before counting peaks at about 1.5x their summed size,
+        # building each only while it is counted at about half of it
+        rng = random.Random(53)
+        pool = [f"v{k}" for k in range(300)]
+        schemas = tuple(RelationSchema(f"r{n}", ("a", "b")) for n in range(40))
+        db = DatabaseInstance.build(
+            schemas,
+            {s.name: [(rng.choice(pool), rng.choice(pool)) for _ in range(400)] for s in schemas},
+        )
+        columns = sum(
+            sys.getsizeof(frozenset(row[p] for row in rows))
+            for rows in db.rows.values()
+            for p in (0, 1)
+        )
+        tracemalloc.start()
+        try:
+            discover_inds(db, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < columns
 
     def test_deterministic_order(self):
         db = fixtures.typed_database_registered()

@@ -13,8 +13,9 @@ and each example is checked against what is left. Learning reads it through
 `learner.CoverageCache`, which keeps one pass per clause over every example
 it will be asked about; scoring asks about each clause's
 `canonical_variant`, so alphabetic variants share one pass.
-`find_witness` serves armg's prefix decisions and its one-row extensions:
-one existential substitution search that splits its literals by shared
+`find_witness` serves armg alone, its prefix decisions and its one-row
+extensions (armg's reuse check reads cached joined passes): one
+existential substitution search that splits its literals by shared
 unbound variables and solves each group by fail-first backtracking over
 indexed candidate rows, recursing once per branching literal.
 Clause-to-clause subsumption backs the deep reduction used to keep
@@ -216,7 +217,10 @@ def find_witness(
             pending.append(lit)
         elif tuple(map(binding.get, lit.args, lit.args)) not in db.fact_set(lit.relation):
             return None
-    for group in sorted(_components(pending, binding), key=len):
+    groups = [pending] * len(pending)  # none or one pending literal: no split
+    if len(pending) > 1:
+        groups = sorted(_components(pending, binding), key=len)
+    for group in groups:
         candidates = []
         for lit in group:
             bound = {
@@ -260,9 +264,10 @@ def _components(
         for a in lit.args:
             if type(a) is Term and a not in binding:
                 j = home.setdefault(a, i)
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+                if j != i:  # a variable's first literal joins nothing yet
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[ri] = rj
     groups: dict[int, list[Literal]] = {}
     for i, lit in enumerate(literals):
         groups.setdefault(find(i), []).append(lit)

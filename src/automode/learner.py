@@ -84,8 +84,9 @@ class CoverageCache:
     the universe raises `ValidationError`.
 
     `memo` stores the result of any other step that reads nothing but this
-    database (`db`) and its key: bottom clauses, armg steps, scoring
-    equivalents, ground bottom clauses and pairwise lggs. So runs over
+    database (`db`) and its key: bottom clauses, armg steps, singleton
+    folds, scoring equivalents, the groups of armg's reuse check, ground
+    bottom clauses and pairwise lggs. So runs over
     different example sets against the same database (the folds of
     `cross_validate`) can share one cache. One key per armg input clause
     `b` also gathers the distinct results armg has returned for `b`, each
@@ -315,7 +316,7 @@ def _saturate(
             for row in db.relation_rows(schema.name):
                 if produced >= cfg.per_relation_cap:
                     break
-                if not frontier_set.intersection(row):
+                if frontier_set.isdisjoint(row):
                     continue
                 for mode in modes:
                     result = state.try_mode(schema.name, row, mode.symbols)
@@ -431,10 +432,11 @@ def generalize_clause(
     shorter body, then clause text). Search stops when no candidate beats
     the best score seen so far. A sampled example the head cannot bind to
     (`clauses._head_binding`) is skipped: no body could cover it. Each
-    clause is scored through its `_scoring_equivalent`, and shares that
-    clause's coverage; the ranking reads the clause itself. The winner is
-    returned folded (`fold_singleton_literals`) even when it is the bottom
-    clause itself; the folded clause reuses the winner's cached coverage.
+    clause is scored through its `_equivalent`, and shares that clause's
+    coverage; the ranking reads the clause itself. The winner is returned
+    folded (`fold_singleton_literals`) even when it is the bottom clause
+    itself; the folded clause reuses the winner's cached coverage. Folds
+    are memoized (`_folded`).
 
     Every coverage test is a lookup in `cache`, whose universe must hold
     `positives` and `negatives`.
@@ -443,15 +445,18 @@ def generalize_clause(
     distinct earlier result `c = armg(b, e')` is tried (`_holds_for`): `c`
     must cover `e`, and each literal of `b` that `c` leaves out must stay
     unsatisfiable under `e` together with the literals of `c` before it
-    that non-head variables join to it. Then armg's greedy pass over `b`
-    for `e` keeps exactly `c`'s literals, by induction over `b`:
-    satisfiability is closed under subsets, so a literal of `c` is kept, as
-    it and the kept prefix are a subset of `c`, which covers `e`; and armg
-    decides each variable-connected group on its own, so the rest of that
-    prefix, satisfiable too, cannot unblock a left-out literal that its
-    group blocks. So the reuse returns what armg would, and any other case,
-    a kept literal that `_connected_order` dropped included, falls through
-    to armg. A bottom clause `check_body` refuses raises `ValidationError`.
+    that non-head variables join to it. That group depends on `b` and `c`
+    alone, and it is satisfiable under `e`'s head binding exactly when it
+    covers `e` under `b`'s head: a lookup in a cached joined pass. Then
+    armg's greedy pass over `b` for `e` keeps exactly `c`'s literals, by
+    induction over `b`: satisfiability is closed under subsets, so a
+    literal of `c` is kept, as it and the kept prefix are a subset of `c`,
+    which covers `e`; and armg decides each variable-connected group on
+    its own, so the rest of that prefix, satisfiable too, cannot unblock a
+    left-out literal that its group blocks. So the reuse returns what armg
+    would, and any other case, a kept literal that `_connected_order`
+    dropped included, falls through to armg. A bottom clause `check_body`
+    refuses raises `ValidationError`.
     """
     check_body(bottom, db)
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
@@ -470,9 +475,7 @@ def generalize_clause(
             if _holds_for(b, c, folded, e, cache):
                 return folded
         c = armg(b, e, db)
-        folded = results.get(c)
-        if folded is None:
-            folded = results[c] = fold_singleton_literals(c)
+        folded = results[c] = _folded(c, cache)
         return folded
 
     best = bottom
@@ -504,8 +507,15 @@ def generalize_clause(
             break
         best, best_score = ranked[0], top_score
         beam = ranked[: cfg.beam_width]
-    folded = minimize(fold_singleton_literals(best))
+    folded = minimize(_folded(best, cache))
     cache.share_coverage(best, folded)
+    return folded
+
+
+def _folded(clause: Clause, cache: CoverageCache) -> Clause:
+    """`fold_singleton_literals(clause)`, memoized in `cache`."""
+    folded = cache.memo(("fold", clause), lambda: fold_singleton_literals(clause))
+    cache.memo(("fold", folded), lambda: folded)  # the fold is idempotent
     return folded
 
 
@@ -514,7 +524,7 @@ def _equivalent(clause: Clause, cache: CoverageCache) -> Clause:
     memoized in `cache`: coverage does not depend on variable names, so
     alphabetic variants share one joined pass."""
     return cache.memo(
-        ("equivalent", clause), lambda: canonical_variant(_scoring_equivalent(clause))
+        ("equivalent", clause), lambda: canonical_variant(_scoring_equivalent(clause, cache))
     )
 
 
@@ -532,29 +542,33 @@ def _holds_for(
     equivalent of its fold `folded`, which scoring computes anyway. And
     each body literal of `clause` that `result` leaves out must be
     unsatisfiable under `example` together with the literals of `result`
-    before it in `clause` that non-head variables join to it: one witness
-    search per left-out literal. `generalize_clause` states why that is
-    exact.
+    before it in `clause` that non-head variables join to it: that group,
+    under the head of `clause`, must not cover `example`. The groups are
+    split once per pair, kept in `cache` and read through `_equivalent`:
+    no witness search runs. `generalize_clause` states why that is exact.
     """
+
+    def blocked() -> list[Clause]:
+        head = dict.fromkeys(clause.head.variables())
+        kept = set(result.body)
+        prefix: list[Literal] = []
+        groups = []
+        for lit in clause.body:
+            if lit in kept:
+                prefix.append(lit)
+            else:  # the first group holds `lit`: the rest of the prefix cannot block it
+                groups.append(Clause(clause.head, tuple(_components([lit, *prefix], head)[0])))
+        return groups
+
     if not cache.covers(_equivalent(folded, cache), example):
         return False
-    binding = _head_binding(clause.head, example)
-    kept = set(result.body)
-    prefix: list[Literal] = []
-    for lit in clause.body:
-        if lit in kept:
-            prefix.append(lit)
-            continue
-        # the first group holds `lit`: the rest of the prefix cannot block it
-        group = _components([lit, *prefix], binding)[0]
-        if find_witness(group, binding, cache.db) is not None:
-            return False
-    return True
+    groups = cache.memo(("blocked groups", clause, result), blocked)
+    return not any(cache.covers(_equivalent(group, cache), example) for group in groups)
 
 
-def _scoring_equivalent(clause: Clause) -> Clause:
+def _scoring_equivalent(clause: Clause, cache: CoverageCache) -> Clause:
     """A subsumption-equivalent clause found without a search: the
-    singleton fold, then one copy of each twin group.
+    singleton fold (`_folded`), then one copy of each twin group.
 
     A group is a set of body literals that non-head variables join; two
     groups are twins when renaming their non-head variables in
@@ -563,7 +577,7 @@ def _scoring_equivalent(clause: Clause) -> Clause:
     clause maps into itself without the later twin and covers exactly what
     it covers.
     """
-    folded = fold_singleton_literals(clause)
+    folded = _folded(clause, cache)
     head = dict.fromkeys(folded.head.variables())
     shapes = set()
     kept: list[Literal] = []

@@ -406,6 +406,59 @@ class TestArmg:
         assert armg(clause, ("c0",), db) == clause
         assert extensions == 200
 
+    def test_one_pending_literal_is_searched_without_a_split(self, monkeypatch):
+        # armg's one-row extensions and the search's leaves: with no literal
+        # left to bind, the search returns the binding itself; with one, the
+        # extension by the first row in `matching_rows` order that fits, or
+        # None; neither splits the literals into groups
+        split = clauses._components
+
+        def splitting(literals, binding):
+            assert len(literals) >= 2, literals
+            return split(literals, binding)
+
+        def first_fit(lit, binding, db):
+            fixed = {
+                pos: binding.get(a, a)
+                for pos, a in enumerate(lit.args)
+                if type(a) is not Term or a in binding
+            }
+            for row in db.matching_rows(lit.relation, fixed):
+                extended = dict(binding)
+                if all(extended.setdefault(a, v) == v for a, v in zip(lit.args, row)
+                       if type(a) is Term):
+                    return extended
+            return None
+
+        monkeypatch.setattr(clauses, "_components", splitting)
+        rng = random.Random(263)
+        seen = {"binding": 0, "extended": 0, "refuted": 0}
+        for _ in range(600):
+            db = random_db(rng, max_arity=3, max_tuples=40, pool=4)
+            clause = random_clause(rng, db, max_body=5, max_free_vars=2)
+            binding = _head_binding(clause.head, random_example(rng, len(clause.head.args), 4))
+            if binding is None:
+                continue  # repeated head variable with unequal values
+            bound = [
+                lit for lit in clause.body
+                if all(type(a) is not Term or a in binding for a in lit.args)
+            ]
+            pending = [lit for lit in clause.body if lit not in bound][:1]
+            literals = rng.sample(bound + pending, len(bound + pending))
+            found = clauses.find_witness(literals, binding, db)
+            if not all(
+                tuple(binding.get(a, a) for a in lit.args) in db.fact_set(lit.relation)
+                for lit in bound
+            ):
+                assert found is None
+            elif not pending:
+                assert found is binding
+                seen["binding"] += 1
+            else:
+                assert found == first_fit(pending[0], binding, db), (literals, binding)
+                seen["extended" if found is not None else "refuted"] += 1
+        assert min(seen.values()) >= 50, seen
+
 
 class TestArmgMatchesItsDefinition:
     """armg against `armg_oracle`: the blocking-atom drop by one coverage
@@ -618,7 +671,7 @@ class TestScoringEquivalent:
                     source = body if body and (not copy or rng.random() < 0.5) else copy
                     merged.append(source.pop(0))
                 clause = Clause(clause.head, tuple(merged))
-            equivalent = _scoring_equivalent(clause)
+            equivalent = _scoring_equivalent(clause, CoverageCache(db))
             assert set(equivalent.body) <= set(clause.body)
             assert covered_examples(equivalent, examples, db) == covered_examples(
                 clause, examples, db
@@ -638,8 +691,8 @@ class TestScoringEquivalent:
             evaluated.append(clause)
             return evaluate(clause, examples, db)
 
-        def reducing(clause):
-            equivalent = reduce(clause)
+        def reducing(clause, cache):
+            equivalent = reduce(clause, cache)
             shrunk.append(len(equivalent.body) < len(clause.body))
             return equivalent
 
@@ -659,7 +712,8 @@ class TestScoringEquivalent:
             for iterations in (1, 2):
                 cfg = LearnConfig(iterations=iterations)
                 learn_definition(db, ex, induce_bias(db, ex.target.name), cfg)
-        assert all(reduce(c) == c for c in evaluated)
+        # a fresh cache each: the reduction reads only the cache's fold memo
+        assert all(reduce(c, CoverageCache(db)) == c for c in evaluated)
         assert len(evaluated) >= 50 and sum(shrunk) >= 20, (len(evaluated), sum(shrunk))
 
 
@@ -700,6 +754,30 @@ class TestAlphabeticVariants:
             assert texts and len(set(texts)) == len(texts), texts
 
 
+def _reuse_runs(tmp_path: Path):
+    """`TestArmgReuse`'s learning runs: the fixtures and 20 random tasks at
+    constant thresholds 5 and 1, and two small planted databases at 5, each
+    at iterations 1 and 2."""
+    tasks = [
+        (fixtures.small_database_registered(), fixtures.small_examples()),
+        (fixtures.typed_database_registered(), fixtures.typed_examples()),
+    ]
+    tasks += [random_task(random.Random(seed)) for seed in range(20)]
+    # the oracle's passes over the larger bottom clauses of the bench's
+    # databases without '#' modes (threshold 1) take seconds
+    planted = [
+        _planted_task(tmp_path / f"p{seed}", seed, profs=2, students_per_prof=10,
+                      papers_per_pair=1)
+        for seed in (1, 2)
+    ]
+    runs = [(*task, (5, 1)) for task in tasks] + [(*task, (5,)) for task in planted]
+    for db, ex, thresholds in runs:
+        for threshold in thresholds:
+            bias = induce_bias(db, ex.target.name, constant_threshold=threshold)
+            for iterations in (1, 2):
+                learn_definition(db, ex, bias, LearnConfig(iterations=iterations))
+
+
 class TestArmgReuse:
     def test_reuse_is_accepted_exactly_when_armg_keeps_its_literals(
         self, monkeypatch, tmp_path
@@ -726,27 +804,63 @@ class TestArmgReuse:
             return accepted
 
         monkeypatch.setattr(learner, "_holds_for", recording)
-        tasks = [
-            (fixtures.small_database_registered(), fixtures.small_examples()),
-            (fixtures.typed_database_registered(), fixtures.typed_examples()),
-        ]
-        tasks += [random_task(random.Random(seed)) for seed in range(20)]
-        # the oracle's passes over the larger bottom clauses of the bench's
-        # databases without '#' modes (threshold 1) take seconds
-        planted = [
-            _planted_task(tmp_path / f"p{seed}", seed, profs=2, students_per_prof=10,
-                          papers_per_pair=1)
-            for seed in (1, 2)
-        ]
-        runs = [(*task, (5, 1)) for task in tasks] + [(*task, (5,)) for task in planted]
-        for db, ex, thresholds in runs:
-            for threshold in thresholds:
-                bias = induce_bias(db, ex.target.name, constant_threshold=threshold)
-                for iterations in (1, 2):
-                    learn_definition(db, ex, bias, LearnConfig(iterations=iterations))
+        _reuse_runs(tmp_path)
         for clause, folded, example, db in reuses:
             assert folded == fold_singleton_literals(armg(clause, example, db))
         assert len(reuses) >= 50 and min(rejected.values()) >= 10, (len(reuses), rejected)
+
+    def test_the_check_runs_no_witness_search(self, monkeypatch, tmp_path):
+        # each left-out literal's group is a clause whose joined pass the
+        # cache keeps: find_witness serves armg alone
+        holds, search = learner._holds_for, learner.find_witness
+        checks = searches = 0
+        inside = False
+
+        def checking(*args):
+            nonlocal checks, inside
+            checks += 1
+            inside = True
+            try:
+                return holds(*args)
+            finally:
+                inside = False
+
+        def recording(literals, binding, db):
+            nonlocal searches
+            assert not inside, "the reuse check ran a witness search"
+            searches += 1
+            return search(literals, binding, db)
+
+        monkeypatch.setattr(learner, "_holds_for", checking)
+        monkeypatch.setattr(learner, "find_witness", recording)
+        _reuse_runs(tmp_path)
+        assert checks >= 100 and searches >= 100, (checks, searches)
+
+
+class TestFoldOnce:
+    def test_cross_validation_folds_each_clause_once(self, monkeypatch, tmp_path):
+        # the beam's armg results, their scoring equivalents, the blocked
+        # groups of the reuse check and the winner's final fold share one
+        # fold per distinct clause in the run's cache
+        fold = learner.fold_singleton_literals
+        inputs: list[Clause] = []
+
+        def recording(clause):
+            inputs.append(clause)
+            return fold(clause)
+
+        monkeypatch.setattr(learner, "fold_singleton_literals", recording)
+        # the bench's cv-shallow shape
+        folded = 0
+        for seed in range(1, 11):
+            db, ex = _planted_task(tmp_path / str(seed), seed, profs=10)
+            for iterations in (1, 2):
+                inputs.clear()
+                bias = induce_bias(db, ex.target.name)
+                cross_validate(db, ex, bias, LearnConfig(iterations=iterations), 5, 1)
+                assert len(set(inputs)) == len(inputs), len(inputs) - len(set(inputs))
+                folded += len(inputs)
+        assert folded >= 50, folded
 
 
 class TestLearnDefinition:

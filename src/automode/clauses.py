@@ -19,7 +19,8 @@ existential substitution search that splits its literals by shared
 unbound variables and solves each group by fail-first backtracking over
 indexed candidate rows, recursing once per branching literal.
 Clause-to-clause subsumption backs the deep reduction used to keep
-generalized clauses small.
+generalized clauses small, which tries a local substitution of each
+literal's own arguments before it searches for an embedding.
 """
 
 from __future__ import annotations
@@ -557,46 +558,46 @@ def subsumption_witness(
     theta = _extend(head, target.args, {})
     if theta is None:
         return None
-    candidates = _consistent_targets(general.body, specific.body, theta)
-    return _embed(general.body, candidates, theta)
+    found = _consistent_targets(general.body, specific.body, theta)
+    return _embed(general.body, [[specific.body[j] for j in c] for c in found], theta)
 
 
 def _consistent_targets(
-    literals: Iterable[Literal], targets: Iterable[Literal], theta: dict[Term, Term | str]
-) -> list[list[Literal]]:
-    """For each literal, the targets it unifies with under `theta`, in
-    their order.
+    literals: Iterable[Literal], targets: Sequence[Literal], theta: dict[Term, Term | str]
+) -> list[list[int]]:
+    """For each literal, the numbers of the targets it unifies with under
+    `theta`, in their order.
 
     A literal's constants and θ-bound variables fix the values at their
     positions, a key looked up in the targets of its shape indexed by those
-    positions; a target found there unifies when it also repeats each
-    repeated unbound variable's value.
+    positions; when an unbound variable repeats, a target found there
+    unifies if `_extend` maps the literal onto it.
     """
-    by_shape: dict[tuple[str, int], list[Literal]] = {}
-    for t in targets:
-        by_shape.setdefault((t.relation, len(t.args)), []).append(t)
-    indexes: dict[tuple, dict[tuple, list[Literal]]] = {}
+    by_shape: dict[tuple[str, int], list[int]] = {}
+    for j, t in enumerate(targets):
+        by_shape.setdefault((t.relation, len(t.args)), []).append(j)
+    indexes: dict[tuple, dict[tuple, list[int]]] = {}
     out = []
     for lit in literals:
         fixed: list[int] = []
         key: list[Term | str] = []
         first: dict[Term, int] = {}
-        repeats: list[tuple[int, int]] = []
+        repeated = False
         for pos, a in enumerate(lit.args):
             if type(a) is not Term or a in theta:
                 fixed.append(pos)
                 key.append(theta.get(a, a))
             elif first.setdefault(a, pos) != pos:
-                repeats.append((pos, first[a]))
+                repeated = True
         shape = (lit.relation, len(lit.args), tuple(fixed))
         index = indexes.get(shape)
         if index is None:
             index = indexes[shape] = {}
-            for t in by_shape.get(shape[:2], ()):
-                index.setdefault(tuple(t.args[p] for p in fixed), []).append(t)
+            for j in by_shape.get(shape[:2], ()):
+                index.setdefault(tuple([targets[j].args[p] for p in fixed]), []).append(j)
         found = index.get(tuple(key), [])
-        if repeats:
-            found = [t for t in found if all(t.args[p] == t.args[q] for p, q in repeats)]
+        if repeated:
+            found = [j for j in found if _extend(lit, targets[j].args, theta) is not None]
         out.append(found)
     return out
 
@@ -758,63 +759,82 @@ def _deep_reduce(clause: Clause) -> Clause:
     losing the literal would map the current body onto a subset without it
     too. So the pass never revisits a literal, and it keeps and drops
     exactly what restarting from the first literal after each removal
-    would. θ is reused: it maps every later body into its image θ(body),
-    so each later literal outside the image goes without a search while
-    the image stays inside the body. θ binds only the variables of the
-    searched group, so every other literal is its own image: only a
-    literal of that group can lie outside the image, which is built over
-    the group alone.
+    would, whichever θ it finds. It tries a local θ first: for each live
+    target t of i, σ maps i's arguments onto t's and fixes every other
+    variable, so σ is a θ when it maps each live literal holding one of
+    i's non-head variables onto a live literal. Only when no σ is does a
+    search look for θ over i's group, the live literals that non-head
+    variables join to i, in body order, which breaks its ties; it finds a
+    θ or proves there is none, so the pass stays exact. θ is reused: it
+    maps every later body into its image, so each later literal of its
+    group (the literals σ may move, or the searched ones; θ fixes every
+    other literal) outside the group's image goes without a test while
+    the image stays in the body.
     """
     # the singleton fold performs a cheap subset of the same removals;
     # reduction is confluent, so pre-folding changes nothing but speed
     clause = fold_singleton_literals(clause)
     head_theta = {v: v for v in clause.head.variables()}
-    body = list(clause.body)
-    # consistency under the fixed head never changes: compute it once
-    consistent = dict(zip(body, _consistent_targets(body, body, head_theta)))
-    rank = {lit: i for i, lit in enumerate(body)}
-    holders: dict[Term, list[Literal]] = {}
-    for lit in body:
+    body = clause.body
+    number = {lit: i for i, lit in enumerate(body)}
+
+    def moved_to(k: int, theta: dict) -> int | None:
+        """The number of literal k's image under `theta`, if in the body."""
+        args = body[k].args
+        return number.get((body[k].relation, tuple(map(theta.get, args, args))))
+
+    holders: dict[Term, list[int]] = {}
+    for i, lit in enumerate(body):
         for a in lit.args:
             if type(a) is Term and a not in head_theta:
-                holders.setdefault(a, []).append(lit)
-    alive = set(body)
-    # the group of the last dropped literal, and θ's image of its survivors
-    group: set[Literal] = set()
-    image: set[Literal] = set()
-    i = 0
-    while i < len(body):
-        lit = body[i]
-        alive.discard(lit)
-        if lit in group and lit not in image:
-            del body[i]
+                holders.setdefault(a, []).append(i)
+    # consistency under the fixed head never changes: compute it once
+    found = _consistent_targets(body, body, head_theta)
+    alive = [True] * len(body)
+    # the group of the last dropped literal, and θ's image of it
+    group: set[int] = set()
+    image: set[int] = set()
+    for i, lit in enumerate(body):
+        alive[i] = False
+        if i in group and i not in image:
             continue
-        theta = None
-        # without another target for the literal itself, no search can succeed
-        if not alive.isdisjoint(consistent[lit]):
-            # θ can map every literal outside lit's group, joined to it
-            # through variables outside the head, onto itself; the group goes
-            # in body order, which breaks the search's ties and so picks θ
-            linked = {lit}
-            stack = [lit]
+        live = [t for t in found[i] if alive[t]]
+        # without another target for the literal itself, no θ exists
+        if not live:
+            alive[i] = True
+            continue
+        touched = {k for a in lit.args for k in holders.get(a, ()) if alive[k]}
+        for t in live:
+            # the head's variables and the constants map onto themselves
+            sigma = dict(zip(lit.args, body[t].args))
+            moved = set()
+            for k in touched:
+                j = moved_to(k, sigma)
+                if j is None or not alive[j]:
+                    break
+                moved.add(j)
+            else:
+                group, image = touched, moved
+                break
+        else:
+            linked = {i}
+            stack = [i]
             while stack:
-                for a in stack.pop().args:
+                for a in body[stack.pop()].args:
                     for k in holders.get(a, ()):
-                        if k not in linked and k in alive:
+                        if alive[k] and k not in linked:
                             linked.add(k)
                             stack.append(k)
-            ordered = sorted(linked, key=rank.__getitem__)
-            candidates = [list(filter(alive.__contains__, consistent[k])) for k in ordered]
-            theta = _embed(ordered, candidates, head_theta)
-        if theta is None:
-            alive.add(lit)
-            i += 1
-            continue
-        del body[i]
-        group = linked
-        group.discard(lit)
-        image = {Literal(k.relation, tuple(map(theta.get, k.args, k.args))) for k in group}
-    return Clause(clause.head, tuple(body))
+            ordered = sorted(linked)
+            candidates = [[body[t] for t in found[k] if alive[t]] for k in ordered]
+            theta = _embed([body[k] for k in ordered], candidates, head_theta)
+            if theta is None:
+                alive[i] = True
+                continue
+            linked.discard(i)
+            group = linked
+            image = {moved_to(k, theta) for k in linked}
+    return Clause(clause.head, tuple(compress(body, alive)))
 
 
 # -- bias conformance --------------------------------------------------------

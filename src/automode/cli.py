@@ -9,7 +9,6 @@ input digests. Exit codes: 0 success, 1 validation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -24,10 +23,10 @@ from .evaluation import cross_validate, generate_negatives, learner_for, precisi
 from .learner import CoverageCache, LearnConfig
 from .fixtures import materialize_small
 from .profiler import discover_inds, format_ind_set
+from . import relstore
 from .relstore import (
     DatabaseInstance,
     ExampleSet,
-    facts_files,
     load_database,
     load_examples,
     read_input,
@@ -48,11 +47,15 @@ def dispatch(argv: list[str]) -> int:
             parser.error("discover-inds: --examples requires --target")
     except SystemExit as exc:
         return int(exc.code or 0)
+    # each input's digest is taken as it is read, for the manifest
+    recording = relstore._digests.set({})
     try:
         return args.handler(args)
     except (AutomodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        relstore._digests.reset(recording)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,7 +202,6 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         args,
         args.out,
         {**_config_dict(args), "deep_reduce": args.deep_reduce},
-        extra_inputs=(args.bias,),
     )
     return 0
 
@@ -240,7 +242,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         args,
         args.report,
         {**_config_dict(args), "folds": args.folds, "neg_ratio": args.neg_ratio},
-        extra_inputs=(args.bias,),
     )
     print(
         f"mean_precision={report.mean_precision:.6f} "
@@ -340,29 +341,17 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {**config, "generalizer": args.generalizer}
 
 
-def _write_manifest(
-    args: argparse.Namespace,
-    out_path: Path,
-    config: dict,
-    extra_inputs: tuple[Path | None, ...] = (),
-) -> None:
-    # the facts directory's files as the loader read them; an optional
-    # input not given is None
-    files = facts_files(args.facts).values()
-    inputs = (args.schema, args.examples, *files, *extra_inputs)
+def _write_manifest(args: argparse.Namespace, out_path: Path, config: dict) -> None:
+    # every input the command read, with the digest of the bytes it parsed
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None and p.is_file()},
+        "inputs": {str(p): digest for p, digest in relstore._digests.get().items()},
         "tool_version": __version__,
     }
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _ms(started: float) -> int:

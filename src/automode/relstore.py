@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -231,17 +232,30 @@ class ExampleSet:
 # -- loading ------------------------------------------------------------
 
 
+# where the CLI collects, for a command's manifest, the sha256 of each
+# input's bytes by path; library reads hash nothing, as importing hashlib
+# maps OpenSSL, about 4 MB of resident memory
+_digests: ContextVar[dict[Path, str] | None] = ContextVar("_digests", default=None)
+
+
 def read_input(path: Path, what: str) -> str:
     """The text of the UTF-8 input file `path`, read as bytes and decoded
     once (the readers' `str.splitlines` breaks at `\\r\\n`, `\\r` and
-    `\\n` alike); `what` names the file in the `LoadError` raised when it
-    is missing, a directory or unreadable."""
+    `\\n` alike), its digest kept in the dict `_digests` holds, if any;
+    `what` names the file in the `LoadError` raised when it is missing, a
+    directory or unreadable."""
     try:
-        return path.read_bytes().decode("utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except (FileNotFoundError, IsADirectoryError):
         raise LoadError(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {what} {path}: {exc}") from exc
+    digests = _digests.get()
+    if digests is not None:
+        from hashlib import sha256
+        digests[path] = sha256(data).hexdigest()
+    return text
 
 
 def load_schema(schema_file: Path | str) -> tuple[RelationSchema, ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -431,6 +432,13 @@ class TestMinimize:
                 # one forward pass: no literal is searched twice
                 assert len(searched) == len(set(searched))
         monkeypatch.undo()
+        # every core, byte for byte: a literal goes exactly when some θ
+        # exists, so no choice of θ (local or searched) may change a core
+        cores = "".join(f"{reduced}\n" for _, reduced in pairs).encode()
+        assert len(pairs) == 746
+        assert hashlib.sha256(cores).hexdigest() == (
+            "048c7e6086f0e93767da4e681c6fcc2dd7168f416b8d48367506b222b4aadbeb"
+        )
         shrunk = 0
         for raw, reduced in pairs:
             assert set(reduced.body) <= set(raw.body)
@@ -441,6 +449,31 @@ class TestMinimize:
                 assert reduced == reduction_oracle(raw)
                 shrunk += len(reduced.body) < len(raw.body)
         assert shrunk >= 60
+
+    def test_deep_reduce_drops_by_local_substitution_without_a_search(self, monkeypatch):
+        # each literal goes by mapping its own arguments onto another
+        # literal's: p(u,w) -> p(u,x) moves p(v,w) onto p(v,x), then
+        # p(u,x) -> p(v,x) and p(v,w) -> p(v,x)
+        def no_search(*args):
+            raise AssertionError("a subsumption search ran")
+
+        clause = parse_clause("t(x) :- p(u,w), p(u,x), p(v,w), p(v,x).")
+        monkeypatch.setattr(clauses, "_embed", no_search)
+        reduced = minimize(clause, deep=True)
+        monkeypatch.undo()
+        assert reduced == parse_clause("t(x) :- p(v,x).") == reduction_oracle(clause)
+
+    def test_deep_reduce_searches_when_a_joint_mapping_is_needed(self, monkeypatch):
+        # e(x,y) -> e(x,y2) alone moves f(y,z) onto f(y2,z), no literal: only
+        # the search maps f(y,z) onto f(y2,z2) too; f(y,z) then goes as a
+        # literal of the found θ's group outside its image
+        searched = _record_searches(monkeypatch)
+        clause = parse_clause("t(x) :- e(x,y), f(y,z), e(x,y2), f(y2,z2), g(z2).")
+        reduced = minimize(clause, deep=True)
+        monkeypatch.undo()
+        assert searched == [clause.body[0]]
+        assert reduced == parse_clause("t(x) :- e(x,y2), f(y2,z2), g(z2).")
+        assert reduced == reduction_oracle(clause)
 
     def test_deep_reduce_of_a_chain_longer_than_the_recursion_limit(self):
         # the search binds one chain literal per branch point, 1,100 deep:
@@ -571,7 +604,8 @@ class TestSubsumes:
                     ]
                     for lit in literals
                 ]
-                assert clauses._consistent_targets(literals, targets, theta) == expected
+                found = clauses._consistent_targets(literals, targets, theta)
+                assert [[targets[j] for j in c] for c in found] == expected
                 for lit, found in zip(literals, expected):
                     free = [a for a in lit.args if type(a) is Term and a not in theta]
                     seen["repeated"] += len(set(free)) < len(free)

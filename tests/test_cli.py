@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -368,7 +370,6 @@ class TestExamplesFile:
     def test_reads_the_examples_file_once(
         self, fixture_dir, tmp_path, monkeypatch, command, declared
     ):
-        # the manifest hashes the file afterwards, outside `read_input`
         if not declared:
             _undeclare(fixture_dir)
         reads = []
@@ -395,6 +396,31 @@ class TestExamplesFile:
         assert rc == 1
         assert f"{fixture_dir['examples']}: no examples of target advisedBy" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_input_is_read_once(self, fixture_dir, tmp_path, monkeypatch, command):
+        # the manifest records the digests of the bytes the loaders parsed
+        reads = []
+        original = Path.read_bytes
+
+        def counting(path):
+            reads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert dispatch(_command_args(command, fixture_dir, tmp_path)) == 0
+        monkeypatch.undo()
+        inputs = [fixture_dir["schema"], fixture_dir["examples"]]
+        inputs += sorted(fixture_dir["facts"].glob("*.csv"))
+        if command == "learn":
+            inputs.append(tmp_path / "manual.txt")
+        assert sorted(map(str, reads)) == sorted(map(str, inputs))
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs
+        }
 
 
 class TestDiscoverInds:

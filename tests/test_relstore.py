@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +180,23 @@ class TestReadInput:
             assert str(got.value) == f"cannot read facts file {path}: {exc}"
             return
         assert relstore.read_input(path, "facts file").splitlines() == expected
+
+    def test_library_loads_import_no_hashlib(self, tmp_path):
+        # only the CLI asks for digests: importing hashlib maps OpenSSL,
+        # about 4 MB of resident memory in every process that loads data
+        paths = fixtures.materialize_small(tmp_path / "data")
+        code = (
+            "import sys\n"
+            "from automode import relstore\n"
+            f"db = relstore.load_database({str(paths['schema'])!r}, {str(paths['facts'])!r},"
+            " examples_backed=('advisedBy',))\n"
+            f"relstore.load_examples({str(paths['examples'])!r}, db.schema('advisedBy'))\n"
+            "assert relstore._digests.get() is None\n"
+            "assert 'hashlib' not in sys.modules, 'hashlib imported'\n"
+        )
+        # the package these tests import, not an installed copy
+        env = {**os.environ, "PYTHONPATH": str(Path(relstore.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestLoadDatabase:

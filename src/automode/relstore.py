@@ -10,10 +10,12 @@ reader checks the rows of a file and names the line of a bad one, and
 `DatabaseInstance.build` and `with_relation` check the rows their callers
 hand them. The facts reader takes one of two paths per file. A file that
 is ASCII with no whitespace and no line boundary but "\\n", as
-`dump_database` and the bench's generator write it, is split and checked
-in bulk, since no cell of it can need stripping. Every other file, and a
-file that fails a bulk check, is read line by line, stripping each cell;
-either path returns the same rows, and only the line loop raises.
+`dump_database` and the bench's generator write it, needs no cell
+stripped: its text is split into cells once, checked by counts and
+slices of that one list, and its rows are zipped from column slices, so
+no Python code runs per line. Every other file, and a file that fails a
+bulk check, is read line by line, stripping each cell; either path
+returns the same rows, and only the line loop raises.
 """
 
 from __future__ import annotations
@@ -222,11 +224,13 @@ class ExampleSet:
             raise ValidationError(
                 f"examples labeled both + and -: {sorted(overlap)}"
             )
-        for ex in self.positives + self.negatives:
-            if len(ex) != self.target.arity:
-                raise ValidationError(
-                    f"example {ex!r} does not match arity of {self.target.name}"
-                )
+        arity = self.target.arity
+        examples = self.positives + self.negatives
+        if not all(map(arity.__eq__, map(len, examples))):
+            ex = next(ex for ex in examples if len(ex) != arity)
+            raise ValidationError(
+                f"example {ex!r} does not match arity of {self.target.name}"
+            )
 
 
 # -- loading ------------------------------------------------------------
@@ -344,19 +348,31 @@ def _read_facts_csv(path: Path, schema: RelationSchema) -> list[tuple[str, ...]]
     A file whose text is ASCII and holds no character of `_ASCII_BLANKS`
     has no line boundary but "\\n" and no cell that `str.strip` changes, so
     its non-empty lines split on "," are the rows the per-line loop would
-    keep. Such a file is split in one pass and checked with built-in calls.
-    Any other file, and one that fails a check, goes through the per-line
-    loop, which strips each cell and names the first bad line."""
+    keep. `text.split()` gives those lines, and one split on "," of them
+    joined gives one list in which each line's cells are followed by one
+    "\\n" cell, a value no cell of the file can hold. Every line holds
+    exactly `arity` cells if the list holds `arity + 1` cells per line and
+    every `(arity + 1)`-th cell is a "\\n"; column k of the rows is then
+    the slice from the k-th cell of the second line in steps of
+    `arity + 1`. Any other file, and one that fails a check, goes through
+    the per-line loop over the original text, which strips each cell and
+    names the first bad line."""
     arity = schema.arity
     text = read_input(path, "facts file")
     if text.isascii() and not any(c in text for c in _ASCII_BLANKS):
-        rows = [tuple(line.split(",")) for line in text.split("\n") if line]
-        if not rows or (
-            rows[0] == schema.attributes
-            and all(map(arity.__eq__, map(len, rows)))
-            and all(map(all, rows))
+        lines = text.split()
+        if not lines:
+            return []
+        width = arity + 1
+        cells = ",\n,".join(lines).split(",")
+        cells.append("\n")
+        if (
+            len(cells) == len(lines) * width
+            and cells[arity::width].count("\n") == len(lines)
+            and "" not in cells
+            and tuple(cells[:arity]) == schema.attributes
         ):
-            return rows[1:]
+            return list(zip(*[cells[k + width::width] for k in range(arity)]))
     header_seen = False
     out: list[tuple[str, ...]] = []
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -397,6 +397,73 @@ class TestLoadDatabase:
                 at = rng.randint(0, len(text))
                 assert read(text[:at] + c + text[at:], schema)[1], (c, text)
 
+    @pytest.fixture
+    def line_loop_calls(self, monkeypatch):
+        """A list that gains an entry each time the reader takes its
+        per-line loop, the reader's one `splitlines` call."""
+        calls = []
+
+        class Recording(str):
+            def splitlines(self, *args, **kwargs):
+                calls.append(True)
+                return super().splitlines(*args, **kwargs)
+
+        original = relstore.read_input
+        monkeypatch.setattr(relstore, "read_input", lambda p, what: Recording(original(p, what)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "attributes, text",
+        [
+            # a row with an extra cell and a later row one short
+            (("a0", "a1"), "a0,a1\nx,y\nx,y,z\nw\nu,v\n"),
+            (("a0", "a1"), "a0,a1\nx,y,z\nu,v\nw"),
+            (("a0", "a1", "a2"), "a0,a1,a2\nx,y,z,w\nu,v\n"),
+            # the header's first cells match, its extra one shifts the rest
+            (("a0", "a1"), "a0,a1,x\ny\n"),
+            # a row of two rows' cells and one more: every line end falls
+            # where a row's would, but the lines hold more cells than rows
+            (("a0",), "a0\nx,y,z\n"),
+            (("a0", "a1"), "a0,a1\nx,y\nx,y,z,w,v\n"),
+        ],
+    )
+    def test_cells_shifted_between_rows_name_the_first_bad_line(
+        self, tmp_path, line_loop_calls, attributes, text
+    ):
+        # the lines together hold a whole number of rows' cells, so a
+        # count of cells alone would pass each of these files
+        schema = RelationSchema("r", attributes)
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(LoadError) as expected:
+            facts_csv_oracle(path, schema)
+        with pytest.raises(LoadError) as got:
+            relstore._read_facts_csv(path, schema)
+        assert str(got.value) == str(expected.value)
+        assert line_loop_calls
+
+    @pytest.mark.parametrize(
+        "attributes, text",
+        [
+            (("a0", "a1"), "a0,a1\nx,y\nz,x"),
+            (("a0", "a1"), "\na0,a1\nx,y\nz,x\n"),
+            (("a0", "a1"), "a0,a1\n\nx,y\n\n\nz,x\n\n"),
+            (("a0", "a1"), "\n\na0,a1\n\n"),
+            (("a0", "a1"), "a0,a1"),
+            (("a0", "a1"), "\n\n"),
+            (("a0",), "\na0\nx\n\ny"),
+            (("a0", "a1", "a2"), "a0,a1,a2\n\nx,y,z\n\nz,y,x"),
+        ],
+    )
+    def test_blank_lines_and_no_last_newline_stay_in_bulk(
+        self, tmp_path, line_loop_calls, attributes, text
+    ):
+        schema = RelationSchema("r", attributes)
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert relstore._read_facts_csv(path, schema) == facts_csv_oracle(path, schema)
+        assert not line_loop_calls
+
     def test_loader_stores_what_build_stores_on_random_files(self, tmp_path):
         # the loader skips `build`'s checks on the reader's rows, so a file
         # that loads must store exactly what `build` stores from those rows,

@@ -42,15 +42,28 @@ class PredicateDecl(NamedTuple):
         return f"{self.relation}({','.join(self.types)})"
 
 
-@dataclass(frozen=True, order=True)
-class ModeDecl:
+class _ModeFields(NamedTuple):
     relation: str
     symbols: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        bad = set(self.symbols) - {"+", "-", "#"}
+
+class ModeDecl(_ModeFields):
+    """A mode: one symbol per argument, '+' an input variable, '-' an
+    output variable, '#' a constant.
+
+    A named tuple, like `PredicateDecl`, so hashing, equality and ordering
+    run in C; a `BiasSpec` is hashed in every cache key that holds it. A
+    named tuple equals any tuple of the same fields, so no set or dict
+    holds modes beside predicate declarations. The validating `__new__`
+    sits on this subclass, as `NamedTuple` refuses one of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, relation: str, symbols: tuple[str, ...]) -> "ModeDecl":
+        bad = set(symbols) - {"+", "-", "#"}
         if bad:
             raise ValidationError(f"invalid mode symbols {sorted(bad)}")
+        return super().__new__(cls, relation, symbols)
 
     def __str__(self) -> str:
         return f"{self.relation}({','.join(self.symbols)})"

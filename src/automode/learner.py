@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, groupby
 from typing import Callable, Sequence
 
 from .biasgen import BiasSpec, generate_modes
@@ -300,26 +300,29 @@ def _saturate(
 ) -> tuple[Literal, ...]:
     body: list[Literal] = []
     emitted: set[Literal] = set()
+    # each relation's modes, and the positions where a value minted only
+    # there does not seed the next round, read once for every round
+    plans = []
+    for schema in db.schemas:
+        modes = state.bias.modes_for(schema.name)
+        if modes:
+            constant = {i for m in modes for i, sym in enumerate(m.symbols) if sym == "#"}
+            plans.append((schema.name, modes, constant))
     frontier = list(dict.fromkeys(example))
     for _ in range(cfg.iterations):
         if not frontier:
             break
         frontier_set = set(frontier)
         added: list[str] = []
-        for schema in db.schemas:
-            modes = state.bias.modes_for(schema.name)
-            if not modes:
-                continue
-            # a value minted only at these positions does not seed the next round
-            constant = {i for m in modes for i, sym in enumerate(m.symbols) if sym == "#"}
+        for relation, modes, constant in plans:
             produced = 0
-            for row in db.relation_rows(schema.name):
+            for row in db.relation_rows(relation):
                 if produced >= cfg.per_relation_cap:
                     break
                 if frontier_set.isdisjoint(row):
                     continue
                 for mode in modes:
-                    result = state.try_mode(schema.name, row, mode.symbols)
+                    result = state.try_mode(relation, row, mode.symbols)
                     if result is None:
                         continue
                     literal, minted = result
@@ -429,7 +432,8 @@ def generalize_clause(
 
     Each round samples positives, generalizes every beam clause toward the
     sampled examples it misses, and keeps the top clauses by score (ties:
-    shorter body, then clause text). Search stops when no candidate beats
+    shorter body, then clause text, rendered only for the ties that reach
+    into the beam: `_top_ranked`). Search stops when no candidate beats
     the best score seen so far. A sampled example the head cannot bind to
     (`clauses._head_binding`) is skipped: no body could cover it. Each
     clause is scored through its `_equivalent`, and shares that clause's
@@ -498,18 +502,38 @@ def generalize_clause(
                     candidates.append(c)
         if not candidates:
             break
-        ranked = sorted(
-            candidates,
-            key=lambda c: (-clause_score(c), len(c.body), canonical_text(c)),
-        )
+        ranked = _top_ranked(candidates, clause_score, cfg.beam_width)
         top_score = clause_score(ranked[0])
         if top_score <= best_score:
             break
         best, best_score = ranked[0], top_score
-        beam = ranked[: cfg.beam_width]
+        beam = ranked
     folded = minimize(_folded(best, cache))
     cache.share_coverage(best, folded)
     return folded
+
+
+def _top_ranked(
+    candidates: list[Clause], clause_score: Callable[[Clause], int], width: int
+) -> list[Clause]:
+    """The first `width` of `candidates` ordered by (-score, body length,
+    `canonical_text`), the order of `candidates` breaking what is left.
+
+    Candidates are sorted by score and length alone; canonical text, the
+    costliest key, is rendered only for runs of equal score and length
+    that start within the first `width` places, the only ties that decide
+    which clauses are returned."""
+    keys = [(-clause_score(c), len(c.body)) for c in candidates]
+    order = sorted(range(len(candidates)), key=keys.__getitem__)
+    top: list[Clause] = []
+    for _, run in groupby(order, keys.__getitem__):
+        tied = [candidates[i] for i in run]
+        if len(tied) > 1:
+            tied.sort(key=canonical_text)
+        top += tied
+        if len(top) >= width:
+            break
+    return top[:width]
 
 
 def _folded(clause: Clause, cache: CoverageCache) -> Clause:

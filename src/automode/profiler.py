@@ -21,22 +21,33 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .relstore import AttributeRef, DatabaseInstance, all_attributes
 
 
-@dataclass(frozen=True, order=True)
-class UnaryInd:
+class _IndFields(NamedTuple):
     lhs: AttributeRef
     rhs: AttributeRef
     error: float
 
-    def __post_init__(self) -> None:
-        if self.lhs == self.rhs:
+
+class UnaryInd(_IndFields):
+    """The IND `lhs <= rhs` with its containment error.
+
+    A named tuple, like `AttributeRef`, so hashing, equality and ordering
+    run in C, by (lhs, rhs, error). The validating `__new__` sits on this
+    subclass, as `NamedTuple` refuses one of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, lhs: AttributeRef, rhs: AttributeRef, error: float) -> "UnaryInd":
+        if lhs == rhs:
             raise ValidationError("an IND cannot relate an attribute to itself")
-        if not 0.0 <= self.error <= 1.0:
-            raise ValidationError(f"IND error out of range: {self.error}")
+        if not 0.0 <= error <= 1.0:
+            raise ValidationError(f"IND error out of range: {error}")
+        return super().__new__(cls, lhs, rhs, error)
 
     def __str__(self) -> str:
         return f"{self.lhs} <= {self.rhs} err={self.error:.6f}"

@@ -24,7 +24,6 @@ import os
 import re
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,9 +81,13 @@ class DatabaseInstance:
 
     `rows` maps each relation name to its deduplicated tuples in sorted
     order, one entry per schema. Its only other state is two lookups over
-    `rows`, built on first use: `_fact_sets` behind `fact_set` and
-    `_pos_index` behind `matching_rows`. Instances are safe for concurrent
-    reads.
+    `rows`, each filled one piece at a time as reads reach it:
+    `_fact_sets` holds a relation's row set from its first `fact_set`
+    read, and `_pos_index` holds, from the first `matching_rows` read of
+    a column, that column's map from each value to its rows in stored
+    order, keyed by (relation, position). A run builds only the pieces it
+    reads. Instances are safe for concurrent reads: readers that race to
+    build a piece store equal values.
     """
 
     schemas: tuple[RelationSchema, ...]
@@ -126,24 +129,17 @@ class DatabaseInstance:
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    @cached_property
-    def _fact_sets(self) -> dict[str, frozenset[tuple[str, ...]]]:
-        return {name: frozenset(rows) for name, rows in self.rows.items()}
-
-    @cached_property
-    def _pos_index(self) -> dict[tuple[str, int, str], tuple[tuple[str, ...], ...]]:
-        index: dict[tuple[str, int, str], list[tuple[str, ...]]] = {}
-        for name, rows in self.rows.items():
-            for row in rows:
-                for pos, value in enumerate(row):
-                    index.setdefault((name, pos, value), []).append(row)
-        return {k: tuple(v) for k, v in index.items()}
+    def __post_init__(self) -> None:
+        # lookups, not state: no field, so equality and repr ignore them
+        object.__setattr__(self, "_fact_sets", {})
+        object.__setattr__(self, "_pos_index", {})
 
     def fact_set(self, relation: str) -> frozenset[tuple[str, ...]]:
         """Rows of `relation` as a set, for O(1) membership tests."""
-        if relation not in self.rows:
-            raise ValidationError(f"unknown relation: {relation}")
-        return self._fact_sets[relation]
+        facts = self._fact_sets.get(relation)
+        if facts is None:
+            facts = self._fact_sets[relation] = frozenset(self.relation_rows(relation))
+        return facts
 
     def matching_rows(
         self, relation: str, bound: dict[int, str]
@@ -152,14 +148,13 @@ class DatabaseInstance:
         rows = self.relation_rows(relation)
         if not bound:
             return rows
-        index = self._pos_index
         if len(bound) == 1:
             ((pos, val),) = bound.items()
-            return index.get((relation, pos, val), ())
+            return self._column(relation, pos).get(val, ())
         # narrowest indexed set first, then filter the rest
         best = None
         for p, v in bound.items():
-            cand = index.get((relation, p, v), ())
+            cand = self._column(relation, p).get(v, ())
             if best is None or len(cand) < len(best):
                 best, pos = cand, p
         return tuple(
@@ -167,6 +162,22 @@ class DatabaseInstance:
             for row in (best or ())
             if all(row[p] == v for p, v in bound.items() if p != pos)
         )
+
+    def _column(self, relation: str, position: int) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """The map from each value at `position` of `relation` to the rows
+        holding it, in stored order, built and stored on its first read; a
+        position outside the relation's arity holds no value."""
+        column = self._pos_index.get((relation, position))
+        if column is None:
+            rows = self.rows[relation]
+            groups: dict[str, list[tuple[str, ...]]] = {}
+            if rows and 0 <= position < len(rows[0]):
+                for row in rows:
+                    groups.setdefault(row[position], []).append(row)
+            column = self._pos_index[(relation, position)] = {
+                value: tuple(held) for value, held in groups.items()
+            }
+        return column
 
     def with_relation(
         self, schema: RelationSchema, tuples: object

@@ -29,6 +29,7 @@ from automode.clauses import _head_binding
 from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     _connected_order,
+    _top_ranked,
     _scoring_equivalent,
     CoverageCache,
     LearnConfig,
@@ -636,6 +637,51 @@ class TestGeneralizeClause:
         cfg = LearnConfig(beam_width=1, sample_size=1)
         out = generalize_clause(bottom, ex.positives, ex.negatives, small_db, cfg)
         assert covered_examples(out, [("alice", "bob")], small_db)
+
+
+class TestRanking:
+    def test_canonical_text_breaks_only_the_ties_that_reach_the_beam(self, monkeypatch):
+        a, b, c, d, e, f = (
+            parse_clause(text)
+            for text in (
+                "t(x) :- q(x).",
+                "t(x) :- s(x).",
+                "t(x) :- r(x).",
+                "t(x) :- q(x), r(x).",
+                "t(x) :- s(x,x).",
+                "t(x) :- r(x,x).",
+            )
+        )
+        scores = {a: 3, b: 2, c: 2, d: 2, e: 1, f: 1}
+        rendered = []
+
+        def recording(clause):
+            rendered.append(clause)
+            return canonical_text(clause)
+
+        monkeypatch.setattr(learner, "canonical_text", recording)
+        # b and c tie on score and body length, and c's text sorts first
+        assert _top_ranked([b, d, a, f, c, e], scores.__getitem__, 3) == [a, c, b]
+        assert sorted(rendered, key=str) == sorted([b, c], key=str)
+        rendered.clear()
+        assert _top_ranked([b, d, a, f, c, e], scores.__getitem__, 1) == [a]
+        assert rendered == []
+
+    def test_matches_a_full_sort_by_score_length_and_text(self):
+        rng = random.Random(263)
+        head = [var("x0"), var("x1")]
+        pool = [var("y0"), var("y1"), var("y2"), "c0"]
+        for _ in range(300):
+            candidates = list(dict.fromkeys(
+                random_clause_over(rng, head, pool, max_body=3)
+                for _ in range(rng.randint(1, 12))
+            ))
+            scores = {c: rng.randint(0, 2) for c in candidates}
+            width = rng.randint(1, 4)
+            expected = sorted(
+                candidates, key=lambda c: (-scores[c], len(c.body), canonical_text(c))
+            )[:width]
+            assert _top_ranked(candidates, scores.__getitem__, width) == expected
 
 
 class TestScoringEquivalent:

@@ -757,6 +757,45 @@ class TestIndexAndRoundTrip:
             )
             assert db.matching_rows(schema.name, bound) == expected
 
+    def test_a_lookup_indexes_only_the_columns_it_reads(self):
+        rng = random.Random(59)
+        pairs = 0
+        for _ in range(200):
+            db = random_db(rng, max_arity=3)
+            schema = rng.choice(db.schemas)
+            rows = db.relation_rows(schema.name)
+            p = rng.randrange(schema.arity)
+            db.matching_rows(schema.name, {})
+            assert db._pos_index == {}
+            db.matching_rows(schema.name, {p: f"c{rng.randrange(8)}"})
+            assert set(db._pos_index) == {(schema.name, p)}
+            # each value's rows, in stored order
+            assert db._pos_index[(schema.name, p)] == {
+                v: tuple(row for row in rows if row[p] == v) for v in {row[p] for row in rows}
+            }
+            if schema.arity < 2:
+                continue
+            p, q = rng.sample(range(schema.arity), 2)
+            fresh = DatabaseInstance(db.schemas, db.rows)
+            fresh.matching_rows(schema.name, {p: "c0", q: "c1"})
+            assert set(fresh._pos_index) == {(schema.name, p), (schema.name, q)}
+            pairs += 1
+        assert pairs >= 50
+        db = fixtures.small_database()
+        for outside in (-1, 1):  # student has arity 1: no value there
+            assert db.matching_rows("student", {outside: "alice"}) == ()
+
+    def test_a_fact_set_read_builds_only_its_relation(self):
+        db = fixtures.small_database()
+        assert db.fact_set("student") == frozenset(db.relation_rows("student"))
+        assert set(db._fact_sets) == {"student"}
+        assert db._pos_index == {}
+        for read in (lambda: db.fact_set("nope"), lambda: db.matching_rows("nope", {0: "x"})):
+            with pytest.raises(ValidationError, match="^unknown relation: nope$"):
+                read()
+        assert set(db._fact_sets) == {"student"}
+        assert db._pos_index == {}
+
     def test_indexes_agree_under_concurrent_first_reads(self):
         # the indexes are built on first use, with no lock from Python 3.12
         # on: threads that race to build them must all read the stored rows

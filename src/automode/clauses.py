@@ -4,15 +4,20 @@ A clause is one head literal plus an ordered body of literals. A term is
 a variable (a `Term`) or a constant, which is its value, a plain string:
 a ground literal's `args` is a row, and `_extend` matches a literal's
 arguments against a stored row or another literal's alike. Coverage has
-one evaluator, `covered_examples`, which tests a whole clause against a
-set of examples in one joined pass: each body literal becomes a factor
-read from the database's stored row sets and position index (never by
+one evaluator, `covered_examples`, which tests a clause against a set of
+examples in two parts. Once per clause it binds the head variables to
+each example's key and tests each ground literal's row; then it tests
+the rest of the body against every key at once, as one joined pass or,
+given a store, once per head-linked component, intersecting what the
+components cover. In such a pass each body literal becomes a factor read
+from the database's stored row sets and position index (never by
 scanning a relation), a worklist semi-join reduction shrinks the factors
 smallest first, variable elimination joins away the non-head variables,
-and each example is checked against what is left. Learning reads it through
-`learner.CoverageCache`, which keeps one pass per clause over every example
-it will be asked about; scoring asks about each clause's
-`canonical_variant`, so alphabetic variants share one pass.
+and the keys are filtered by what is left. Learning reads it through
+`learner.CoverageCache`, which keeps one result per clause over every
+example it will be asked about and one per component shape; scoring asks
+about each clause's `canonical_variant`, so alphabetic variants share
+one result.
 `find_witness` serves armg alone, its prefix decisions and its one-row
 extensions (armg's reuse check reads cached joined passes): one
 existential substitution search that splits its literals by shared
@@ -321,31 +326,34 @@ def check_body(clause: Clause, db: "DatabaseInstance") -> None:
 
 
 def covered_examples(
-    clause: Clause, examples, db: "DatabaseInstance"
+    clause: Clause, examples, db: "DatabaseInstance", *, components: dict | None = None
 ) -> frozenset[tuple[str, ...]]:
-    """The subset of `examples` the clause covers, computed in one pass.
+    """The subset of `examples` the clause covers.
 
-    This is the package's only coverage evaluator. The examples are one
-    more factor over the head variables, so the semi-join reduction anchors
-    every intermediate to examples actually asked about; under a head of
-    distinct variables each example is its own row there, and only a head
-    with a constant or a repeated variable binds each example first. Each
-    body literal is a factor over its distinct variables, read without a
-    relation scan: a literal of distinct variables shares the stored row
-    set (`db.fact_set`), one with constants starts from the position index
-    (`db.matching_rows`), and only a repeated variable needs a row filter.
-    `_reduce_domains` shrinks the factors to their semi-join fixpoint,
-    reading a stored relation's columns only from the rows that survive
-    the domains of the smaller factors; non-head variables are then
-    eliminated cheapest-first, each by joining the factors that hold it.
-    Every factor left afterwards is over head variables only: those over
-    the same variables are intersected, and the example rows are then
-    filtered by each merged factor in turn, so no join runs without a
-    shared variable. A ground body literal constrains no variable and is no
-    factor: its `args` is a row, one membership test in its stored row
-    set. Rows are projected, filtered and collected by `itemgetter`,
-    `compress` and `map` rather than per-row Python code. An example whose arity is not the
-    head's, or a clause `check_body` refuses, raises `ValidationError`.
+    This is the package's only coverage evaluator, in two parts. Once per
+    clause: `check_body`, each example's key, its values for the head
+    variables (under a head of distinct variables each example is its own
+    key; only a head with a constant or a repeated variable binds each
+    example first), and one membership test in its stored row set for each
+    ground body literal, whose `args` is a row. Then `_covered_keys` tests
+    the non-ground literals against the whole key set; an empty body
+    covers what the head binds.
+
+    Without a store that is one joined pass over the whole body. With a
+    `components` store it runs once per head-linked component, the
+    literals that non-head variables join (`_components(body, head)`), and
+    the covered key sets are intersected smallest first: components share
+    only head variables, which each example binds, so the clause covers an
+    example exactly when every component covers its key. The store maps
+    the head pattern (relation, constants and repeated head variables) and
+    a component's shape (head variables by key position, other variables
+    numbered by first occurrence, constants as values) to its covered
+    keys. Components of one shape are one query up to the names of their
+    variables, so clauses that share one, alphabetic variants included,
+    evaluate it once. A store holds keys of one example set over one
+    database, as `learner.CoverageCache` keeps it. An example whose arity
+    is not the head's, or a clause `check_body` refuses, raises
+    `ValidationError`.
     """
     check_body(clause, db)
     head = clause.head
@@ -367,16 +375,72 @@ def covered_examples(
             if assignment is not None:
                 example_rows[tuple(assignment[v] for v in head_vars)] = example
         keys = set(example_rows)
+    pending: list[Literal] = []
+    for lit in clause.body:
+        if any(type(a) is Term for a in lit.args):
+            pending.append(lit)
+        elif lit.args not in db.fact_set(lit.relation):
+            return frozenset()  # a ground literal's args is a row: one membership test
+    if pending and components is None:
+        # no store to share components through: one joined pass
+        keys = _covered_keys(pending, head_vars, keys, db)
+    elif pending:
+        position = {v: i for i, v in enumerate(head_vars)}
+        pattern = (head.relation, tuple(position.get(a, a) for a in head.args))
+        covered_sets = []
+        for group in _components(pending, position) if len(pending) > 1 else [pending]:
+            names = dict(position)
+            shape = tuple(
+                (lit.relation, tuple(
+                    names.setdefault(a, len(names)) if type(a) is Term else a
+                    for a in lit.args
+                ))
+                for lit in group
+            )
+            covered = components.get((pattern, shape))
+            if covered is None:
+                covered = components[pattern, shape] = _covered_keys(group, head_vars, keys, db)
+            if not covered:
+                return frozenset()
+            covered_sets.append(covered)
+        covered_sets.sort(key=len)
+        keys = covered_sets[0].intersection(*covered_sets[1:])
+    if example_rows is None:
+        return frozenset(keys)
+    return frozenset(map(example_rows.__getitem__, keys))
+
+
+def _covered_keys(
+    literals: list[Literal],
+    head_vars: tuple[Term, ...],
+    keys: AbstractSet[tuple[str, ...]],
+    db: "DatabaseInstance",
+) -> frozenset[tuple[str, ...]]:
+    """The `keys`, value tuples over `head_vars`, under which `literals`
+    (a head-linked component, or a whole body) are satisfiable.
+
+    Each literal is a factor over its distinct variables, read without a
+    relation scan: a literal of distinct variables shares the stored row
+    set (`db.fact_set`), one with constants starts from the position index
+    (`db.matching_rows`), and only a repeated variable needs a row filter.
+    A lone literal is its rows projected onto its head variables. Several
+    are joined with the keys, one more factor, so the semi-join reduction
+    anchors every intermediate to keys actually asked about:
+    `_reduce_domains` shrinks the factors to their semi-join fixpoint,
+    reading a stored relation's columns only from the rows that survive
+    the domains of the smaller factors; non-head variables are then
+    eliminated cheapest-first, each by joining the factors that hold it.
+    Every factor left is over head variables only: those over the same
+    variables are intersected, and the keys are then filtered by each
+    merged factor in turn, so no join runs without a shared variable. Rows
+    are projected, filtered and collected by `itemgetter`, `compress` and
+    `map` rather than per-row Python code.
+    """
     factors: list[tuple[tuple[Term, ...], AbstractSet[tuple[str, ...]]]] = [
         (head_vars, keys)
     ]
-    for lit in clause.body:
+    for lit in literals:
         factor_vars = tuple(dict.fromkeys(lit.variables()))
-        if not factor_vars:
-            # a ground literal constrains no variable: one membership test
-            if lit.args not in db.fact_set(lit.relation):
-                return frozenset()
-            continue
         if len(factor_vars) == len(lit.args):
             # distinct variables only: the stored row set is the factor
             rows = db.fact_set(lit.relation)
@@ -386,13 +450,20 @@ def covered_examples(
         if not rows:
             return frozenset()  # no stored tuple matches: covers nothing
         factors.append((factor_vars, rows))
-    _reduce_domains(factors)
     keep = set(head_vars)
+    if len(literals) == 1:
+        # nothing to join: no reduction, no elimination
+        factor_vars, rows = factors[1]
+        linked = tuple(i for i, v in enumerate(factor_vars) if v in keep)
+        if len(linked) < len(factor_vars):
+            factors[1] = tuple(factor_vars[i] for i in linked), set(_project(rows, linked))
+    else:
+        _reduce_domains(factors)
     while (v := _cheapest_variable(factors, keep)) is not None:
         touching = sorted(
             (f for f in factors if v in f[0]), key=lambda f: len(f[1])
         )
-        # the example factor holds no eliminated variable: it stays first
+        # the key factor holds no eliminated variable: it stays first
         rest = [f for f in factors if v not in f[0]]
         joined = touching[0]
         for factor in touching[1:]:
@@ -412,9 +483,7 @@ def covered_examples(
         else:
             index = tuple(map(head_vars.index, factor_vars))
             keys = list(compress(keys, map(rows.__contains__, _project(keys, index))))
-    if example_rows is None:
-        return frozenset(keys)
-    return frozenset(map(example_rows.__getitem__, keys))
+    return frozenset(keys)
 
 
 _NO_POSITION = itemgetter(slice(0, 0))  # any row's empty projection, ()

@@ -78,10 +78,14 @@ class CoverageCache:
     """Coverage tests, and other pure steps, against one immutable database.
 
     The examples to be queried are known up front (the universe): a clause
-    is evaluated against all of them in one joined pass, kept per clause,
-    and each test is then a set lookup; `uncovered` and `count` answer a
-    whole list with one lookup of the clause. A test of an example outside
-    the universe raises `ValidationError`.
+    is evaluated against all of them once, kept per clause, and each test
+    is then a set lookup; `uncovered` and `count` answer a whole list with
+    one lookup of the clause. A test of an example outside the universe
+    raises `ValidationError`. The cache hands `covered_examples` one store
+    of covered key sets per head-linked component, so a component is
+    evaluated once whichever clauses hold it: armg's results and their
+    folds, `_holds_for`'s blocked groups and the lgg candidates share one
+    entry per component shape.
 
     `memo` stores the result of any other step that reads nothing but this
     database (`db`) and its key: bottom clauses, armg steps, singleton
@@ -107,6 +111,7 @@ class CoverageCache:
         self.db = db
         self._universe = frozenset(universe)
         self._covered: dict[Clause, frozenset[tuple[str, ...]]] = {}
+        self._components: dict = {}
         self._memo: dict = {}
 
     @classmethod
@@ -152,7 +157,9 @@ class CoverageCache:
     def _covered_set(self, clause: Clause) -> frozenset[tuple[str, ...]]:
         covered = self._covered.get(clause)
         if covered is None:
-            covered = covered_examples(clause, self._universe, self.db)
+            covered = covered_examples(
+                clause, self._universe, self.db, components=self._components
+            )
             self._covered[clause] = covered
         return covered
 
@@ -569,7 +576,9 @@ def _holds_for(
     before it in `clause` that non-head variables join to it: that group,
     under the head of `clause`, must not cover `example`. The groups are
     split once per pair, kept in `cache` and read through `_equivalent`:
-    no witness search runs. `generalize_clause` states why that is exact.
+    no witness search runs, and each group, one head-linked component,
+    shares its covered set with every clause that holds it.
+    `generalize_clause` states why that is exact.
     """
 
     def blocked() -> list[Clause]:

@@ -77,9 +77,9 @@ class TestValueSemantics:
         joined = []
         evaluate = learner.covered_examples
 
-        def recording(clause, examples, db):
+        def recording(clause, examples, db, **store):
             joined.append(clause)
-            return evaluate(clause, examples, db)
+            return evaluate(clause, examples, db, **store)
 
         monkeypatch.setattr(learner, "covered_examples", recording)
         text = "advisedBy(x,y) :- publication(z,x), publication(z,y)."

@@ -14,7 +14,7 @@ import pytest
 from automode import clauses, fixtures, learner
 from automode.clauses import covered_examples, find_witness, parse_clause
 from automode.clauses import Clause, HornDefinition, Literal, Term, fold_singleton_literals, var
-from automode.clauses import _components, _head_binding
+from automode.clauses import _components, _head_binding, canonical_text
 from automode.learner import (
     CoverageCache,
     LearnConfig,
@@ -453,6 +453,122 @@ class TestReduceDomains:
         assert min(seen.values()) >= 100, seen
 
 
+class TestComponentCoverage:
+    """`covered_examples` with a component store, as `CoverageCache` runs
+    it: one covered key set per head-linked component, intersected."""
+
+    def test_a_shared_store_matches_the_substitution_oracle(self):
+        # many clauses over one store, database and example set: heads with
+        # constants and repeated variables that cannot bind some examples,
+        # ground literals in and out of their relation, empty bodies, and
+        # alphabetic variants and merged bodies that reuse stored components
+        rng = random.Random(271)
+        seen = {"covered": 0, "not covered": 0, "head does not bind": 0,
+                "head constant": 0, "repeated head variable": 0, "ground literal": 0,
+                "empty body": 0, "only stored components": 0, "components": 0}
+        for _ in range(150):
+            db = random_db(rng, max_relations=3, max_arity=3, max_tuples=30, pool=4)
+            arity = rng.randint(1, 3)
+            universe = list({random_example(rng, arity, pool=4) for _ in range(6)})
+            store: dict = {}
+            done: list[tuple[Clause, frozenset]] = []
+            for _ in range(6):
+                if done and rng.random() < 0.3:
+                    # an alphabetic variant of an earlier clause, all of its
+                    # variables renamed
+                    clause, want = rng.choice(done)
+                    renamed = {v: var(f"w{v.symbol}") for v in clause.variables()}
+                    clause = clauses.apply_renaming(clause, renamed)
+                else:
+                    body = list(random_clause(rng, db, max_body=4, max_free_vars=3).body)
+                    if done and rng.random() < 0.4:
+                        body += rng.choice(done)[0].body  # its components, maybe joined
+                    if rng.random() < 0.15:
+                        body = []
+                    if rng.random() < 0.3:
+                        schema = rng.choice(db.schemas)
+                        stored = db.relation_rows(schema.name)
+                        if stored and rng.random() < 0.6:
+                            row = rng.choice(stored)
+                        else:
+                            row = random_example(rng, schema.arity, pool=4)
+                        body.insert(rng.randint(0, len(body)), Literal(schema.name, row))
+                        seen["ground literal"] += 1
+                    args = [var(f"x{rng.randrange(2)}") for _ in range(arity)]
+                    if rng.random() < 0.25:
+                        args[rng.randrange(arity)] = f"c{rng.randrange(4)}"
+                    clause = Clause(Literal("t", tuple(args)), tuple(body))
+                    want = frozenset(e for e in universe if covers_oracle(clause, e, db))
+                size = len(store)
+                joined = covered_examples(clause, universe, db, components=store)
+                assert joined == want, (str(clause), universe)
+                assert covered_examples(clause, universe, db) == want
+                done.append((clause, want))
+                free = [lit for lit in clause.body if any(type(a) is Term for a in lit.args)]
+                seen["components"] += len(store) - size
+                seen["only stored components"] += bool(free) and len(store) == size
+                seen["empty body"] += not clause.body
+                head = clause.head.args
+                seen["head constant"] += not all(type(a) is Term for a in head)
+                seen["repeated head variable"] += len(set(head)) < len(head)
+                seen["covered"] += len(want)
+                seen["not covered"] += len(universe) - len(want)
+                seen["head does not bind"] += sum(
+                    _head_binding(clause.head, e) is None for e in universe
+                )
+        assert min(seen.values()) >= 100, seen
+
+    def test_a_cache_evaluates_a_component_once(self, monkeypatch):
+        # the co-author component occurs in two clauses, in an alphabetic
+        # variant and in a blocked group of armg's reuse check
+        evaluate = clauses._covered_keys
+        evaluated = []
+
+        def recording(literals, head_vars, keys, db):
+            head = Literal("advisedBy", head_vars)
+            evaluated.append(canonical_text(Clause(head, tuple(literals))))
+            return evaluate(literals, head_vars, keys, db)
+
+        monkeypatch.setattr(clauses, "_covered_keys", recording)
+        db = fixtures.small_database()
+        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        cache = CoverageCache(db, universe)
+        texts = (
+            "advisedBy(x,y) :- publication(z,x), publication(z,y), student(x).",
+            "advisedBy(x,y) :- professor(y), publication(w,x), publication(w,y).",
+            "advisedBy(a,b) :- publication(c,a), publication(c,b).",
+        )
+        for text in texts:
+            clause = parse_clause(text)
+            for example in universe:
+                assert cache.covers(clause, example) == covers_oracle(clause, example, db)
+        coauthors = "advisedBy(V0,V1) :- publication(V2,V0), publication(V2,V1)."
+        assert evaluated.count(coauthors) == 1
+        # armg's result for `clause` leaves publication(z,x) out: its group
+        # with publication(z,y) is the co-author component, which covers
+        # the example, so the result is not armg's there
+        clause = parse_clause(
+            "advisedBy(x,y) :- publication(z,y), student(x), publication(z,x)."
+        )
+        result = parse_clause("advisedBy(x,y) :- publication(z,y), student(x).")
+        assert not learner._holds_for(clause, result, result, ("alice", "bob"), cache)
+        assert evaluated.count(coauthors) == 1
+        assert len(set(evaluated)) == len(evaluated) == 4, evaluated
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_wrong_arity_example_is_rejected(self, store):
+        # with a store or without one, before any component is evaluated
+        db = fixtures.small_database()
+        clause = parse_clause(
+            'advisedBy(x,y) :- publication(z,x), publication(z,y), inPhase("alice","post_quals").'
+        )
+        components = {} if store else None
+        examples = [("alice", "bob"), ("john", "mary")]
+        assert covered_examples(clause, examples, db, components=components) == set(examples)
+        with pytest.raises(ValidationError, match="example arity 1 does not match"):
+            covered_examples(clause, examples + [("alice",)], db, components=components)
+
+
 _CACHE_CALLS = ["score", "generalize_clause", "learn_definition", "lgg_learn", "precision_recall"]
 
 
@@ -485,9 +601,9 @@ class TestCoverageCache:
         joined = []
         evaluate = learner.covered_examples
 
-        def recording_joined(clause, examples, db):
+        def recording_joined(clause, examples, db, **store):
             joined.append(clause)
-            return evaluate(clause, examples, db)
+            return evaluate(clause, examples, db, **store)
 
         monkeypatch.setattr(learner, "covered_examples", recording_joined)
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
@@ -530,9 +646,9 @@ class TestCoverageCache:
         joined = []
         evaluate = learner.covered_examples
 
-        def recording(clause, examples, db):
+        def recording(clause, examples, db, **store):
             joined.append(clause)
-            return evaluate(clause, examples, db)
+            return evaluate(clause, examples, db, **store)
 
         monkeypatch.setattr(learner, "covered_examples", recording)
         rng = random.Random(269)
@@ -573,9 +689,9 @@ class TestCoverageCache:
         joined = []
         evaluate = learner.covered_examples
 
-        def recording(clause, examples, db):
+        def recording(clause, examples, db, **store):
             joined.append(clause)
-            return evaluate(clause, examples, db)
+            return evaluate(clause, examples, db, **store)
 
         monkeypatch.setattr(learner, "covered_examples", recording)
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]

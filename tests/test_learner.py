@@ -733,9 +733,9 @@ class TestScoringEquivalent:
         evaluate, reduce = learner.covered_examples, learner._scoring_equivalent
         evaluated, shrunk = [], []
 
-        def recording(clause, examples, db):
+        def recording(clause, examples, db, **store):
             evaluated.append(clause)
-            return evaluate(clause, examples, db)
+            return evaluate(clause, examples, db, **store)
 
         def reducing(clause, cache):
             equivalent = reduce(clause, cache)
@@ -786,9 +786,9 @@ class TestAlphabeticVariants:
         evaluate = learner.covered_examples
         evaluated = []
 
-        def recording(clause, examples, db):
+        def recording(clause, examples, db, **store):
             evaluated.append(clause)
-            return evaluate(clause, examples, db)
+            return evaluate(clause, examples, db, **store)
 
         monkeypatch.setattr(learner, "covered_examples", recording)
         for seed in (1, 3, 7):

@@ -7,19 +7,19 @@ arguments against a stored row or another literal's alike. Coverage has
 one evaluator, `covered_examples`, which tests a clause against a set of
 examples in two parts. Once per clause it binds the head variables to
 each example's key and tests each ground literal's row; then it tests
-the rest of the body against every key at once, as one joined pass or,
-given a store, once per head-linked component, intersecting what the
-components cover. In such a pass each body literal becomes a factor read
-from the database's stored row sets and position index (never by
-scanning a relation), a worklist semi-join reduction shrinks the factors
-smallest first, variable elimination joins away the non-head variables,
-and the keys are filtered by what is left. Learning reads it through
+the rest of the body against every key at once, one head-linked
+component at a time, intersecting what the components cover. In each
+component's pass each body literal becomes a factor read from the
+database's stored row sets and position index (never by scanning a
+relation), a worklist semi-join reduction shrinks the factors smallest
+first, variable elimination joins away the non-head variables, and the
+keys are filtered by what is left. A store keyed by component shape
+shares those passes between clauses: learning reads coverage through
 `learner.CoverageCache`, which keeps one result per clause over every
-example it will be asked about and one per component shape; scoring asks
-about each clause's `canonical_variant`, so alphabetic variants share
-one result.
+example it will be asked about and one per component shape, so twin
+components and alphabetic variants are each evaluated once.
 `find_witness` serves armg alone, its prefix decisions and its one-row
-extensions (armg's reuse check reads cached joined passes): one
+extensions (armg's reuse check reads cached component passes): one
 existential substitution search that splits its literals by shared
 unbound variables and solves each group by fail-first backtracking over
 indexed candidate rows, recursing once per branching literal.
@@ -336,24 +336,23 @@ def covered_examples(
     key; only a head with a constant or a repeated variable binds each
     example first), and one membership test in its stored row set for each
     ground body literal, whose `args` is a row. Then `_covered_keys` tests
-    the non-ground literals against the whole key set; an empty body
-    covers what the head binds.
+    the non-ground literals against the whole key set once per head-linked
+    component, the literals that non-head variables join
+    (`_components(body, head)`), and the covered key sets are intersected
+    smallest first: components share only head variables, which each
+    example binds, so the clause covers an example exactly when every
+    component covers its key. An empty body covers what the head binds.
 
-    Without a store that is one joined pass over the whole body. With a
-    `components` store it runs once per head-linked component, the
-    literals that non-head variables join (`_components(body, head)`), and
-    the covered key sets are intersected smallest first: components share
-    only head variables, which each example binds, so the clause covers an
-    example exactly when every component covers its key. The store maps
-    the head pattern (relation, constants and repeated head variables) and
-    a component's shape (head variables by key position, other variables
-    numbered by first occurrence, constants as values) to its covered
-    keys. Components of one shape are one query up to the names of their
-    variables, so clauses that share one, alphabetic variants included,
-    evaluate it once. A store holds keys of one example set over one
-    database, as `learner.CoverageCache` keeps it. An example whose arity
-    is not the head's, or a clause `check_body` refuses, raises
-    `ValidationError`.
+    The `components` store maps the head pattern (relation, constants and
+    repeated head variables) and a component's shape (head variables by
+    key position, other variables numbered by first occurrence, constants
+    as values) to its covered keys. Components of one shape are one query
+    up to the names of their variables, so clauses that share one,
+    alphabetic variants included, evaluate it once, and so do twin
+    components of one clause. A store holds keys of one example set over
+    one database, as `learner.CoverageCache` keeps it; without one, the
+    call fills a fresh store of its own. An example whose arity is not the
+    head's, or a clause `check_body` refuses, raises `ValidationError`.
     """
     check_body(clause, db)
     head = clause.head
@@ -381,10 +380,8 @@ def covered_examples(
             pending.append(lit)
         elif lit.args not in db.fact_set(lit.relation):
             return frozenset()  # a ground literal's args is a row: one membership test
-    if pending and components is None:
-        # no store to share components through: one joined pass
-        keys = _covered_keys(pending, head_vars, keys, db)
-    elif pending:
+    if pending:
+        components = {} if components is None else components
         position = {v: i for i, v in enumerate(head_vars)}
         pattern = (head.relation, tuple(position.get(a, a) for a in head.args))
         covered_sets = []
@@ -416,8 +413,8 @@ def _covered_keys(
     keys: AbstractSet[tuple[str, ...]],
     db: "DatabaseInstance",
 ) -> frozenset[tuple[str, ...]]:
-    """The `keys`, value tuples over `head_vars`, under which `literals`
-    (a head-linked component, or a whole body) are satisfiable.
+    """The `keys`, value tuples over `head_vars`, under which `literals`,
+    a head-linked component, are satisfiable.
 
     Each literal is a factor over its distinct variables, read without a
     relation scan: a literal of distinct variables shares the stored row

@@ -183,11 +183,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     definition = learner_for(args.generalizer)(db, examples, bias, cfg, cache=cache)
     if args.deep_reduce:
-        cores = tuple(minimize(c, deep=True) for c in definition.clauses)
-        for clause, core in zip(definition.clauses, cores):
-            # a core covers exactly what its clause covers
-            cache.share_coverage(clause, core)
-        definition = HornDefinition(cores)
+        definition = HornDefinition(tuple(minimize(c, deep=True) for c in definition.clauses))
     wall = _ms(started)
     _note(f"learning took {wall} ms; {len(definition.clauses)} clause(s)")
     precision, recall = precision_recall(

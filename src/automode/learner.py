@@ -26,7 +26,6 @@ from .clauses import (
     _head_binding,
     apply_renaming,
     canonical_text,
-    canonical_variant,
     check_body,
     covered_examples,
     find_witness,
@@ -85,18 +84,19 @@ class CoverageCache:
     of covered key sets per head-linked component, so a component is
     evaluated once whichever clauses hold it: armg's results and their
     folds, `_holds_for`'s blocked groups and the lgg candidates share one
-    entry per component shape.
+    entry per component shape, and so do alphabetic variants and twin
+    components within one clause.
 
     `memo` stores the result of any other step that reads nothing but this
     database (`db`) and its key: bottom clauses, armg steps, singleton
-    folds, scoring equivalents, the groups of armg's reuse check, ground
-    bottom clauses and pairwise lggs. So runs over
-    different example sets against the same database (the folds of
-    `cross_validate`) can share one cache. One key per armg input clause
-    `b` also gathers the distinct results armg has returned for `b`, each
-    with its fold, whichever example produced it: `generalize_clause`
-    reuses one for a new example once `_holds_for` shows that armg would
-    return it there too. Satisfiability is closed under subsets and armg
+    folds, the groups of armg's reuse check, ground bottom clauses and
+    pairwise lggs. So runs over different example sets against the same
+    database (the folds of `cross_validate`) can share one cache. One key
+    per armg input clause `b` also gathers the distinct results armg has
+    returned for `b`, each with its fold, whichever example produced it:
+    `generalize_clause` reuses one for a new example once `_holds_for`
+    shows that armg would return it there too. Satisfiability is closed
+    under subsets and armg
     decides each variable-connected group on its own, so that reuse is
     exact, and it gives the same clauses whichever runs shared the cache.
     A universe larger than the training set leaks nothing: `_cover_set`,
@@ -145,10 +145,10 @@ class CoverageCache:
 
     def uncovered(self, clause: Clause, examples: Sequence[tuple[str, ...]]) -> list:
         """The examples the clause does not cover, in order, duplicates
-        kept: one universe check and one lookup of the clause's joined
-        coverage, filtered in one C-level pass."""
+        kept: one universe check and one lookup of the clause's covered
+        set, filtered in one C-level pass."""
         if not examples:
-            return []  # nothing asked: no joined pass
+            return []  # nothing asked: no coverage pass
         if not self._universe.issuperset(examples):
             outside = next(e for e in examples if e not in self._universe)
             raise ValidationError(f"example {outside!r} is outside the cache's universe")
@@ -162,13 +162,6 @@ class CoverageCache:
             )
             self._covered[clause] = covered
         return covered
-
-    def share_coverage(self, clause: Clause, equivalent: Clause) -> None:
-        """Let `equivalent`, a clause subsumption-equivalent to `clause`,
-        reuse the joined coverage already computed for `clause`."""
-        covered = self._covered.get(clause)
-        if covered is not None:
-            self._covered.setdefault(equivalent, covered)
 
 
 # -- bottom-clause construction ----------------------------------------------
@@ -442,12 +435,12 @@ def generalize_clause(
     shorter body, then clause text, rendered only for the ties that reach
     into the beam: `_top_ranked`). Search stops when no candidate beats
     the best score seen so far. A sampled example the head cannot bind to
-    (`clauses._head_binding`) is skipped: no body could cover it. Each
-    clause is scored through its `_equivalent`, and shares that clause's
-    coverage; the ranking reads the clause itself. The winner is returned
-    folded (`fold_singleton_literals`) even when it is the bottom clause
-    itself; the folded clause reuses the winner's cached coverage. Folds
-    are memoized (`_folded`).
+    (`clauses._head_binding`) is skipped: no body could cover it. Every
+    coverage read goes through the clause's fold
+    (`fold_singleton_literals`, memoized by `_folded`), which covers what
+    the clause covers with fewer components to evaluate; the ranking reads
+    the clause itself. The winner is returned folded even when it is the
+    bottom clause itself.
 
     Every coverage test is a lookup in `cache`, whose universe must hold
     `positives` and `negatives`.
@@ -458,7 +451,7 @@ def generalize_clause(
     unsatisfiable under `e` together with the literals of `c` before it
     that non-head variables join to it. That group depends on `b` and `c`
     alone, and it is satisfiable under `e`'s head binding exactly when it
-    covers `e` under `b`'s head: a lookup in a cached joined pass. Then
+    covers `e` under `b`'s head: a lookup in cached component passes. Then
     armg's greedy pass over `b` for `e` keeps exactly `c`'s literals, by
     induction over `b`: satisfiability is closed under subsets, so a
     literal of `c` is kept, as it and the kept prefix are a subset of `c`,
@@ -474,10 +467,7 @@ def generalize_clause(
     cache = CoverageCache.of(db, cache, positives, negatives)
 
     def clause_score(c: Clause) -> int:
-        equivalent = _equivalent(c, cache)
-        value = score(equivalent, positives, negatives, db, cache)
-        cache.share_coverage(equivalent, c)
-        return value
+        return score(_folded(c, cache), positives, negatives, db, cache)
 
     def generalized(b: Clause, e: tuple[str, ...]) -> Clause:
         # armg's results for b, raw and folded
@@ -498,7 +488,7 @@ def generalize_clause(
         candidates: list[Clause] = []
         seen: set[Clause] = set()
         for b in beam:
-            for e in cache.uncovered(b, sample):
+            for e in cache.uncovered(_folded(b, cache), sample):
                 if _head_binding(b.head, e) is None:
                     continue  # head shape (e.g. repeated variable) cannot fit e
                 # armg keeps exactly the literals jointly satisfiable with
@@ -515,9 +505,7 @@ def generalize_clause(
             break
         best, best_score = ranked[0], top_score
         beam = ranked
-    folded = minimize(_folded(best, cache))
-    cache.share_coverage(best, folded)
-    return folded
+    return minimize(_folded(best, cache))
 
 
 def _top_ranked(
@@ -550,15 +538,6 @@ def _folded(clause: Clause, cache: CoverageCache) -> Clause:
     return folded
 
 
-def _equivalent(clause: Clause, cache: CoverageCache) -> Clause:
-    """The clause's `_scoring_equivalent` as its `canonical_variant`,
-    memoized in `cache`: coverage does not depend on variable names, so
-    alphabetic variants share one joined pass."""
-    return cache.memo(
-        ("equivalent", clause), lambda: canonical_variant(_scoring_equivalent(clause, cache))
-    )
-
-
 def _holds_for(
     clause: Clause,
     result: Clause,
@@ -569,14 +548,14 @@ def _holds_for(
     """True when `result`, armg's result for `clause` and another example,
     is also `armg(clause, example)`, shown without armg's pass.
 
-    `result` must cover `example`: its coverage is read through the scoring
-    equivalent of its fold `folded`, which scoring computes anyway. And
-    each body literal of `clause` that `result` leaves out must be
-    unsatisfiable under `example` together with the literals of `result`
-    before it in `clause` that non-head variables join to it: that group,
+    `result` must cover `example`: its coverage is read through its fold
+    `folded`, which scoring computes anyway. And each body literal of
+    `clause` that `result` leaves out must be unsatisfiable under
+    `example` together with the literals of `result` before it in
+    `clause` that non-head variables join to it: that group,
     under the head of `clause`, must not cover `example`. The groups are
-    split once per pair, kept in `cache` and read through `_equivalent`:
-    no witness search runs, and each group, one head-linked component,
+    split once per pair and kept in `cache`, each folded (`_folded`): no
+    witness search runs, and each group, one head-linked component,
     shares its covered set with every clause that holds it.
     `generalize_clause` states why that is exact.
     """
@@ -590,43 +569,14 @@ def _holds_for(
             if lit in kept:
                 prefix.append(lit)
             else:  # the first group holds `lit`: the rest of the prefix cannot block it
-                groups.append(Clause(clause.head, tuple(_components([lit, *prefix], head)[0])))
+                group = Clause(clause.head, tuple(_components([lit, *prefix], head)[0]))
+                groups.append(_folded(group, cache))
         return groups
 
-    if not cache.covers(_equivalent(folded, cache), example):
+    if not cache.covers(folded, example):
         return False
     groups = cache.memo(("blocked groups", clause, result), blocked)
-    return not any(cache.covers(_equivalent(group, cache), example) for group in groups)
-
-
-def _scoring_equivalent(clause: Clause, cache: CoverageCache) -> Clause:
-    """A subsumption-equivalent clause found without a search: the
-    singleton fold (`_folded`), then one copy of each twin group.
-
-    A group is a set of body literals that non-head variables join; two
-    groups are twins when renaming their non-head variables in
-    first-occurrence order gives the same literals. That renaming maps a
-    later twin onto the first and leaves every other term alone, so the
-    clause maps into itself without the later twin and covers exactly what
-    it covers.
-    """
-    folded = _folded(clause, cache)
-    head = dict.fromkeys(folded.head.variables())
-    shapes = set()
-    kept: list[Literal] = []
-    for group in _components(list(folded.body), head):
-        names: dict[Term, int] = {}
-        shape = tuple(
-            (lit.relation, tuple(
-                a if a in head or type(a) is not Term else names.setdefault(a, len(names))
-                for a in lit.args
-            ))
-            for lit in group
-        )
-        if shape not in shapes:
-            shapes.add(shape)
-            kept.extend(group)
-    return Clause(folded.head, tuple(kept))
+    return not any(cache.covers(group, example) for group in groups)
 
 
 # -- cover-set loop --------------------------------------------------------------

@@ -353,7 +353,7 @@ class TestCoveredExamples:
             narrowed += any(len(rows) < n for (_, rows), n in zip(factors, sizes))
 
         monkeypatch.setattr(clauses, "_reduce_domains", checked)
-        for _ in range(300):
+        for _ in range(500):
             db = random_db(rng, max_relations=3, max_arity=3, max_tuples=40, pool=5)
             clause = random_clause(rng, db, max_body=8)
             universe = {random_example(rng, len(clause.head.args), pool=5) for _ in range(6)}
@@ -555,6 +555,30 @@ class TestComponentCoverage:
         assert evaluated.count(coauthors) == 1
         assert len(set(evaluated)) == len(evaluated) == 4, evaluated
 
+    def test_a_call_without_a_store_evaluates_twin_components_once(self, monkeypatch):
+        # the two co-author components differ only in their non-head
+        # variable: one shape, so one evaluation, with no store passed in
+        evaluate = clauses._covered_keys
+        evaluated = []
+
+        def recording(literals, head_vars, keys, db):
+            evaluated.append(literals)
+            return evaluate(literals, head_vars, keys, db)
+
+        monkeypatch.setattr(clauses, "_covered_keys", recording)
+        db = fixtures.small_database()
+        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
+        clause = parse_clause(
+            "advisedBy(x,y) :- publication(z,x), publication(w,x), "
+            "publication(z,y), publication(w,y)."
+        )
+        want = frozenset(e for e in universe if covers_oracle(clause, e, db))
+        assert want and covered_examples(clause, universe, db) == want
+        assert list(map(len, evaluated)) == [2], evaluated
+        # a second call starts from a fresh store of its own
+        assert covered_examples(clause, universe, db) == want
+        assert list(map(len, evaluated)) == [2, 2], evaluated
+
     @pytest.mark.parametrize("store", [False, True])
     def test_wrong_arity_example_is_rejected(self, store):
         # with a store or without one, before any component is evaluated
@@ -627,12 +651,12 @@ class TestCoverageCache:
                     with pytest.raises(ValidationError, match="outside the cache's universe"):
                         cache.covers(clause, example)
         assert covered >= 10
-        # one joined pass per clause
+        # one coverage pass per clause
         assert joined == [parse_clause(t) for t in texts]
 
     @pytest.mark.parametrize("in_universe", [True, False])
     def test_wrong_arity_example_is_rejected(self, in_universe):
-        # the joined pass over the universe refuses the example's arity,
+        # the coverage pass over the universe refuses the example's arity,
         # and a cache without it refuses to test it at all
         db = fixtures.small_database()
         clause = parse_clause("advisedBy(x,y) :- publication(z,x), publication(z,y).")
@@ -683,31 +707,6 @@ class TestCoverageCache:
             cache.uncovered(clause, [universe[0], outside, universe[1]])
         assert str(by_uncovered.value) == str(by_covers.value)
         assert "outside the cache's universe" in str(by_covers.value)
-
-    def test_equivalent_clause_reuses_joined_coverage(self, monkeypatch):
-        db = fixtures.small_database()
-        joined = []
-        evaluate = learner.covered_examples
-
-        def recording(clause, examples, db, **store):
-            joined.append(clause)
-            return evaluate(clause, examples, db, **store)
-
-        monkeypatch.setattr(learner, "covered_examples", recording)
-        universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
-        cache = learner.CoverageCache(db, universe)
-        clause = parse_clause(
-            "advisedBy(x,y) :- publication(z,x), publication(z,y), publication(z,w)."
-        )
-        folded = fold_singleton_literals(clause)
-        assert folded != clause
-        cache.share_coverage(clause, folded)  # nothing cached yet: no-op
-        want = covered_examples(clause, universe, db)
-        assert [cache.covers(clause, e) for e in universe] == [e in want for e in universe]
-        cache.share_coverage(clause, folded)
-        want = covered_examples(folded, universe, db)
-        assert [cache.covers(folded, e) for e in universe] == [e in want for e in universe]
-        assert joined == [clause]
 
     @pytest.mark.parametrize("call", _CACHE_CALLS)
     def test_cache_over_another_database_is_rejected(self, call):

@@ -30,7 +30,6 @@ from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     _connected_order,
     _top_ranked,
-    _scoring_equivalent,
     CoverageCache,
     LearnConfig,
     armg,
@@ -55,6 +54,7 @@ from oracles import (
     armg_oracle,
     blocking_drop_oracle,
     connected_order_oracle,
+    covers_oracle,
     head_fit_oracle,
     isomorphic,
     random_clause,
@@ -62,7 +62,6 @@ from oracles import (
     random_db,
     random_example,
     random_task,
-    subsumes_oracle,
 )
 
 
@@ -684,11 +683,12 @@ class TestRanking:
             assert _top_ranked(candidates, scores.__getitem__, width) == expected
 
 
-class TestScoringEquivalent:
-    def test_covers_what_its_clause_covers(self):
-        # random clauses, half of them merged with a copy whose non-head
-        # variables are renamed apart, against random databases over four
-        # values
+class TestScoringThroughFolds:
+    def test_a_twin_copy_adds_no_store_entry(self):
+        # random clauses, merged with a copy whose non-head variables are
+        # renamed apart, against random databases over four values: the
+        # copy's components have its clause's shapes, so a store that
+        # holds the clause's components evaluates none of the copy's
         rng = random.Random(409)
         head_vars = [var("x0"), var("x1")]
         schemas = (
@@ -709,45 +709,46 @@ class TestScoringEquivalent:
             })
             pool = [var(f"y{i}") for i in range(rng.randint(1, 2))] + ["c0"]
             clause = random_clause_over(rng, head_vars, pool, 5, rng.choice(("pppqr", "ppqq", "pq")))
-            if rng.random() < 0.5:
-                renamed = {v: var(f"z{v.symbol}") for v in pool if type(v) is Term}
-                body, copy = list(clause.body), list(apply_renaming(clause, renamed).body)
-                merged = []
-                while body or copy:
-                    source = body if body and (not copy or rng.random() < 0.5) else copy
-                    merged.append(source.pop(0))
-                clause = Clause(clause.head, tuple(merged))
-            equivalent = _scoring_equivalent(clause, CoverageCache(db))
-            assert set(equivalent.body) <= set(clause.body)
-            assert covered_examples(equivalent, examples, db) == covered_examples(
-                clause, examples, db
-            )
-            assert subsumes_oracle(clause, equivalent) and subsumes_oracle(equivalent, clause)
-            twins += len(equivalent.body) < len(minimize(fold_singleton_literals(clause)).body)
-        assert twins >= 30, twins
+            renamed = {v: var(f"z{v.symbol}") for v in pool if type(v) is Term}
+            body, copy = list(clause.body), list(apply_renaming(clause, renamed).body)
+            merged = []
+            while body or copy:
+                source = body if body and (not copy or rng.random() < 0.5) else copy
+                merged.append(source.pop(0))
+            merged = Clause(clause.head, tuple(merged))
+            store: dict = {}
+            want = frozenset(e for e in examples if covers_oracle(merged, e, db))
+            assert covered_examples(clause, examples, db, components=store) == want
+            size = len(store)
+            assert covered_examples(merged, examples, db, components=store) == want
+            if want:
+                # the clause's pass stopped at no empty component: every
+                # shape of the merged clause is already stored
+                assert len(store) == size, (str(clause), str(merged))
+                twins += size > 0
+        assert twins >= 100, twins
 
-    def test_learning_scores_reduced_clauses_without_a_search(self, monkeypatch):
-        # every joined pass of a learning run evaluates a clause that neither
-        # the fold nor the twin-group drop shrinks, and no subsumption search
-        # runs to find it
-        evaluate, reduce = learner.covered_examples, learner._scoring_equivalent
+    def test_learning_scores_folded_clauses_without_a_search(self, monkeypatch):
+        # every clause a learning run evaluates is its own singleton fold,
+        # and no subsumption search runs to find it
+        evaluate, fold = learner.covered_examples, learner.fold_singleton_literals
         evaluated, shrunk = [], []
 
         def recording(clause, examples, db, **store):
             evaluated.append(clause)
             return evaluate(clause, examples, db, **store)
 
-        def reducing(clause, cache):
-            equivalent = reduce(clause, cache)
-            shrunk.append(len(equivalent.body) < len(clause.body))
-            return equivalent
+        def folding(clause):
+            folded = fold(clause)
+            shrunk.append(len(folded.body) < len(clause.body))
+            return folded
 
         def no_search(*args):
             raise AssertionError("a subsumption search ran during learning")
 
         monkeypatch.setattr(learner, "covered_examples", recording)
         monkeypatch.setattr(clauses, "covered_examples", recording)
-        monkeypatch.setattr(learner, "_scoring_equivalent", reducing)
+        monkeypatch.setattr(learner, "fold_singleton_literals", folding)
         monkeypatch.setattr(clauses, "_embed", no_search)
         tasks = [
             (fixtures.small_database_registered(), fixtures.small_examples()),
@@ -758,8 +759,7 @@ class TestScoringEquivalent:
             for iterations in (1, 2):
                 cfg = LearnConfig(iterations=iterations)
                 learn_definition(db, ex, induce_bias(db, ex.target.name), cfg)
-        # a fresh cache each: the reduction reads only the cache's fold memo
-        assert all(reduce(c, CoverageCache(db)) == c for c in evaluated)
+        assert all(fold(c) == c for c in evaluated)
         assert len(evaluated) >= 50 and sum(shrunk) >= 20, (len(evaluated), sum(shrunk))
 
 
@@ -782,22 +782,31 @@ def _planted_task(out: Path, seed: int, **params):
 class TestAlphabeticVariants:
     def test_cross_validation_joins_each_variant_once(self, monkeypatch, tmp_path):
         # the bench's cv-shallow shape, on seeds whose folds learn clauses
-        # that differ only in their variable names: those share one pass
-        evaluate = learner.covered_examples
-        evaluated = []
+        # that differ only in their variable names: those clauses share
+        # their components' passes, so each component is evaluated once
+        # per run, and some clause reads only stored components
+        evaluate_clause, evaluate = learner.covered_examples, clauses._covered_keys
+        clause_calls, evaluated = [], []
 
-        def recording(clause, examples, db, **store):
-            evaluated.append(clause)
-            return evaluate(clause, examples, db, **store)
+        def recording_clause(clause, examples, db, **store):
+            clause_calls.append(canonical_text(clause))
+            return evaluate_clause(clause, examples, db, **store)
 
-        monkeypatch.setattr(learner, "covered_examples", recording)
+        def recording(literals, head_vars, keys, db):
+            head = Literal("advisedBy", head_vars)
+            evaluated.append(canonical_text(Clause(head, tuple(literals))))
+            return evaluate(literals, head_vars, keys, db)
+
+        monkeypatch.setattr(learner, "covered_examples", recording_clause)
+        monkeypatch.setattr(clauses, "_covered_keys", recording)
         for seed in (1, 3, 7):
+            clause_calls.clear()
             evaluated.clear()
             db, ex = _planted_task(tmp_path / str(seed), seed, profs=10)
             bias = induce_bias(db, ex.target.name)
             cross_validate(db, ex, bias, LearnConfig(iterations=1), 5, seed)
-            texts = [canonical_text(c) for c in evaluated]
-            assert texts and len(set(texts)) == len(texts), texts
+            assert evaluated and len(set(evaluated)) == len(evaluated), evaluated
+            assert len(set(clause_calls)) < len(clause_calls), clause_calls
 
 
 def _reuse_runs(tmp_path: Path):
@@ -856,8 +865,8 @@ class TestArmgReuse:
         assert len(reuses) >= 50 and min(rejected.values()) >= 10, (len(reuses), rejected)
 
     def test_the_check_runs_no_witness_search(self, monkeypatch, tmp_path):
-        # each left-out literal's group is a clause whose joined pass the
-        # cache keeps: find_witness serves armg alone
+        # each left-out literal's group is a clause whose component passes
+        # the cache keeps: find_witness serves armg alone
         holds, search = learner._holds_for, learner.find_witness
         checks = searches = 0
         inside = False
@@ -885,9 +894,9 @@ class TestArmgReuse:
 
 class TestFoldOnce:
     def test_cross_validation_folds_each_clause_once(self, monkeypatch, tmp_path):
-        # the beam's armg results, their scoring equivalents, the blocked
-        # groups of the reuse check and the winner's final fold share one
-        # fold per distinct clause in the run's cache
+        # the beam's armg results, the clauses scored through their folds,
+        # the blocked groups of the reuse check and the winner's final fold
+        # share one fold per distinct clause in the run's cache
         fold = learner.fold_singleton_literals
         inputs: list[Clause] = []
 

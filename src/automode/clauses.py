@@ -257,6 +257,8 @@ def find_witness(
 def _components(
     literals: list[Literal], binding: dict[Term, str]
 ) -> list[list[Literal]]:
+    """The literals grouped by the variables outside `binding` they share,
+    groups ordered by their first literal, each in input order."""
     parent = list(range(len(literals)))
 
     def find(i: int) -> int:

@@ -83,23 +83,22 @@ class CoverageCache:
     raises `ValidationError`. The cache hands `covered_examples` one store
     of covered key sets per head-linked component, so a component is
     evaluated once whichever clauses hold it: armg's results and their
-    folds, `_holds_for`'s blocked groups and the lgg candidates share one
+    folds, `_holds_for`'s blocked prefixes and the lgg candidates share one
     entry per component shape, and so do alphabetic variants and twin
     components within one clause.
 
     `memo` stores the result of any other step that reads nothing but this
     database (`db`) and its key: bottom clauses, armg steps, singleton
-    folds, the groups of armg's reuse check, ground bottom clauses and
-    pairwise lggs. So runs over different example sets against the same
-    database (the folds of `cross_validate`) can share one cache. One key
-    per armg input clause `b` also gathers the distinct results armg has
-    returned for `b`, each with its fold, whichever example produced it:
-    `generalize_clause` reuses one for a new example once `_holds_for`
-    shows that armg would return it there too. Satisfiability is closed
-    under subsets and armg
-    decides each variable-connected group on its own, so that reuse is
-    exact, and it gives the same clauses whichever runs shared the cache.
-    A universe larger than the training set leaks nothing: `_cover_set`,
+    folds, the blocked prefixes of armg's reuse check, ground bottom
+    clauses and pairwise lggs. So runs over different example sets
+    against the same database (the folds of `cross_validate`) can share
+    one cache. One key per armg input clause `b` also gathers the
+    distinct results armg has returned for `b`, each with its fold,
+    whichever example produced it: `generalize_clause` reuses one for a
+    new example once `_holds_for` shows that armg would return it there
+    too. That check asks armg's own question of each dropped literal, so
+    the reuse is exact, and it gives the same clauses whichever runs
+    shared the cache. A universe larger than the training set leaks nothing: `_cover_set`,
     `generalize_clause` and `score` only ask about training examples, and
     a clause's coverage of one example does not depend on which other
     examples were evaluated with it. Functions that take a cache get it
@@ -107,7 +106,7 @@ class CoverageCache:
     whose universe lacks an example they ask about refuses that test.
     """
 
-    def __init__(self, db: DatabaseInstance, universe=()):
+    def __init__(self, db: DatabaseInstance, universe):
         self.db = db
         self._universe = frozenset(universe)
         self._covered: dict[Clause, frozenset[tuple[str, ...]]] = {}
@@ -355,8 +354,8 @@ def armg(clause: Clause, example: tuple[str, ...], db: DatabaseInstance) -> Clau
     first extends it by one row of the new literal, a one-literal
     `find_witness` call. Only when no row fits does it search the
     literal's group under the head binding (the literals that
-    non-head variables join to it, as `_holds_for` takes it), and the
-    group's solution replaces the assignment's values for its variables.
+    non-head variables join to it), and the group's solution replaces
+    the assignment's values for its variables.
     The assignment only seeds later extensions: the kept literals do not
     depend on it. `_connected_order` then drops the kept literals that no
     chain of shared variables joins to the head and orders the rest. A
@@ -447,20 +446,16 @@ def generalize_clause(
 
     Before armg runs on a beam clause `b` and a sampled example `e`, each
     distinct earlier result `c = armg(b, e')` is tried (`_holds_for`): `c`
-    must cover `e`, and each literal of `b` that `c` leaves out must stay
-    unsatisfiable under `e` together with the literals of `c` before it
-    that non-head variables join to it. That group depends on `b` and `c`
-    alone, and it is satisfiable under `e`'s head binding exactly when it
-    covers `e` under `b`'s head: a lookup in cached component passes. Then
-    armg's greedy pass over `b` for `e` keeps exactly `c`'s literals, by
-    induction over `b`: satisfiability is closed under subsets, so a
-    literal of `c` is kept, as it and the kept prefix are a subset of `c`,
-    which covers `e`; and armg decides each variable-connected group on
-    its own, so the rest of that prefix, satisfiable too, cannot unblock a
-    left-out literal that its group blocks. So the reuse returns what armg
-    would, and any other case, a kept literal that `_connected_order`
-    dropped included, falls through to armg. A bottom clause `check_body`
-    refuses raises `ValidationError`.
+    must cover `e`, and each literal of `b` that `c` leaves out, placed
+    after the literals of `c` before it in `b`, must not cover `e` under
+    `b`'s head. Those clauses depend on `b` and `c` alone, so each test is
+    a lookup in cached component passes. Then armg's greedy pass over `b`
+    for `e` keeps exactly `c`'s literals, by induction over `b`: a literal
+    of `c` is kept, as it and the kept prefix are a subset of `c`, which
+    covers `e`; and a left-out literal fails armg's own test, which the
+    lookup read. So the reuse returns what armg would, and any other case,
+    a kept literal that `_connected_order` dropped included, falls through
+    to armg. A bottom clause `check_body` refuses raises `ValidationError`.
     """
     check_body(bottom, db)
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
@@ -550,33 +545,30 @@ def _holds_for(
 
     `result` must cover `example`: its coverage is read through its fold
     `folded`, which scoring computes anyway. And each body literal of
-    `clause` that `result` leaves out must be unsatisfiable under
-    `example` together with the literals of `result` before it in
-    `clause` that non-head variables join to it: that group,
-    under the head of `clause`, must not cover `example`. The groups are
-    split once per pair and kept in `cache`, each folded (`_folded`): no
-    witness search runs, and each group, one head-linked component,
-    shares its covered set with every clause that holds it.
-    `generalize_clause` states why that is exact.
+    `clause` that `result` leaves out must fail armg's own test: the
+    literals of `result` before it in `clause`, then the literal, under
+    the head of `clause`, must not cover `example`. These blocked
+    prefixes are built once per pair and kept in `cache`, each folded
+    (`_folded`): no witness search runs, and as they follow `clause`'s
+    order, many of their components are those of its other subsequences,
+    already in the store. `generalize_clause` states why that is exact.
     """
 
     def blocked() -> list[Clause]:
-        head = dict.fromkeys(clause.head.variables())
         kept = set(result.body)
         prefix: list[Literal] = []
-        groups = []
+        prefixes = []
         for lit in clause.body:
             if lit in kept:
                 prefix.append(lit)
-            else:  # the first group holds `lit`: the rest of the prefix cannot block it
-                group = Clause(clause.head, tuple(_components([lit, *prefix], head)[0]))
-                groups.append(_folded(group, cache))
-        return groups
+            else:
+                prefixes.append(_folded(Clause(clause.head, (*prefix, lit)), cache))
+        return prefixes
 
     if not cache.covers(folded, example):
         return False
-    groups = cache.memo(("blocked groups", clause, result), blocked)
-    return not any(cache.covers(group, example) for group in groups)
+    prefixes = cache.memo(("blocked prefixes", clause, result), blocked)
+    return not any(cache.covers(prefix, example) for prefix in prefixes)
 
 
 # -- cover-set loop --------------------------------------------------------------

@@ -229,8 +229,8 @@ class TestFindWitness:
 
 class TestComponents:
     def test_groups_match_a_connectivity_oracle(self):
-        # armg and `_holds_for` take `_components([lit, *prefix], binding)[0]`
-        # as lit's group: the first group must hold the first literal
+        # armg takes `_components([lit, *kept], binding)[0]` as lit's
+        # group: the first group must hold the first literal
         rng = random.Random(241)
         names = [var(f"v{i}") for i in range(8)]
         split = joined = 0
@@ -519,8 +519,9 @@ class TestComponentCoverage:
         assert min(seen.values()) >= 100, seen
 
     def test_a_cache_evaluates_a_component_once(self, monkeypatch):
-        # the co-author component occurs in two clauses, in an alphabetic
-        # variant and in a blocked group of armg's reuse check
+        # the co-author component occurs in all three clauses, under other
+        # variable names in two; armg's reuse check reads the components
+        # of the clause it checks
         evaluate = clauses._covered_keys
         evaluated = []
 
@@ -544,16 +545,23 @@ class TestComponentCoverage:
                 assert cache.covers(clause, example) == covers_oracle(clause, example, db)
         coauthors = "advisedBy(V0,V1) :- publication(V2,V0), publication(V2,V1)."
         assert evaluated.count(coauthors) == 1
-        # armg's result for `clause` leaves publication(z,x) out: its group
-        # with publication(z,y) is the co-author component, which covers
-        # the example, so the result is not armg's there
+        assert len(set(evaluated)) == len(evaluated) == 3, evaluated
+        # armg's result for `clause` leaves publication(z,x) out: its
+        # blocked prefix, the result's literals before it and then it, is
+        # `clause` in its own order, whose components a cache that covered
+        # `clause` already holds; that prefix covers the example, so the
+        # result is not armg's there
+        cache = CoverageCache(db, universe)
         clause = parse_clause(
             "advisedBy(x,y) :- publication(z,y), student(x), publication(z,x)."
         )
         result = parse_clause("advisedBy(x,y) :- publication(z,y), student(x).")
+        for c in (clause, result):
+            for example in universe:
+                assert cache.covers(c, example) == covers_oracle(c, example, db)
+        before = len(evaluated)
         assert not learner._holds_for(clause, result, result, ("alice", "bob"), cache)
-        assert evaluated.count(coauthors) == 1
-        assert len(set(evaluated)) == len(evaluated) == 4, evaluated
+        assert len(evaluated) == before, evaluated[before:]
 
     def test_a_call_without_a_store_evaluates_twin_components_once(self, monkeypatch):
         # the two co-author components differ only in their non-head

@@ -895,7 +895,7 @@ class TestArmgReuse:
 class TestFoldOnce:
     def test_cross_validation_folds_each_clause_once(self, monkeypatch, tmp_path):
         # the beam's armg results, the clauses scored through their folds,
-        # the blocked groups of the reuse check and the winner's final fold
+        # the blocked prefixes of the reuse check and the winner's final fold
         # share one fold per distinct clause in the run's cache
         fold = learner.fold_singleton_literals
         inputs: list[Clause] = []

@@ -25,7 +25,9 @@ unbound variables and solves each group by fail-first backtracking over
 indexed candidate rows, recursing once per branching literal.
 Clause-to-clause subsumption backs the deep reduction used to keep
 generalized clauses small, which tries a local substitution of each
-literal's own arguments before it searches for an embedding.
+literal's own arguments before it searches for an embedding. The same
+embedding search, `_embed`, checks the types of bias conformance: it maps
+each literal onto one of its relation's predicate declarations.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from heapq import heappop, heappush
 from math import prod
 from itertools import compress, starmap
 from operator import eq, itemgetter
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
+from typing import AbstractSet, Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .biasgen import BiasSpec, PredicateDecl
+    from .biasgen import BiasSpec
     from .relstore import DatabaseInstance
 
 
@@ -682,8 +684,8 @@ def _embed(
     a literal re-filters only the pending literals that share one of its
     newly bound variables, and the search branches on the literal with the
     fewest candidates left. It runs depth first over an explicit stack of
-    open branch points, one per literal that binds a variable, so no
-    recursion limit bounds the body's length.
+    open branch points, so no recursion limit bounds the body's length.
+    The type check of `conforms` runs on it too (`_type_licensed`).
     """
     if not all(candidates):
         return None
@@ -723,11 +725,13 @@ def _embed(
                 checks.append(
                     (k, itemgetter(*(p for p, _ in pairs)), itemgetter(*(q for _, q in pairs)))
                 )
-        stack.append((iter(candidates[best]), rest, candidates, checks, free, theta))
+        # one target, or targets no pending literal tells apart: none to retry
+        closes = not checks or len(candidates[best]) == 1
+        stack.append((iter(candidates[best]), rest, candidates, checks, free, theta, closes))
         # the deepest open branch point's next target that leaves every
         # pending literal a candidate; an exhausted branch point is closed
         while stack:
-            targets, rest, candidates, checks, free, theta = stack[-1]
+            targets, rest, candidates, checks, free, theta, closes = stack[-1]
             for target in targets:
                 narrowed = candidates
                 for k, theirs, ours in checks:
@@ -745,6 +749,8 @@ def _embed(
             else:
                 stack.pop()
                 continue
+            if closes:
+                stack.pop()
             theta = dict(theta)
             theta.update((a, target.args[pos]) for a, pos in free.items())
             pending, candidates = rest, narrowed
@@ -940,43 +946,21 @@ def _mode_matches(lit: Literal, symbols: tuple[str, ...], seen: set[Term]) -> bo
 
 
 def _type_licensed(clause: Clause, bias: "BiasSpec") -> bool:
-    literals = (clause.head, *clause.body)
-    options = []
+    """True when one declaration of its arity per literal types each
+    variable once: `_embed` maps the head and body onto declarations read
+    as literals over type tokens. Constants take no type; `_embed` reads a
+    literal's repeated variable once, so no candidate types it twice."""
+    literals = [clause.head, *clause.body]
+    candidates = []
     for lit in literals:
-        decls = bias.declarations_for(lit.relation)
-        decls = [d for d in decls if len(d.types) == len(lit.args)]
-        if not decls:
-            return False
-        options.append(decls)
-    assignment: dict[Term, str] = {}
-    # depth first over an explicit stack, so no recursion limit bounds the
-    # body's length: one entry per literal on the current path, holding its
-    # untried declarations and the variables its current one typed
-    stack: list[tuple[Iterator[PredicateDecl], list[Term]]] = [(iter(options[0]), [])]
-    while stack:
-        decls, placed = stack[-1]
-        lit = literals[len(stack) - 1]
-        for decl in decls:
-            for term in placed:
-                del assignment[term]
-            placed.clear()
-            for arg, token in zip(lit.args, decl.types):
-                if type(arg) is not Term:
-                    continue
-                current = assignment.get(arg)
-                if current is None:
-                    assignment[arg] = token
-                    placed.append(arg)
-                elif current != token:
-                    break
-            else:
-                break
-        else:
-            for term in placed:
-                del assignment[term]
-            stack.pop()
-            continue
-        if len(stack) == len(literals):
-            return True
-        stack.append((iter(options[len(stack)]), []))
-    return False
+        typed = []
+        for decl in bias.declarations_for(lit.relation):
+            types: dict[Term, str] = {}
+            if len(decl.types) == len(lit.args) and all(
+                types.setdefault(a, token) == token
+                for a, token in zip(lit.args, decl.types)
+                if type(a) is Term
+            ):
+                typed.append(Literal(decl.relation, decl.types))
+        candidates.append(typed)
+    return _embed(literals, candidates, {}) is not None

@@ -89,10 +89,9 @@ class CoverageCache:
 
     `memo` stores the result of any other step that reads nothing but this
     database (`db`) and its key: bottom clauses, armg steps, singleton
-    folds, the blocked prefixes of armg's reuse check, ground bottom
-    clauses and pairwise lggs. So runs over different example sets
-    against the same database (the folds of `cross_validate`) can share
-    one cache. One key per armg input clause `b` also gathers the
+    folds, ground bottom clauses and pairwise lggs. So runs over different
+    example sets against the same database (the folds of `cross_validate`)
+    can share one cache. One key per armg input clause `b` also gathers the
     distinct results armg has returned for `b`, each with its fold,
     whichever example produced it: `generalize_clause` reuses one for a
     new example once `_holds_for` shows that armg would return it there
@@ -547,28 +546,23 @@ def _holds_for(
     `folded`, which scoring computes anyway. And each body literal of
     `clause` that `result` leaves out must fail armg's own test: the
     literals of `result` before it in `clause`, then the literal, under
-    the head of `clause`, must not cover `example`. These blocked
-    prefixes are built once per pair and kept in `cache`, each folded
-    (`_folded`): no witness search runs, and as they follow `clause`'s
-    order, many of their components are those of its other subsequences,
-    already in the store. `generalize_clause` states why that is exact.
+    the head of `clause`, must not cover `example`. One walk over
+    `clause`'s body builds and folds (`_folded`) each such blocked prefix
+    only when it reaches it, and stops at the first that covers `example`:
+    no witness search runs, and as the prefixes follow `clause`'s order,
+    many of their components are those of its other subsequences, already
+    in the store. `generalize_clause` states why that is exact.
     """
-
-    def blocked() -> list[Clause]:
-        kept = set(result.body)
-        prefix: list[Literal] = []
-        prefixes = []
-        for lit in clause.body:
-            if lit in kept:
-                prefix.append(lit)
-            else:
-                prefixes.append(_folded(Clause(clause.head, (*prefix, lit)), cache))
-        return prefixes
-
     if not cache.covers(folded, example):
         return False
-    prefixes = cache.memo(("blocked prefixes", clause, result), blocked)
-    return not any(cache.covers(prefix, example) for prefix in prefixes)
+    kept = set(result.body)
+    prefix: list[Literal] = []
+    for lit in clause.body:
+        if lit in kept:
+            prefix.append(lit)
+        elif cache.covers(_folded(Clause(clause.head, (*prefix, lit)), cache), example):
+            return False
+    return True
 
 
 # -- cover-set loop --------------------------------------------------------------

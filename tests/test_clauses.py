@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import time
 
 import pytest
 
@@ -322,10 +323,46 @@ class TestConforms:
         bias = read_bias("PREDICATES:\nt(T1)\ne(T2,T2)\ne(T1,T1)\nf(T1)\n" + modes)
         assert conforms(chain, bias)
         # every e must take T1 from the head, and f has T2 only: the
-        # search reaches the last literal before it fails, then backs out
-        # through every level
+        # search carries T1 down the whole chain before it finds the clash
         bias = read_bias("PREDICATES:\nt(T1)\ne(T1,T1)\ne(T2,T2)\nf(T2)\n" + modes)
         assert not conforms(chain, bias)
+
+    def test_a_clash_after_independent_choices_fails_fast(self):
+        # every r(x,yk) may type yk as B or as C, and q(y0) takes neither:
+        # a search that retries each later literal's other declaration
+        # before it revisits r(x,y0) takes 2^24 steps, wherever r(x,y0)
+        # stands; with q(x) in place of q(y0) the clause conforms
+        bias = read_bias(
+            "PREDICATES:\nt(A)\nr(A,B)\nr(A,C)\nq(A)\nq(D)\n"
+            "MODES:\nt(+)\nr(+,-)\nq(+)\n"
+        )
+        first = "".join(f"r(x,y{k}), " for k in range(24))
+        last = "".join(f"r(x,y{k}), " for k in (*range(1, 24), 0))
+        for body, end, want in (
+            (first, "q(y0)", False),
+            (last, "q(y0)", False),
+            (first, "q(x)", True),
+        ):
+            clause = parse_clause(f"t(x) :- {body}{end}.")
+            start = time.perf_counter()
+            assert conforms(clause, bias) == want
+            assert time.perf_counter() - start < 5.0, (body, end)
+
+    def test_a_long_conforming_clause_is_typed_in_time(self):
+        # 3,000 literals over three relations, each declared at two types:
+        # the chain takes T1 from the head all the way down
+        n, relations = 3000, ("e", "f", "g")
+        body = ", ".join(f"{relations[k % 3]}(x{k},x{k + 1})" for k in range(n))
+        clause = parse_clause(f"t(x0) :- {body}.")
+        bias = read_bias(
+            "PREDICATES:\nt(T1)\n"
+            + "".join(f"{r}(T2,T2)\n{r}(T1,T1)\n" for r in relations)
+            + "MODES:\nt(+)\n"
+            + "".join(f"{r}(+,-)\n" for r in relations)
+        )
+        start = time.perf_counter()
+        assert conforms(clause, bias)
+        assert time.perf_counter() - start < 10.0
 
     def test_type_search_matches_enumeration(self):
         rng = random.Random(61)

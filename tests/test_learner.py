@@ -891,6 +891,26 @@ class TestArmgReuse:
         _reuse_runs(tmp_path)
         assert checks >= 100 and searches >= 100, (checks, searches)
 
+    def test_the_check_folds_no_prefix_after_one_that_covers(self, monkeypatch):
+        # the result leaves out three literals, and the blocked prefix of
+        # the first, student(x) then publication(z,x), covers the example:
+        # the check fails there and folds none of the later prefixes
+        fold = learner.fold_singleton_literals
+        inputs: list[Clause] = []
+
+        def recording(clause):
+            inputs.append(clause)
+            return fold(clause)
+
+        cache = CoverageCache(fixtures.small_database_registered(), [("alice", "bob")])
+        clause = parse_clause(
+            "advisedBy(x,y) :- student(x), publication(z,x), professor(y), publication(w,y)."
+        )
+        result = parse_clause("advisedBy(x,y) :- student(x).")
+        monkeypatch.setattr(learner, "fold_singleton_literals", recording)
+        assert not learner._holds_for(clause, result, result, ("alice", "bob"), cache)
+        assert inputs == [parse_clause("advisedBy(x,y) :- student(x), publication(z,x).")]
+
 
 class TestFoldOnce:
     def test_cross_validation_folds_each_clause_once(self, monkeypatch, tmp_path):

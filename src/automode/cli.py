@@ -204,7 +204,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    _check_bias_flags(args.alpha if args.bias is None else None, args.constant_threshold)
+    _check_bias_flags(args.alpha, args.constant_threshold)
     bias = _read_bias(args.bias, args.target) if args.bias is not None else None
     db, examples = _load_inputs(args, args.target)
     if not examples.negatives:
@@ -274,11 +274,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _check_bias_flags(alpha: float | None, threshold: int | None = None) -> None:
+def _check_bias_flags(alpha: float, threshold: int | None = None) -> None:
     """Reject an out-of-range --alpha or --constant-threshold before any
     input is read, with the message discover_inds or generate_modes would
-    raise after loading. None skips a flag."""
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
+    raise after loading. A threshold of None is not checked."""
+    if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must be in [0,1], got {alpha}")
     if threshold is not None and threshold < 1:
         raise ConfigError("constant threshold must be >= 1")

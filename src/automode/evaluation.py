@@ -169,10 +169,12 @@ def cross_validate(
     `seed + k` and is scored on its held-out slice.
 
     Every fold learns against the same database, so one `CoverageCache`
-    over all the examples serves the whole run: a clause's coverage, an
-    armg step, a ground bottom clause or a pairwise lgg that one fold
-    computed is a lookup in every later fold and in held-out scoring. Each
-    fold learns and scores exactly what it would with a cache of its own.
+    over all the examples serves the whole run: a clause's coverage, a
+    bottom clause (`bottoms`), a singleton fold (`folds`), an armg step
+    (`armg`), a ground bottom clause (`grounds`) or a pairwise lgg
+    (`lgg_steps`) that one fold computed is a lookup in every later fold
+    and in held-out scoring. Each fold learns and scores exactly what it
+    would with a cache of its own.
     A fold's `wall_ms` includes the shared work it computes first.
     """
     if folds < 2:

@@ -70,9 +70,6 @@ class BottomClause:
     witness: dict[Term, str]
 
 
-_MISSING = object()
-
-
 class CoverageCache:
     """Coverage tests, and other pure steps, against one immutable database.
 
@@ -87,17 +84,14 @@ class CoverageCache:
     entry per component shape, and so do alphabetic variants and twin
     components within one clause.
 
-    `memo` stores the result of any other step that reads nothing but this
-    database (`db`) and its key: bottom clauses, armg steps, singleton
-    folds, ground bottom clauses and pairwise lggs. So runs over different
+    Each other step the cache keeps has a named store, keyed by every
+    input of the step but this database (`db`), so runs over different
     example sets against the same database (the folds of `cross_validate`)
-    can share one cache. One key per armg input clause `b` also gathers the
-    distinct results armg has returned for `b`, each with its fold,
-    whichever example produced it: `generalize_clause` reuses one for a
-    new example once `_holds_for` shows that armg would return it there
-    too. That check asks armg's own question of each dropped literal, so
-    the reuse is exact, and it gives the same clauses whichever runs
-    shared the cache. A universe larger than the training set leaks nothing: `_cover_set`,
+    can share one cache: `bottoms` keeps `learn_definition`'s bottom
+    clauses, `folds` the singleton folds, `armg` each beam clause's armg
+    steps and distinct results, `grounds` `lgg_learn`'s saturation bias
+    and ground bottom clauses, and `lgg_steps` its pairwise lggs. A
+    universe larger than the training set leaks nothing: `_cover_set`,
     `generalize_clause` and `score` only ask about training examples, and
     a clause's coverage of one example does not depend on which other
     examples were evaluated with it. Functions that take a cache get it
@@ -110,7 +104,20 @@ class CoverageCache:
         self._universe = frozenset(universe)
         self._covered: dict[Clause, frozenset[tuple[str, ...]]] = {}
         self._components: dict = {}
-        self._memo: dict = {}
+        # (bias, iterations, per_relation_cap) -> {seed: bottom clause}: a
+        # run hashes its saturation input once, and a bottom clause stays
+        # one object across runs, as does every clause armg derives from it
+        self.bottoms: dict[tuple, dict[tuple[str, ...], Clause]] = {}
+        # clause -> its singleton fold; a fresh fold is also its own
+        self.folds: dict[Clause, Clause] = {}
+        # beam clause -> ({example: folded armg result}, {distinct raw armg
+        # result: its fold}), the second for `_holds_for` to reuse
+        self.armg: dict[Clause, tuple[dict, dict[Clause, Clause]]] = {}
+        # (target, predicates) -> (implicit bias, {(iterations,
+        # per_relation_cap): {example: ground bottom clause}})
+        self.grounds: dict[tuple, tuple[BiasSpec, dict]] = {}
+        # (clause, ground bottom clause) -> their lgg, or None for a stop
+        self.lgg_steps: dict[tuple[Clause, Clause], Clause | None] = {}
 
     @classmethod
     def of(cls, db: DatabaseInstance, cache: CoverageCache | None, *example_groups):
@@ -121,15 +128,6 @@ class CoverageCache:
         if cache.db is not db:
             raise ValidationError("the coverage cache is over another database")
         return cache
-
-    def memo(self, key, compute: Callable[[], object]):
-        """The value stored under `key`, or `compute()` stored there first.
-
-        The key must hold every input of `compute` except the database."""
-        value = self._memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = self._memo[key] = compute()
-        return value
 
     def covers(self, clause: Clause, example: tuple[str, ...]) -> bool:
         if example not in self._universe:
@@ -435,13 +433,15 @@ def generalize_clause(
     the best score seen so far. A sampled example the head cannot bind to
     (`clauses._head_binding`) is skipped: no body could cover it. Every
     coverage read goes through the clause's fold
-    (`fold_singleton_literals`, memoized by `_folded`), which covers what
-    the clause covers with fewer components to evaluate; the ranking reads
-    the clause itself. The winner is returned folded even when it is the
-    bottom clause itself.
+    (`fold_singleton_literals`, kept in `cache.folds` by `_folded`), which
+    covers what the clause covers with fewer components to evaluate; the
+    ranking reads the clause itself. The winner is returned folded even
+    when it is the bottom clause itself.
 
     Every coverage test is a lookup in `cache`, whose universe must hold
-    `positives` and `negatives`.
+    `positives` and `negatives`. `cache.armg` keeps, per beam clause, the
+    folded result of each armg step by example and each distinct raw
+    result with its fold, whichever example produced it.
 
     Before armg runs on a beam clause `b` and a sampled example `e`, each
     distinct earlier result `c = armg(b, e')` is tried (`_holds_for`): `c`
@@ -454,7 +454,8 @@ def generalize_clause(
     covers `e`; and a left-out literal fails armg's own test, which the
     lookup read. So the reuse returns what armg would, and any other case,
     a kept literal that `_connected_order` dropped included, falls through
-    to armg. A bottom clause `check_body` refuses raises `ValidationError`.
+    to armg; the clauses are the same whichever runs shared the cache. A
+    bottom clause `check_body` refuses raises `ValidationError`.
     """
     check_body(bottom, db)
     rng = rng if rng is not None else random.Random(cfg.rng_seed)
@@ -462,16 +463,6 @@ def generalize_clause(
 
     def clause_score(c: Clause) -> int:
         return score(_folded(c, cache), positives, negatives, db, cache)
-
-    def generalized(b: Clause, e: tuple[str, ...]) -> Clause:
-        # armg's results for b, raw and folded
-        results = cache.memo(("armg results", b), dict)
-        for c, folded in results.items():
-            if _holds_for(b, c, folded, e, cache):
-                return folded
-        c = armg(b, e, db)
-        folded = results[c] = _folded(c, cache)
-        return folded
 
     best = bottom
     best_score = clause_score(best)
@@ -482,12 +473,21 @@ def generalize_clause(
         candidates: list[Clause] = []
         seen: set[Clause] = set()
         for b in beam:
+            # armg keeps exactly the literals jointly satisfiable with the
+            # kept prefix: b and e are its whole input
+            steps, results = cache.armg.setdefault(b, ({}, {}))
             for e in cache.uncovered(_folded(b, cache), sample):
                 if _head_binding(b.head, e) is None:
                     continue  # head shape (e.g. repeated variable) cannot fit e
-                # armg keeps exactly the literals jointly satisfiable with
-                # the kept prefix: b and e are its whole input
-                c = cache.memo(("armg", b, e), lambda: generalized(b, e))
+                c = steps.get(e)
+                if c is None:
+                    for raw, c in results.items():
+                        if _holds_for(b, raw, c, e, cache):
+                            break
+                    else:
+                        raw = armg(b, e, db)
+                        c = results[raw] = _folded(raw, cache)
+                    steps[e] = c
                 if c not in seen:
                     seen.add(c)
                     candidates.append(c)
@@ -526,9 +526,11 @@ def _top_ranked(
 
 
 def _folded(clause: Clause, cache: CoverageCache) -> Clause:
-    """`fold_singleton_literals(clause)`, memoized in `cache`."""
-    folded = cache.memo(("fold", clause), lambda: fold_singleton_literals(clause))
-    cache.memo(("fold", folded), lambda: folded)  # the fold is idempotent
+    """`fold_singleton_literals(clause)`, kept in `cache.folds`."""
+    folded = cache.folds.get(clause)
+    if folded is None:
+        folded = cache.folds[clause] = fold_singleton_literals(clause)
+        cache.folds.setdefault(folded, folded)  # the fold is idempotent
     return folded
 
 
@@ -581,23 +583,18 @@ def learn_definition(
     `min_precision` and it covers at least the resolved minimum of
     positives; otherwise the seed is discarded as uncoverable, which bounds
     the loop by the number of positives. A shared `cache`, whose universe
-    must hold every training example, also keeps each bottom clause and
-    armg step for the later runs that share it.
+    must hold every training example, also keeps each bottom clause
+    (`cache.bottoms`), singleton fold (`cache.folds`) and armg step
+    (`cache.armg`) for the later runs that share it.
     """
     cache = CoverageCache.of(db, cache, examples.positives, examples.negatives)
-    # one token per distinct saturation input, as in `lgg.lgg_learn`; a
-    # bottom clause shared across runs also makes every clause armg derives
-    # from it the same object, so later lookups compare by identity
-    inputs = cache.memo(
-        ("bottom inputs", bias, cfg.iterations, cfg.per_relation_cap), object
-    )
+    bottoms = cache.bottoms.setdefault((bias, cfg.iterations, cfg.per_relation_cap), {})
 
     def learn_one(uncovered: list[tuple[str, ...]], rng: random.Random) -> Clause:
         seed = uncovered[0]
-        bottom = cache.memo(
-            ("bottom", inputs, seed),
-            lambda: build_bottom_clause(seed, db, bias, cfg).clause,
-        )
+        bottom = bottoms.get(seed)
+        if bottom is None:
+            bottom = bottoms[seed] = build_bottom_clause(seed, db, bias, cfg).clause
         return generalize_clause(
             bottom,
             tuple(uncovered),

@@ -101,8 +101,9 @@ def lgg_learn(
     tuples: repeated generalization grows clauses multiplicatively and
     evaluation cost becomes prohibitive well before memory does. A shared
     `cache`, whose universe must hold every training example, also keeps
-    the saturation bias, each ground bottom clause and each step's lgg, or
-    `None` for a stop, for the later runs that share it.
+    the saturation bias and each ground bottom clause (`cache.grounds`),
+    and each step's lgg, or `None` for a stop (`cache.lgg_steps`), for the
+    later runs that share it.
     """
     total = db.total_tuples()
     if total > _GUARD:
@@ -118,31 +119,16 @@ def lgg_learn(
     if not any(d.relation == target for d in predicates):
         raise ValidationError(f"no predicate declaration for target {target}")
     cache = CoverageCache.of(db, cache, examples.positives, examples.negatives)
-    saturation = cache.memo(
-        ("implicit bias", target, predicates),
-        lambda: implicit_bias(db, target, predicates),
-    )
-    # one token per distinct saturation input, so the per-example keys
-    # below hash the predicate declarations once per call, not per lookup
-    inputs = cache.memo(
-        ("ground inputs", target, predicates, cfg.iterations, cfg.per_relation_cap),
-        object,
-    )
+    if (target, predicates) not in cache.grounds:
+        cache.grounds[target, predicates] = (implicit_bias(db, target, predicates), {})
+    saturation, by_config = cache.grounds[target, predicates]
+    grounds = by_config.setdefault((cfg.iterations, cfg.per_relation_cap), {})
 
     def ground(example: tuple[str, ...]) -> Clause:
-        return cache.memo(
-            ("ground", inputs, example),
-            lambda: ground_bottom_clause(example, db, saturation, cfg),
-        )
-
-    def step(clause: Clause, example: tuple[str, ...], bottom: Clause) -> Clause | None:
-        # None when `clause` subsumes `bottom`. The subsumption implies that
-        # `clause` covers `example`, a set lookup into the pass that scored
-        # `clause`, so an uncovered example needs no search. `subsumes` is
-        # looked up on its module, where the bench's tracer counts it.
-        if cache.covers(clause, example) and clauses.subsumes(clause, bottom):
-            return None
-        return lgg_clauses(clause, bottom)
+        bottom = grounds.get(example)
+        if bottom is None:
+            bottom = grounds[example] = ground_bottom_clause(example, db, saturation, cfg)
+        return bottom
 
     def learn_one(uncovered: list[tuple[str, ...]], rng: random.Random) -> Clause:
         seed = uncovered[0]
@@ -153,9 +139,17 @@ def lgg_learn(
         best = score(clause, uncovered, examples.negatives, db, cache)
         for example in fold[1:]:
             bottom = ground(example)
-            candidate = cache.memo(
-                ("lgg", clause, bottom), lambda: step(clause, example, bottom)
-            )
+            try:
+                candidate = cache.lgg_steps[clause, bottom]
+            except KeyError:
+                # None when `clause` subsumes `bottom`. The subsumption
+                # implies that `clause` covers `example`, a set lookup into
+                # the pass that scored `clause`, so an uncovered example
+                # needs no search. `subsumes` is looked up on its module,
+                # where the bench's tracer counts it.
+                stop = cache.covers(clause, example) and clauses.subsumes(clause, bottom)
+                candidate = None if stop else lgg_clauses(clause, bottom)
+                cache.lgg_steps[clause, bottom] = candidate
             if candidate is None:
                 break
             cand_score = score(candidate, uncovered, examples.negatives, db, cache)

@@ -154,18 +154,21 @@ class TestExitCodes:
         assert rc == 1
 
     @pytest.mark.parametrize(
-        "command, flag, value",
+        "command, flag, value, given_bias",
         [
-            ("discover-inds", "--alpha", "1.5"),
-            ("discover-inds", "--alpha", "-0.25"),
-            ("induce-bias", "--alpha", "2"),
-            ("induce-bias", "--constant-threshold", "0"),
-            ("evaluate", "--alpha", "1.5"),
-            ("evaluate", "--constant-threshold", "-1"),
+            ("discover-inds", "--alpha", "1.5", False),
+            ("discover-inds", "--alpha", "-0.25", False),
+            ("induce-bias", "--alpha", "2", False),
+            ("induce-bias", "--constant-threshold", "0", False),
+            ("evaluate", "--alpha", "1.5", False),
+            ("evaluate", "--constant-threshold", "-1", False),
+            # evaluate ignores both flags with --bias, but checks both
+            ("evaluate", "--alpha", "7", True),
+            ("evaluate", "--constant-threshold", "0", True),
         ],
     )
     def test_bad_bias_flag_fails_before_any_input_is_read(
-        self, fixture_dir, tmp_path, monkeypatch, capsys, command, flag, value
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command, flag, value, given_bias
     ):
         def unread(*args, **kwargs):
             raise AssertionError("an input was read")
@@ -184,6 +187,10 @@ class TestExitCodes:
             "induce-bias": ["--out", str(tmp_path / "bias.txt")],
             "evaluate": ["--report", str(tmp_path / "r.json")],
         }[command]
+        if given_bias:
+            bias = tmp_path / "data" / "bias.txt"
+            bias.write_text(MANUAL_BIAS_TEXT, encoding="utf-8")
+            out += ["--bias", str(bias)]
         rc = dispatch([command, *_data_args(fixture_dir), flag, value, *out])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {library.value}\n"

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from automode import evaluation, fixtures
+from automode import evaluation, fixtures, learner, lgg
 from automode.biasgen import induce_bias, read_bias
 from automode.clauses import HornDefinition, covered_examples, parse_clause
 from automode.errors import ConfigError, ValidationError
@@ -359,6 +359,63 @@ class TestCrossValidate:
         ):
             assert score(definition, test_pos, test_neg, db) == result
             assert (fold.precision, fold.recall) == result
+
+    @pytest.mark.parametrize(
+        "generalizer, name, counted",
+        [
+            (
+                "armg",
+                "learn_definition",
+                [
+                    (learner, "build_bottom_clause", 1),
+                    (learner, "armg", 2),
+                    (learner, "fold_singleton_literals", 1),
+                ],
+            ),
+            (
+                "lgg",
+                "lgg_learn",
+                [
+                    (lgg, "ground_bottom_clause", 1),
+                    (lgg, "lgg_clauses", 2),
+                    (learner, "generate_modes", 0),
+                ],
+            ),
+        ],
+        ids=["armg", "lgg"],
+    )
+    def test_shared_cache_computes_each_input_once(
+        self, monkeypatch, generalizer, name, counted
+    ):
+        """Across the folds of one run, each cached step computes each of
+        its inputs (the first `n` arguments; the rest are fixed within a
+        run) once, and repeating a fold's learning on the run's cache
+        computes nothing."""
+        db, ex, bias = self._planted_task()
+        inputs = {}
+        for module, step, n in counted:
+            seen = inputs[step] = []
+
+            def counting(*args, compute=getattr(module, step), n=n, seen=seen):
+                seen.append(args[:n])
+                return compute(*args)
+
+            monkeypatch.setattr(module, step, counting)
+        learn = getattr(evaluation, name)
+        runs = []
+
+        def recording(*args, cache):
+            runs.append((args, cache))
+            return learn(*args, cache=cache)
+
+        monkeypatch.setattr(evaluation, name, recording)
+        cross_validate(db, ex, bias, LearnConfig(), folds=5, seed=3, generalizer=generalizer)
+        counts = {step: len(seen) for step, seen in inputs.items()}
+        for step, seen in inputs.items():
+            assert seen and len(set(seen)) == len(seen), step
+        args, cache = runs[-1]
+        learn(*args, cache=cache)
+        assert {step: len(seen) for step, seen in inputs.items()} == counts
 
     def test_lgg_generalizer_path(self):
         db, ex, bias = self._task()

@@ -607,7 +607,7 @@ class TestGeneralizeClause:
 
     def test_shared_cache_generalizes_toward_each_example(self, small_db):
         # armg drops inPhase for alice and both constant literals for john:
-        # the memo must tell the two examples apart
+        # the cache's armg store must tell the two examples apart
         ex = fixtures.small_examples()
         pinned = parse_clause(
             'advisedBy(x,y) :- student(x), inPhase(x,"pre_quals"), professor(y), '

@@ -282,7 +282,7 @@ class TestLggLearn:
 
     def test_cross_validate_folds_learn_what_the_unstopped_fold_learns(self, monkeypatch):
         # every fold of one 5-fold run shares its cache, the stop decisions
-        # of the ("lgg", clause, bottom) memo included; a task needs five
+        # of its `lgg_steps` store included; a task needs five
         # positives, and seed 43's third fold does not finish within a minute
         for seed in (1, 4, 5, 7, 9, 10, 11, 12):
             db, ex = random_task(random.Random(seed))

@@ -2,20 +2,29 @@
 
 __version__ = "0.1.0"
 
-from .biasgen import BiasSpec, ModeDecl, PredicateDecl, induce_bias, read_bias, write_bias
+from types import ModuleType as _ModuleType
+
+from .biasgen import (
+    BiasSpec,
+    ModeDecl,
+    PredicateDecl,
+    conforms,
+    induce_bias,
+    read_bias,
+    write_bias,
+)
 from .clauses import (
     Clause,
     HornDefinition,
     Literal,
     Term,
-    conforms,
-    covered_examples,
     minimize,
     parse_clause,
     render_clause,
     subsumes,
     var,
 )
+from .coverage import covered_examples
 from .errors import AutomodeError, ConfigError, LoadError, ValidationError
 from .evaluation import EvalReport, cross_validate, generate_negatives, precision_recall
 from .learner import (
@@ -40,4 +49,5 @@ from .relstore import (
     register_target,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a submodule binds its name here too: export the API, not those
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

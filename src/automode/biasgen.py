@@ -15,7 +15,10 @@ own, in schema order, which walks back the same way.
 
 Mode definitions let any attribute be a variable but force one argument of
 every body atom to be an already-bound variable, and allow constants only
-on low-cardinality columns.
+on low-cardinality columns. `conforms` checks a clause against a bias:
+each body literal against some mode, read left to right, and its types by
+the embedding search of subsumption, `clauses._embed`, which maps each
+literal onto one of its relation's predicate declarations.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
+from .clauses import Clause, Literal, Term, _embed
 from .errors import ConfigError, LoadError, ValidationError
 from .profiler import IndSet, dedupe_bidirectional, discover_inds
 from .relstore import AttributeRef, DatabaseInstance, RelationSchema
@@ -379,3 +383,58 @@ def read_bias(text: str) -> BiasSpec:
         raise LoadError("bias file declares no modes")
     head, body = modes[0], tuple(modes[1:])
     return BiasSpec(tuple(predicates), body, head)
+
+
+# -- bias conformance --------------------------------------------------------
+
+
+def conforms(clause: Clause, bias: "BiasSpec") -> bool:
+    """True iff every body literal satisfies some mode (reading left to
+    right) and all variable occurrences admit one consistent type under some
+    choice of predicate declaration per literal."""
+    seen_vars = set(clause.head.variables())
+    for lit in clause.body:
+        modes = bias.modes_for(lit.relation)
+        if not modes:
+            return False
+        if not any(_mode_matches(lit, m.symbols, seen_vars) for m in modes):
+            return False
+        seen_vars.update(lit.variables())
+    return _type_licensed(clause, bias)
+
+
+def _mode_matches(lit: Literal, symbols: tuple[str, ...], seen: set[Term]) -> bool:
+    if len(symbols) != len(lit.args):
+        return False
+    for arg, sym in zip(lit.args, symbols):
+        if sym == "+":
+            if arg not in seen:
+                return False
+        elif sym == "-":
+            if type(arg) is not Term:
+                return False
+        else:  # '#'
+            if type(arg) is Term:
+                return False
+    return True
+
+
+def _type_licensed(clause: Clause, bias: "BiasSpec") -> bool:
+    """True when one declaration of its arity per literal types each
+    variable once: `_embed` maps the head and body onto declarations read
+    as literals over type tokens. Constants take no type; `_embed` reads a
+    literal's repeated variable once, so no candidate types it twice."""
+    literals = [clause.head, *clause.body]
+    candidates = []
+    for lit in literals:
+        typed = []
+        for decl in bias.declarations_for(lit.relation):
+            types: dict[Term, str] = {}
+            if len(decl.types) == len(lit.args) and all(
+                types.setdefault(a, token) == token
+                for a, token in zip(lit.args, decl.types)
+                if type(a) is Term
+            ):
+                typed.append(Literal(decl.relation, decl.types))
+        candidates.append(typed)
+    return _embed(literals, candidates, {}) is not None

@@ -16,25 +16,22 @@ from dataclasses import dataclass
 from itertools import chain, filterfalse, groupby
 from typing import Callable, Sequence
 
-from .biasgen import BiasSpec, generate_modes
+from .biasgen import BiasSpec
 from .clauses import (
     Clause,
     HornDefinition,
     Literal,
     Term,
-    _components,
     _head_binding,
-    apply_renaming,
     canonical_text,
-    check_body,
-    covered_examples,
-    find_witness,
     fold_singleton_literals,
     minimize,
     var,
 )
+from .coverage import check_body, covered_examples
 from .errors import ConfigError, ValidationError
 from .relstore import DatabaseInstance, ExampleSet
+from .witness import _components, find_witness
 
 
 @dataclass(frozen=True)
@@ -195,30 +192,6 @@ def build_bottom_clause(
     head = Literal(target, tuple(head_args))
     body = _saturate(example, db, cfg, state)
     return BottomClause(Clause(head, body), {t: v for v, t in state.var_map.items()})
-
-
-def ground_bottom_clause(
-    example: tuple[str, ...],
-    db: DatabaseInstance,
-    bias: BiasSpec,
-    cfg: LearnConfig,
-) -> Clause:
-    """Ground variant used by the lgg learner: the bottom clause under
-    `bias`, built by `implicit_bias`, each variable put back to the
-    constant it stands for."""
-    bottom = build_bottom_clause(example, db, bias, cfg)
-    return apply_renaming(bottom.clause, bottom.witness)
-
-
-def implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
-    """The lgg learner's saturation bias: the `predicates` as given, and
-    implicit one-'+' modes for every declared relation. It scans every
-    column of `db`, so a run builds it once for all its examples."""
-    # a constant threshold of 1 admits no constant: one '+' per mode
-    head, modes = generate_modes(db, 1, target)
-    declared = {d.relation for d in predicates}
-    kept = tuple(m for m in modes if m.relation in declared)
-    return BiasSpec(tuple(predicates), kept, head)
 
 
 _NO_TYPES: frozenset[str] = frozenset()

@@ -22,17 +22,10 @@ from collections import defaultdict
 from itertools import count
 
 from . import clauses
-from .biasgen import BiasSpec
-from .clauses import Clause, HornDefinition, Literal, Term, minimize, var
+from .biasgen import BiasSpec, generate_modes
+from .clauses import Clause, HornDefinition, Literal, Term, apply_renaming, minimize, var
 from .errors import ConfigError, ValidationError
-from .learner import (
-    CoverageCache,
-    LearnConfig,
-    _cover_set,
-    ground_bottom_clause,
-    implicit_bias,
-    score,
-)
+from .learner import CoverageCache, LearnConfig, _cover_set, build_bottom_clause, score
 from .relstore import DatabaseInstance, ExampleSet
 
 _VAR_SUFFIX = re.compile(r"^v(\d+)$")
@@ -75,6 +68,30 @@ def lgg_clauses(c1: Clause, c2: Clause, reduce: bool = True) -> Clause:
     )
     clause = Clause(head, tuple(body))
     return minimize(clause, deep=True) if reduce else clause
+
+
+def ground_bottom_clause(
+    example: tuple[str, ...],
+    db: DatabaseInstance,
+    bias: BiasSpec,
+    cfg: LearnConfig,
+) -> Clause:
+    """Ground variant used by the lgg learner: the bottom clause under
+    `bias`, built by `implicit_bias`, each variable put back to the
+    constant it stands for."""
+    bottom = build_bottom_clause(example, db, bias, cfg)
+    return apply_renaming(bottom.clause, bottom.witness)
+
+
+def implicit_bias(db: DatabaseInstance, target: str, predicates: tuple) -> BiasSpec:
+    """The lgg learner's saturation bias: the `predicates` as given, and
+    implicit one-'+' modes for every declared relation. It scans every
+    column of `db`, so a run builds it once for all its examples."""
+    # a constant threshold of 1 admits no constant: one '+' per mode
+    head, modes = generate_modes(db, 1, target)
+    declared = {d.relation for d in predicates}
+    kept = tuple(m for m in modes if m.relation in declared)
+    return BiasSpec(tuple(predicates), kept, head)
 
 
 def lgg_learn(

@@ -21,18 +21,16 @@ from automode.clauses import (
     HornDefinition,
     Literal,
     Term,
-    covered_examples,
     var,
 )
+from automode.coverage import covered_examples
 from automode.errors import LoadError, ValidationError
 from automode.learner import (
     CoverageCache,
     _cover_set,
-    ground_bottom_clause,
-    implicit_bias,
     score,
 )
-from automode.lgg import lgg_clauses
+from automode.lgg import ground_bottom_clause, implicit_bias, lgg_clauses
 from automode.profiler import IndSet, UnaryInd
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, load_schema
 
@@ -475,7 +473,7 @@ def head_fit_oracle(head: Literal, example: tuple[str, ...]) -> bool:
 
 
 def cheapest_variable_oracle(factors, keep: set[Term]) -> Term | None:
-    """`clauses._cheapest_variable` as first written: a scan of every
+    """`coverage._cheapest_variable` as first written: a scan of every
     variable in sorted order that keeps the first of least cost."""
     sizes: dict[Term, list[int]] = {}
     for factor_vars, rows in factors:
@@ -513,7 +511,7 @@ def implicit_bias_oracle(db: DatabaseInstance, target: str, predicates: tuple) -
 
 
 def type_licensed_oracle(clause: Clause, bias: BiasSpec) -> bool:
-    """`clauses._type_licensed` by enumeration: some choice of one
+    """`biasgen._type_licensed` by enumeration: some choice of one
     declaration of the literal's arity per literal gives every variable a
     single type."""
     literals = (clause.head, *clause.body)

@@ -17,15 +17,14 @@ from pathlib import Path
 import pytest
 
 from automode import fixtures
-from automode.biasgen import induce_bias
+from automode.biasgen import conforms, induce_bias
 from automode.clauses import (
     Clause,
     Term,
-    conforms,
-    covered_examples,
     parse_clause,
     subsumes,
 )
+from automode.coverage import covered_examples
 from automode.cli import dispatch
 from automode.evaluation import cross_validate, generate_negatives, precision_recall
 from automode.learner import (

@@ -9,16 +9,14 @@ import time
 
 import pytest
 
-from automode import clauses, fixtures, learner
-from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl, read_bias
+from automode import biasgen, clauses, fixtures, learner
+from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl, conforms, read_bias
 from automode.clauses import (
     Clause,
     HornDefinition,
     Literal,
     Term,
     canonical_text,
-    conforms,
-    covered_examples,
     minimize,
     parse_clause,
     render_clause,
@@ -26,6 +24,7 @@ from automode.clauses import (
     subsumption_witness,
     var,
 )
+from automode.coverage import covered_examples
 from automode.errors import ValidationError
 from automode.lgg import lgg_clauses
 
@@ -383,7 +382,7 @@ class TestConforms:
             )
             clause = Clause(head, body)
             want = type_licensed_oracle(clause, bias)
-            assert clauses._type_licensed(clause, bias) == want
+            assert biasgen._type_licensed(clause, bias) == want
             licensed += want
         assert 100 <= licensed <= 300
 

@@ -11,25 +11,25 @@ from math import prod
 
 import pytest
 
-from automode import clauses, fixtures, learner
-from automode.clauses import covered_examples, find_witness, parse_clause
+from automode import clauses, coverage, fixtures, learner, witness
+from automode.clauses import parse_clause
 from automode.clauses import Clause, HornDefinition, Literal, Term, fold_singleton_literals, var
-from automode.clauses import _components, _head_binding, canonical_text
+from automode.clauses import _head_binding, canonical_text
+from automode.coverage import covered_examples
 from automode.learner import (
     CoverageCache,
     LearnConfig,
     build_bottom_clause,
     generalize_clause,
-    ground_bottom_clause,
-    implicit_bias,
     learn_definition,
     score,
 )
-from automode.lgg import lgg_clauses, lgg_learn
+from automode.lgg import ground_bottom_clause, implicit_bias, lgg_clauses, lgg_learn
 from automode.biasgen import induce_bias
 from automode.evaluation import generate_negatives, precision_recall
 from automode.errors import ValidationError
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema, register_target
+from automode.witness import _components, find_witness
 
 from oracles import (
     cheapest_variable_oracle,
@@ -65,7 +65,7 @@ def witness_covers(clause, example, db) -> bool:
     if binding is None:
         return False
     # looked up on the module, so a wrapper there sees the top-level call
-    return clauses.find_witness(list(clause.body), binding, db) is not None
+    return witness.find_witness(list(clause.body), binding, db) is not None
 
 
 def wide_body_cases():
@@ -188,13 +188,13 @@ class TestFindWitness:
         # recurses through the module attribute, so the wrapper records the
         # literal count of the top-level call and of every recursive one
         widths: list[int] = []
-        search = clauses.find_witness
+        search = witness.find_witness
 
         def recording(literals, binding, db):
             widths.append(len(literals))
             return search(literals, binding, db)
 
-        monkeypatch.setattr(clauses, "find_witness", recording)
+        monkeypatch.setattr(witness, "find_witness", recording)
         wide = wide_covered = 0
         for _ in range(400):
             db = random_db(rng, max_relations=3, max_arity=3, max_tuples=100, pool=4)
@@ -285,14 +285,14 @@ class TestCoveredExamples:
     def test_every_join_shares_a_variable(self, monkeypatch):
         # variable elimination joins only factors holding the eliminated
         # variable; what is left over the head variables is a filter
-        join = clauses._join_factors
+        join = coverage._join_factors
         shared: list[bool] = []
 
         def recording(f1, f2):
             shared.append(not set(f1[0]).isdisjoint(f2[0]))
             return join(f1, f2)
 
-        monkeypatch.setattr(clauses, "_join_factors", recording)
+        monkeypatch.setattr(coverage, "_join_factors", recording)
         for db, clause, universe in wide_body_cases():
             covered_examples(clause, universe, db)
         assert len(shared) >= 100
@@ -341,7 +341,7 @@ class TestCoveredExamples:
 
     def test_reduction_reaches_the_semi_join_fixpoint(self, monkeypatch):
         rng = random.Random(241)
-        reduce = clauses._reduce_domains
+        reduce = coverage._reduce_domains
         narrowed = 0
 
         def checked(factors):
@@ -352,7 +352,7 @@ class TestCoveredExamples:
             assert [(v, set(rows)) for v, rows in factors] == want
             narrowed += any(len(rows) < n for (_, rows), n in zip(factors, sizes))
 
-        monkeypatch.setattr(clauses, "_reduce_domains", checked)
+        monkeypatch.setattr(coverage, "_reduce_domains", checked)
         for _ in range(500):
             db = random_db(rng, max_relations=3, max_arity=3, max_tuples=40, pool=5)
             clause = random_clause(rng, db, max_body=8)
@@ -440,7 +440,7 @@ class TestReduceDomains:
             want = pairwise_semijoin_oracle(factors)
             sizes = [len(r) for _, r in factors]
             reduced = list(factors)
-            clauses._reduce_domains(reduced)
+            coverage._reduce_domains(reduced)
             assert [v for v, _ in reduced] == [v for v, _ in factors]
             assert [set(r) for _, r in reduced] == want
             assert stored is None or stored == kept_stored
@@ -522,7 +522,7 @@ class TestComponentCoverage:
         # the co-author component occurs in all three clauses, under other
         # variable names in two; armg's reuse check reads the components
         # of the clause it checks
-        evaluate = clauses._covered_keys
+        evaluate = coverage._covered_keys
         evaluated = []
 
         def recording(literals, head_vars, keys, db):
@@ -530,7 +530,7 @@ class TestComponentCoverage:
             evaluated.append(canonical_text(Clause(head, tuple(literals))))
             return evaluate(literals, head_vars, keys, db)
 
-        monkeypatch.setattr(clauses, "_covered_keys", recording)
+        monkeypatch.setattr(coverage, "_covered_keys", recording)
         db = fixtures.small_database()
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
         cache = CoverageCache(db, universe)
@@ -566,14 +566,14 @@ class TestComponentCoverage:
     def test_a_call_without_a_store_evaluates_twin_components_once(self, monkeypatch):
         # the two co-author components differ only in their non-head
         # variable: one shape, so one evaluation, with no store passed in
-        evaluate = clauses._covered_keys
+        evaluate = coverage._covered_keys
         evaluated = []
 
         def recording(literals, head_vars, keys, db):
             evaluated.append(literals)
             return evaluate(literals, head_vars, keys, db)
 
-        monkeypatch.setattr(clauses, "_covered_keys", recording)
+        monkeypatch.setattr(coverage, "_covered_keys", recording)
         db = fixtures.small_database()
         universe = [(s, p) for s in ("alice", "john") for p in ("bob", "mary")]
         clause = parse_clause(
@@ -823,7 +823,7 @@ class TestCheapestVariable:
                 }
                 factors.append((factor_vars, rows))
             keep = set(rng.sample(pool, rng.randint(0, 3)))
-            picked = clauses._cheapest_variable(factors, keep)
+            picked = coverage._cheapest_variable(factors, keep)
             assert picked == cheapest_variable_oracle(factors, keep)
             sizes: dict = {}
             for factor_vars, rows in factors:

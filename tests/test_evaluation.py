@@ -11,7 +11,8 @@ import pytest
 
 from automode import evaluation, fixtures, learner, lgg
 from automode.biasgen import induce_bias, read_bias
-from automode.clauses import HornDefinition, covered_examples, parse_clause
+from automode.clauses import HornDefinition, parse_clause
+from automode.coverage import covered_examples
 from automode.errors import ConfigError, ValidationError
 from automode.evaluation import (
     _BUILT_POOL_FACTOR,
@@ -378,7 +379,7 @@ class TestCrossValidate:
                 [
                     (lgg, "ground_bottom_clause", 1),
                     (lgg, "lgg_clauses", 2),
-                    (learner, "generate_modes", 0),
+                    (lgg, "generate_modes", 0),
                 ],
             ),
         ],

@@ -9,23 +9,22 @@ from pathlib import Path
 
 import pytest
 
-from automode import clauses, fixtures, learner
+from automode import clauses, coverage, fixtures, learner, witness
 from automode.evaluation import cross_validate, generate_negatives
-from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, induce_bias, read_bias
+from automode.biasgen import ModeDecl, PredicateDecl, BiasSpec, conforms, induce_bias, read_bias
 from automode.clauses import (
     Clause,
     Literal,
     Term,
     apply_renaming,
     canonical_text,
-    conforms,
-    covered_examples,
     fold_singleton_literals,
     minimize,
     parse_clause,
     var,
 )
 from automode.clauses import _head_binding
+from automode.coverage import covered_examples
 from automode.errors import ConfigError, ValidationError
 from automode.learner import (
     _connected_order,
@@ -35,11 +34,10 @@ from automode.learner import (
     armg,
     build_bottom_clause,
     generalize_clause,
-    ground_bottom_clause,
-    implicit_bias,
     learn_definition,
     score,
 )
+from automode.lgg import ground_bottom_clause, implicit_bias
 from automode.relstore import (
     DatabaseInstance,
     ExampleSet,
@@ -411,7 +409,7 @@ class TestArmg:
         # left to bind, the search returns the binding itself; with one, the
         # extension by the first row in `matching_rows` order that fits, or
         # None; neither splits the literals into groups
-        split = clauses._components
+        split = witness._components
 
         def splitting(literals, binding):
             assert len(literals) >= 2, literals
@@ -430,7 +428,7 @@ class TestArmg:
                     return extended
             return None
 
-        monkeypatch.setattr(clauses, "_components", splitting)
+        monkeypatch.setattr(witness, "_components", splitting)
         rng = random.Random(263)
         seen = {"binding": 0, "extended": 0, "refuted": 0}
         for _ in range(600):
@@ -445,7 +443,7 @@ class TestArmg:
             ]
             pending = [lit for lit in clause.body if lit not in bound][:1]
             literals = rng.sample(bound + pending, len(bound + pending))
-            found = clauses.find_witness(literals, binding, db)
+            found = witness.find_witness(literals, binding, db)
             if not all(
                 tuple(binding.get(a, a) for a in lit.args) in db.fact_set(lit.relation)
                 for lit in bound
@@ -747,7 +745,7 @@ class TestScoringThroughFolds:
             raise AssertionError("a subsumption search ran during learning")
 
         monkeypatch.setattr(learner, "covered_examples", recording)
-        monkeypatch.setattr(clauses, "covered_examples", recording)
+        monkeypatch.setattr(coverage, "covered_examples", recording)
         monkeypatch.setattr(learner, "fold_singleton_literals", folding)
         monkeypatch.setattr(clauses, "_embed", no_search)
         tasks = [
@@ -785,7 +783,7 @@ class TestAlphabeticVariants:
         # that differ only in their variable names: those clauses share
         # their components' passes, so each component is evaluated once
         # per run, and some clause reads only stored components
-        evaluate_clause, evaluate = learner.covered_examples, clauses._covered_keys
+        evaluate_clause, evaluate = learner.covered_examples, coverage._covered_keys
         clause_calls, evaluated = [], []
 
         def recording_clause(clause, examples, db, **store):
@@ -798,7 +796,7 @@ class TestAlphabeticVariants:
             return evaluate(literals, head_vars, keys, db)
 
         monkeypatch.setattr(learner, "covered_examples", recording_clause)
-        monkeypatch.setattr(clauses, "_covered_keys", recording)
+        monkeypatch.setattr(coverage, "_covered_keys", recording)
         for seed in (1, 3, 7):
             clause_calls.clear()
             evaluated.clear()

@@ -8,22 +8,22 @@ from itertools import product
 
 import pytest
 
-from automode import evaluation, fixtures, learner, lgg
+from automode import evaluation, fixtures, lgg
 from automode.biasgen import generate_modes, induce_bias
 from automode.clauses import (
     Clause,
     Literal,
     Term,
-    covered_examples,
     minimize,
     parse_clause,
     subsumes,
     var,
 )
+from automode.coverage import covered_examples
 from automode.errors import ConfigError, ValidationError
 from automode.evaluation import cross_validate, precision_recall
-from automode.learner import CoverageCache, LearnConfig, ground_bottom_clause, implicit_bias
-from automode.lgg import lgg_clauses, lgg_learn
+from automode.learner import CoverageCache, LearnConfig
+from automode.lgg import ground_bottom_clause, implicit_bias, lgg_clauses, lgg_learn
 from automode.relstore import DatabaseInstance, ExampleSet, RelationSchema
 from automode.biasgen import BiasSpec, ModeDecl, PredicateDecl
 
@@ -358,7 +358,7 @@ class TestLggLearn:
             calls.append(args)
             return generate_modes(*args)
 
-        monkeypatch.setattr(learner, "generate_modes", counting)
+        monkeypatch.setattr(lgg, "generate_modes", counting)
         lgg_learn(db, ex, bias, LearnConfig())
         assert len(calls) == 1
         shared = CoverageCache(db, ex.positives + ex.negatives)
